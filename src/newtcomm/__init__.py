@@ -14,7 +14,6 @@ from .commutant import (
     RankOneCertificate,
     certify_rank_one,
     decompose_in_H,
-    default_xcap,
     solve_commutant,
 )
 from .derivations import (
@@ -106,7 +105,6 @@ __all__ = [
     "check_lemma_suite",
     "companion_for_linear",
     "decompose_in_H",
-    "default_xcap",
     "divergence",
     "example_fixture",
     "expected_root_set",

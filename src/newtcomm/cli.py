@@ -4,14 +4,13 @@ Exit codes: 0 = success/PASS, 1 = a mathematical check failed (certificate
 violation, non-multiple, singular transversality), 2 = usage error (bad
 expression, bad flag, hypothesis not met).  Every subcommand accepts --json
 for machine-readable output; rationals appear as "num/den" strings, floats
-as JSON numbers.  COMMUTANT_THREADS caps internal parallelism.
+as JSON numbers.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -30,17 +29,6 @@ from .parsing import parse_bipoly, parse_unipoly
 from .poly import UniPoly
 
 
-def _threads() -> int | None:
-    raw = os.environ.get("COMMUTANT_THREADS")
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise InvalidInput(f"COMMUTANT_THREADS must be an integer, got {raw!r}")
-    return n if n > 0 else None
-
-
 def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2, sort_keys=True))
@@ -57,17 +45,16 @@ def _q_text(q_coeffs: tuple[Fraction, ...]) -> str:
 
 def _cmd_commutant(args: argparse.Namespace) -> int:
     f = parse_unipoly(args.f)
-    basis = commutant.solve_commutant(f, args.max_deg_y, xcap=args.x_cap)
+    basis = commutant.solve_commutant(f, args.max_deg_y)
     payload = {
         "f": str(f),
         "max_deg_y": basis.M,
-        "x_cap": basis.xcap,
         "dimension": basis.dimension,
         "basis": [g.to_json_dict() for g in basis.basis],
     }
     human = [
         f"f = {f}",
-        f"max y-degree = {basis.M}, x-cap = {basis.xcap}",
+        f"max y-degree = {basis.M}",
         f"dimension = {basis.dimension}",
     ]
     human += [f"basis[{i}] = {g}" for i, g in enumerate(basis.basis)]
@@ -100,7 +87,7 @@ def _cmd_h_decompose(args: argparse.Namespace) -> int:
 
 def _cmd_certify(args: argparse.Namespace) -> int:
     f = parse_unipoly(args.f)
-    cert = commutant.certify_rank_one(f, args.max_deg_y, xcap=args.x_cap)
+    cert = commutant.certify_rank_one(f, args.max_deg_y)
     payload = {
         "f": str(f),
         "max_deg_y": cert.M,
@@ -127,7 +114,7 @@ def _cmd_certify(args: argparse.Namespace) -> int:
 def _cmd_parity(args: argparse.Namespace) -> int:
     f = parse_unipoly(args.f)
     system = parity.build_system(args.kind, args.m, f)
-    space = parity.solve_system(system, xcap=args.x_cap)
+    space = parity.solve_system(system)
     payload = {
         "kind": system.kind,
         "m": system.m,
@@ -152,7 +139,7 @@ def _cmd_parity(args: argparse.Namespace) -> int:
 
 def _cmd_lemmas(args: argparse.Namespace) -> int:
     f = parse_unipoly(args.f)
-    report = parity.check_lemma_suite(f, args.m_max, threads=_threads())
+    report = parity.check_lemma_suite(f, args.m_max)
     checks = sorted(report.checks, key=lambda c: (c.kind, c.m))
     payload = {
         "f": str(f),
@@ -288,7 +275,7 @@ def _cmd_flow_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> int:
-    results = selftest.run_all(seed=args.seed, threads=_threads())
+    results = selftest.run_all(seed=args.seed)
     all_passed = all(r.passed for r in results)
     payload = {
         "seed": args.seed,
@@ -323,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
             "basis of derivations commuting with (y, f(x))")
     p.add_argument("--f", required=True, help="force polynomial in x")
     p.add_argument("--max-deg-y", type=int, required=True)
-    p.add_argument("--x-cap", type=int, default=None)
 
     p = add("h-decompose", _cmd_h_decompose,
             "write a derivation as q(H) * delta_f")
@@ -335,13 +321,11 @@ def build_parser() -> argparse.ArgumentParser:
             "certify the commutant is K[H] * delta_f up to a y-degree")
     p.add_argument("--f", required=True)
     p.add_argument("--max-deg-y", type=int, required=True)
-    p.add_argument("--x-cap", type=int, default=None)
 
     p = add("parity", _cmd_parity, "build and solve one parity system")
     p.add_argument("--kind", required=True, choices=list(parity.KINDS))
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--f", required=True)
-    p.add_argument("--x-cap", type=int, default=None)
 
     p = add("lemmas", _cmd_lemmas, "run the parity-lemma suite")
     p.add_argument("--f", required=True)

@@ -9,76 +9,103 @@ variables out of that range read as zero):
     level j, x-component:  c_{j-1}' + (j+1) f c_{j+1} = d_j
     level j, y-component:  d_{j-1}' + (j+1) f d_{j+1} = f' c_j
 
-Capping the x-degree of the unknowns turns this into finite exact linear
-algebra.  The default cap is large enough that no solution is lost: the
-solution coefficients obey deg d_{m-2k} <= k (deg f + 1), so components of
-a y-degree <= M solution never exceed ceil((M+1)/2) (deg f + 1) + 1.
+The x-component equation of level j involves c_{j-1}, c_{j+1} and d_j,
+the y-component one d_{j-1}, d_{j+1} and c_j, so the system splits into
+two independent halves: the c_i of odd index with the d_i of even index,
+and the rest.  Inside a half, level j carries one equation, and it fixes
+the derivative of the index-(j-1) unknown from unknowns of index j and
+j+1.  Integrating from level M+1 down to level 1 therefore writes every
+polynomial solution of a half in terms of M+1 integration constants, and
+the level-0 equation, which has no derivative left, is a finite linear
+condition on those constants.  The solution space is found exactly, with
+no bound on the x-degree of the unknowns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
-from .linsolve import Row, nullspace
+from .linsolve import Row, nullspace, rref
 from .poly import BiPoly, UniPoly
 
-# a variable is addressed as (kind, i, e): coefficient of x^e in c_i or d_i
-VarCol = Callable[[str, int, int], Optional[int]]
+# An unknown while integrating: integration-constant index -> polynomial
+# weight; the unknown is the sum of constant * weight.
+Combo = dict[int, UniPoly]
 
 
-def default_xcap(f: UniPoly, M: int) -> int:
-    n = f.degree
-    n = 0 if n < 0 else int(n)
-    return ((M + 2) // 2) * (n + 1) + 1
+def _combine(*terms: tuple[UniPoly, Combo]) -> Combo:
+    """sum of weight * combo over the (weight, combo) pairs."""
+    out: Combo = {}
+    for weight, combo in terms:
+        for k, p in combo.items():
+            out[k] = out.get(k, UniPoly.zero()) + weight * p
+    return {k: p for k, p in out.items() if not p.is_zero}
 
 
-def expand_level(form: str, j: int, f: UniPoly, xcap: int, var_col: VarCol) -> list[Row]:
-    """x-coefficient rows of one level equation.
+def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
+    """A basis of the polynomial solutions of one half of the level system.
 
-    form "C" is the x-component family, form "D" the y-component family.
-    var_col maps (kind, i, e) to a column index, or None when the unknown
-    is not part of the system (then the term is zero).
+    The half holds c_i with i % 2 == c_parity and d_i of the other parity,
+    0 <= i <= m.  Level m+1 makes its top unknown a constant; level j >= 1
+    integrates  c_{j-1}' = d_j - (j+1) f c_{j+1}  (x-component shape) or
+    d_{j-1}' = f' c_j - (j+1) f d_{j+1}  (y-component shape), adding one
+    constant each; level 0 says the same right-hand side vanishes, which is
+    solved on the constants.  The basis is not in echelon form.
     """
-    if form == "C":
-        dkind, fkind = "c", "c"
-        rhs_kind, rhs_poly = "d", UniPoly.const(-1)
-    else:
-        dkind, fkind = "d", "d"
-        rhs_kind, rhs_poly = "c", -f.derivative()
-    rows: dict[int, Row] = {}
-
-    def add(s: int, col: Optional[int], val: Fraction):
-        if col is None or val == 0:
-            return
-        row = rows.setdefault(s, {})
-        nv = row.get(col, Fraction(0)) + val
-        if nv:
-            row[col] = nv
+    top = ("c" if m % 2 == c_parity else "d", m)
+    unknowns: dict[tuple[str, int], Combo] = {top: {0: UniPoly.one()}}
+    source = {"c": UniPoly.one(), "d": f.derivative()}
+    residual: Combo = {}
+    for j in range(m, -1, -1):
+        low, high = ("c", "d") if j % 2 != c_parity else ("d", "c")
+        rhs = _combine((source[low], unknowns.get((high, j), {})),
+                       (-(j + 1) * f, unknowns.get((low, j + 1), {})))
+        if j == 0:
+            residual = rhs
         else:
-            row.pop(col, None)
-
-    # derivative term: (kind j-1)' contributes e * x^(e-1)
-    for e in range(1, xcap + 1):
-        add(e - 1, var_col(dkind, j - 1, e), Fraction(e))
-    # multiplier term: (j+1) * f * (kind j+1)
-    for n, fn in enumerate(f.coeffs):
-        if fn:
-            for e in range(xcap + 1):
-                add(e + n, var_col(fkind, j + 1, e), (j + 1) * fn)
-    # right-hand side moved over: -d_j  (or  -f' c_j)
-    for n, pn in enumerate(rhs_poly.coeffs):
-        if pn:
-            for e in range(xcap + 1):
-                add(e + n, var_col(rhs_kind, j, e), pn)
-    return [rows[s] for s in sorted(rows) if rows[s]]
+            integrated = {k: p.integrate_dx() for k, p in rhs.items()}
+            integrated[len(unknowns)] = UniPoly.one()
+            unknowns[(low, j - 1)] = integrated
+    width = max((len(p.coeffs) for p in residual.values()), default=0)
+    rows = [{k: p.coeff(s) for k, p in residual.items() if p.coeff(s)}
+            for s in range(width)]
+    return [
+        {key: sum((w * combo[k] for k, w in omega.items() if k in combo), UniPoly.zero())
+         for key, combo in unknowns.items()}
+        for omega in nullspace(rows, len(unknowns))
+    ]
 
 
-def column_layout(entries: list[tuple[str, int]], xcap: int):
-    """Column indices for unknown polynomials, most significant first.
+def solve_halves(f: UniPoly, m: int, c_parities: tuple[int, ...]) -> list[dict[tuple[str, int], UniPoly]]:
+    """Canonical echelon basis of the solutions of the chosen halves.
+
+    Each solution maps every (kind, i) of the halves to a polynomial.  The
+    basis is the reduced echelon form over column_layout, so it is unique
+    for the solution space.
+    """
+    solutions = [s for p in c_parities for s in _integrate_half(f, m, p)]
+    entries = [("c" if i % 2 == p else "d", i) for p in c_parities for i in range(m + 1)]
+    cap = max((len(q.coeffs) - 1 for s in solutions for q in s.values()), default=0)
+    _, index, ncols = column_layout(entries, cap)
+    vectors: list[Row] = [
+        {index[(kind, i, e)]: cf for (kind, i), q in s.items()
+         for e, cf in enumerate(q.coeffs) if cf}
+        for s in solutions
+    ]
+    canonical, _ = rref(vectors, ncols)
+    basis = []
+    for vec in canonical:
+        polys = vector_to_polys(vec, index)
+        basis.append({key: polys.get(key, UniPoly.zero()) for key in entries})
+    return basis
+
+
+def column_layout(entries: list[tuple[str, int]], cap: int):
+    """Column indices for unknown polynomials of x-degree <= cap, most
+    significant first.
 
     entries lists (kind, i) pairs; ordering is y-degree descending, c before
     d at equal y-degree, then x-degree descending inside each polynomial.
@@ -87,7 +114,7 @@ def column_layout(entries: list[tuple[str, int]], xcap: int):
     index: dict[tuple[str, int, int], int] = {}
     col = 0
     for kind, i in ordered:
-        for e in range(xcap, -1, -1):
+        for e in range(cap, -1, -1):
             index[(kind, i, e)] = col
             col += 1
     return ordered, index, col
@@ -106,7 +133,6 @@ def vector_to_polys(vec: Row, index: dict[tuple[str, int, int], int]) -> dict[tu
 class CommutantBasis:
     f: UniPoly
     M: int
-    xcap: int
     basis: tuple[PlanarDerivation, ...]
 
     @property
@@ -114,40 +140,22 @@ class CommutantBasis:
         return len(self.basis)
 
 
-def solve_commutant(f: UniPoly, M: int, xcap: int | None = None) -> CommutantBasis:
+def solve_commutant(f: UniPoly, M: int) -> CommutantBasis:
     """Basis of {gamma : [newton_derivation(f), gamma] = 0, deg_y gamma <= M}.
 
-    Unknown coefficients are capped at x-degree xcap; with the default cap
-    and deg f >= 2 the basis is complete.  Degenerate f (zero or degree <= 1)
+    The basis is complete for every f.  Degenerate f (zero or degree <= 1)
     is accepted for negative controls.
     """
     if not isinstance(M, int) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
     if not isinstance(f, UniPoly):
         f = UniPoly.const(f)
-    if xcap is None:
-        xcap = default_xcap(f, M)
-    elif xcap < 0:
-        raise InvalidInput("xcap must be non-negative")
-
-    entries = [(kind, i) for i in range(M + 1) for kind in ("c", "d")]
-    _, index, ncols = column_layout(entries, xcap)
-
-    def var_col(kind: str, i: int, e: int):
-        return index.get((kind, i, e))
-
-    rows: list[Row] = []
-    for j in range(M + 2):
-        rows.extend(expand_level("C", j, f, xcap, var_col))
-        rows.extend(expand_level("D", j, f, xcap, var_col))
-
     basis = []
-    for vec in nullspace(rows, ncols):
-        polys = vector_to_polys(vec, index)
-        act_x = BiPoly([polys.get(("c", i), UniPoly.zero()) for i in range(M + 1)])
-        act_y = BiPoly([polys.get(("d", i), UniPoly.zero()) for i in range(M + 1)])
+    for polys in solve_halves(f, M, (1, 0)):
+        act_x = BiPoly([polys[("c", i)] for i in range(M + 1)])
+        act_y = BiPoly([polys[("d", i)] for i in range(M + 1)])
         basis.append(PlanarDerivation(act_x, act_y))
-    return CommutantBasis(f=f, M=M, xcap=xcap, basis=tuple(basis))
+    return CommutantBasis(f=f, M=M, basis=tuple(basis))
 
 
 @dataclass(frozen=True)
@@ -216,14 +224,14 @@ class RankOneCertificate:
         return self.commutant.dimension
 
 
-def certify_rank_one(f: UniPoly, M: int, xcap: int | None = None) -> RankOneCertificate:
+def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
     """Certify that every commuting derivation up to y-degree M is an
     energy-polynomial multiple of the base derivation (needs deg f >= 2)."""
     if not isinstance(f, UniPoly):
         f = UniPoly.const(f)
     if f.degree < 2:
         raise HypothesisViolation("certification requires deg f >= 2")
-    com = solve_commutant(f, M, xcap)
+    com = solve_commutant(f, M)
     expected = (M - 1) // 2 + 1 if M >= 1 else 0
     decs: list[HDecomposition | None] = []
     failing = None

@@ -221,6 +221,11 @@ class FlowCheckReport:
         return ok
 
 
+# Delta evaluations one rectification_defect call may spend on quadrature;
+# beyond it the integrals are treated as not converging.
+QUAD_EVAL_BUDGET = 2_000_000
+
+
 def rectification_defect(
     d: PlanarDerivation,
     delta: PlanarDerivation,
@@ -237,8 +242,9 @@ def rectification_defect(
     """max |F(x(t), y(t)) - (t, 0)| along the numeric flow of d.
 
     The bracket hypothesis is checked exactly, transversality exactly at
-    (x0, y0); vanishing of Delta encountered during quadrature raises
-    SingularDelta.  trajectory_error is filled when a reference solution
+    (x0, y0); vanishing of Delta encountered during quadrature, or more
+    than QUAD_EVAL_BUDGET evaluations of it, raises SingularDelta.
+    trajectory_error is filled when a reference solution
     t -> (x, y) is supplied.
     """
     if not d.bracket(delta).is_zero:
@@ -259,8 +265,11 @@ def rectification_defect(
     def guard(v: float) -> float:
         nonlocal evals
         evals += 1
-        if abs(v) < 1e-12 or evals > 2_000_000:
+        if abs(v) < 1e-12:
             raise SingularDelta("Delta vanishes along the integration path")
+        if evals > QUAD_EVAL_BUDGET:
+            raise SingularDelta(f"quadrature exceeded its budget of "
+                                f"{QUAD_EVAL_BUDGET} Delta evaluations")
         return v
 
     def scan(fixed: float, lo: float, hi: float, vertical: bool) -> None:

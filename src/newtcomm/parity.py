@@ -1,7 +1,7 @@
 """The four parity-split equation systems behind the commutant computation.
 
-The level equations of commutant.expand_level couple unknowns of one index
-parity only, so the full system for y-degree m splits into two independent
+The level equations in the commutant module docstring couple unknowns of one
+index parity only, so the full system for y-degree m splits into two independent
 halves.  Naming the half with odd-index c's and even-index d's "I" and its
 complement "II", and tagging by the parity of m, gives four kinds:
 
@@ -19,20 +19,11 @@ forced-to-zero facts live in check_lemma_suite.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .commutant import (
-    column_layout,
-    decompose_in_H,
-    default_xcap,
-    expand_level,
-    vector_to_polys,
-)
+from .commutant import decompose_in_H, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple
-from .linsolve import Row, nullspace, rref
 from .poly import BiPoly, UniPoly
 
 KINDS = ("Io", "IIo", "Ie", "IIe")
@@ -121,146 +112,18 @@ class SolutionSpace:
     forced: frozenset  # unknowns identically zero across the solution set
 
 
-def system_rows(sys: ParitySystem, xcap: int):
-    """Coefficient-matching rows over the system's own column layout."""
-    entries = [("c", i) for i in sys.c_indices] + [("d", i) for i in sys.d_indices]
-    ordered, index, ncols = column_layout(entries, xcap)
-
-    def var_col(kind: str, i: int, e: int):
-        return index.get((kind, i, e))
-
-    rows: list[Row] = []
-    for eq in sys.equations:
-        rows.extend(expand_level(eq.form, eq.level, sys.f, xcap, var_col))
-    return rows, index, ncols
-
-
-def _space_from_vectors(sys: ParitySystem, vectors: list[Row],
-                        index: dict) -> SolutionSpace:
-    names = [("c", i) for i in sys.c_indices] + [("d", i) for i in sys.d_indices]
-    basis = []
-    for vec in vectors:
-        polys = vector_to_polys(vec, index)
-        basis.append({f"{kind}_{i}": polys.get((kind, i), UniPoly.zero())
-                      for kind, i in names})
-    forced = frozenset(
-        f"{kind}_{i}" for kind, i in names
-        if all(b[f"{kind}_{i}"].is_zero for b in basis)
+def solve_system(sys: ParitySystem) -> SolutionSpace:
+    """Every polynomial solution, by integrating e_{m+1} .. e_1 top-down and
+    imposing e_0 on the integration constants; the basis is the canonical
+    echelon basis of the solution space."""
+    basis = tuple(
+        {f"{kind}_{i}": poly for (kind, i), poly in solution.items()}
+        for solution in solve_halves(sys.f, sys.m, (_c_parity(sys.kind),))
     )
-    return SolutionSpace(dimension=len(basis), basis=tuple(basis), forced=forced)
-
-
-def solve_system(sys: ParitySystem, xcap: int | None = None,
-                 strategy: str = "linalg") -> SolutionSpace:
-    """Polynomial solutions with every unknown of x-degree <= xcap.
-
-    strategy "linalg" (default) equates x-coefficients and solves exactly;
-    "backsub" integrates the equations top-down (Io only) and imposes the
-    bottom consistency equation on the integration constants.  Both produce
-    the same canonical echelon basis.
-    """
-    if strategy == "backsub":
-        return _solve_backsub(sys, xcap)
-    if strategy != "linalg":
-        raise InvalidInput(f"unknown strategy {strategy!r}")
-    if xcap is None:
-        xcap = default_xcap(sys.f, sys.m)
-    rows, index, ncols = system_rows(sys, xcap)
-    return _space_from_vectors(sys, nullspace(rows, ncols), index)
-
-
-def _solve_backsub(sys: ParitySystem, xcap: int | None) -> SolutionSpace:
-    """Solve (Io)_m by integrating e_{m+1}, e_m, ... downward.
-
-    Each unknown is kept as a linear combination of integration constants
-    with UniPoly coefficients; the final equation e_0 (f*c_1 = d_0) becomes
-    an exact linear system on the constants alone.
-    """
-    if sys.kind != "Io" or sys.m % 2 == 0:
-        raise InvalidInput("back-substitution strategy applies to Io with odd m")
-    m, f = sys.m, sys.f
-    fprime = f.derivative()
-
-    # combo representation: dict const_index -> UniPoly
-    def combo_zero() -> dict:
-        return {}
-
-    def combo_add_scaled(acc: dict, c: Fraction, combo: dict) -> None:
-        for idx, poly in combo.items():
-            cur = acc.get(idx, UniPoly.zero()) + c * poly
-            if cur.is_zero:
-                acc.pop(idx, None)
-            else:
-                acc[idx] = cur
-
-    def combo_mul(poly: UniPoly, combo: dict) -> dict:
-        return {idx: poly * p for idx, p in combo.items()}
-
-    def combo_integrate(combo: dict) -> dict:
-        return {idx: p.integrate_dx() for idx, p in combo.items()}
-
-    unknowns: dict[str, dict] = {}
-    next_const = 0
-
-    # e_{m+1}: c_m' = 0
-    unknowns[f"c_{m}"] = {next_const: UniPoly.one()}
-    next_const += 1
-
-    for j in range(m, 0, -1):
-        if j % 2:  # y-component shape: d_{j-1}' = f' c_j - (j+1) f d_{j+1}
-            rhs = combo_mul(fprime, unknowns[f"c_{j}"])
-            upper = unknowns.get(f"d_{j+1}")
-            if upper:
-                combo_add_scaled(rhs, Fraction(-(j + 1)), combo_mul(f, upper))
-            name = f"d_{j-1}"
-        else:  # x-component shape: c_{j-1}' = d_j - (j+1) f c_{j+1}
-            rhs = dict(unknowns[f"d_{j}"])
-            upper = unknowns.get(f"c_{j+1}")
-            if upper:
-                combo_add_scaled(rhs, Fraction(-(j + 1)), combo_mul(f, upper))
-            name = f"c_{j-1}"
-        integrated = combo_integrate(rhs)
-        integrated[next_const] = UniPoly.one()
-        next_const += 1
-        unknowns[name] = integrated
-
-    # e_0: f c_1 - d_0 = 0, a linear condition on the constants
-    residual = combo_mul(f, unknowns["c_1"])
-    combo_add_scaled(residual, Fraction(-1), unknowns["d_0"])
-    max_deg = max((p.degree for p in residual.values() if not p.is_zero), default=-1)
-    rows: list[Row] = []
-    for s in range(int(max_deg) + 1 if max_deg >= 0 else 0):
-        row = {idx: p.coeff(s) for idx, p in residual.items() if p.coeff(s) != 0}
-        if row:
-            rows.append(row)
-    const_solutions = nullspace(rows, next_const)
-
-    # instantiate, then canonicalize over the standard column layout
-    if xcap is None:
-        xcap = default_xcap(f, m)
-    inst_cap = xcap
-    for combo in unknowns.values():
-        for p in combo.values():
-            if p.degree > inst_cap:
-                inst_cap = int(p.degree)
-    entries = [("c", i) for i in sys.c_indices] + [("d", i) for i in sys.d_indices]
-    _, index, ncols = column_layout(entries, inst_cap)
-    vectors: list[Row] = []
-    for omega in const_solutions:
-        vec: Row = {}
-        for name, combo in unknowns.items():
-            kind, i = name[0], int(name[2:])
-            total = UniPoly.zero()
-            for cidx, weight in omega.items():
-                if cidx in combo:
-                    total = total + weight * combo[cidx]
-            for e, cf in enumerate(total.coeffs):
-                if cf:
-                    vec[index[(kind, i, e)]] = cf
-        if vec:
-            vectors.append(vec)
-    canonical, _ = rref(vectors, ncols)
-    return _space_from_vectors(sys, canonical, index)
+    forced = frozenset(
+        name for name in sys.unknowns if all(b[name].is_zero for b in basis)
+    )
+    return SolutionSpace(dimension=len(basis), basis=basis, forced=forced)
 
 
 def assemble_derivation(space_entry: dict, m: int) -> PlanarDerivation:
@@ -319,8 +182,8 @@ def _check_one(kind: str, m: int, f: UniPoly) -> LemmaCheck:
                       dimension=space.dimension, forced=space.forced, detail=detail)
 
 
-def check_lemma_suite(f: UniPoly, m_max: int, *, allow_low_degree: bool = False,
-                      threads: int | None = None) -> LemmaSuiteReport:
+def check_lemma_suite(f: UniPoly, m_max: int, *,
+                      allow_low_degree: bool = False) -> LemmaSuiteReport:
     """Run every dimension/forced-zero check for m up to m_max.
 
     For odd m: (Io)_m has dimension (m+1)/2 with every solution an energy
@@ -343,9 +206,5 @@ def check_lemma_suite(f: UniPoly, m_max: int, *, allow_low_degree: bool = False,
             jobs.append(("Ie", m))
             jobs.append(("IIe", m))
     jobs.sort(key=lambda km: (KINDS.index(km[0]), km[1]))
-    if threads and threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            checks = list(pool.map(lambda km: _check_one(km[0], km[1], f), jobs))
-    else:
-        checks = [_check_one(kind, m, f) for kind, m in jobs]
+    checks = [_check_one(kind, m, f) for kind, m in jobs]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

@@ -43,13 +43,13 @@ ACCEPTANCE_FORCES: tuple[UniPoly, ...] = (
 )
 
 
-def run_criterion_1(seed: int = 0, threads: int | None = None) -> CriterionResult:
+def run_criterion_1(seed: int = 0) -> CriterionResult:
     """Commutant dimension floor((M-1)/2)+1 with every element a K[H]-multiple."""
     t0 = time.perf_counter()
     failures = []
     total = 0
     for f in ACCEPTANCE_FORCES:
-        for M in (1, 3, 5, 7):
+        for M in (1, 3, 5, 7, 9, 11):
             total += 1
             basis = commutant.solve_commutant(f, M)
             expected = (M - 1) // 2 + 1
@@ -80,7 +80,7 @@ def companion_grid(seed: int, count: int = 200) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def run_criterion_2(seed: int = 0, threads: int | None = None) -> CriterionResult:
+def run_criterion_2(seed: int = 0) -> CriterionResult:
     """f = x sharpness plus exact companions across the affine grid."""
     t0 = time.perf_counter()
     problems = []
@@ -122,14 +122,14 @@ def run_criterion_2(seed: int = 0, threads: int | None = None) -> CriterionResul
     return _timed("2-negative-control", not problems, detail, t0)
 
 
-def run_criterion_3(seed: int = 0, threads: int | None = None) -> CriterionResult:
-    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 8."""
+def run_criterion_3(seed: int = 0) -> CriterionResult:
+    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 10."""
     t0 = time.perf_counter()
     x = UniPoly.x()
     failures = []
     total = 0
     for f in (x ** 2, x ** 3):
-        report = parity.check_lemma_suite(f, 8, threads=threads)
+        report = parity.check_lemma_suite(f, 10)
         for check in report.checks:
             total += 1
             if not check.passed:
@@ -140,7 +140,7 @@ def run_criterion_3(seed: int = 0, threads: int | None = None) -> CriterionResul
     return _timed("3-parity-lemmas", not failures, detail, t0)
 
 
-def run_criterion_4(seed: int = 0, threads: int | None = None) -> CriterionResult:
+def run_criterion_4(seed: int = 0) -> CriterionResult:
     """Obstruction polynomials: degree bound, P(-1) != 0, exact root sets."""
     t0 = time.perf_counter()
     failures = []
@@ -164,7 +164,7 @@ def run_criterion_4(seed: int = 0, threads: int | None = None) -> CriterionResul
     return _timed("4-obstruction-roots", not failures, detail, t0)
 
 
-def run_criterion_5(seed: int = 0, threads: int | None = None) -> CriterionResult:
+def run_criterion_5(seed: int = 0) -> CriterionResult:
     """Laurent families commute, annihilate r, satisfy ratios; witness shapes."""
     t0 = time.perf_counter()
     failures = []
@@ -195,7 +195,7 @@ def run_criterion_5(seed: int = 0, threads: int | None = None) -> CriterionResul
     return _timed("5-laurent-family", not failures, detail, t0)
 
 
-def run_criterion_6(seed: int = 0, threads: int | None = None) -> CriterionResult:
+def run_criterion_6(seed: int = 0) -> CriterionResult:
     """Closed-form regression and rectification defect for the example flow."""
     t0 = time.perf_counter()
     failures = []
@@ -230,7 +230,7 @@ def _random_derivation(rng: random.Random) -> PlanarDerivation:
     return PlanarDerivation(_random_bipoly(rng), _random_bipoly(rng))
 
 
-def run_criterion_7(seed: int = 0, threads: int | None = None) -> CriterionResult:
+def run_criterion_7(seed: int = 0) -> CriterionResult:
     """Randomized ring axioms: Leibniz, Jacobi, integrate-then-differentiate."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
@@ -266,6 +266,6 @@ CRITERIA = (run_criterion_1, run_criterion_2, run_criterion_3, run_criterion_4,
             run_criterion_5, run_criterion_6, run_criterion_7)
 
 
-def run_all(seed: int = 0, threads: int | None = None) -> list[CriterionResult]:
-    results = [fn(seed=seed, threads=threads) for fn in CRITERIA]
+def run_all(seed: int = 0) -> list[CriterionResult]:
+    results = [fn(seed=seed) for fn in CRITERIA]
     return sorted(results, key=lambda r: r.name)

@@ -1,0 +1,128 @@
+"""Coefficient-matching reference solver for the commutant level system.
+
+Every unknown c_i, d_i is capped at x-degree xcap, each level equation
+
+    level j, x-component:  c_{j-1}' + (j+1) f c_{j+1} = d_j
+    level j, y-component:  d_{j-1}' + (j+1) f d_{j+1} = f' c_j
+
+is expanded into one row per power of x, and the exact nullspace of the
+rows is returned in the same canonical echelon form the package uses.  It
+shares no solving logic with the package's top-down integrator, so the
+tests compare the two.  Completeness rests on the degree bound
+deg d_{m-2k} <= k (deg f + 1): components of a y-degree <= M solution never
+exceed ceil((M+1)/2) (deg f + 1) + 1, which default_xcap covers.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Callable, Optional
+
+from newtcomm import PlanarDerivation
+from newtcomm.commutant import column_layout, vector_to_polys
+from newtcomm.linsolve import Row, nullspace
+from newtcomm.parity import ParitySystem, SolutionSpace
+from newtcomm.poly import BiPoly, UniPoly
+
+# a variable is addressed as (kind, i, e): coefficient of x^e in c_i or d_i
+VarCol = Callable[[str, int, int], Optional[int]]
+
+
+def default_xcap(f: UniPoly, M: int) -> int:
+    n = f.degree
+    n = 0 if n < 0 else int(n)
+    return ((M + 2) // 2) * (n + 1) + 1
+
+
+def expand_level(form: str, j: int, f: UniPoly, xcap: int, var_col: VarCol) -> list[Row]:
+    """x-coefficient rows of one level equation.
+
+    form "C" is the x-component family, form "D" the y-component family.
+    var_col maps (kind, i, e) to a column index, or None when the unknown
+    is not part of the system (then the term is zero).
+    """
+    if form == "C":
+        kind, rhs_kind, rhs_poly = "c", "d", UniPoly.const(-1)
+    else:
+        kind, rhs_kind, rhs_poly = "d", "c", -f.derivative()
+    rows: dict[int, Row] = {}
+
+    def add(s: int, col: Optional[int], val: Fraction):
+        if col is None or val == 0:
+            return
+        row = rows.setdefault(s, {})
+        nv = row.get(col, Fraction(0)) + val
+        if nv:
+            row[col] = nv
+        else:
+            row.pop(col, None)
+
+    # derivative term: (kind j-1)' contributes e * x^(e-1)
+    for e in range(1, xcap + 1):
+        add(e - 1, var_col(kind, j - 1, e), Fraction(e))
+    # multiplier term: (j+1) * f * (kind j+1)
+    for n, fn in enumerate(f.coeffs):
+        if fn:
+            for e in range(xcap + 1):
+                add(e + n, var_col(kind, j + 1, e), (j + 1) * fn)
+    # right-hand side moved over: -d_j  (or  -f' c_j)
+    for n, pn in enumerate(rhs_poly.coeffs):
+        if pn:
+            for e in range(xcap + 1):
+                add(e + n, var_col(rhs_kind, j, e), pn)
+    return [rows[s] for s in sorted(rows) if rows[s]]
+
+
+def _rows(entries, levels, f: UniPoly, xcap: int):
+    _, index, ncols = column_layout(entries, xcap)
+
+    def var_col(kind: str, i: int, e: int):
+        return index.get((kind, i, e))
+
+    rows: list[Row] = []
+    for form, j in levels:
+        rows.extend(expand_level(form, j, f, xcap, var_col))
+    return rows, index, ncols
+
+
+def full_rows(f: UniPoly, M: int, xcap: int):
+    """Rows, column index and column count of the whole y-degree <= M system."""
+    entries = [(kind, i) for i in range(M + 1) for kind in ("c", "d")]
+    levels = [(form, j) for j in range(M + 2) for form in ("C", "D")]
+    return _rows(entries, levels, f, xcap)
+
+
+def system_rows(sys: ParitySystem, xcap: int):
+    """Rows over one parity system's own column layout."""
+    entries = [("c", i) for i in sys.c_indices] + [("d", i) for i in sys.d_indices]
+    return _rows(entries, [(eq.form, eq.level) for eq in sys.equations], sys.f, xcap)
+
+
+def matching_commutant(f: UniPoly, M: int, xcap: int | None = None) -> list[PlanarDerivation]:
+    """Canonical commutant basis with unknowns of x-degree <= xcap."""
+    if xcap is None:
+        xcap = default_xcap(f, M)
+    rows, index, ncols = full_rows(f, M, xcap)
+    basis = []
+    for vec in nullspace(rows, ncols):
+        polys = vector_to_polys(vec, index)
+        basis.append(PlanarDerivation(
+            BiPoly([polys.get(("c", i), UniPoly.zero()) for i in range(M + 1)]),
+            BiPoly([polys.get(("d", i), UniPoly.zero()) for i in range(M + 1)]),
+        ))
+    return basis
+
+
+def matching_system(sys: ParitySystem, xcap: int | None = None) -> SolutionSpace:
+    """Canonical solution space of one parity system, unknowns capped at xcap."""
+    if xcap is None:
+        xcap = default_xcap(sys.f, sys.m)
+    rows, index, ncols = system_rows(sys, xcap)
+    basis = []
+    for vec in nullspace(rows, ncols):
+        polys = vector_to_polys(vec, index)
+        basis.append({name: polys.get((name[0], int(name[2:])), UniPoly.zero())
+                      for name in sys.unknowns})
+    forced = frozenset(name for name in sys.unknowns
+                       if all(b[name].is_zero for b in basis))
+    return SolutionSpace(dimension=len(basis), basis=tuple(basis), forced=forced)

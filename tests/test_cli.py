@@ -37,6 +37,9 @@ class TestExitCodes:
         assert run(capsys, "pm", "--m", "4")[0] == 2
         assert run(capsys, "lemmas", "--f", "x", "--m-max", "4")[0] == 2
         assert run(capsys, "commutant", "--f", "2*x +", "--max-deg-y", "1")[0] == 2
+        # the solver has no x-degree cap to set
+        assert run(capsys, "certify", "--f", "x^2", "--max-deg-y", "3",
+                   "--x-cap", "9")[0] == 2
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -169,13 +172,6 @@ class TestHumanOutput:
         code, out, _ = run(capsys, "linearize", "--dx", "y", "--dy", "x")
         assert code == 0
         assert "case2" in out
-
-
-def test_env_thread_count_validated(capsys, monkeypatch):
-    monkeypatch.setenv("COMMUTANT_THREADS", "not-a-number")
-    code = main(["lemmas", "--f", "x^2", "--m-max", "3"])
-    capsys.readouterr()
-    assert code == 2
 
 
 def test_selftest_smoke(capsys):

@@ -17,9 +17,12 @@ from newtcomm import (
     parse_unipoly,
     solve_commutant,
 )
-from newtcomm.commutant import default_xcap
+from newtcomm.parity import KINDS, build_system, solve_system
+
+from matching_oracle import default_xcap, matching_commutant, matching_system
 
 FORCES = ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1")
+DEGENERATE_FORCES = ("0", "2", "x", "2*x + 1")
 
 
 class TestSolveCommutant:
@@ -59,14 +62,15 @@ class TestSolveCommutant:
         ]
 
     def test_dimension_stable_under_larger_cap(self):
+        # the uncapped integrator agrees with coefficient matching at the
+        # default cap and at twice that cap
         for f_text in ("x^2", "x^3 - x"):
             f = parse_unipoly(f_text)
             for M in (1, 3, 5):
                 cap = default_xcap(f, M)
-                a = solve_commutant(f, M, xcap=cap)
-                b = solve_commutant(f, M, xcap=2 * cap)
-                assert a.dimension == b.dimension
-                assert list(a.basis) == list(b.basis)
+                got = list(solve_commutant(f, M).basis)
+                assert matching_commutant(f, M, cap) == got
+                assert matching_commutant(f, M, 2 * cap) == got
 
     def test_zero_f_allowed(self):
         res = solve_commutant(UniPoly([]), 1)
@@ -75,8 +79,28 @@ class TestSolveCommutant:
         )
 
     def test_default_xcap_formula(self):
+        # the cap of the coefficient-matching oracle
         f = parse_unipoly("x^3 - x")
         assert default_xcap(f, 3) == ((3 + 2) // 2) * (3 + 1) + 1
+
+
+@pytest.mark.parametrize("f_text", DEGENERATE_FORCES + FORCES)
+def test_matches_matching_oracle(f_text):
+    """Byte-equal output to coefficient matching: commutant bases for
+    M = 0..11 and every parity system for m = 2..10."""
+    f = parse_unipoly(f_text)
+    for M in range(12):
+        got = [str(g) for g in solve_commutant(f, M).basis]
+        assert got == [str(g) for g in matching_commutant(f, M)], M
+    for kind in KINDS:
+        for m in range(2, 11):
+            system = build_system(kind, m, f)
+            got, want = solve_system(system), matching_system(system)
+            assert got.dimension == want.dimension, (kind, m)
+            assert [{k: str(p) for k, p in b.items()} for b in got.basis] == [
+                {k: str(p) for k, p in b.items()} for b in want.basis
+            ], (kind, m)
+            assert got.forced == want.forced, (kind, m)
 
 
 class TestDecomposeInH:

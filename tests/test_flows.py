@@ -18,6 +18,7 @@ from newtcomm import (
     rectification_defect,
     rk4_flow,
 )
+from newtcomm import flows
 
 
 def D(dx: str, dy: str) -> PlanarDerivation:
@@ -140,6 +141,13 @@ class TestRectification:
         # ... and by t = 1 the quadrature path crosses det = y^2 - x^2 = 0
         with pytest.raises(SingularDelta):
             rectification_defect(D("y", "x"), D("x", "y"), 2, 1, 1.0, 4000)
+
+    def test_exhausted_quadrature_budget_is_named(self, monkeypatch):
+        # running out of evaluations is reported as such, not as a zero of Delta
+        monkeypatch.setattr(flows, "QUAD_EVAL_BUDGET", 100)
+        d, delta, _ = example_fixture()
+        with pytest.raises(SingularDelta, match="budget of 100 Delta evaluations"):
+            rectification_defect(d, delta, 0, 1, 1.0, 1000)
 
     def test_non_commuting_rejected_exactly(self):
         with pytest.raises(HypothesisViolation):

@@ -12,8 +12,9 @@ from newtcomm import (
     solve_commutant,
     solve_system,
 )
-from newtcomm.commutant import column_layout, default_xcap
-from newtcomm.parity import KINDS, assemble_derivation, system_rows
+from newtcomm.parity import KINDS, assemble_derivation
+
+from matching_oracle import default_xcap, full_rows, matching_system, system_rows
 
 
 class TestBuildSystem:
@@ -115,31 +116,24 @@ class TestSolveSystem:
             assert d.commutes_with(gamma)
 
     def test_backsub_matches_linalg(self):
+        # top-down integration equals coefficient matching for all four kinds
         for f_text in ("x^2", "x^3 - x"):
             f = parse_unipoly(f_text)
-            for m in (3, 5, 7):
-                s = build_system("Io", m, f)
-                a = solve_system(s, strategy="linalg")
-                b = solve_system(s, strategy="backsub")
-                assert a.dimension == b.dimension
-                assert a.basis == b.basis
-                assert a.forced == b.forced
-
-    def test_backsub_limited_to_io(self):
-        s = build_system("Ie", 2, parse_unipoly("x^2"))
-        with pytest.raises(InvalidInput):
-            solve_system(s, strategy="backsub")
-        with pytest.raises(InvalidInput):
-            solve_system(build_system("Io", 3, parse_unipoly("x^2")),
-                         strategy="gauss")
+            for kind in KINDS:
+                for m in (3, 4, 5, 6, 7):
+                    s = build_system(kind, m, f)
+                    a = matching_system(s)
+                    b = solve_system(s)
+                    assert a.dimension == b.dimension
+                    assert a.basis == b.basis
+                    assert a.forced == b.forced
 
     def test_two_systems_partition_full_problem(self):
         """Io+IIo (odd M) rows, suitably mapped, equal the full matching system."""
         f = parse_unipoly("x^3 - x")
         M = 5
         xcap = default_xcap(f, M)
-        entries = [(kind, i) for i in range(M + 1) for kind in ("c", "d")]
-        _, full_index, _ = column_layout(entries, xcap)
+        full, full_index, _ = full_rows(f, M, xcap)
 
         merged = set()
         for kind in ("Io", "IIo"):
@@ -152,20 +146,7 @@ class TestSolveSystem:
                 ))
                 if mapped:
                     merged.add(mapped)
-
-        from newtcomm.commutant import expand_level
-
-        def var_col(kind, i, e):
-            return full_index.get((kind, i, e))
-
-        full = set()
-        for j in range(M + 2):
-            for form in ("C", "D"):
-                for row in expand_level(form, j, f, xcap, var_col):
-                    mapped = tuple(sorted(row.items()))
-                    if mapped:
-                        full.add(mapped)
-        assert merged == full
+        assert merged == {tuple(sorted(row.items())) for row in full}
 
 
 class TestLemmaSuite:
@@ -188,15 +169,6 @@ class TestLemmaSuite:
         assert not report.passed
         bad = [c for c in report.checks if not c.passed]
         assert any(c.kind == "IIo" and c.m == 3 for c in bad)
-
-    def test_threaded_equals_serial(self):
-        f = parse_unipoly("x^3")
-        serial = check_lemma_suite(f, 6)
-        threaded = check_lemma_suite(f, 6, threads=4)
-        assert serial.passed == threaded.passed
-        assert [(c.name, c.passed, c.dimension) for c in serial.checks] == [
-            (c.name, c.passed, c.dimension) for c in threaded.checks
-        ]
 
     def test_io_dimension_recorded(self):
         report = check_lemma_suite(parse_unipoly("x^2"), 5)
