@@ -102,6 +102,18 @@ class TestMutationControl:
         result = selftest.run_criterion_4()
         assert not result.passed
 
+    def test_dropped_root_is_caught(self, monkeypatch):
+        """Losing the largest rational root must flip criterion 4."""
+        real = obstruction.rational_roots
+
+        def dropped(p):
+            roots = real(p)
+            return roots - {max(roots)} if roots else roots
+
+        monkeypatch.setattr(obstruction, "rational_roots", dropped)
+        result = selftest.run_criterion_4()
+        assert not result.passed
+
     def test_corrupted_hamiltonian_is_caught(self, monkeypatch):
         from newtcomm import commutant as commutant_module
 

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from newtcomm import (
     InvalidInput,
@@ -12,6 +14,9 @@ from newtcomm import (
     parse_unipoly,
     rational_roots,
 )
+
+from divisor_oracle import divisor_oracle
+from strategies import unipolys
 
 # P_m for the first few odd m, computed independently by running the
 # two-term downward recurrence by hand / in an exact scratch script.
@@ -34,7 +39,7 @@ class TestBuildObstruction:
             assert build_obstruction(m).P == parse_unipoly(text), m
 
     def test_degree_and_value_at_minus_one(self):
-        for m in (3, 5, 7, 9, 11, 13, 15):
+        for m in range(3, 32, 2):
             P = build_obstruction(m).P
             assert P.degree == (m + 1) // 2
             if m in FROZEN_P_AT_MINUS_1:
@@ -50,7 +55,7 @@ class TestBuildObstruction:
         assert ob.T[0] == parse_unipoly("-x - 5")
 
     def test_roots_are_exactly_the_expected_set(self):
-        for m in (3, 5, 7, 9, 11, 13):
+        for m in range(3, 32, 2):
             P = build_obstruction(m).P
             assert rational_roots(P) == expected_root_set(m)
 
@@ -109,3 +114,54 @@ class TestRationalRoots:
 
     def test_pure_power(self):
         assert rational_roots(parse_unipoly("x^4")) == frozenset({Fraction(0)})
+
+    def test_bad_small_primes(self):
+        # lead 15015 = 3*5*7*11*13 rules those primes out, and the roots 1
+        # and 7430 agree mod 17, 19 and 23, so f mod p has a double root
+        # at each of them: the first usable prime is 29
+        assert (7430 - 1) % (17 * 19 * 23) == 0
+        p = UniPoly.one()
+        for d in (3, 5, 7, 11, 13):
+            p = p * parse_unipoly(f"{d}*x - 1")
+        p = p * parse_unipoly("x - 1") * parse_unipoly("x - 7430") * parse_unipoly("x^2 + 1")
+        assert p.lc() == 15015
+        assert rational_roots(p) == frozenset(
+            {Fraction(1, d) for d in (3, 5, 7, 11, 13)} | {Fraction(1), Fraction(7430)}
+        )
+
+    def test_not_squarefree(self):
+        p = parse_unipoly("(x - 1)^3 * (2*x + 3)^2 * (x^2 + 1)")
+        assert rational_roots(p) == frozenset({Fraction(1), Fraction(-3, 2)})
+
+    def test_constant_term_with_two_large_prime_factors(self):
+        # a divisor search on a0 would trial-divide up to ~2^60
+        n = 576460752303423619 * 1152921504606847009
+        p = UniPoly([Fraction(-n), Fraction(1)]) * parse_unipoly("x^2 + 1")
+        assert rational_roots(p) == frozenset({Fraction(n)})
+
+    def test_root_of_large_height(self):
+        r = Fraction(10**40, 7)
+        p = UniPoly([-r, Fraction(1)]) * parse_unipoly("x^2 + x + 1")
+        assert rational_roots(p) == frozenset({r})
+
+    def test_fraction_coefficients_negative_lead_zero_root(self):
+        p = parse_unipoly("-2/3*x^12") * parse_unipoly("x - 1/2") \
+            * parse_unipoly("x + 5/7")
+        assert p.lc() < 0
+        assert rational_roots(p) == frozenset(
+            {Fraction(0), Fraction(1, 2), Fraction(-5, 7)}
+        )
+
+
+linear_factors = st.tuples(st.integers(-30, 30), st.integers(1, 30)).map(
+    lambda ab: UniPoly([Fraction(-ab[0]), Fraction(ab[1])])
+)
+
+
+@given(st.lists(linear_factors, min_size=1, max_size=4),
+       unipolys().filter(lambda u: not u.is_zero))
+def test_matches_divisor_oracle(factors, cofactor):
+    p = cofactor
+    for lin in factors:
+        p = p * lin
+    assert rational_roots(p) == divisor_oracle(p)
