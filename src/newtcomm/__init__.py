@@ -51,7 +51,6 @@ from .flows import (
     rectification_defect,
     rk4_flow,
 )
-from .laurentpoly import LaurentBiPoly, LaurentPoly
 from .obstruction import (
     ObstructionPoly,
     build_obstruction,
@@ -67,7 +66,7 @@ from .parity import (
     solve_system,
 )
 from .parsing import parse_bipoly, parse_laurent, parse_laurent_bipoly, parse_unipoly
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly
 
 __version__ = "0.1.0"
 

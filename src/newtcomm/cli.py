@@ -195,7 +195,7 @@ def _cmd_pm_witness(args: argparse.Namespace) -> int:
     human = [
         f"witness for m = {args.m}, k = {args.k} on t = {w.t}",
         f"witness = {w}",
-        f"commutes with alpha = (y, x^(-{2*args.k+1}/{2*args.k-1})): "
+        f"commutes with alpha = ({alpha.act_x}, {alpha.act_y}): "
         f"{'yes' if commutes else 'NO'}",
         f"d_{args.m} = {d_m}",
     ]

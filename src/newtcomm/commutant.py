@@ -29,7 +29,7 @@ from fractions import Fraction
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
 from .linsolve import Row, nullspace, rref
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, as_unipoly
 
 # An unknown while integrating: integration-constant index -> polynomial
 # weight; the unknown is the sum of constant * weight.
@@ -148,8 +148,7 @@ def solve_commutant(f: UniPoly, M: int) -> CommutantBasis:
     """
     if not isinstance(M, int) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
-    if not isinstance(f, UniPoly):
-        f = UniPoly.const(f)
+    f = as_unipoly(f)
     basis = []
     for polys in solve_halves(f, M, (1, 0)):
         act_x = BiPoly([polys[("c", i)] for i in range(M + 1)])
@@ -179,8 +178,7 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     gamma(x)/y from the top y-degree down; each peeled leading coefficient
     must be a constant, and the remainder must vanish.
     """
-    if not isinstance(f, UniPoly):
-        f = UniPoly.const(f)
+    f = as_unipoly(f)
     try:
         q = gamma.act_x.divexact_y()
     except NotDivisible as exc:
@@ -227,8 +225,7 @@ class RankOneCertificate:
 def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
     """Certify that every commuting derivation up to y-degree M is an
     energy-polynomial multiple of the base derivation (needs deg f >= 2)."""
-    if not isinstance(f, UniPoly):
-        f = UniPoly.const(f)
+    f = as_unipoly(f)
     if f.degree < 2:
         raise HypothesisViolation("certification requires deg f >= 2")
     com = solve_commutant(f, M)

@@ -1,47 +1,53 @@
-"""Derivations on Q[x,y] and on the Laurent rings Q[x^(1/t), x^(-1/t), y].
+"""Derivations of Q[x,y] and of the Laurent rings Q[x^(1/t), x^(-1/t), y].
 
 A derivation is determined by its values on the generators x and y; it
 extends to the whole ring by additivity and the Leibniz rule.  ``apply``
 realizes that extension as dp/dx * act_x + dp/dy * act_y, and ``bracket``
 is the commutator, again returned as a derivation through its values on
-the generators.
+the generators.  One class serves every ring, the ring of act_x and act_y;
+``LaurentDerivation`` only adds a constructor that declares the root index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import RingMismatch
-from .laurentpoly import LaurentBiPoly, LaurentPoly
 from .poly import BiPoly, UniPoly
-
-
-def _as_bipoly(p) -> BiPoly:
-    if isinstance(p, BiPoly):
-        return p
-    if isinstance(p, UniPoly):
-        return BiPoly.from_uni(p)
-    if isinstance(p, (int, Fraction)):
-        return BiPoly.const(p)
-    raise RingMismatch(f"{type(p).__name__} is not an element of Q[x,y]")
 
 
 @dataclass(frozen=True)
 class PlanarDerivation:
-    """Derivation on Q[x,y] with act_x = D(x), act_y = D(y)."""
+    """Derivation with act_x = D(x), act_y = D(y) (Q[x,y] unless both lie
+    in a Laurent ring)."""
 
     act_x: BiPoly
     act_y: BiPoly
 
+    @property
+    def t(self) -> int:
+        return self.act_x.t
+
+    def _like(self, act_x: BiPoly, act_y: BiPoly) -> "PlanarDerivation":
+        """A derivation of the same class as self."""
+        d = object.__new__(type(self))
+        PlanarDerivation.__init__(d, act_x, act_y)
+        return d
+
+    def _element(self, p) -> BiPoly:
+        q = self.act_x._coerce(p)
+        if q is None:
+            raise RingMismatch(f"{type(p).__name__} is not an element of the derivation's ring")
+        return q
+
     def apply(self, p) -> BiPoly:
-        p = _as_bipoly(p)
+        p = self._element(p)
         return p.dx() * self.act_x + p.dy() * self.act_y
 
     def bracket(self, other: "PlanarDerivation") -> "PlanarDerivation":
         if not isinstance(other, PlanarDerivation):
             raise RingMismatch("bracket needs two derivations on the same ring")
-        return PlanarDerivation(
+        return self._like(
             self.apply(other.act_x) - other.apply(self.act_x),
             self.apply(other.act_y) - other.apply(self.act_y),
         )
@@ -53,32 +59,41 @@ class PlanarDerivation:
         return self.act_x.dx() + self.act_y.dy()
 
     def scale(self, g) -> "PlanarDerivation":
-        """Multiply by a ring element (module structure over Q[x,y])."""
-        g = _as_bipoly(g)
-        return PlanarDerivation(g * self.act_x, g * self.act_y)
+        """Multiply by a ring element (module structure over the ring)."""
+        g = self._element(g)
+        return self._like(g * self.act_x, g * self.act_y)
 
     def __add__(self, other):
         if not isinstance(other, PlanarDerivation):
             return NotImplemented
-        return PlanarDerivation(self.act_x + other.act_x, self.act_y + other.act_y)
+        return self._like(self.act_x + other.act_x, self.act_y + other.act_y)
 
     def __sub__(self, other):
         if not isinstance(other, PlanarDerivation):
             return NotImplemented
-        return PlanarDerivation(self.act_x - other.act_x, self.act_y - other.act_y)
+        return self._like(self.act_x - other.act_x, self.act_y - other.act_y)
 
     def __neg__(self):
-        return PlanarDerivation(-self.act_x, -self.act_y)
+        return self._like(-self.act_x, -self.act_y)
 
     @property
     def is_zero(self) -> bool:
         return self.act_x.is_zero and self.act_y.is_zero
 
     def to_json_dict(self) -> dict:
-        return {"ring": {"t": 1}, "dx": str(self.act_x), "dy": str(self.act_y)}
+        return {"ring": {"t": self.t}, "dx": str(self.act_x), "dy": str(self.act_y)}
 
     def __str__(self):
         return f"(x -> {self.act_x}, y -> {self.act_y})"
+
+
+class LaurentDerivation(PlanarDerivation):
+    """Derivation on Q[x^(1/t), x^(-1/t), y], computed in z = x^(1/t)."""
+
+    def __init__(self, t: int, act_x: BiPoly, act_y: BiPoly):
+        if act_x.t != t or act_y.t != t:
+            raise RingMismatch("derivation values must share the declared root index")
+        super().__init__(act_x, act_y)
 
 
 def newton_derivation(f: UniPoly) -> PlanarDerivation:
@@ -93,75 +108,3 @@ def hamiltonian(f: UniPoly) -> BiPoly:
 
 def divergence(d: PlanarDerivation) -> BiPoly:
     return d.divergence()
-
-
-def _as_laurent_bipoly(p, t: int) -> LaurentBiPoly:
-    if isinstance(p, LaurentBiPoly):
-        if p.t != t:
-            raise RingMismatch(f"mixed root indices {p.t} and {t}")
-        return p
-    if isinstance(p, LaurentPoly):
-        if p.t != t:
-            raise RingMismatch(f"mixed root indices {p.t} and {t}")
-        return LaurentBiPoly.from_laurent(p)
-    if isinstance(p, (int, Fraction)):
-        return LaurentBiPoly.const(t, p)
-    raise RingMismatch(f"{type(p).__name__} is not a Laurent ring element")
-
-
-@dataclass(frozen=True)
-class LaurentDerivation:
-    """Derivation on Q[x^(1/t), x^(-1/t), y], computed in z = x^(1/t)."""
-
-    t: int
-    act_x: LaurentBiPoly
-    act_y: LaurentBiPoly
-
-    def __post_init__(self):
-        if self.act_x.t != self.t or self.act_y.t != self.t:
-            raise RingMismatch("derivation values must share the declared root index")
-
-    def apply(self, p) -> LaurentBiPoly:
-        p = _as_laurent_bipoly(p, self.t)
-        return p.dx() * self.act_x + p.dy() * self.act_y
-
-    def bracket(self, other: "LaurentDerivation") -> "LaurentDerivation":
-        if not isinstance(other, LaurentDerivation):
-            raise RingMismatch("bracket needs two derivations on the same ring")
-        if other.t != self.t:
-            raise RingMismatch(f"mixed root indices {self.t} and {other.t}")
-        return LaurentDerivation(
-            self.t,
-            self.apply(other.act_x) - other.apply(self.act_x),
-            self.apply(other.act_y) - other.apply(self.act_y),
-        )
-
-    def commutes_with(self, other: "LaurentDerivation") -> bool:
-        return self.bracket(other).is_zero
-
-    def scale(self, g) -> "LaurentDerivation":
-        g = _as_laurent_bipoly(g, self.t)
-        return LaurentDerivation(self.t, g * self.act_x, g * self.act_y)
-
-    def __add__(self, other):
-        if not isinstance(other, LaurentDerivation) or other.t != self.t:
-            return NotImplemented
-        return LaurentDerivation(self.t, self.act_x + other.act_x, self.act_y + other.act_y)
-
-    def __sub__(self, other):
-        if not isinstance(other, LaurentDerivation) or other.t != self.t:
-            return NotImplemented
-        return LaurentDerivation(self.t, self.act_x - other.act_x, self.act_y - other.act_y)
-
-    def __neg__(self):
-        return LaurentDerivation(self.t, -self.act_x, -self.act_y)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.act_x.is_zero and self.act_y.is_zero
-
-    def to_json_dict(self) -> dict:
-        return {"ring": {"t": self.t}, "dx": str(self.act_x), "dy": str(self.act_y)}
-
-    def __str__(self):
-        return f"(x -> {self.act_x}, y -> {self.act_y})"

@@ -21,8 +21,7 @@ from fractions import Fraction
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput
-from .laurentpoly import LaurentBiPoly, LaurentPoly
-from .poly import BiPoly
+from .poly import BiPoly, LaurentBiPoly, LaurentPoly
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from fractions import Fraction
 from typing import Iterator
 
 from .errors import InvalidInput
-from .poly import UniPoly
+from .poly import UniPoly, as_unipoly
 
 
 @dataclass(frozen=True)
@@ -158,8 +158,7 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     its Hensel lift is unique, hence equals r mod q, and lead * r is the
     integer of absolute value <= B < q/2 congruent to lead * lift.
     """
-    if not isinstance(p, UniPoly):
-        p = UniPoly.const(p)
+    p = as_unipoly(p)
     if p.is_zero:
         raise InvalidInput("the zero polynomial has every root")
     coeffs = list(p.coeffs)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .commutant import decompose_in_H, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, as_unipoly
 
 KINDS = ("Io", "IIo", "Ie", "IIe")
 
@@ -94,8 +94,7 @@ def build_system(kind: str, m: int, f: UniPoly) -> ParitySystem:
         raise InvalidInput(f"kind must be one of {KINDS}")
     if not isinstance(m, int) or m < 2:
         raise InvalidInput("m must be an integer >= 2")
-    if not isinstance(f, UniPoly):
-        f = UniPoly.const(f)
+    f = as_unipoly(f)
     c_even_levels = kind in ("Io", "Ie")  # x-component equations at even levels
     eqs = []
     for j in range(m + 1, -1, -1):
@@ -191,8 +190,7 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2;
     allow_low_degree runs the suite anyway as a negative control.
     """
-    if not isinstance(f, UniPoly):
-        f = UniPoly.const(f)
+    f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
         raise HypothesisViolation("lemma suite requires deg f >= 2")
     if not isinstance(m_max, int) or m_max < 2:

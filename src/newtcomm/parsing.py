@@ -13,7 +13,8 @@ NUMBER '/' NUMBER is a rational literal (there is no division operator).
 Integer exponents apply to any subexpression; negative or fractional
 exponents are only meaningful on the bare variable x in a Laurent ring,
 where p/q needs q | t.  Canonical printing is the ``str()`` of each ring
-type; ``parse(str(p))`` returns ``p``.
+type; ``parse(str(p))`` returns ``p``.  One ring adapter, ``_Ring``,
+supplies the constants, variables and fractional powers of x of each ring.
 """
 
 from __future__ import annotations
@@ -21,49 +22,33 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, RingMismatch
-from .laurentpoly import LaurentBiPoly, LaurentPoly
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly
 
 
-class _UniRing:
-    name = "Q[x]"
+class _Ring:
+    """The ring an expression is read in: Q[x] or Q[x,y] (t = None), or a
+    Laurent ring with or without y.  Values are built in its y-extension;
+    the univariate parsers take the y^0 coefficient at the end."""
 
-    def const(self, q):
-        return BiPoly.const(q)  # parsed via BiPoly, narrowed at the end
-
-    def var(self, name, pos):
-        if name != "x":
-            raise ParseError(f"variable {name} not allowed in {self.name}", pos)
-        return BiPoly.x()
-
-    def x_pow(self, q, pos):
-        raise RingMismatch(f"exponent {q} needs a Laurent ring, not {self.name}")
-
-
-class _BiRing(_UniRing):
-    name = "Q[x,y]"
-
-    def var(self, name, pos):
-        return BiPoly.x() if name == "x" else BiPoly.y()
-
-
-class _LaurentRing:
-    def __init__(self, t: int, with_y: bool):
+    def __init__(self, t: int | None, with_y: bool):
         self.t = t
         self.with_y = with_y
-        self.name = f"Q[x^(1/{t}), x^(-1/{t})" + (", y]" if with_y else "]")
+        x = "x" if t is None else f"x^(1/{t}), x^(-1/{t})"
+        self.name = f"Q[{x}, y]" if with_y else f"Q[{x}]"
 
     def const(self, q):
-        return LaurentBiPoly.const(self.t, q)
+        return BiPoly.const(q) if self.t is None else LaurentBiPoly.const(self.t, q)
 
     def var(self, name, pos):
-        if name == "y":
-            if not self.with_y:
-                raise ParseError(f"variable y not allowed in {self.name}", pos)
-            return LaurentBiPoly.y(self.t)
-        return LaurentBiPoly.from_laurent(LaurentPoly.x_power(self.t, 1))
+        if name == "x":
+            return BiPoly.x() if self.t is None else self.x_pow(1, pos)
+        if not self.with_y:
+            raise ParseError(f"variable {name} not allowed in {self.name}", pos)
+        return BiPoly.y() if self.t is None else LaurentBiPoly.y(self.t)
 
     def x_pow(self, q, pos):
+        if self.t is None:
+            raise RingMismatch(f"exponent {q} needs a Laurent ring, not {self.name}")
         return LaurentBiPoly.from_laurent(LaurentPoly.x_power(self.t, q))
 
 
@@ -203,21 +188,19 @@ def _run(text: str, ring):
 
 def parse_bipoly(text: str) -> BiPoly:
     """Parse an element of Q[x,y]."""
-    return _run(text, _BiRing())
+    return _run(text, _Ring(None, with_y=True))
 
 
 def parse_unipoly(text: str) -> UniPoly:
     """Parse an element of Q[x] (the variable y is rejected)."""
-    p = _run(text, _UniRing())
-    return p.ycoeff(0)
+    return _run(text, _Ring(None, with_y=False)).ycoeff(0)
 
 
 def parse_laurent(text: str, t: int) -> LaurentPoly:
     """Parse an element of Q[x^(1/t), x^(-1/t)]."""
-    p = _run(text, _LaurentRing(t, with_y=False))
-    return p.ycoeff(0)
+    return _run(text, _Ring(t, with_y=False)).ycoeff(0)
 
 
 def parse_laurent_bipoly(text: str, t: int) -> LaurentBiPoly:
     """Parse an element of Q[x^(1/t), x^(-1/t), y]."""
-    return _run(text, _LaurentRing(t, with_y=True))
+    return _run(text, _Ring(t, with_y=True))

@@ -152,6 +152,47 @@ class TestJsonOutput:
         assert a == b
 
 
+class TestGoldenOutput:
+    """Exact --json bytes of the Laurent subcommands, recorded before the
+    Laurent rings were folded into the polynomial kernel."""
+
+    def test_pm_witness_json(self, capsys):
+        code, out, _ = run(capsys, "pm-witness", "--m", "9", "--k", "2", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "commutes_with_alpha": True,
+            "d_m": "1",
+            "k": 2,
+            "m": 9,
+            "t": 3,
+            "witness": {
+                "dx": "x*y^8 + 24*x^(1/3)*y^6 + 90*x^(-1/3)*y^4 - 243*x^(-5/3)",
+                "dy": ("y^9 + 16*x^(-2/3)*y^7 + 114*x^(-4/3)*y^5 + 360*x^(-2)*y^3"
+                       " + 405*x^(-8/3)*y"),
+                "ring": {"t": 3},
+            },
+        }, indent=2, sort_keys=True) + "\n"
+
+    def test_laurent_family_json(self, capsys):
+        code, out, _ = run(capsys, "laurent-family", "--k", "3", "--a-top", "2/5", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "a": ["-250", "350", "150", "70", "10", "42/5", "2/5", "2/5"],
+            "alpha": {"dx": "y", "dy": "x^(-7/5)", "ring": {"t": 5}},
+            "alpha_annihilates_r": True,
+            "beta": {
+                "dx": "2/5*x*y^6 + 10*x^(3/5)*y^4 + 150*x^(1/5)*y^2 - 250*x^(-1/5)",
+                "dy": "2/5*y^7 + 42/5*x^(-2/5)*y^5 + 70*x^(-4/5)*y^3 + 350*x^(-6/5)*y",
+                "ring": {"t": 5},
+            },
+            "bracket_zero": True,
+            "first_integral": "y^2 + 5*x^(-2/5)",
+            "k": 3,
+            "ratio_identity": True,
+            "t": 5,
+        }, indent=2, sort_keys=True) + "\n"
+
+
 class TestHumanOutput:
     def test_pm_text(self, capsys):
         code, out, _ = run(capsys, "pm", "--m", "3")
@@ -174,6 +215,11 @@ class TestHumanOutput:
         )
         assert code == 0
         assert "H" in out
+
+    def test_pm_witness_text_k1(self, capsys):
+        code, out, _ = run(capsys, "pm-witness", "--m", "3", "--k", "1")
+        assert code == 0
+        assert "commutes with alpha = (y, x^(-3)): yes" in out
 
     def test_linearize_text(self, capsys):
         code, out, _ = run(capsys, "linearize", "--dx", "y", "--dy", "x")

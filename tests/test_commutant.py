@@ -8,13 +8,17 @@ from newtcomm import (
     HypothesisViolation,
     NotAMultiple,
     PlanarDerivation,
+    RingMismatch,
     UniPoly,
     certify_rank_one,
+    check_lemma_suite,
     decompose_in_H,
     hamiltonian,
     newton_derivation,
     parse_bipoly,
+    parse_laurent,
     parse_unipoly,
+    rational_roots,
     solve_commutant,
 )
 from newtcomm.parity import KINDS, build_system, solve_system
@@ -157,3 +161,19 @@ class TestCertifyRankOne:
         for g, dec in zip(cert.commutant.basis, cert.decompositions):
             assert dec is not None
             assert dec.reconstruct(f) == g
+
+
+@pytest.mark.parametrize("text, t", [("x^(1/3)", 3), ("x^(-1)", 1)])
+def test_inputs_outside_qx_raise_ring_mismatch(text, t):
+    f = parse_laurent(text, t)
+    for call in (lambda: solve_commutant(f, 3), lambda: certify_rank_one(f, 3),
+                 lambda: build_system("Io", 3, f), lambda: check_lemma_suite(f, 3),
+                 lambda: rational_roots(f)):
+        with pytest.raises(RingMismatch):
+            call()
+
+
+def test_laurent_input_inside_qx_is_accepted():
+    f = parse_laurent("x^3 - x", 1)
+    assert solve_commutant(f, 5).basis == solve_commutant(parse_unipoly("x^3 - x"), 5).basis
+    assert rational_roots(f) == {-1, 0, 1}

@@ -166,3 +166,8 @@ class TestWitnesses:
             assert not w.act_y.ycoeff(m).is_zero
         with pytest.raises(InvalidInput):
             pm_witness_linear(2)
+
+    def test_linear_witness_text(self):
+        assert str(pm_witness_linear(7)) == (
+            "(x -> x*y^6 - 3*x^3*y^4 + 3*x^5*y^2 - x^7, "
+            "y -> y^7 - 3*x^2*y^5 + 3*x^4*y^3 - x^6*y)")

@@ -102,6 +102,22 @@ def test_derivative_is_a_derivation(a, b):
     assert (a * b).derivative() == a.derivative() * b + a * b.derivative()
 
 
+@given(laurentpolys(), laurentpolys())
+def test_multiply_then_divide(a, b):
+    if b.is_zero:
+        return
+    assert (a * b).divexact(b) == a
+
+
+@given(laurentpolys(), laurentpolys())
+def test_in_ring_is_a_ring_embedding(a, b):
+    t2 = 2 * a.t
+    assert (a + b).in_ring(t2) == a.in_ring(t2) + b.in_ring(t2)
+    assert (a * b).in_ring(t2) == a.in_ring(t2) * b.in_ring(t2)
+    assert a.derivative().in_ring(t2) == a.in_ring(t2).derivative()
+    assert a.in_ring(t2).reduce_t() == a.reduce_t()
+
+
 class TestLaurentBiPoly:
     def test_component_t_sharing(self):
         with pytest.raises(RingMismatch):

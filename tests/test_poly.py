@@ -4,8 +4,18 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from newtcomm import BiPoly, InvalidInput, NotDivisible, UniPoly
+import newtcomm
+from newtcomm import (
+    BiPoly,
+    InvalidInput,
+    LaurentBiPoly,
+    LaurentPoly,
+    NotDivisible,
+    RingMismatch,
+    UniPoly,
+)
 from newtcomm.poly import NEG_INF
 
 from strategies import bipolys, rationals, unipolys
@@ -158,3 +168,56 @@ def test_to_text_zero_and_constants():
     assert str(BiPoly.zero()) == "0"
     assert str(UniPoly.const(Fraction(-7, 2))) == "-7/2"
     assert str(x) == "x"
+
+
+def test_public_names_resolve():
+    for name in newtcomm.__all__:
+        assert getattr(newtcomm, name) is not None, name
+
+
+# Values that are often equal across types: small coefficients, low degree.
+_tiny = st.lists(st.sampled_from((0, 1, 2)), max_size=2)
+_ring_values = st.one_of(
+    st.sampled_from((0, 1, 2, Fraction(1), Fraction(2))),
+    _tiny.map(UniPoly),
+    st.lists(_tiny.map(UniPoly), max_size=2).map(BiPoly),
+    st.dictionaries(st.integers(-1, 1), st.sampled_from((0, 1, 2)), max_size=2).map(
+        lambda d: LaurentPoly(1, d)),
+    st.lists(_tiny.map(lambda cs: LaurentPoly(1, dict(enumerate(cs)))), max_size=2).map(
+        lambda cs: LaurentBiPoly(1, cs)),
+)
+
+
+@given(_ring_values, _ring_values)
+def test_equal_values_hash_equal(a, b):
+    assert (a == b) == (b == a)
+    if a == b:
+        assert hash(a) == hash(b)
+
+
+def test_constants_hash_like_scalars():
+    assert 3 in {UniPoly.const(3)}
+    assert hash(BiPoly.const(3)) == hash(UniPoly.const(3)) == hash(3)
+    assert BiPoly.zero() in {0}
+
+
+class TestRingsStayDistinct:
+    def test_polynomial_quotient_needs_no_negative_power(self):
+        with pytest.raises(NotDivisible):
+            x.divexact(x ** 2)
+        assert LaurentPoly.term(1, 1).divexact(LaurentPoly.term(1, 2)) == LaurentPoly.term(1, -1)
+
+    def test_mixing_qx_with_a_laurent_ring_raises(self):
+        with pytest.raises(RingMismatch):
+            x + LaurentPoly.term(1, 1)
+        with pytest.raises(RingMismatch):
+            BiPoly.x() * LaurentBiPoly.y(1)
+        assert x != LaurentPoly.term(1, 1)
+
+    def test_polynomial_only_operations(self):
+        with pytest.raises(RingMismatch):
+            LaurentPoly.term(1, 2).integrate_dx()
+        with pytest.raises(RingMismatch):
+            LaurentPoly.term(2, 1)(Fraction(4))
+        with pytest.raises(InvalidInput):
+            UniPoly.x_pow(-1)
