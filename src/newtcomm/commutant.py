@@ -166,8 +166,8 @@ class HDecomposition:
     def reconstruct(self, f: UniPoly) -> PlanarDerivation:
         H = hamiltonian(f)
         q = BiPoly.zero()
-        for k, a in enumerate(self.q_coeffs):
-            q = q + a * H ** k
+        for a in reversed(self.q_coeffs):  # Horner in H
+            q = q * H + a
         return newton_derivation(f).scale(q)
 
 
@@ -186,6 +186,9 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     if q * f != gamma.act_y:
         raise NotAMultiple("gamma(y) differs from (gamma(x)/y) * f")
     H = hamiltonian(f)
+    powers = [BiPoly.one()]  # H^0 .. H^top, top = half the y-degree of q
+    for _ in range(max(q.y_degree, 0) // 2):
+        powers.append(powers[-1] * H)
     coeffs: dict[int, Fraction] = {}
     while not q.is_zero:
         yd = q.y_degree
@@ -197,7 +200,7 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
             raise NotAMultiple(f"leading coefficient {lead} of y^{yd} is not constant")
         lam = lead.coeff(0)
         coeffs[s] = lam
-        q = q - lam * H ** s
+        q = q - lam * powers[s]
         if not q.is_zero and q.y_degree >= yd:
             raise NotAMultiple("peeling failed to lower the y-degree")
     if not coeffs:

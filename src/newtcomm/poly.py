@@ -11,6 +11,17 @@ dense +, -, *, ** and divexact; the Laurent classes add only constructors
 and conversions.  Mixing rings (a different t, or Q[x] with a Laurent ring)
 raises ``RingMismatch``; scalars are coerced into the other operand's ring.
 
+Products run on integers (numerators over one denominator, the form of
+FLINT's fmpq_poly).  Each operand is read as y-rows (z-shift, coefficients):
+one row for a univariate value, one per y-coefficient of a BiPoly.  It is
+scaled to integer numerators over the lcm of all its denominators, the two
+integer grids are convolved over (y, z) in one pass, and each output
+coefficient becomes one Fraction(n, da*db).  Storage stays a tuple of
+Fractions.  Two rules spare tiny operands the lcm set-up: when an operand
+has one coefficient in its dense variable, the product is the other operand
+scaled and shifted; and a value with one nonzero term c*v^e has n-th power
+c^n*v^(e*n), negative n included for a Laurent monomial.
+
 Values are immutable after construction and safe to share across threads.
 The degree of the zero polynomial is ``NEG_INF``, which compares below
 every integer, so degree-bound checks need no special cases.
@@ -19,7 +30,7 @@ every integer, so degree-bound checks need no special cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from operator import add, truediv
 from typing import Iterable
 
@@ -106,6 +117,21 @@ def _rsub(self, other):
     return (-self) + other
 
 
+def _span(rows) -> tuple[int, int]:
+    """Lowest z-exponent and one past the highest over the nonzero y-rows."""
+    live = [(s, s + len(cs)) for s, cs in rows if cs]
+    return min(lo for lo, _ in live), max(hi for _, hi in live)
+
+
+def _grid(rows, lo: int, width: int) -> tuple[int, list]:
+    """The y-rows (shift, coeffs) as integers over one denominator: the lcm
+    of all their denominators and the nonzero numerators, each keyed by its
+    place y * width + z - lo in a row-major grid."""
+    den = lcm(*[c.denominator for _, cs in rows for c in cs])
+    return den, [(y * width + s - lo + i, c.numerator * (den // c.denominator))
+                 for y, (s, cs) in enumerate(rows) for i, c in enumerate(cs) if c]
+
+
 def _mul(self, other):
     if isinstance(other, self._scalars):
         return self._make(self.t, self.shift, [c * other for c in self.coeffs])
@@ -115,25 +141,37 @@ def _mul(self, other):
     a, b = self.coeffs, o.coeffs
     if not a or not b:
         return self._make(self.t, 0, [])
-    out = [self._zero_coeff()] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b, i):
-                if cb:
-                    out[j] += ca * cb
-    return self._make(self.t, self.shift + o.shift, out)
+    if len(a) == 1 or len(b) == 1:  # one coefficient: scale the other and shift
+        cs = [c * b[0] for c in a] if len(b) == 1 else [a[0] * c for c in b]
+        return self._make(self.t, self.shift + o.shift, cs)
+    ra, rb = self._rows(), o._rows()
+    (la, ha), (lb, hb) = _span(ra), _span(rb)
+    width = ha - la + hb - lb - 1
+    (da, ga), (db, gb) = _grid(ra, la, width), _grid(rb, lb, width)
+    acc = [0] * (width * (len(ra) + len(rb) - 1))
+    for i, ca in ga:
+        for j, cb in gb:
+            acc[i + j] += ca * cb
+    d, rows = da * db, []
+    for start in range(0, len(acc), width):  # each y-row, trimmed to its nonzero span
+        lo, hi = start, start + width
+        while hi > lo and not acc[hi - 1]:
+            hi -= 1
+        while lo < hi and not acc[lo]:
+            lo += 1
+        rows.append((la + lb + lo - start, [Fraction(n, d) if n else _ZERO for n in acc[lo:hi]]))
+    return self._from_rows(rows)
 
 
 def _power(self, n: int):
     if not isinstance(n, int) or (n < 0 and not self._laurent):
         raise InvalidInput("polynomial powers take non-negative integer exponents")
-    base = self
+    live = [i for i, c in enumerate(self.coeffs) if c]
+    if len(live) == 1:  # one term c * v^e: its power is c^n * v^(e*n)
+        return self._make(self.t, (self.shift + live[0]) * n, [self.coeffs[live[0]] ** n])
     if n < 0:
-        if len(self.coeffs) != 1:
-            raise InvalidInput("negative powers only of monomials")
-        base = self._make(self.t, -self.shift, [self.coeffs[0] ** -1])
-    result = self._coerce(1)
-    n = abs(n)
+        raise InvalidInput("negative powers only of monomials")
+    result, base = self._coerce(1), self
     while n:
         if n & 1:
             result = result * base
@@ -221,6 +259,13 @@ class UniPoly(_Dense):
 
     def _zero_coeff(self) -> Fraction:
         return _ZERO
+
+    def _rows(self) -> tuple:
+        """The value as y-rows (z-shift, coefficients): one row."""
+        return ((self.shift, self.coeffs),)
+
+    def _from_rows(self, rows: list):
+        return self._make(self.t, *rows[0])
 
     def _coerce(self, other):
         """other as a value of this ring, or None if it is no ring value."""
@@ -432,15 +477,27 @@ class BiPoly(_Dense):
                          else UniPoly(c) for c in ycoeffs])
 
     def _set(self, t: int, shift: int, cs: list) -> None:
-        """Store sum cs[i] * y^i (shift is always 0); cs is consumed."""
-        while cs and not cs[-1]:
-            cs.pop()
+        """Store sum cs[i] * y^(shift+i); cs is consumed."""
         if self._laurent:
             object.__setattr__(self, "t", t)
+        while cs and not cs[-1]:
+            cs.pop()
+        if shift and cs:
+            if shift < 0:
+                raise InvalidInput("y has no negative powers")
+            cs = [self._zero_coeff()] * shift + cs
         object.__setattr__(self, "coeffs", tuple(cs))
 
     def _zero_coeff(self) -> UniPoly:
         return self._coeff._make(self.t, 0, [])
+
+    def _rows(self) -> list:
+        """The value as y-rows (z-shift, coefficients): one per y-coefficient."""
+        return [(c.shift, c.coeffs) for c in self.coeffs]
+
+    def _from_rows(self, rows: list):
+        """The value whose y^i coefficient has the row (z-shift, coefficients) rows[i]."""
+        return self._make(self.t, 0, [self._coeff._make(self.t, s, cs) for s, cs in rows])
 
     def _coerce(self, other):
         """other as a value of this ring, or None if it is no ring value."""

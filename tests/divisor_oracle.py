@@ -4,10 +4,11 @@ Denominators are cleared and powers of x stripped (contributing the root
 0).  By the rational root theorem every other rational root is +-num/den
 with num dividing the constant term and den dividing the leading
 coefficient, so the oracle trial-divides both up to their square roots
-and checks every candidate by exact ``Fraction`` evaluation.  It shares
-no logic with the package's p-adic lifting, so the tests compare the two.
-Its cost grows with the square root of the constant term: keep inputs
-small.
+and checks every candidate by the exact integer form
+sum a_i * num^i * den^(n-i) == 0 over the cleared coefficients a_i.  It
+shares no logic with the package's p-adic lifting, so the tests compare
+the two.  Its cost grows with the square root of the constant term: keep
+inputs small.
 """
 
 from __future__ import annotations
@@ -31,6 +32,16 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
+def vanishes_at(ints: list[int], num: int, den: int) -> bool:
+    """Whether sum ints[i] * num^i * den^(n-i) is 0 (n = len(ints) - 1),
+    i.e. whether the polynomial with coefficients ints vanishes at num/den."""
+    acc, scale = 0, 1
+    for a in reversed(ints):
+        acc = acc * num + a * scale
+        scale *= den
+    return acc == 0
+
+
 def divisor_oracle(p: UniPoly) -> frozenset[Fraction]:
     """All rational roots of the nonzero polynomial p."""
     coeffs = list(p.coeffs)
@@ -43,12 +54,11 @@ def divisor_oracle(p: UniPoly) -> frozenset[Fraction]:
         coeffs = coeffs[v:]
     den = math.lcm(*(c.denominator for c in coeffs))
     ints = [int(c * den) for c in coeffs]
-    stripped = UniPoly(coeffs)
     for num in divisors(ints[0]):
         for d in divisors(ints[-1]):
             if math.gcd(num, d) != 1:
                 continue  # not in lowest terms: same fraction seen already
-            for cand in (Fraction(num, d), Fraction(-num, d)):
-                if stripped(cand) == 0:
-                    roots.add(cand)
+            for n in (num, -num):
+                if vanishes_at(ints, n, d):
+                    roots.add(Fraction(n, d))
     return frozenset(roots)

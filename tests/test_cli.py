@@ -153,8 +153,10 @@ class TestJsonOutput:
 
 
 class TestGoldenOutput:
-    """Exact --json bytes of the Laurent subcommands, recorded before the
-    Laurent rings were folded into the polynomial kernel."""
+    """Exact --json bytes of subcommands, recorded before the Laurent rings
+    were folded into the polynomial kernel (pm-witness, laurent-family) and
+    before products moved to the integer kernel (commutant, parity,
+    linearize)."""
 
     def test_pm_witness_json(self, capsys):
         code, out, _ = run(capsys, "pm-witness", "--m", "9", "--k", "2", "--json")
@@ -192,6 +194,135 @@ class TestGoldenOutput:
             "t": 5,
         }, indent=2, sort_keys=True) + "\n"
 
+
+    def test_commutant_json(self, capsys):
+        code, out, _ = run(capsys, "commutant", "--f", "x^5+2*x^2-1", "--max-deg-y", "7", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "basis": [
+                {
+                    "dx": ("y^7 - x^6*y^5 - 4*x^3*y^5 + 6*x*y^5 + 1/3*x^12*y^3"
+                           " + 8/3*x^9*y^3 - 4*x^7*y^3 + 16/3*x^6*y^3 - 16*x^4*y^3"
+                           " + 12*x^2*y^3 - 1/27*x^18*y - 4/9*x^15*y + 2/3*x^13*y"
+                           " - 16/9*x^12*y + 16/3*x^10*y - 64/27*x^9*y - 4*x^8*y"
+                           " + 32/3*x^7*y - 16*x^5*y + 8*x^3*y"),
+                    "dy": ("x^5*y^6 + 2*x^2*y^6 - y^6 - x^11*y^4 - 6*x^8*y^4 + 7*x^6*y^4"
+                           " - 8*x^5*y^4 + 16*x^3*y^4 - 6*x*y^4 + 1/3*x^17*y^2"
+                           " + 10/3*x^14*y^2 - 13/3*x^12*y^2 + 32/3*x^11*y^2"
+                           " - 80/3*x^9*y^2 + 32/3*x^8*y^2 + 16*x^7*y^2 - 112/3*x^6*y^2"
+                           " + 40*x^4*y^2 - 12*x^2*y^2 - 1/27*x^23 - 14/27*x^20"
+                           " + 19/27*x^18 - 8/3*x^17 + 64/9*x^15 - 160/27*x^14 - 14/3*x^13"
+                           " + 208/9*x^12 - 128/27*x^11 - 88/3*x^10 + 640/27*x^9 + 12*x^8"
+                           " - 128/3*x^7 + 32*x^5 - 8*x^3"),
+                    "ring": {"t": 1},
+                },
+                {
+                    "dx": ("y^5 - 2/3*x^6*y^3 - 8/3*x^3*y^3 + 4*x*y^3 + 1/9*x^12*y"
+                           " + 8/9*x^9*y - 4/3*x^7*y + 16/9*x^6*y - 16/3*x^4*y + 4*x^2*y"),
+                    "dy": ("x^5*y^4 + 2*x^2*y^4 - y^4 - 2/3*x^11*y^2 - 4*x^8*y^2"
+                           " + 14/3*x^6*y^2 - 16/3*x^5*y^2 + 32/3*x^3*y^2 - 4*x*y^2"
+                           " + 1/9*x^17 + 10/9*x^14 - 13/9*x^12 + 32/9*x^11 - 80/9*x^9"
+                           " + 32/9*x^8 + 16/3*x^7 - 112/9*x^6 + 40/3*x^4 - 4*x^2"),
+                    "ring": {"t": 1},
+                },
+                {
+                    "dx": "y^3 - 1/3*x^6*y - 4/3*x^3*y + 2*x*y",
+                    "dy": ("x^5*y^2 + 2*x^2*y^2 - y^2 - 1/3*x^11 - 2*x^8 + 7/3*x^6"
+                           " - 8/3*x^5 + 16/3*x^3 - 2*x"),
+                    "ring": {"t": 1},
+                },
+                {
+                    "dx": "y",
+                    "dy": "x^5 + 2*x^2 - 1",
+                    "ring": {"t": 1},
+                },
+            ],
+            "dimension": 4,
+            "f": "x^5 + 2*x^2 - 1",
+            "max_deg_y": 7,
+        }, indent=2, sort_keys=True) + "\n"
+
+    def test_parity_json(self, capsys):
+        code, out, _ = run(capsys, "parity", "--kind", "Io", "--m", "7", "--f", "x^3", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "basis": [
+                {
+                    "c_1": "-1/8*x^12",
+                    "c_3": "3/4*x^8",
+                    "c_5": "-3/2*x^4",
+                    "c_7": "1",
+                    "d_0": "-1/8*x^15",
+                    "d_2": "3/4*x^11",
+                    "d_4": "-3/2*x^7",
+                    "d_6": "x^3",
+                },
+                {
+                    "c_1": "1/4*x^8",
+                    "c_3": "-x^4",
+                    "c_5": "1",
+                    "c_7": "0",
+                    "d_0": "1/4*x^11",
+                    "d_2": "-x^7",
+                    "d_4": "x^3",
+                    "d_6": "0",
+                },
+                {
+                    "c_1": "-1/2*x^4",
+                    "c_3": "1",
+                    "c_5": "0",
+                    "c_7": "0",
+                    "d_0": "-1/2*x^7",
+                    "d_2": "x^3",
+                    "d_4": "0",
+                    "d_6": "0",
+                },
+                {
+                    "c_1": "1",
+                    "c_3": "0",
+                    "c_5": "0",
+                    "c_7": "0",
+                    "d_0": "x^3",
+                    "d_2": "0",
+                    "d_4": "0",
+                    "d_6": "0",
+                },
+            ],
+            "dimension": 4,
+            "equations": {
+                "e_0": "f*c_1 = d_0",
+                "e_1": "d_0' + 2*f*d_2 = f'*c_1",
+                "e_2": "c_1' + 3*f*c_3 = d_2",
+                "e_3": "d_2' + 4*f*d_4 = f'*c_3",
+                "e_4": "c_3' + 5*f*c_5 = d_4",
+                "e_5": "d_4' + 6*f*d_6 = f'*c_5",
+                "e_6": "c_5' + 7*f*c_7 = d_6",
+                "e_7": "d_6' = f'*c_7",
+                "e_8": "c_7' = 0",
+            },
+            "f": "x^3",
+            "forced": [],
+            "kind": "Io",
+            "m": 7,
+        }, indent=2, sort_keys=True) + "\n"
+
+    def test_linearize_json(self, capsys):
+        code, out, _ = run(capsys, "linearize", "--dx", "x+y", "--dy", "2*x-y+1", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "case": "case3",
+            "change_of_coords": "u = x - (-1/3), v = y - (1/3)",
+            "d": {
+                "dx": "y + x",
+                "dy": "-y + 2*x + 1",
+                "ring": {"t": 1},
+            },
+            "delta": {
+                "dx": "x + 1/3",
+                "dy": "y - 1/3",
+                "ring": {"t": 1},
+            },
+        }, indent=2, sort_keys=True) + "\n"
 
 class TestHumanOutput:
     def test_pm_text(self, capsys):

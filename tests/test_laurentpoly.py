@@ -58,6 +58,8 @@ def test_negative_power_of_monomial():
     assert m ** -2 == LaurentPoly.term(2, -6, Fraction(1, 4))
     with pytest.raises(InvalidInput):
         (LaurentPoly.term(2, 1) + LaurentPoly.const(2, 1)) ** -1
+    with pytest.raises(InvalidInput):  # y has no inverse
+        LaurentBiPoly.y(2) ** -1
 
 
 def test_divexact_shifts():

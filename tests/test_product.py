@@ -1,0 +1,94 @@
+"""The ring product against a schoolbook reference, in every ring.
+
+The ring-axiom tests compare `*` only with itself; these compare it, and
+`**`, with `product_oracle`, over Q[x], Q[x,y] and the Laurent rings with
+t = 2 and 3: zero y-rows, negative shifts, one-coefficient operands and
+coefficients with large coprime denominators included.
+"""
+
+from fractions import Fraction
+from functools import reduce
+from operator import mul
+
+from hypothesis import given
+from hypothesis import strategies as st
+
+from newtcomm import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly
+
+from product_oracle import power, product, terms
+from strategies import rationals
+
+HUGE = (Fraction(10**40, 7), Fraction(-7, 10**40 + 1), Fraction(3**50, 2**61 - 1))
+coefficients = rationals | st.sampled_from(HUGE)
+
+# (name, t, with_y, lowest z-exponent)
+RINGS = [("Q[x]", 1, False, 0), ("Q[x,y]", 1, True, 0)] + [
+    (f"{name}, t={t}", t, with_y, -5)
+    for t in (2, 3) for name, with_y in (("Laurent", False), ("Laurent y", True))]
+
+
+def build(ring, d: dict):
+    """The value of the ring with the terms {(y, z): c}."""
+    _, t, with_y, zlo = ring
+    rows = [{z: c for (y, z), c in d.items() if y == i}
+            for i in range(max((y for y, _ in d), default=-1) + 1)]
+    if zlo == 0:
+        uni = [UniPoly.from_dict(r) for r in rows]
+        return BiPoly(uni) if with_y else (uni[0] if uni else UniPoly())
+    uni = [LaurentPoly(t, r) for r in rows]
+    return LaurentBiPoly(t, uni) if with_y else (uni[0] if uni else LaurentPoly.zero(t))
+
+
+@st.composite
+def values(draw, ring, max_size: int = 6):
+    """A value of the ring: zero, dense, with gaps (zero y-rows), one term,
+    or one y-row (one coefficient in y)."""
+    _, _, with_y, zlo = ring
+    ys = st.integers(0, 3 if with_y else 0)
+    zs = st.integers(zlo, 5)
+    shape = draw(st.sampled_from(("any", "one term", "one row")))
+    if shape == "one row":
+        ys = st.just(0)
+    size = 1 if shape == "one term" else max_size
+    d = draw(st.dictionaries(st.tuples(ys, zs), coefficients, max_size=size))
+    return build(ring, d)
+
+
+def ring_pairs():
+    return st.sampled_from(RINGS).flatmap(
+        lambda ring: st.tuples(st.just(ring), values(ring), values(ring)))
+
+
+@given(ring_pairs())
+def test_product_matches_schoolbook(case):
+    ring, a, b = case
+    ab = a * b
+    assert type(ab) is type(a) and ab.t == ring[1]
+    assert terms(ab) == product(terms(a), terms(b))
+    assert ab == build(ring, product(terms(a), terms(b)))
+
+
+@given(st.sampled_from(RINGS).flatmap(
+    lambda ring: st.tuples(values(ring, max_size=4), st.integers(0, 4))))
+def test_power_is_the_repeated_product(case):
+    p, n = case
+    assert terms(p ** n) == power(terms(p), n)
+    assert p ** n == reduce(mul, [p] * n, p ** 0)
+
+
+@given(st.sampled_from(RINGS).flatmap(
+    lambda ring: st.tuples(values(ring, max_size=1), st.integers(0, 9))))
+def test_power_of_one_term(case):
+    p, n = case
+    assert terms(p ** n) == power(terms(p), n)
+
+
+@given(st.sampled_from([r for r in RINGS if r[3] < 0]).flatmap(
+    lambda ring: st.tuples(st.just(ring), st.integers(-5, 5),
+                           coefficients.filter(bool), st.integers(1, 5))))
+def test_negative_power_of_laurent_monomial(case):
+    ring, z, c, n = case
+    p = build(ring, {(0, z): c})
+    assert terms(p ** -n) == power(terms(p), -n)
+    assert p ** -n * p ** n == build(ring, {(0, 0): Fraction(1)})
+
