@@ -17,12 +17,16 @@ the derivative of the index-(j-1) unknown from unknowns of index j and
 j+1.  Integrating from level M+1 down to level 1 therefore writes every
 polynomial solution of a half in terms of M+1 integration constants, and
 the level-0 equation, which has no derivative left, is a finite linear
-condition on those constants.  The solution space is found exactly, with
-no bound on the x-degree of the unknowns.
+condition on those constants.  The integrator runs this recurrence once
+per constant, with that constant 1 and the others 0, on plain polynomials;
+the solutions are the combinations of the runs whose level-0 residuals
+cancel.  The solution space is found exactly, with no bound on the
+x-degree of the unknowns.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -31,51 +35,45 @@ from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisibl
 from .linsolve import Row, nullspace, rref
 from .poly import BiPoly, UniPoly, as_unipoly
 
-# An unknown while integrating: integration-constant index -> polynomial
-# weight; the unknown is the sum of constant * weight.
-Combo = dict[int, UniPoly]
-
-
-def _combine(*terms: tuple[UniPoly, Combo]) -> Combo:
-    """sum of weight * combo over the (weight, combo) pairs."""
-    out: Combo = {}
-    for weight, combo in terms:
-        for k, p in combo.items():
-            out[k] = out.get(k, UniPoly.zero()) + weight * p
-    return {k: p for k, p in out.items() if not p.is_zero}
-
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
     """A basis of the polynomial solutions of one half of the level system.
 
-    The half holds c_i with i % 2 == c_parity and d_i of the other parity,
-    0 <= i <= m.  Level m+1 makes its top unknown a constant; level j >= 1
-    integrates  c_{j-1}' = d_j - (j+1) f c_{j+1}  (x-component shape) or
-    d_{j-1}' = f' c_j - (j+1) f d_{j+1}  (y-component shape), adding one
-    constant each; level 0 says the same right-hand side vanishes, which is
-    solved on the constants.  The basis is not in echelon form.
+    The half holds u_i = c_i for i % 2 == c_parity and u_i = d_i otherwise,
+    0 <= i <= m.  Level j >= 1 is the recurrence
+
+        u_{j-1}' = s_j u_j - (j+1) f u_{j+1},  s_j = 1 if u_{j-1} is a c, else f',
+
+    and level 0 says its right-hand side vanishes.  Each u_i carries one
+    integration constant (u_m is a constant).  Run k sets the constant of
+    u_{m-k} to 1 and the others to 0, so u_i = 0 for i > m-k; the solutions
+    are sum_k omega_k run_k with omega in the null space of the level-0
+    residuals.  The basis is not in echelon form.
     """
-    top = ("c" if m % 2 == c_parity else "d", m)
-    unknowns: dict[tuple[str, int], Combo] = {top: {0: UniPoly.one()}}
-    source = {"c": UniPoly.one(), "d": f.derivative()}
-    residual: Combo = {}
-    for j in range(m, -1, -1):
-        low, high = ("c", "d") if j % 2 != c_parity else ("d", "c")
-        rhs = _combine((source[low], unknowns.get((high, j), {})),
-                       (-(j + 1) * f, unknowns.get((low, j + 1), {})))
-        if j == 0:
-            residual = rhs
-        else:
-            integrated = {k: p.integrate_dx() for k, p in rhs.items()}
-            integrated[len(unknowns)] = UniPoly.one()
-            unknowns[(low, j - 1)] = integrated
-    width = max((len(p.coeffs) for p in residual.values()), default=0)
-    rows = [{k: p.coeff(s) for k, p in residual.items() if p.coeff(s)}
+    fprime = f.derivative()
+    scaled_f = [-(j + 1) * f for j in range(m + 1)]  # added: a - b would negate b first
+    zero, one = UniPoly.zero(), UniPoly.one()
+
+    def rhs(u: list[UniPoly], j: int) -> UniPoly:
+        lift = u[j] if (j - 1) % 2 == c_parity else fprime * u[j]
+        return lift + scaled_f[j] * u[j + 1]
+
+    runs = []
+    for k in range(m + 1):
+        u = [zero] * (m + 2)
+        u[m - k] = one
+        for j in range(m - k, 0, -1):
+            u[j - 1] = rhs(u, j).integrate_dx()
+        runs.append(u)
+    residuals = [rhs(u, 0) for u in runs]
+    width = max(len(r.coeffs) for r in residuals)
+    rows = [{k: r.coeff(s) for k, r in enumerate(residuals) if r.coeff(s)}
             for s in range(width)]
     return [
-        {key: sum((w * combo[k] for k, w in omega.items() if k in combo), UniPoly.zero())
-         for key, combo in unknowns.items()}
-        for omega in nullspace(rows, len(unknowns))
+        {("c" if i % 2 == c_parity else "d", i):
+         sum((w * runs[k][i] for k, w in omega.items()), zero)
+         for i in range(m, -1, -1)}
+        for omega in nullspace(rows, m + 1)
     ]
 
 
@@ -209,6 +207,22 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     return HDecomposition(tuple(coeffs.get(k, Fraction(0)) for k in range(top + 1)))
 
 
+def energy_multiples(f: UniPoly, derivations: Iterable[PlanarDerivation]
+                     ) -> tuple[tuple[HDecomposition | None, ...], int | None, str | None]:
+    """decompose_in_H of every derivation, None for a non-multiple, with the
+    index and the reason of the first failure (None, None if all pass)."""
+    decs: list[HDecomposition | None] = []
+    failing = reason = None
+    for idx, gamma in enumerate(derivations):
+        try:
+            decs.append(decompose_in_H(f, gamma))
+        except NotAMultiple as exc:
+            decs.append(None)
+            if failing is None:
+                failing, reason = idx, str(exc)
+    return tuple(decs), failing, reason
+
+
 @dataclass(frozen=True)
 class RankOneCertificate:
     f: UniPoly
@@ -232,27 +246,17 @@ def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
     if f.degree < 2:
         raise HypothesisViolation("certification requires deg f >= 2")
     com = solve_commutant(f, M)
-    expected = (M - 1) // 2 + 1 if M >= 1 else 0
-    decs: list[HDecomposition | None] = []
-    failing = None
-    reason = None
-    for idx, gamma in enumerate(com.basis):
-        try:
-            decs.append(decompose_in_H(f, gamma))
-        except NotAMultiple as exc:
-            decs.append(None)
-            if failing is None:
-                failing, reason = idx, str(exc)
+    expected = (M - 1) // 2 + 1
+    decs, failing, reason = energy_multiples(f, com.basis)
     if failing is None and com.dimension != expected:
         reason = f"dimension {com.dimension} != expected {expected}"
-    passed = failing is None and com.dimension == expected
     return RankOneCertificate(
         f=f,
         M=M,
         commutant=com,
-        decompositions=tuple(decs),
+        decompositions=decs,
         expected_dimension=expected,
-        passed=passed,
+        passed=reason is None,
         failing_index=failing,
         reason=reason,
     )

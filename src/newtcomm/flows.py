@@ -24,8 +24,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .derivations import PlanarDerivation
-from .errors import HypothesisViolation, InvalidInput, SingularDelta
-from .poly import BiPoly
+from .errors import HypothesisViolation, InvalidInput, RingMismatch, SingularDelta
+from .poly import BiPoly, LaurentBiPoly
 
 
 # ---------------------------------------------------------------- companions
@@ -105,25 +105,17 @@ def companion_for_linear(d: PlanarDerivation) -> LinearizationResult:
             delta = PlanarDerivation(_substituted(sy, y, x),
                                      _substituted(sx, y, x))
             change = "swap x<->y"
-        elif a != 0:
-            # z = e*x - a*y is constant along d; the system in (z, y) has
-            # constant first component (e*c - a*g, z + (a+f)*y + g)
-            z = _affine(e, -a, Fraction(0))
-            sz, sy = _solve_first_constant(e * c - a * g, Fraction(1), a + f, g)
-            delta_z = _substituted(sz, z, y)
-            delta_y = _substituted(sy, z, y)
-            delta = PlanarDerivation((delta_z + a * delta_y) * Fraction(1, e),
-                                     delta_y)
-            change = f"z = {e}*x - {a}*y"
         else:
-            # a = 0, b != 0 forces e = 0; z = f*x - b*y is constant along d
-            z = _affine(f, -b, Fraction(0))
-            sz, sy = _solve_first_constant(f * c - b * g, Fraction(0), f, g)
+            # z = p*x - q*y with (p, q) = (e, a), or (f, b) when a = 0 (then
+            # b != 0 forces e = 0), is constant along d; the system in (z, y)
+            # has constant first component (p*c - q*g, (e/p)*z + (q*e/p + f)*y + g)
+            p, q = (e, a) if a != 0 else (f, b)
+            z = _affine(p, -q, Fraction(0))
+            sz, sy = _solve_first_constant(p * c - q * g, e / p, q * e / p + f, g)
             delta_z = _substituted(sz, z, y)
             delta_y = _substituted(sy, z, y)
-            delta = PlanarDerivation((delta_z + b * delta_y) * Fraction(1, f),
-                                     delta_y)
-            change = f"z = {f}*x - {b}*y"
+            delta = PlanarDerivation((delta_z + q * delta_y) * (1 / p), delta_y)
+            change = f"z = {p}*x - {q}*y"
 
     if not d.bracket(delta).is_zero:
         raise RuntimeError(f"internal: {label} companion does not commute")
@@ -136,6 +128,11 @@ def companion_for_linear(d: PlanarDerivation) -> LinearizationResult:
 # ------------------------------------------------------------------ numerics
 
 def _float_rows(p: BiPoly) -> list[list[float]]:
+    """y-coefficients as float lists in x; a Laurent value, whose lists are
+    in z = x^(1/t) from a z-shift, raises RingMismatch."""
+    if isinstance(p, LaurentBiPoly):
+        raise RingMismatch(f"float evaluation is an operation of Q[x, y], "
+                           f"not of Q[x^(1/{p.t}), x^(-1/{p.t}), y]")
     return [[float(c) for c in u.coeffs] for u in p.ycoeffs]
 
 
@@ -224,6 +221,9 @@ class FlowCheckReport:
 # Delta evaluations one rectification_defect call may spend on quadrature;
 # beyond it the integrals are treated as not converging.
 QUAD_EVAL_BUDGET = 2_000_000
+QUAD_TOL = 1e-9  # adaptive Simpson tolerance of each rectifying integral
+TOLERANCE = 1e-6  # largest defect (and trajectory error) that passes
+CHECKPOINTS = 33  # trajectory points, evenly spaced in steps, where F is checked
 
 
 def rectification_defect(
@@ -234,10 +234,7 @@ def rectification_defect(
     t_end: float,
     steps: int,
     *,
-    quad_tol: float = 1e-9,
-    tolerance: float = 1e-6,
     reference: Callable[[float], tuple[float, float]] | None = None,
-    checkpoints: int = 33,
 ) -> FlowCheckReport:
     """max |F(x(t), y(t)) - (t, 0)| along the numeric flow of d.
 
@@ -293,24 +290,24 @@ def rectification_defect(
             rx, ry = reference(t)
             traj_err = max(traj_err, abs(xv - rx), abs(yv - ry))
 
-    marks = sorted({round(i * steps / max(checkpoints - 1, 1))
-                    for i in range(checkpoints)} | {0, steps})
+    marks = sorted({round(i * steps / (CHECKPOINTS - 1))
+                    for i in range(CHECKPOINTS)} | {0, steps})
     max_defect = 0.0
     for idx in marks:
         t, xv, yv = traj[idx]
         scan(x0f, y0f, yv, vertical=True)
         scan(yv, x0f, xv, vertical=False)
         F1 = adaptive_simpson(lambda r: g2(r, yv) / guard(dl(r, yv)),
-                              x0f, xv, quad_tol) \
+                              x0f, xv, QUAD_TOL) \
             + adaptive_simpson(lambda s: -g1(x0f, s) / guard(dl(x0f, s)),
-                               y0f, yv, quad_tol)
+                               y0f, yv, QUAD_TOL)
         F2 = adaptive_simpson(lambda r: -f2(r, yv) / guard(dl(r, yv)),
-                              x0f, xv, quad_tol) \
+                              x0f, xv, QUAD_TOL) \
             + adaptive_simpson(lambda s: f1(x0f, s) / guard(dl(x0f, s)),
-                               y0f, yv, quad_tol)
+                               y0f, yv, QUAD_TOL)
         max_defect = max(max_defect, abs(F1 - t), abs(F2))
     return FlowCheckReport(max_defect=max_defect, trajectory_error=traj_err,
-                           steps=steps, tolerance=tolerance)
+                           steps=steps, tolerance=TOLERANCE)
 
 
 def example_fixture() -> tuple[PlanarDerivation, PlanarDerivation,

@@ -21,9 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commutant import decompose_in_H, solve_halves
+from .commutant import energy_multiples, solve_halves
 from .derivations import PlanarDerivation
-from .errors import HypothesisViolation, InvalidInput, NotAMultiple
+from .errors import HypothesisViolation, InvalidInput
 from .poly import BiPoly, UniPoly, as_unipoly
 
 KINDS = ("Io", "IIo", "Ie", "IIe")
@@ -66,22 +66,13 @@ class ParitySystem:
 
 
 def _equation_text(form: str, j: int, m: int) -> str:
-    lhs = []
-    if form == "C":
-        if j >= 1:
-            lhs.append(f"c_{j-1}'")
-        if j + 1 <= m:
-            mult = "" if j + 1 == 1 else f"{j + 1}*"
-            lhs.append(f"{mult}f*c_{j+1}")
-        rhs = f"d_{j}" if j <= m else "0"
-    else:
-        if j >= 1:
-            lhs.append(f"d_{j-1}'")
-        if j + 1 <= m:
-            mult = "" if j + 1 == 1 else f"{j + 1}*"
-            lhs.append(f"{mult}f*d_{j+1}")
-        rhs = f"f'*c_{j}" if j <= m else "0"
-    return f"{' + '.join(lhs) if lhs else '0'} = {rhs}"
+    """Level j in the shape u_{j-1}' + (j+1)*f*u_{j+1} = s_j*u_j of its form."""
+    low, rhs = ("c", f"d_{j}") if form == "C" else ("d", f"f'*c_{j}")
+    lhs = [f"{low}_{j-1}'"] if j >= 1 else []
+    if j + 1 <= m:
+        mult = "" if j + 1 == 1 else f"{j + 1}*"
+        lhs.append(f"{mult}f*{low}_{j+1}")
+    return f"{' + '.join(lhs) if lhs else '0'} = {rhs if j <= m else '0'}"
 
 
 def build_system(kind: str, m: int, f: UniPoly) -> ParitySystem:
@@ -162,16 +153,11 @@ def _check_one(kind: str, m: int, f: UniPoly) -> LemmaCheck:
         ok = space.dimension == expected
         detail = f"dimension {space.dimension}, expected {expected}"
         if ok:
-            for entry in space.basis:
-                gamma = assemble_derivation(entry, m)
-                try:
-                    decompose_in_H(f, gamma)
-                except NotAMultiple as exc:
-                    ok = False
-                    detail += f"; solution not an energy multiple: {exc}"
-                    break
-            else:
-                detail += "; all solutions are energy-polynomial multiples"
+            _, failing, reason = energy_multiples(
+                f, [assemble_derivation(entry, m) for entry in space.basis])
+            ok = failing is None
+            detail += ("; all solutions are energy-polynomial multiples" if ok
+                       else f"; solution not an energy multiple: {reason}")
     else:
         target = f"d_{m}" if kind in ("Ie", "IIo") else f"c_{m}"
         ok = target in space.forced
@@ -195,14 +181,6 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
         raise HypothesisViolation("lemma suite requires deg f >= 2")
     if not isinstance(m_max, int) or m_max < 2:
         raise InvalidInput("m_max must be an integer >= 2")
-    jobs: list[tuple[str, int]] = []
-    for m in range(2, m_max + 1):
-        if m % 2:
-            jobs.append(("Io", m))
-            jobs.append(("IIo", m))
-        else:
-            jobs.append(("Ie", m))
-            jobs.append(("IIe", m))
-    jobs.sort(key=lambda km: (KINDS.index(km[0]), km[1]))
-    checks = [_check_one(kind, m, f) for kind, m in jobs]
+    checks = [_check_one(kind, m, f) for kind in KINDS
+              for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

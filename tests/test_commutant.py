@@ -88,7 +88,7 @@ class TestSolveCommutant:
         assert default_xcap(f, 3) == ((3 + 2) // 2) * (3 + 1) + 1
 
 
-@pytest.mark.parametrize("f_text", DEGENERATE_FORCES + FORCES)
+@pytest.mark.parametrize("f_text", DEGENERATE_FORCES + FORCES + ("3/7*x^3 - 2/5*x + 5/2",))
 def test_matches_matching_oracle(f_text):
     """Byte-equal output to coefficient matching: commutant bases for
     M = 0..11 and every parity system for m = 2..10."""

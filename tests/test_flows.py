@@ -7,10 +7,15 @@ import pytest
 from newtcomm import (
     HypothesisViolation,
     InvalidInput,
+    LaurentBiPoly,
+    LaurentDerivation,
+    LaurentPoly,
     PlanarDerivation,
+    RingMismatch,
     SingularDelta,
     UniPoly,
     adaptive_simpson,
+    build_family,
     companion_for_linear,
     example_fixture,
     newton_derivation,
@@ -102,6 +107,16 @@ class TestNumerics:
         assert path[0] == (0.0, 0.0, 1.0)
         assert path[-1][1] == pytest.approx(2.0)
 
+    def test_rk4_refuses_laurent_fields(self):
+        # a Laurent coefficient list is in z = x^(1/t) and starts at a
+        # z-shift; read as a list in x, x^(-1) at x = 2 and the family's
+        # x^(-5/3) at x = 8 would both evaluate to 1.0
+        inverse = LaurentDerivation(1, LaurentBiPoly.y(1),
+                                    LaurentBiPoly(1, [LaurentPoly.term(1, -1)]))
+        for d, x0 in ((inverse, 2.0), (build_family(2).alpha, 8.0)):
+            with pytest.raises(RingMismatch):
+                rk4_flow(d, x0, 1.0, 0.1, 2)
+
     def test_adaptive_simpson_known_integrals(self):
         assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(
             2.0, abs=1e-9
@@ -130,6 +145,9 @@ class TestRectification:
         assert report.max_defect < 1e-6
         assert report.trajectory_error is not None
         assert report.trajectory_error < 1e-6
+        # the defect path uses IEEE arithmetic only, so its value is
+        # reproducible; it moves if the checkpoints or the quadrature do
+        assert report.max_defect == pytest.approx(1.112155922911029e-10, rel=1e-6)
 
     def test_hyperbolic_pair_before_the_singularity(self):
         # d = (y, x) flowing from (2, 1) stays clear of |y| = |x| until
