@@ -22,6 +22,17 @@ per constant, with that constant 1 and the others 0, on plain polynomials;
 the solutions are the combinations of the runs whose level-0 residuals
 cancel.  The solution space is found exactly, with no bound on the
 x-degree of the unknowns.
+
+The null space of the level-0 condition is the only elimination.  Run k
+sets the constant of the index-(m-k) unknown to 1, every unknown above it to
+0 and every constant below it to 0, so a combination sum_k omega_k run_k
+carries omega_k in the x^0 coefficient of the index-(m-k) unknown and leads
+with its first nonzero omega_k.  The null space comes back in reduced
+echelon form over k = 0..m, that is, over the unknowns by index descending,
+so the combinations are already the reduced echelon basis of the half.  The
+two halves hold disjoint unknowns: the canonical basis of the whole system
+is the union of the two, sorted by leading unknown (index descending, c
+before d at equal index).
 """
 
 from __future__ import annotations
@@ -32,12 +43,13 @@ from fractions import Fraction
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
-from .linsolve import Row, nullspace, rref
+from .linsolve import nullspace
 from .poly import BiPoly, UniPoly, as_unipoly
 
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
-    """A basis of the polynomial solutions of one half of the level system.
+    """The canonical echelon basis of the polynomial solutions of one half
+    of the level system.
 
     The half holds u_i = c_i for i % 2 == c_parity and u_i = d_i otherwise,
     0 <= i <= m.  Level j >= 1 is the recurrence
@@ -47,8 +59,9 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     and level 0 says its right-hand side vanishes.  Each u_i carries one
     integration constant (u_m is a constant).  Run k sets the constant of
     u_{m-k} to 1 and the others to 0, so u_i = 0 for i > m-k; the solutions
-    are sum_k omega_k run_k with omega in the null space of the level-0
-    residuals.  The basis is not in echelon form.
+    are sum_k omega_k run_k over the reduced echelon null-space basis of the
+    level-0 residuals, which makes them the half's reduced echelon basis
+    (module docstring).
     """
     fprime = f.derivative()
     scaled_f = [-(j + 1) * f for j in range(m + 1)]  # added: a - b would negate b first
@@ -72,7 +85,7 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     return [
         {("c" if i % 2 == c_parity else "d", i):
          sum((w * runs[k][i] for k, w in omega.items()), zero)
-         for i in range(m, -1, -1)}
+         for i in range(m + 1)}
         for omega in nullspace(rows, m + 1)
     ]
 
@@ -80,51 +93,16 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
 def solve_halves(f: UniPoly, m: int, c_parities: tuple[int, ...]) -> list[dict[tuple[str, int], UniPoly]]:
     """Canonical echelon basis of the solutions of the chosen halves.
 
-    Each solution maps every (kind, i) of the halves to a polynomial.  The
-    basis is the reduced echelon form over column_layout, so it is unique
-    for the solution space.
+    Each solution maps the (kind, i) of its own half to a polynomial.  The
+    basis is the reduced echelon form over the unknowns ordered by index
+    descending, c before d at equal index, then x-degree descending inside
+    each polynomial, so it is unique for the solution space.  Every half's
+    basis is already in that form (_integrate_half), and the halves hold
+    disjoint unknowns, so the echelon basis of their sum is the union of
+    their bases sorted by leading unknown.
     """
-    solutions = [s for p in c_parities for s in _integrate_half(f, m, p)]
-    entries = [("c" if i % 2 == p else "d", i) for p in c_parities for i in range(m + 1)]
-    cap = max((len(q.coeffs) - 1 for s in solutions for q in s.values()), default=0)
-    _, index, ncols = column_layout(entries, cap)
-    vectors: list[Row] = [
-        {index[(kind, i, e)]: cf for (kind, i), q in s.items()
-         for e, cf in enumerate(q.coeffs) if cf}
-        for s in solutions
-    ]
-    canonical, _ = rref(vectors, ncols)
-    basis = []
-    for vec in canonical:
-        polys = vector_to_polys(vec, index)
-        basis.append({key: polys.get(key, UniPoly.zero()) for key in entries})
-    return basis
-
-
-def column_layout(entries: list[tuple[str, int]], cap: int):
-    """Column indices for unknown polynomials of x-degree <= cap, most
-    significant first.
-
-    entries lists (kind, i) pairs; ordering is y-degree descending, c before
-    d at equal y-degree, then x-degree descending inside each polynomial.
-    """
-    ordered = sorted(entries, key=lambda p: (-p[1], p[0]))
-    index: dict[tuple[str, int, int], int] = {}
-    col = 0
-    for kind, i in ordered:
-        for e in range(cap, -1, -1):
-            index[(kind, i, e)] = col
-            col += 1
-    return ordered, index, col
-
-
-def vector_to_polys(vec: Row, index: dict[tuple[str, int, int], int]) -> dict[tuple[str, int], UniPoly]:
-    by_poly: dict[tuple[str, int], dict[int, Fraction]] = {}
-    inverse = {v: k for k, v in index.items()}
-    for col, val in vec.items():
-        kind, i, e = inverse[col]
-        by_poly.setdefault((kind, i), {})[e] = val
-    return {key: UniPoly.from_dict(d) for key, d in by_poly.items()}
+    return sorted((s for p in c_parities for s in _integrate_half(f, m, p)),
+                  key=lambda s: min((-i, kind) for (kind, i), q in s.items() if q))
 
 
 @dataclass(frozen=True)
@@ -147,10 +125,11 @@ def solve_commutant(f: UniPoly, M: int) -> CommutantBasis:
     if not isinstance(M, int) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
     f = as_unipoly(f)
+    zero = UniPoly.zero()
     basis = []
     for polys in solve_halves(f, M, (1, 0)):
-        act_x = BiPoly([polys[("c", i)] for i in range(M + 1)])
-        act_y = BiPoly([polys[("d", i)] for i in range(M + 1)])
+        act_x = BiPoly([polys.get(("c", i), zero) for i in range(M + 1)])
+        act_y = BiPoly([polys.get(("d", i), zero) for i in range(M + 1)])
         basis.append(PlanarDerivation(act_x, act_y))
     return CommutantBasis(f=f, M=M, basis=tuple(basis))
 

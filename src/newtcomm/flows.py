@@ -25,7 +25,7 @@ from typing import Callable
 
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput, RingMismatch, SingularDelta
-from .poly import BiPoly, LaurentBiPoly
+from .poly import BiPoly, LaurentBiPoly, ring_name
 
 
 # ---------------------------------------------------------------- companions
@@ -132,7 +132,7 @@ def _float_rows(p: BiPoly) -> list[list[float]]:
     in z = x^(1/t) from a z-shift, raises RingMismatch."""
     if isinstance(p, LaurentBiPoly):
         raise RingMismatch(f"float evaluation is an operation of Q[x, y], "
-                           f"not of Q[x^(1/{p.t}), x^(-1/{p.t}), y]")
+                           f"not of {ring_name(p.t, with_y=True)}")
     return [[float(c) for c in u.coeffs] for u in p.ycoeffs]
 
 

@@ -68,7 +68,9 @@ def nullspace(rows: list[Row], ncols: int) -> list[Row]:
 
     The returned vectors are themselves in reduced echelon form with respect
     to the column order (leading entry 1, leading columns increasing), which
-    makes the basis unique for the subspace.
+    makes the basis unique for the subspace.  The commutant integrator
+    relies on this order: its columns are integration constants by y-index
+    descending, and it reads its canonical basis straight off this one.
     """
     pivot_rows, pivot_cols = rref(rows, ncols)
     pivot_set = set(pivot_cols)

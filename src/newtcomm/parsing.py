@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, RingMismatch
-from .poly import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly
+from .poly import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, ring_name
 
 
 class _Ring:
@@ -33,8 +33,7 @@ class _Ring:
     def __init__(self, t: int | None, with_y: bool):
         self.t = t
         self.with_y = with_y
-        x = "x" if t is None else f"x^(1/{t}), x^(-1/{t})"
-        self.name = f"Q[{x}, y]" if with_y else f"Q[{x}]"
+        self.name = ring_name(t, with_y)
 
     def const(self, q):
         return BiPoly.const(q) if self.t is None else LaurentBiPoly.const(self.t, q)

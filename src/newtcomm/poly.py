@@ -71,9 +71,15 @@ def _exp_text(q, var: str) -> str:
     return f"{var}^({q})"
 
 
+def ring_name(t: int | None, with_y: bool) -> str:
+    """Printed name of Q[x] (t None) or of Q[x^(1/t), x^(-1/t)], with y
+    adjoined if with_y; the Laurent ring of t = 1 reads Q[x, x^(-1)]."""
+    x = "x" if t is None else "x, x^(-1)" if t == 1 else f"x^(1/{t}), x^(-1/{t})"
+    return f"Q[{x}, y]" if with_y else f"Q[{x}]"
+
+
 def _ring_name(p) -> str:
-    x = f"x^(1/{p.t}), x^(-1/{p.t})" if p._laurent else "x"
-    return f"Q[{x}, y]" if isinstance(p, BiPoly) else f"Q[{x}]"
+    return ring_name(p.t if p._laurent else None, isinstance(p, BiPoly))
 
 
 def _aligned_sum(sa: int, a, sb: int, b) -> tuple[int, list]:

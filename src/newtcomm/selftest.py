@@ -30,6 +30,13 @@ def _timed(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
                            seconds=round(time.perf_counter() - t0, 3))
 
 
+def _verdict(name: str, failures: list[str], detail: str, t0: float) -> CriterionResult:
+    """Pass iff there are no failures; the first one is appended to detail."""
+    if failures:
+        detail += "; first failure: " + failures[0]
+    return _timed(name, not failures, detail, t0)
+
+
 def _parse_f(text_coeffs: dict[int, int]) -> UniPoly:
     return UniPoly.from_dict({e: Fraction(c) for e, c in text_coeffs.items()})
 
@@ -55,9 +62,7 @@ def run_criterion_1(seed: int = 0) -> CriterionResult:
                 failures.append(f"f={f}, M={M}: {cert.reason}")
     detail = (f"{total - len(failures)}/{total} (f, M) pairs have dimension "
               f"floor((M-1)/2)+1 with all basis elements energy multiples")
-    if failures:
-        detail += "; first failure: " + failures[0]
-    return _timed("1-rank-one-certificate", not failures, detail, t0)
+    return _verdict("1-rank-one-certificate", failures, detail, t0)
 
 
 GRID_SIZE = 200
@@ -106,9 +111,7 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
     detail = (f"f=x commutant has {extraneous} non-multiple element(s); "
               f"{len(grid) - bad}/{len(grid)} grid companions commute exactly "
               f"and are transversal")
-    if problems:
-        detail += "; first failure: " + problems[0]
-    return _timed("2-negative-control", not problems, detail, t0)
+    return _verdict("2-negative-control", problems, detail, t0)
 
 
 def run_criterion_3(seed: int = 0) -> CriterionResult:
@@ -124,9 +127,7 @@ def run_criterion_3(seed: int = 0) -> CriterionResult:
             if not check.passed:
                 failures.append(f"f={f}, {check.name}: {check.detail}")
     detail = f"{total - len(failures)}/{total} parity-system checks passed"
-    if failures:
-        detail += "; first failure: " + failures[0]
-    return _timed("3-parity-lemmas", not failures, detail, t0)
+    return _verdict("3-parity-lemmas", failures, detail, t0)
 
 
 def run_criterion_4(seed: int = 0) -> CriterionResult:
@@ -148,9 +149,7 @@ def run_criterion_4(seed: int = 0) -> CriterionResult:
     elif obstruction.rational_roots(spot) != {Fraction(1), Fraction(-3)}:
         failures.append("P_3 spot roots mismatch")
     detail = "P_m for odd m <= 31: degree, P(-1) != 0, exact root sets, P_3 spot value"
-    if failures:
-        detail += "; first failure: " + failures[0]
-    return _timed("4-obstruction-roots", not failures, detail, t0)
+    return _verdict("4-obstruction-roots", failures, detail, t0)
 
 
 def run_criterion_5(seed: int = 0) -> CriterionResult:
@@ -179,9 +178,7 @@ def run_criterion_5(seed: int = 0) -> CriterionResult:
             if w.act_y.y_degree != m or w.act_y.ycoeff(m).is_zero:
                 failures.append(f"m={m}, k={k}: d_m missing")
     detail = f"{checks - len(failures)}/{checks} family/witness checks passed"
-    if failures:
-        detail += "; first failure: " + failures[0]
-    return _timed("5-laurent-family", not failures, detail, t0)
+    return _verdict("5-laurent-family", failures, detail, t0)
 
 
 def run_criterion_6(seed: int = 0) -> CriterionResult:
@@ -199,9 +196,7 @@ def run_criterion_6(seed: int = 0) -> CriterionResult:
         failures.append(f"max defect {report.max_defect:.3e} > 1e-6")
     detail = (f"trajectory error {err:.3e}, rectification defect "
               f"{report.max_defect:.3e} (tolerance 1e-6, 10^4 steps)")
-    if failures:
-        detail += "; first failure: " + failures[0]
-    return _timed("6-classical-formula", not failures, detail, t0)
+    return _verdict("6-classical-formula", failures, detail, t0)
 
 
 def _random_unipoly(rng: random.Random, max_deg: int) -> UniPoly:

@@ -19,13 +19,38 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from newtcomm import PlanarDerivation
-from newtcomm.commutant import column_layout, vector_to_polys
 from newtcomm.linsolve import Row, nullspace
 from newtcomm.parity import ParitySystem, SolutionSpace
 from newtcomm.poly import BiPoly, UniPoly
 
 # a variable is addressed as (kind, i, e): coefficient of x^e in c_i or d_i
 VarCol = Callable[[str, int, int], Optional[int]]
+
+
+def column_layout(entries: list[tuple[str, int]], cap: int):
+    """Column indices for unknown polynomials of x-degree <= cap, most
+    significant first.
+
+    entries lists (kind, i) pairs; ordering is y-degree descending, c before
+    d at equal y-degree, then x-degree descending inside each polynomial.
+    """
+    ordered = sorted(entries, key=lambda p: (-p[1], p[0]))
+    index: dict[tuple[str, int, int], int] = {}
+    col = 0
+    for kind, i in ordered:
+        for e in range(cap, -1, -1):
+            index[(kind, i, e)] = col
+            col += 1
+    return ordered, index, col
+
+
+def vector_to_polys(vec: Row, index: dict[tuple[str, int, int], int]) -> dict[tuple[str, int], UniPoly]:
+    by_poly: dict[tuple[str, int], dict[int, Fraction]] = {}
+    inverse = {v: k for k, v in index.items()}
+    for col, val in vec.items():
+        kind, i, e = inverse[col]
+        by_poly.setdefault((kind, i), {})[e] = val
+    return {key: UniPoly.from_dict(d) for key, d in by_poly.items()}
 
 
 def default_xcap(f: UniPoly, M: int) -> int:

@@ -21,12 +21,14 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
+from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, build_system, solve_system
 
-from matching_oracle import default_xcap, matching_commutant, matching_system
+from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
 
 FORCES = ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1")
 DEGENERATE_FORCES = ("0", "2", "x", "2*x + 1")
+DEGREE_9_F = "1/3*x^9 - 2/7*x^4 + 3/5*x^2 + x - 5/11"
 
 
 class TestSolveCommutant:
@@ -105,6 +107,27 @@ def test_matches_matching_oracle(f_text):
                 {k: str(p) for k, p in b.items()} for b in want.basis
             ], (kind, m)
             assert got.forced == want.forced, (kind, m)
+
+
+@pytest.mark.parametrize("f_text, M", [("x^5 + 2*x^2 - 1", 15), ("x^5 + 2*x^2 - 1", 21),
+                                       (DEGREE_9_F, 15), ("0", 15), ("x", 15)])
+def test_basis_is_canonical_beyond_oracle_range(f_text, M):
+    """The flattened basis is a fixed point of rref over the oracle's
+    column layout, at y-degrees the matching oracle is too slow for."""
+    f = parse_unipoly(f_text)
+    basis = solve_commutant(f, M).basis
+    entries = [(kind, i) for i in range(M + 1) for kind in ("c", "d")]
+    cap = max(len(q.coeffs) - 1 for g in basis for p in (g.act_x, g.act_y) for q in p.ycoeffs)
+    _, index, ncols = column_layout(entries, cap)
+    vectors = [
+        {index[(kind, i, e)]: cf
+         for kind, p in (("c", g.act_x), ("d", g.act_y))
+         for i, q in enumerate(p.ycoeffs) for e, cf in enumerate(q.coeffs) if cf}
+        for g in basis
+    ]
+    assert rref(vectors, ncols)[0] == vectors
+    if f.degree >= 2:
+        assert len(basis) == (M - 1) // 2 + 1
 
 
 class TestDecomposeInH:

@@ -113,9 +113,12 @@ class TestNumerics:
         # x^(-5/3) at x = 8 would both evaluate to 1.0
         inverse = LaurentDerivation(1, LaurentBiPoly.y(1),
                                     LaurentBiPoly(1, [LaurentPoly.term(1, -1)]))
-        for d, x0 in ((inverse, 2.0), (build_family(2).alpha, 8.0)):
-            with pytest.raises(RingMismatch):
+        for d, x0, ring in ((inverse, 2.0, "Q[x, x^(-1), y]"),
+                            (build_family(2).alpha, 8.0, "Q[x^(1/3), x^(-1/3), y]")):
+            with pytest.raises(RingMismatch) as exc:
                 rk4_flow(d, x0, 1.0, 0.1, 2)
+            assert str(exc.value) == (
+                f"float evaluation is an operation of Q[x, y], not of {ring}")
 
     def test_adaptive_simpson_known_integrals(self):
         assert adaptive_simpson(math.sin, 0.0, math.pi) == pytest.approx(

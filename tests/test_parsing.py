@@ -1,5 +1,6 @@
 """Parsing of polynomial expressions, including fractional-exponent inputs."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -70,6 +71,11 @@ class TestLaurentGrammar:
             parse_laurent_bipoly("y^(1/2)", 2)
         with pytest.raises(RingMismatch):
             parse_laurent("(x + 1)^(1/2)", 2)
+
+    def test_error_names_the_ring(self):
+        for t, ring in ((1, "Q[x, x^(-1)]"), (3, "Q[x^(1/3), x^(-1/3)]")):
+            with pytest.raises(ParseError, match=re.escape(f"not allowed in {ring}")):
+                parse_laurent("x + y", t)
 
     def test_laurent_bipoly(self):
         w = parse_laurent_bipoly("x*y^2 - x^(-1)", 1)
