@@ -18,10 +18,11 @@ j+1.  Integrating from level M+1 down to level 1 therefore writes every
 polynomial solution of a half in terms of M+1 integration constants, and
 the level-0 equation, which has no derivative left, is a finite linear
 condition on those constants.  The integrator runs this recurrence once
-per constant, with that constant 1 and the others 0, on plain polynomials;
-the solutions are the combinations of the runs whose level-0 residuals
-cancel.  The solution space is found exactly, with no bound on the
-x-degree of the unknowns.
+per constant, with that constant 1 and the others 0, on integer numerators
+over one denominator per unknown (the product kernel's form, see poly); the
+solutions are the combinations of the runs whose level-0 residuals cancel.
+The solution space is found exactly, with no bound on the x-degree of the
+unknowns.
 
 The null space of the level-0 condition is the only elimination.  Run k
 sets the constant of the index-(m-k) unknown to 1, every unknown above it to
@@ -44,7 +45,7 @@ from fractions import Fraction
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
 from .linsolve import nullspace
-from .poly import BiPoly, UniPoly, as_unipoly
+from .poly import BiPoly, UniPoly, _convolve, _fractions, _grid, _integrate, _lincomb, as_unipoly
 
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
@@ -62,29 +63,40 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     are sum_k omega_k run_k over the reduced echelon null-space basis of the
     level-0 residuals, which makes them the half's reduced echelon basis
     (module docstring).
-    """
-    fprime = f.derivative()
-    scaled_f = [-(j + 1) * f for j in range(m + 1)]  # added: a - b would negate b first
-    zero, one = UniPoly.zero(), UniPoly.one()
 
-    def rhs(u: list[UniPoly], j: int) -> UniPoly:
-        lift = u[j] if (j - 1) % 2 == c_parity else fprime * u[j]
-        return lift + scaled_f[j] * u[j + 1]
+    Inside a run every u_i is a pair (dense integer numerators, denominator).
+    f = F / d_f and f' = F' / d_f are cleared once; a right-hand side is one
+    or two integer convolutions added over the lcm of their denominators, and
+    _integrate keeps each u_i in lowest terms.  Fractions are built only for
+    the level-0 rows handed to nullspace and for the basis polynomials.
+    """
+    df, F = _grid(f._rows(), 0, 0)  # (place, numerator) pairs: f = F / df
+    FP = [(i - 1, i * n) for i, n in F if i]  # f' = FP / df
+    deg = len(f.coeffs) - 1
+
+    def times(g: list, nums: list) -> list:
+        return _convolve(enumerate(nums), g, len(nums) + deg) if g and nums else []
+
+    def rhs(u: list, j: int) -> tuple[list, int]:
+        (a, da), (b, db) = u[j], u[j + 1]
+        if (j - 1) % 2 != c_parity:
+            a, da = times(FP, a), da * df
+        return _lincomb(((1, a, da), (-(j + 1), times(F, b), db * df)))
 
     runs = []
     for k in range(m + 1):
-        u = [zero] * (m + 2)
-        u[m - k] = one
+        u = [([], 1)] * (m + 2)
+        u[m - k] = ([1], 1)
         for j in range(m - k, 0, -1):
-            u[j - 1] = rhs(u, j).integrate_dx()
+            u[j - 1] = _integrate(*rhs(u, j))
         runs.append(u)
     residuals = [rhs(u, 0) for u in runs]
-    width = max(len(r.coeffs) for r in residuals)
-    rows = [{k: r.coeff(s) for k, r in enumerate(residuals) if r.coeff(s)}
-            for s in range(width)]
+    rows = [{k: Fraction(nums[s], d) for k, (nums, d) in enumerate(residuals)
+             if s < len(nums) and nums[s]}
+            for s in range(max(len(nums) for nums, _ in residuals))]
     return [
         {("c" if i % 2 == c_parity else "d", i):
-         sum((w * runs[k][i] for k, w in omega.items()), zero)
+         UniPoly._make(1, 0, _fractions(*_lincomb([(w, *runs[k][i]) for k, w in omega.items()])))
          for i in range(m + 1)}
         for omega in nullspace(rows, m + 1)
     ]

@@ -15,11 +15,13 @@ Products run on integers (numerators over one denominator, the form of
 FLINT's fmpq_poly).  Each operand is read as y-rows (z-shift, coefficients):
 one row for a univariate value, one per y-coefficient of a BiPoly.  It is
 scaled to integer numerators over the lcm of all its denominators, the two
-integer grids are convolved over (y, z) in one pass, and each output
-coefficient becomes one Fraction(n, da*db).  Storage stays a tuple of
-Fractions.  Two rules spare tiny operands the lcm set-up: when an operand
-has one coefficient in its dense variable, the product is the other operand
-scaled and shifted; and a value with one nonzero term c*v^e has n-th power
+integer grids are convolved over (y, z) in one pass (_convolve), and each
+output coefficient becomes one Fraction(n, da*db).  Storage stays a tuple of
+Fractions.  The commutant integrator runs on the same integer form through
+_convolve, _lincomb and _integrate, and leaves it only at its end.  Two
+rules spare tiny operands the lcm set-up: when an operand has one
+coefficient in its dense variable, the product is the other operand scaled
+and shifted; and a value with one nonzero term c*v^e has n-th power
 c^n*v^(e*n), negative n included for a Laurent monomial.
 
 Values are immutable after construction and safe to share across threads.
@@ -138,6 +140,46 @@ def _grid(rows, lo: int, width: int) -> tuple[int, list]:
                  for y, (s, cs) in enumerate(rows) for i, c in enumerate(cs) if c]
 
 
+def _convolve(ga, gb: list, size: int) -> list:
+    """acc[i + j] = sum of ca * cb over (i, ca) in ga and (j, cb) in gb, for
+    integer entries keyed by place; ga is read once, gb once per entry of ga."""
+    acc = [0] * size
+    for i, ca in ga:
+        for j, cb in gb:
+            acc[i + j] += ca * cb
+    return acc
+
+
+def _lincomb(terms) -> tuple[list, int]:
+    """sum of w * nums / den over (w, nums, den) in terms, w an int or a
+    Fraction and nums dense integer numerators, as integer numerators over
+    the lcm of the w.denominator * den, trailing zeros trimmed."""
+    den = lcm(*[w.denominator * d for w, _, d in terms])
+    out = [0] * max((len(nums) for _, nums, _ in terms), default=0)
+    for w, nums, d in terms:
+        scale = w.numerator * (den // (w.denominator * d))
+        for i, n in enumerate(nums):
+            out[i] += scale * n
+    while out and not out[-1]:
+        out.pop()
+    return out, den
+
+
+def _integrate(nums: list, den: int) -> tuple[list, int]:
+    """The antiderivative, constant term 0, of sum nums[i] x^i / den in lowest
+    terms: scaled by L = lcm(1..n), coefficient i divided exactly by i+1,
+    then one gcd normalisation."""
+    L = lcm(*range(1, len(nums) + 1))
+    out = [0, *(n * (L // i) for i, n in enumerate(nums, 1))]
+    g = gcd(den * L, *out)
+    return [n // g for n in out], den * L // g
+
+
+def _fractions(nums: list, den: int) -> list:
+    """Each numerator over den as one Fraction, _ZERO for a zero numerator."""
+    return [Fraction(n, den) if n else _ZERO for n in nums]
+
+
 def _mul(self, other):
     if isinstance(other, self._scalars):
         return self._make(self.t, self.shift, [c * other for c in self.coeffs])
@@ -154,10 +196,7 @@ def _mul(self, other):
     (la, ha), (lb, hb) = _span(ra), _span(rb)
     width = ha - la + hb - lb - 1
     (da, ga), (db, gb) = _grid(ra, la, width), _grid(rb, lb, width)
-    acc = [0] * (width * (len(ra) + len(rb) - 1))
-    for i, ca in ga:
-        for j, cb in gb:
-            acc[i + j] += ca * cb
+    acc = _convolve(ga, gb, width * (len(ra) + len(rb) - 1))
     d, rows = da * db, []
     for start in range(0, len(acc), width):  # each y-row, trimmed to its nonzero span
         lo, hi = start, start + width
@@ -165,7 +204,7 @@ def _mul(self, other):
             hi -= 1
         while lo < hi and not acc[lo]:
             lo += 1
-        rows.append((la + lb + lo - start, [Fraction(n, d) if n else _ZERO for n in acc[lo:hi]]))
+        rows.append((la + lb + lo - start, _fractions(acc[lo:hi], d)))
     return self._from_rows(rows)
 
 
@@ -429,7 +468,8 @@ class LaurentPoly(UniPoly):
         """x^exp as an element of the ring with root index t."""
         ze = Fraction(exp) * t
         if ze.denominator != 1:
-            raise RingMismatch(f"exponent {exp} is not a multiple of 1/{t}")
+            raise RingMismatch(f"exponent {exp} is not "
+                               + ("an integer" if t == 1 else f"a multiple of 1/{t}"))
         return cls.term(t, int(ze), coeff)
 
     @classmethod

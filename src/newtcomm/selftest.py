@@ -55,7 +55,7 @@ def run_criterion_1(seed: int = 0) -> CriterionResult:
     failures = []
     total = 0
     for f in ACCEPTANCE_FORCES:
-        for M in (1, 3, 5, 7, 9, 11):
+        for M in range(1, 22, 2):
             total += 1
             cert = commutant.certify_rank_one(f, M)
             if not cert.passed:
@@ -115,13 +115,13 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
 
 
 def run_criterion_3(seed: int = 0) -> CriterionResult:
-    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 10."""
+    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 14."""
     t0 = time.perf_counter()
     x = UniPoly.x()
     failures = []
     total = 0
     for f in (x ** 2, x ** 3):
-        report = parity.check_lemma_suite(f, 10)
+        report = parity.check_lemma_suite(f, 14)
         for check in report.checks:
             total += 1
             if not check.passed:

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newtcomm import (
     HypothesisViolation,
@@ -21,10 +23,13 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
+from newtcomm.commutant import _integrate_half
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, build_system, solve_system
 
+import recurrence_oracle
 from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
+from strategies import unipolys
 
 FORCES = ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1")
 DEGENERATE_FORCES = ("0", "2", "x", "2*x + 1")
@@ -128,6 +133,21 @@ def test_basis_is_canonical_beyond_oracle_range(f_text, M):
     assert rref(vectors, ncols)[0] == vectors
     if f.degree >= 2:
         assert len(basis) == (M - 1) // 2 + 1
+
+
+@settings(deadline=None)
+@given(f=unipolys(6), M=st.integers(0, 13), c_parity=st.sampled_from((0, 1)))
+@example(f=UniPoly(), M=13, c_parity=0)
+def test_integrator_matches_recurrence_oracle(f, M, c_parity):
+    """The integer-numerator integrator equals the Fraction recurrence."""
+    assert _integrate_half(f, M, c_parity) == recurrence_oracle._integrate_half(f, M, c_parity)
+
+
+@pytest.mark.parametrize("f_text", ["x^5 + 2*x^2 - 1", DEGREE_9_F])
+def test_integrator_matches_recurrence_oracle_at_M_25(f_text):
+    f = parse_unipoly(f_text)
+    for c_parity in (0, 1):
+        assert _integrate_half(f, 25, c_parity) == recurrence_oracle._integrate_half(f, 25, c_parity)
 
 
 class TestDecomposeInH:

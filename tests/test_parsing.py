@@ -61,6 +61,12 @@ class TestLaurentGrammar:
         with pytest.raises(RingMismatch):
             parse_laurent("x^(1/2)", 3)
 
+    def test_exponent_error_text(self):
+        for t, text in ((1, "exponent 1/2 is not an integer"),
+                        (3, "exponent 1/2 is not a multiple of 1/3")):
+            with pytest.raises(RingMismatch, match=f"^{re.escape(text)}$"):
+                parse_laurent("x^(1/2)", t)
+
     def test_integer_exponents_still_fine(self):
         assert parse_laurent("x^2 - x^(-1)", 1) == LaurentPoly(
             1, {2: Fraction(1), -1: Fraction(-1)}
