@@ -37,6 +37,14 @@ def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
             print(line)
 
 
+def rational(text: str) -> Fraction:
+    """argparse type of the rational flags; a zero denominator is a bad value."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"zero denominator in {text!r}") from None
+
+
 def _q_text(q_coeffs: tuple[Fraction, ...]) -> str:
     return UniPoly(list(q_coeffs)).to_text("H")
 
@@ -204,7 +212,7 @@ def _cmd_pm_witness(args: argparse.Namespace) -> int:
 
 
 def _cmd_laurent_family(args: argparse.Namespace) -> int:
-    fam = family.build_family(args.k, Fraction(args.a_top))
+    fam = family.build_family(args.k, args.a_top)
     r = family.first_integral(args.k)
     ratio = fam.ratio_identity_holds()
     annihilates = fam.alpha.apply(r).is_zero
@@ -257,7 +265,7 @@ def _cmd_flow_check(args: argparse.Namespace) -> int:
     d = PlanarDerivation(parse_bipoly(args.dx), parse_bipoly(args.dy))
     delta = PlanarDerivation(parse_bipoly(args.gx), parse_bipoly(args.gy))
     report = flows.rectification_defect(
-        d, delta, Fraction(args.x0), Fraction(args.y0), args.t_end, args.steps)
+        d, delta, args.x0, args.y0, args.t_end, args.steps)
     payload = {
         "max_defect": report.max_defect,
         "trajectory_error": report.trajectory_error,
@@ -342,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("laurent-family", _cmd_laurent_family,
             "the commuting pair (alpha, beta) on t = 2k-1")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--a-top", default="1", help="leading coefficient (rational)")
+    p.add_argument("--a-top", type=rational, default="1", help="leading coefficient")
 
     p = add("linearize", _cmd_linearize,
             "commuting companion for an affine derivation")
@@ -355,8 +363,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dy", required=True)
     p.add_argument("--gx", required=True)
     p.add_argument("--gy", required=True)
-    p.add_argument("--x0", required=True, help="rational start x")
-    p.add_argument("--y0", required=True, help="rational start y")
+    p.add_argument("--x0", type=rational, required=True, help="start x")
+    p.add_argument("--y0", type=rational, required=True, help="start y")
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
 
@@ -379,7 +387,7 @@ def main(argv: list[str] | None = None) -> int:
     except (NotAMultiple, SingularDelta, DegenerateRecurrence) as exc:
         print(f"fail: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:  # e.g. unparseable rational flags
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

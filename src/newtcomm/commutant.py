@@ -152,20 +152,25 @@ class HDecomposition:
 
     q_coeffs: tuple[Fraction, ...]
 
-    def reconstruct(self, f: UniPoly) -> PlanarDerivation:
-        H = hamiltonian(f)
+    def in_H(self, H: BiPoly) -> BiPoly:
+        """sum_k q_coeffs[k] * H^k, by Horner."""
         q = BiPoly.zero()
-        for a in reversed(self.q_coeffs):  # Horner in H
+        for a in reversed(self.q_coeffs):
             q = q * H + a
-        return newton_derivation(f).scale(q)
+        return q
+
+    def reconstruct(self, f: UniPoly) -> PlanarDerivation:
+        return newton_derivation(f).scale(self.in_H(hamiltonian(f)))
 
 
 def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     """Express gamma as q(H) * newton_derivation(f) or raise NotAMultiple.
 
-    Peels the energy polynomial H = y^2 - 2 INT(f) off the quotient
-    gamma(x)/y from the top y-degree down; each peeled leading coefficient
-    must be a constant, and the remainder must vanish.
+    H = y^2 - 2 INT(f) integrates f with constant term 0, so H(0, y) = y^2
+    and a quotient q = gamma(x)/y that is a polynomial sum_k q_k H^k has
+    q(0, y) = sum_k q_k y^(2k): q_k is the x^0 coefficient of y^(2k).  The
+    coefficients read that way are the decomposition exactly when their
+    rebuild q(H) equals q.
     """
     f = as_unipoly(f)
     try:
@@ -175,27 +180,10 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     if q * f != gamma.act_y:
         raise NotAMultiple("gamma(y) differs from (gamma(x)/y) * f")
     H = hamiltonian(f)
-    powers = [BiPoly.one()]  # H^0 .. H^top, top = half the y-degree of q
-    for _ in range(max(q.y_degree, 0) // 2):
-        powers.append(powers[-1] * H)
-    coeffs: dict[int, Fraction] = {}
-    while not q.is_zero:
-        yd = q.y_degree
-        if yd % 2:
-            raise NotAMultiple(f"quotient has odd y-degree {yd}")
-        s = yd // 2
-        lead = q.ycoeff(yd)
-        if lead.degree > 0:
-            raise NotAMultiple(f"leading coefficient {lead} of y^{yd} is not constant")
-        lam = lead.coeff(0)
-        coeffs[s] = lam
-        q = q - lam * powers[s]
-        if not q.is_zero and q.y_degree >= yd:
-            raise NotAMultiple("peeling failed to lower the y-degree")
-    if not coeffs:
-        return HDecomposition(())
-    top = max(coeffs)
-    return HDecomposition(tuple(coeffs.get(k, Fraction(0)) for k in range(top + 1)))
+    dec = HDecomposition(tuple(c.coeff(0) for c in q.ycoeffs[::2]))
+    if dec.in_H(H) != q:
+        raise NotAMultiple(f"quotient {q} is not a polynomial in H = {H}")
+    return dec
 
 
 def energy_multiples(f: UniPoly, derivations: Iterable[PlanarDerivation]

@@ -157,6 +157,8 @@ def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
     """Classical fixed-step RK4 trajectory [(t, x, y)] of the flow of d."""
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
+    if not math.isfinite(t_end):
+        raise InvalidInput(f"t_end must be finite, got {t_end}")
     fx = compile_evaluator(d.act_x)
     fy = compile_evaluator(d.act_y)
     h = t_end / steps

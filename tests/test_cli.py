@@ -31,7 +31,19 @@ class TestExitCodes:
             "--gamma-dy", "y",
         )
         assert code == 1
-        assert "h-decompose" in err or err  # diagnostic goes to stderr
+        assert err.startswith("fail: ")
+        # gamma = (y^2 - x^3) * delta_f passes the divisibility and y-component
+        # checks, but y^2 - x^3 is not a polynomial in H = y^2 - 2/3*x^3
+        code, _, err = run(
+            capsys,
+            "h-decompose",
+            "--f", "x^2",
+            "--gamma-dx", "y^3 - x^3*y",
+            "--gamma-dy", "x^2*y^2 - x^5",
+        )
+        assert code == 1
+        assert err.startswith("fail: ")
+        assert "H = y^2 - 2/3*x^3" in err
 
     def test_usage_failure_is_two(self, capsys):
         assert run(capsys, "pm", "--m", "4")[0] == 2
@@ -40,6 +52,17 @@ class TestExitCodes:
         # the solver has no x-degree cap to set
         assert run(capsys, "certify", "--f", "x^2", "--max-deg-y", "3",
                    "--x-cap", "9")[0] == 2
+        # a zero denominator or a non-finite end time is a bad flag value
+        flow = ("flow-check", "--dx=1+x^2", "--dy=-2*x*y", "--gx", "0", "--gy", "y",
+                "--steps", "10")
+        for bad in (("--x0", "1/0", "--y0", "1", "--t-end", "1"),
+                    ("--x0", "0", "--y0", "1/0", "--t-end", "1"),
+                    ("--x0", "0", "--y0", "1", "--t-end", "nan"),
+                    ("--x0", "0", "--y0", "1", "--t-end", "inf")):
+            code, _, err = run(capsys, *flow, *bad)
+            assert code == 2 and "error: " in err, bad
+        code, _, err = run(capsys, "laurent-family", "--k", "2", "--a-top", "1/0")
+        assert code == 2 and "error: " in err
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

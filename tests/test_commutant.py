@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newtcomm import (
+    HDecomposition,
     HypothesisViolation,
     NotAMultiple,
     PlanarDerivation,
@@ -29,7 +30,7 @@ from newtcomm.parity import KINDS, build_system, solve_system
 
 import recurrence_oracle
 from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
-from strategies import unipolys
+from strategies import rationals, unipolys
 
 FORCES = ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1")
 DEGENERATE_FORCES = ("0", "2", "x", "2*x + 1")
@@ -151,14 +152,16 @@ def test_integrator_matches_recurrence_oracle_at_M_25(f_text):
 
 
 class TestDecomposeInH:
-    def test_recovers_coefficients(self):
-        f = parse_unipoly("6*x^2 + 5")
-        d = newton_derivation(f)
-        H = hamiltonian(f)
-        q = H * H - Fraction(3, 2) * H + 7
-        dec = decompose_in_H(f, d.scale(q))
-        assert dec.q_coeffs == (Fraction(7), Fraction(-3, 2), Fraction(1))
-        assert dec.reconstruct(f) == d.scale(q)
+    @settings(deadline=None)
+    @given(f=unipolys(5), q=st.lists(rationals, max_size=4))
+    @example(f=parse_unipoly("6*x^2 + 5"), q=[Fraction(7), Fraction(-3, 2), Fraction(1)])
+    def test_recovers_coefficients(self, f, q):
+        """decompose_in_H inverts reconstruct, for every f including zero
+        and degree <= 1."""
+        gamma = HDecomposition(tuple(q)).reconstruct(f)
+        while q and not q[-1]:
+            q.pop()
+        assert decompose_in_H(f, gamma).q_coeffs == tuple(q)
 
     def test_zero_gamma(self):
         f = parse_unipoly("x^2")
@@ -179,6 +182,9 @@ class TestDecomposeInH:
                 f,
                 newton_derivation(f).scale(parse_bipoly("y^2 - x^3")),
             )
+        with pytest.raises(NotAMultiple):
+            # quotient y has odd y-degree
+            decompose_in_H(f, newton_derivation(f).scale(parse_bipoly("y")))
 
 
 class TestCertifyRankOne:

@@ -107,6 +107,12 @@ class TestNumerics:
         assert path[0] == (0.0, 0.0, 1.0)
         assert path[-1][1] == pytest.approx(2.0)
 
+    def test_rk4_rejects_non_finite_t_end(self):
+        d = D("x", "0")
+        for t_end in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InvalidInput):
+                rk4_flow(d, 1.0, 0.0, t_end, 10)
+
     def test_rk4_refuses_laurent_fields(self):
         # a Laurent coefficient list is in z = x^(1/t) and starts at a
         # z-shift; read as a list in x, x^(-1) at x = 2 and the family's
