@@ -34,11 +34,16 @@ so the combinations are already the reduced echelon basis of the half.  The
 two halves hold disjoint unknowns: the canonical basis of the whole system
 is the union of the two, sorted by leading unknown (index descending, c
 before d at equal index).
+
+The rank-one certificate is one equality: for deg f >= 2 the commutant is
+K[H] delta_f up to y-degree M exactly when this basis equals energy_basis,
+the energy multiples H^k delta_f in descending k.  That tuple is itself in
+reduced echelon form because H(0, y) = y^2 (hamiltonian integrates f with
+constant term 0), so no element needs decomposing.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -186,20 +191,17 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     return dec
 
 
-def energy_multiples(f: UniPoly, derivations: Iterable[PlanarDerivation]
-                     ) -> tuple[tuple[HDecomposition | None, ...], int | None, str | None]:
-    """decompose_in_H of every derivation, None for a non-multiple, with the
-    index and the reason of the first failure (None, None if all pass)."""
-    decs: list[HDecomposition | None] = []
-    failing = reason = None
-    for idx, gamma in enumerate(derivations):
-        try:
-            decs.append(decompose_in_H(f, gamma))
-        except NotAMultiple as exc:
-            decs.append(None)
-            if failing is None:
-                failing, reason = idx, str(exc)
-    return tuple(decs), failing, reason
+def energy_basis(f: UniPoly, M: int) -> tuple[PlanarDerivation, ...]:
+    """(H^s delta_f, ..., H delta_f, delta_f), s = floor((M-1)/2); () if M = 0.
+
+    This is the reduced echelon basis of its span, which is unique:
+    H^k delta_f leads with 1 at the x^0 coefficient of c_{2k+1}, where every
+    other H^j delta_f is 0 because H(0, y) = y^2."""
+    H = hamiltonian(f)
+    basis = [newton_derivation(f)] if M > 0 else []
+    while len(basis) < (M + 1) // 2:
+        basis.append(basis[-1].scale(H))
+    return tuple(reversed(basis))
 
 
 @dataclass(frozen=True)
@@ -226,7 +228,12 @@ def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
         raise HypothesisViolation("certification requires deg f >= 2")
     com = solve_commutant(f, M)
     expected = (M - 1) // 2 + 1
-    decs, failing, reason = energy_multiples(f, com.basis)
+    canon = energy_basis(f, M)  # equal to com.basis iff the span is K[H] delta_f
+    decs = tuple(HDecomposition((Fraction(0),) * (len(canon) - 1 - i) + (Fraction(1),))
+                 if i < len(canon) and gamma == canon[i] else None
+                 for i, gamma in enumerate(com.basis))
+    failing = decs.index(None) if None in decs else None
+    reason = None if failing is None else f"basis element {failing} differs from the energy basis"
     if failing is None and com.dimension != expected:
         reason = f"dimension {com.dimension} != expected {expected}"
     return RankOneCertificate(

@@ -182,7 +182,11 @@ class _Parser:
 
 
 def _run(text: str, ring):
-    return _Parser(text, ring).parse()
+    parser = _Parser(text, ring)
+    try:
+        return parser.parse()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.pos) from None
 
 
 def parse_bipoly(text: str) -> BiPoly:

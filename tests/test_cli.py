@@ -63,6 +63,10 @@ class TestExitCodes:
             assert code == 2 and "error: " in err, bad
         code, _, err = run(capsys, "laurent-family", "--k", "2", "--a-top", "1/0")
         assert code == 2 and "error: " in err
+        # nesting deeper than the interpreter's stack is a parse error
+        for deep in ("(" * 200 + "x" + ")" * 200, "-" * 1000 + "x"):
+            code, _, err = run(capsys, "commutant", f"--f={deep}", "--max-deg-y", "1")
+            assert code == 2 and "error: " in err, deep[:3]
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -327,6 +331,41 @@ class TestGoldenOutput:
             "forced": [],
             "kind": "Io",
             "m": 7,
+        }, indent=2, sort_keys=True) + "\n"
+
+    def test_certify_json(self, capsys):
+        code, out, _ = run(capsys, "certify", "--f", "x^5+2*x^2-1", "--max-deg-y", "7", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "dimension": 4,
+            "expected_dimension": 4,
+            "f": "x^5 + 2*x^2 - 1",
+            "max_deg_y": 7,
+            "passed": True,
+            "q": ["H^3", "H^2", "H", "1"],
+        }, indent=2, sort_keys=True) + "\n"
+
+    def test_lemmas_json(self, capsys):
+        def check(name, dimension, detail):
+            return {"detail": detail, "dimension": dimension, "name": name, "passed": True}
+
+        multiples = "; all solutions are energy-polynomial multiples"
+        code, out, _ = run(capsys, "lemmas", "--f", "x^2", "--m-max", "5", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "checks": [
+                check("IIe_2", 0, "c_2 forced to zero; dimension 0"),
+                check("IIe_4", 0, "c_4 forced to zero; dimension 0"),
+                check("IIo_3", 0, "d_3 forced to zero; dimension 0"),
+                check("IIo_5", 0, "d_5 forced to zero; dimension 0"),
+                check("Ie_2", 1, "d_2 forced to zero; dimension 1"),
+                check("Ie_4", 2, "d_4 forced to zero; dimension 2"),
+                check("Io_3", 2, "dimension 2, expected 2" + multiples),
+                check("Io_5", 3, "dimension 3, expected 3" + multiples),
+            ],
+            "f": "x^2",
+            "m_max": 5,
+            "passed": True,
         }, indent=2, sort_keys=True) + "\n"
 
     def test_linearize_json(self, capsys):

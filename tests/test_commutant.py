@@ -1,5 +1,6 @@
 """Commutant computation and the rank-one certificate."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,7 +25,8 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
-from newtcomm.commutant import _integrate_half
+from newtcomm import commutant
+from newtcomm.commutant import _integrate_half, energy_basis
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, build_system, solve_system
 
@@ -191,12 +193,47 @@ class TestCertifyRankOne:
     def test_passes_for_acceptance_forces(self):
         for f_text in FORCES:
             f = parse_unipoly(f_text)
-            for M in (1, 3):
+            for M in (0, 1, 2, 3, 4, 10):
                 cert = certify_rank_one(f, M)
                 assert cert.passed, (f_text, M, cert.reason)
                 assert cert.expected_dimension == (M - 1) // 2 + 1
                 assert cert.commutant.dimension == cert.expected_dimension
                 assert cert.failing_index is None
+
+    def test_perturbed_basis_fails_at_its_index(self, monkeypatch):
+        """A basis element that is not its energy basis element is caught and
+        named, whatever the rest of the basis holds."""
+        solve = commutant.solve_commutant
+
+        def perturbed(f, M):
+            com = solve(f, M)
+            rogue = com.basis[0] + PlanarDerivation(parse_bipoly("x"), parse_bipoly("y"))
+            return replace(com, basis=(rogue,) + com.basis[1:])
+
+        monkeypatch.setattr(commutant, "solve_commutant", perturbed)
+        cert = certify_rank_one(parse_unipoly("x^2"), 5)
+        assert cert.passed is False
+        assert cert.failing_index == 0
+        assert "element 0" in cert.reason
+        assert cert.decompositions[0] is None
+        assert [d.q_coeffs for d in cert.decompositions[1:]] == [(0, 1), (1,)]
+
+    def test_energy_basis_is_descending_powers(self, monkeypatch):
+        """(H^s delta_f, ..., delta_f), s = floor((M-1)/2), with one product
+        by H per power."""
+        f = parse_unipoly("x^3 - x")
+        d, H = newton_derivation(f), hamiltonian(f)
+        assert energy_basis(f, 0) == ()
+        assert energy_basis(f, 1) == energy_basis(f, 2) == (d,)
+        assert energy_basis(f, 5) == energy_basis(f, 6) == (d.scale(H * H), d.scale(H), d)
+        scale = PlanarDerivation.scale
+        calls = []
+        monkeypatch.setattr(PlanarDerivation, "scale",
+                            lambda self, g: calls.append(g) or scale(self, g))
+        for M in range(1, 12):
+            calls.clear()
+            assert len(energy_basis(f, M)) == (M - 1) // 2 + 1
+            assert calls == [H] * ((M - 1) // 2), M
 
     def test_rejects_low_degree(self):
         with pytest.raises(HypothesisViolation):

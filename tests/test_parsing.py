@@ -118,6 +118,17 @@ class TestErrors:
             with pytest.raises(ParseError):
                 parse_bipoly(bad)
 
+    def test_deep_nesting_is_a_parse_error(self):
+        """Nesting past the interpreter's stack raises ParseError, not
+        RecursionError, at a position inside the text."""
+        for parse in (parse_unipoly, parse_bipoly, lambda text: parse_laurent(text, 2)):
+            for bad in ("(" * 200 + "x" + ")" * 200, "-" * 1000 + "x"):
+                with pytest.raises(ParseError) as e:
+                    parse(bad)
+                assert 0 <= e.value.position < len(bad)
+        assert parse_unipoly("(" * 20 + "x" + ")" * 20) == UniPoly.x()
+        assert parse_unipoly("-" * 20 + "x") == UniPoly.x()
+
     def test_trailing_garbage_position(self):
         with pytest.raises(ParseError) as e:
             parse_unipoly("x + 1)")
