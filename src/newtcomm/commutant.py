@@ -50,7 +50,7 @@ from fractions import Fraction
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
 from .linsolve import nullspace
-from .poly import BiPoly, UniPoly, _convolve, _fractions, _grid, _integrate, _lincomb, as_unipoly
+from .poly import BiPoly, UniPoly, _convolve, _grid, _integrate, _lincomb, as_unipoly
 
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
@@ -73,11 +73,12 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     f = F / d_f and f' = F' / d_f are cleared once; a right-hand side is one
     or two integer convolutions added over the lcm of their denominators, and
     _integrate keeps each u_i in lowest terms.  Fractions are built only for
-    the level-0 rows handed to nullspace and for the basis polynomials.
+    the level-0 rows handed to nullspace; each basis polynomial is stored
+    straight from its (numerators, denominator).
     """
     df, F = _grid(f._rows(), 0, 0)  # (place, numerator) pairs: f = F / df
     FP = [(i - 1, i * n) for i, n in F if i]  # f' = FP / df
-    deg = len(f.coeffs) - 1
+    deg = f.degree
 
     def times(g: list, nums: list) -> list:
         return _convolve(enumerate(nums), g, len(nums) + deg) if g and nums else []
@@ -101,7 +102,7 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
             for s in range(max(len(nums) for nums, _ in residuals))]
     return [
         {("c" if i % 2 == c_parity else "d", i):
-         UniPoly._make(1, 0, _fractions(*_lincomb([(w, *runs[k][i]) for k, w in omega.items()])))
+         UniPoly._make(1, 0, *_lincomb([(w, *runs[k][i]) for k, w in omega.items()]))
          for i in range(m + 1)}
         for omega in nullspace(rows, m + 1)
     ]

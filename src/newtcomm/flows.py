@@ -133,7 +133,7 @@ def _float_rows(p: BiPoly) -> list[list[float]]:
     if isinstance(p, LaurentBiPoly):
         raise RingMismatch(f"float evaluation is an operation of Q[x, y], "
                            f"not of {ring_name(p.t, with_y=True)}")
-    return [[float(c) for c in u.coeffs] for u in p.ycoeffs]
+    return [[n / u._d for n in u._n] for u in p.ycoeffs]  # int / int rounds correctly
 
 
 def compile_evaluator(p: BiPoly) -> Callable[[float, float], float]:

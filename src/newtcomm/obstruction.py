@@ -161,16 +161,14 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     p = as_unipoly(p)
     if p.is_zero:
         raise InvalidInput("the zero polynomial has every root")
-    coeffs = list(p.coeffs)
+    ints = list(p._n)  # p's numerators: p times its denominator, same roots
     v = 0
-    while coeffs[v] == 0:
+    while ints[v] == 0:
         v += 1
     roots = {Fraction(0)} if v else set()
-    coeffs = coeffs[v:]
-    if len(coeffs) == 1:
+    ints = ints[v:]
+    if len(ints) == 1:
         return frozenset(roots)
-    den = math.lcm(*(c.denominator for c in coeffs))
-    ints = [c.numerator * (den // c.denominator) for c in coeffs]
     f = _primitive(ints)
     f = _quotient(f, _gcd(f, _derivative(f)))  # primitive, lead > 0 (Gauss)
     lead = f[-1]

@@ -1,27 +1,34 @@
 """Exact polynomial arithmetic over Q: one kernel for Q[x] and the Laurent rings.
 
-A univariate value is sum_i coeffs[i] * z^(shift + i) with z = x^(1/t) and
-``fractions.Fraction`` coefficients; its ring is t plus whether negative
-exponents are allowed.  ``UniPoly`` is Q[x] (t = 1, shift = 0, so coeffs[i]
-is the coefficient of x^i).  ``LaurentPoly`` is Q[x^(1/t), x^(-1/t)]; its
-values start at their lowest term, so a monomial is O(1) in size.
-``BiPoly`` is a polynomial in y over one of those rings (recursive dense:
-computations downstream group terms by powers of y).  Both levels share one
-dense +, -, *, ** and divexact; the Laurent classes add only constructors
-and conversions.  Mixing rings (a different t, or Q[x] with a Laurent ring)
-raises ``RingMismatch``; scalars are coerced into the other operand's ring.
+A univariate value is sum_i (_n[i] / _d) * z^(shift + i) with z = x^(1/t);
+its ring is t plus whether negative exponents are allowed.  ``UniPoly`` is
+Q[x] (t = 1, shift = 0, so _n[i] / _d is the coefficient of x^i).
+``LaurentPoly`` is Q[x^(1/t), x^(-1/t)]; its values start at their lowest
+term, so a monomial is O(1) in size.  ``BiPoly`` is a polynomial in y over
+one of those rings (recursive dense: computations downstream group terms by
+powers of y).  Both levels share one dense +, -, *, ** and divexact; the
+Laurent classes add only constructors and conversions.  Mixing rings (a
+different t, or Q[x] with a Laurent ring) raises ``RingMismatch``; scalars
+are coerced into the other operand's ring.
 
-Products run on integers (numerators over one denominator, the form of
-FLINT's fmpq_poly).  Each operand is read as y-rows (z-shift, coefficients):
-one row for a univariate value, one per y-coefficient of a BiPoly.  It is
-scaled to integer numerators over the lcm of all its denominators, the two
-integer grids are convolved over (y, z) in one pass (_convolve), and each
-output coefficient becomes one Fraction(n, da*db).  Storage stays a tuple of
-Fractions.  The commutant integrator runs on the same integer form through
-_convolve, _lincomb and _integrate, and leaves it only at its end.  Two
-rules spare tiny operands the lcm set-up: when an operand has one
-coefficient in its dense variable, the product is the other operand scaled
-and shifted; and a value with one nonzero term c*v^e has n-th power
+Storage is the form of FLINT's fmpq_poly: a tuple _n of int numerators over
+one denominator _d > 0, in lowest terms (gcd(_d, *_n) == 1), with no
+trailing zero numerator and, in a Laurent ring, no leading one; zero is
+((), 1).  The form is canonical, so == and hash are structural.
+``coeffs``, ``coeff``, ``lc`` and ``terms`` read it as Fractions, built on
+access.  A BiPoly keeps its y-coefficients in _n over _d = 1, so the ring
+operations below serve both levels.
+
+A sum is one aligned integer sum over lcm(da, db).  A product reads each
+operand as y-rows (z-shift, numerators, denominator): one row for a
+univariate value, one per y-coefficient of a BiPoly.  The rows are scaled to
+integers over the lcm of their denominators, the two integer grids are
+convolved over (y, z) in one pass (_convolve), and each output row is stored
+over da * db.  The commutant integrator runs on the same integer form
+through _convolve, _lincomb and _integrate.  Two rules spare tiny operands
+the lcm set-up: when an operand has one coefficient in its dense variable,
+the product is the other operand scaled and shifted (scalars take this path
+once coerced); and a value with one nonzero term c*v^e has n-th power
 c^n*v^(e*n), negative n included for a Laurent monomial.
 
 Values are immutable after construction and safe to share across threads.
@@ -43,12 +50,25 @@ NEG_INF = float("-inf")
 _ZERO = Fraction(0)
 
 
-def _as_fraction(v) -> Fraction:
-    if isinstance(v, Fraction):
+def _exact(v):
+    """v as an exact scalar, an int or a Fraction (a str is parsed)."""
+    if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, (int, str)):
+    if isinstance(v, str):
         return Fraction(v)
     raise TypeError(f"cannot use {type(v).__name__} as an exact coefficient")
+
+
+def _clear(cs: list) -> tuple[list, int]:
+    """Exact scalars as integer numerators over the lcm of their denominators."""
+    d = lcm(*[c.denominator for c in cs])
+    return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _root_index(t) -> int:
+    if not isinstance(t, int) or t < 1:
+        raise InvalidInput("root index t must be a positive integer")
+    return t
 
 
 def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
@@ -91,14 +111,14 @@ def _aligned_sum(sa: int, a, sb: int, b) -> tuple[int, list]:
         sa, a, sb, b = sb, b, sa, a
     off = sb - sa
     if off >= len(a):
-        return sa, [*a, *[_ZERO] * (off - len(a)), *b]
+        return sa, [*a, *[0] * (off - len(a)), *b]
     rest = a[off:]
     tail = rest[len(b):] if len(rest) > len(b) else b[len(rest):]
     return sa, [*a[:off], *map(add, rest, b), *tail]
 
 
 # -- ring operations -------------------------------------------------
-# A UniPoly or BiPoly value is sum coeffs[i] * v^(shift+i) in its dense
+# A UniPoly or BiPoly value is sum _n[i] * v^(shift+i) / _d in its dense
 # variable v (z or y).  Both classes bind these functions by name rather
 # than inherit them, so that each class's own namespace holds its operators
 # (perfbench/tracing.py wraps them there).
@@ -107,11 +127,15 @@ def _add(self, other):
     o = self._coerce(other)
     if o is None:
         return NotImplemented
-    return self._make(self.t, *_aligned_sum(self.shift, self.coeffs, o.shift, o.coeffs))
+    a, da, b, db = self._n, self._d, o._n, o._d
+    if da != db:  # both over lcm(da, db)
+        d = lcm(da, db)
+        a, b, da = [n * (d // da) for n in a], [n * (d // db) for n in b], d
+    return self._make(self.t, *_aligned_sum(self.shift, a, o.shift, b), da)
 
 
 def _neg(self):
-    return self._make(self.t, self.shift, [-c for c in self.coeffs])
+    return self._make(self.t, self.shift, [-c for c in self._n], self._d)
 
 
 def _sub(self, other):
@@ -127,17 +151,17 @@ def _rsub(self, other):
 
 def _span(rows) -> tuple[int, int]:
     """Lowest z-exponent and one past the highest over the nonzero y-rows."""
-    live = [(s, s + len(cs)) for s, cs in rows if cs]
+    live = [(s, s + len(ns)) for s, ns, _ in rows if ns]
     return min(lo for lo, _ in live), max(hi for _, hi in live)
 
 
 def _grid(rows, lo: int, width: int) -> tuple[int, list]:
-    """The y-rows (shift, coeffs) as integers over one denominator: the lcm
-    of all their denominators and the nonzero numerators, each keyed by its
-    place y * width + z - lo in a row-major grid."""
-    den = lcm(*[c.denominator for _, cs in rows for c in cs])
-    return den, [(y * width + s - lo + i, c.numerator * (den // c.denominator))
-                 for y, (s, cs) in enumerate(rows) for i, c in enumerate(cs) if c]
+    """The y-rows (shift, numerators, denominator) over one denominator: the
+    lcm of the row denominators and the nonzero numerators rescaled to it,
+    each keyed by its place y * width + z - lo in a row-major grid."""
+    den = lcm(*[d for _, _, d in rows])
+    return den, [(y * width + s - lo + i, n * (den // d))
+                 for y, (s, ns, d) in enumerate(rows) for i, n in enumerate(ns) if n]
 
 
 def _convolve(ga, gb: list, size: int) -> list:
@@ -175,45 +199,31 @@ def _integrate(nums: list, den: int) -> tuple[list, int]:
     return [n // g for n in out], den * L // g
 
 
-def _fractions(nums: list, den: int) -> list:
-    """Each numerator over den as one Fraction, _ZERO for a zero numerator."""
-    return [Fraction(n, den) if n else _ZERO for n in nums]
-
-
 def _mul(self, other):
-    if isinstance(other, self._scalars):
-        return self._make(self.t, self.shift, [c * other for c in self.coeffs])
     o = self._coerce(other)
     if o is None:
         return NotImplemented
-    a, b = self.coeffs, o.coeffs
+    a, b = self._n, o._n
     if not a or not b:
         return self._make(self.t, 0, [])
     if len(a) == 1 or len(b) == 1:  # one coefficient: scale the other and shift
         cs = [c * b[0] for c in a] if len(b) == 1 else [a[0] * c for c in b]
-        return self._make(self.t, self.shift + o.shift, cs)
+        return self._make(self.t, self.shift + o.shift, cs, self._d * o._d)
     ra, rb = self._rows(), o._rows()
     (la, ha), (lb, hb) = _span(ra), _span(rb)
     width = ha - la + hb - lb - 1
     (da, ga), (db, gb) = _grid(ra, la, width), _grid(rb, lb, width)
     acc = _convolve(ga, gb, width * (len(ra) + len(rb) - 1))
-    d, rows = da * db, []
-    for start in range(0, len(acc), width):  # each y-row, trimmed to its nonzero span
-        lo, hi = start, start + width
-        while hi > lo and not acc[hi - 1]:
-            hi -= 1
-        while lo < hi and not acc[lo]:
-            lo += 1
-        rows.append((la + lb + lo - start, _fractions(acc[lo:hi], d)))
-    return self._from_rows(rows)
+    return self._from_rows([(la + lb, acc[i:i + width], da * db)
+                            for i in range(0, len(acc), width)])
 
 
 def _power(self, n: int):
     if not isinstance(n, int) or (n < 0 and not self._laurent):
         raise InvalidInput("polynomial powers take non-negative integer exponents")
-    live = [i for i, c in enumerate(self.coeffs) if c]
+    live = [i for i, c in enumerate(self._n) if c]
     if len(live) == 1:  # one term c * v^e: its power is c^n * v^(e*n)
-        return self._make(self.t, (self.shift + live[0]) * n, [self.coeffs[live[0]] ** n])
+        return self._term_power(live[0], n)
     if n < 0:
         raise InvalidInput("negative powers only of monomials")
     result, base = self._coerce(1), self
@@ -230,7 +240,7 @@ def _divexact(self, other):
     o = self._coerce(other)
     if o is None:
         raise TypeError("divexact needs a polynomial divisor")
-    if not o.coeffs:
+    if not o._n:
         raise InvalidInput("division by the zero polynomial")
     rem, b = list(self.coeffs), o.coeffs
     db, lead = len(b) - 1, b[-1]
@@ -242,7 +252,7 @@ def _divexact(self, other):
                 rem[j] -= q * cb
     if any(rem):
         raise NotDivisible(f"{self} is not divisible by {o}")
-    return self._make(self.t, self.shift - o.shift, quot)
+    return self._make(self.t, self.shift - o.shift, *self._clear(quot))
 
 
 class _Dense:
@@ -254,17 +264,17 @@ class _Dense:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _make(cls, t: int, shift: int, cs: list):
+    def _make(cls, t: int, shift: int, nums: list, den: int = 1):
         p = object.__new__(cls)
-        p._set(t, shift, cs)
+        p._set(t, shift, nums, den)
         return p
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._n
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self._n)
 
     def __str__(self):
         return self.to_text()
@@ -277,47 +287,60 @@ class _Dense:
 class UniPoly(_Dense):
     """Polynomial in x over Q, dense: the univariate kernel of every ring."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n", "_d")
     t = 1
     shift = 0
     _laurent = False
     _scalars = (int, Fraction)
     _div_coeff = staticmethod(truediv)
+    _clear = staticmethod(_clear)
 
     def __init__(self, coeffs: Iterable = ()):
-        self._set(1, 0, [_as_fraction(c) for c in coeffs])
+        self._set(1, 0, *_clear([_exact(c) for c in coeffs]))
 
-    def _set(self, t: int, shift: int, cs: list) -> None:
-        """Store sum cs[i] * z^(shift+i); cs is consumed."""
-        while cs and not cs[-1]:
-            cs.pop()
+    def _set(self, t: int, shift: int, nums: list, den: int) -> None:
+        """Store sum nums[i] * z^(shift+i) / den, den > 0, in normal form."""
+        lo, hi = 0, len(nums)
+        while hi and not nums[hi - 1]:
+            hi -= 1
         if self._laurent:
-            lo = 0
-            while lo < len(cs) and not cs[lo]:
+            while lo < hi and not nums[lo]:
                 lo += 1
-            del cs[:lo]
             object.__setattr__(self, "t", t)
-            object.__setattr__(self, "shift", shift + lo if cs else 0)
-        elif shift and cs:  # a negative shift only comes from derivative: cs[0] = 0*c
-            cs = [_ZERO] * shift + cs if shift > 0 else cs[-shift:]
-        object.__setattr__(self, "coeffs", tuple(cs))
+            object.__setattr__(self, "shift", shift + lo if hi else 0)
+            nums = nums[lo:hi]
+        elif shift < 0:  # only from derivative, where nums[0] = 0
+            nums = nums[-shift:hi]
+        else:
+            nums = [0] * shift + nums[:hi] if shift and hi else nums[:hi]
+        if den != 1 and (g := gcd(den, *nums)) != 1:
+            nums, den = [n // g for n in nums], den // g
+        object.__setattr__(self, "_n", tuple(nums))
+        object.__setattr__(self, "_d", den)
 
     def _zero_coeff(self) -> Fraction:
         return _ZERO
 
     def _rows(self) -> tuple:
-        """The value as y-rows (z-shift, coefficients): one row."""
-        return ((self.shift, self.coeffs),)
+        """The value as y-rows (z-shift, numerators, denominator): one row."""
+        return ((self.shift, self._n, self._d),)
 
     def _from_rows(self, rows: list):
         return self._make(self.t, *rows[0])
+
+    def _term_power(self, i: int, n: int):
+        """(_n[i] / _d * z^(shift+i))^n; a negative n inverts the term."""
+        c, d = (self._n[i], self._d) if n >= 0 else (self._d, self._n[i])
+        if d < 0:
+            c, d = -c, -d
+        return self._make(self.t, (self.shift + i) * n, [c ** abs(n)], d ** abs(n))
 
     def _coerce(self, other):
         """other as a value of this ring, or None if it is no ring value."""
         if other.__class__ is self.__class__ and other.t == self.t:
             return other
         if isinstance(other, self._scalars):
-            return self._make(self.t, 0, [_as_fraction(other)])
+            return self._make(self.t, 0, [other.numerator], other.denominator)
         if isinstance(other, UniPoly):
             raise RingMismatch(f"mixed rings {_ring_name(self)} and {_ring_name(other)}")
         return None
@@ -330,25 +353,26 @@ class UniPoly(_Dense):
 
     @classmethod
     def zero(cls) -> "UniPoly":
-        return cls()
+        return cls._make(1, 0, [])
 
     @classmethod
     def one(cls) -> "UniPoly":
-        return cls((1,))
+        return cls._make(1, 0, [1])
 
     @classmethod
     def const(cls, v) -> "UniPoly":
-        return cls((_as_fraction(v),))
+        return cls.x_pow(0, v)
 
     @classmethod
     def x(cls) -> "UniPoly":
-        return cls((0, 1))
+        return cls._make(1, 1, [1])
 
     @classmethod
     def x_pow(cls, e: int, coeff=1) -> "UniPoly":
         if e < 0:
             raise InvalidInput("negative exponent in a polynomial ring")
-        return cls((0,) * e + (_as_fraction(coeff),))
+        c = _exact(coeff)
+        return cls._make(1, e, [c.numerator], c.denominator)
 
     @classmethod
     def from_dict(cls, d: dict) -> "UniPoly":
@@ -357,44 +381,50 @@ class UniPoly(_Dense):
     # -- structure ---------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, lowest z-exponent first (a view)."""
+        return tuple(Fraction(n, self._d) for n in self._n)
+
+    @property
     def degree(self):
         """Top exponent of z (the x-degree in Q[x]); NEG_INF for zero."""
-        return self.shift + len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return self.shift + len(self._n) - 1 if self._n else NEG_INF
 
     @property
     def x_degree(self):
         """Top exponent of x as a Fraction (may be negative or fractional)."""
-        return Fraction(self.degree, self.t) if self.coeffs else NEG_INF
+        return Fraction(self.degree, self.t) if self._n else NEG_INF
 
     @property
     def min_x_degree(self):
-        return Fraction(min(self.terms), self.t) if self.coeffs else NEG_INF
+        return Fraction(min(self.terms), self.t) if self._n else NEG_INF
 
     @property
     def terms(self) -> dict[int, Fraction]:
         """{z-exponent: coefficient} over the nonzero terms."""
-        return {self.shift + i: c for i, c in enumerate(self.coeffs) if c}
+        return {self.shift + i: Fraction(n, self._d) for i, n in enumerate(self._n) if n}
 
     def coeff(self, e: int) -> Fraction:
         """Coefficient of z^e (of x^e in Q[x])."""
         i = e - self.shift
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else _ZERO
+        return Fraction(self._n[i], self._d) if 0 <= i < len(self._n) else _ZERO
 
     def lc(self) -> Fraction:
-        return self.coeffs[-1] if self.coeffs else _ZERO
+        return Fraction(self._n[-1], self._d) if self._n else _ZERO
 
     def __eq__(self, other):
         if isinstance(other, UniPoly):
             return (other.__class__ is self.__class__ and other.t == self.t
-                    and other.shift == self.shift and other.coeffs == self.coeffs)
+                    and other.shift == self.shift and other._n == self._n and other._d == self._d)
         if isinstance(other, self._scalars):
-            return self.shift == 0 and self.coeffs == ((other,) if other else ())
+            return (self.shift == 0 and self._d == other.denominator
+                    and self._n == ((other.numerator,) if other else ()))
         return NotImplemented
 
     def __hash__(self):
-        if self.shift == 0 and len(self.coeffs) < 2:  # equals a scalar: hash like it
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash((self.t, self.shift, self.coeffs))
+        if self.shift == 0 and len(self._n) < 2:  # equals a scalar: hash like it
+            return hash(Fraction(self._n[0], self._d) if self._n else 0)
+        return hash((self.t, self.shift, self._n, self._d))
 
     __add__ = __radd__ = _add
     __neg__ = _neg
@@ -408,17 +438,13 @@ class UniPoly(_Dense):
 
     def derivative(self) -> "UniPoly":
         """d/dx: z^e maps to (e/t) z^(e-t)."""
-        t, s, cs = self.t, self.shift, self.coeffs
-        if t == 1:
-            out = [c * (s + i) for i, c in enumerate(cs)]
-        else:
-            out = [c * Fraction(s + i, t) for i, c in enumerate(cs)]
-        return self._make(t, s - t, out)
+        t, s = self.t, self.shift
+        return self._make(t, s - t, [n * (s + i) for i, n in enumerate(self._n)], self._d * t)
 
     def integrate_dx(self) -> "UniPoly":
         """Antiderivative with zero constant term."""
         self._polynomial_only("integrate_dx")
-        return self._make(1, 1, [c / (i + 1) for i, c in enumerate(self.coeffs)])
+        return self._make(1, 0, *_integrate(self._n, self._d))
 
     def __call__(self, v):
         self._polynomial_only("evaluation")
@@ -445,11 +471,10 @@ class LaurentPoly(UniPoly):
     _laurent = True
 
     def __init__(self, t: int, terms: dict | Iterable = ()):
-        if not isinstance(t, int) or t < 1:
-            raise InvalidInput("root index t must be a positive integer")
-        d = {int(ze): _as_fraction(c) for ze, c in dict(terms).items()}
+        t = _root_index(t)
+        d = {int(ze): _exact(c) for ze, c in dict(terms).items()}
         lo = min(d, default=0)
-        self._set(t, lo, [d.get(ze, _ZERO) for ze in range(lo, max(d, default=lo - 1) + 1)])
+        self._set(t, lo, *_clear([d.get(ze, 0) for ze in range(lo, max(d, default=lo - 1) + 1)]))
 
     @classmethod
     def zero(cls, t: int) -> "LaurentPoly":
@@ -457,11 +482,12 @@ class LaurentPoly(UniPoly):
 
     @classmethod
     def const(cls, t: int, v) -> "LaurentPoly":
-        return cls(t, {0: v})
+        return cls.term(t, 0, v)
 
     @classmethod
     def term(cls, t: int, zexp: int, coeff=1) -> "LaurentPoly":
-        return cls(t, {zexp: coeff})
+        c = _exact(coeff)
+        return cls._make(_root_index(t), zexp, [c.numerator], c.denominator)
 
     @classmethod
     def x_power(cls, t: int, exp, coeff=1) -> "LaurentPoly":
@@ -489,7 +515,7 @@ class LaurentPoly(UniPoly):
 
     def reduce_t(self) -> "LaurentPoly":
         """Smallest root index representation of the same value."""
-        g = gcd(self.t, *self.terms) if self.coeffs else self.t
+        g = gcd(self.t, *self.terms) if self._n else self.t
         return LaurentPoly(self.t // g, {ze // g: c for ze, c in self.terms.items()})
 
 
@@ -510,9 +536,10 @@ class BiPoly(_Dense):
     """Polynomial in x and y over Q: a tuple of UniPoly y-coefficients.
     Its ring, and t, are those of the coefficients."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_n",)
     t = 1
     shift = 0
+    _d = 1
     _laurent = False
     _coeff = UniPoly
     _scalars = (int, Fraction, UniPoly)
@@ -522,8 +549,8 @@ class BiPoly(_Dense):
         self._set(1, 0, [as_unipoly(c) if isinstance(c, (UniPoly, int, Fraction, str))
                          else UniPoly(c) for c in ycoeffs])
 
-    def _set(self, t: int, shift: int, cs: list) -> None:
-        """Store sum cs[i] * y^(shift+i); cs is consumed."""
+    def _set(self, t: int, shift: int, cs: list, den: int = 1) -> None:
+        """Store sum cs[i] * y^(shift+i) (den is always 1); cs is consumed."""
         if self._laurent:
             object.__setattr__(self, "t", t)
         while cs and not cs[-1]:
@@ -532,18 +559,28 @@ class BiPoly(_Dense):
             if shift < 0:
                 raise InvalidInput("y has no negative powers")
             cs = [self._zero_coeff()] * shift + cs
-        object.__setattr__(self, "coeffs", tuple(cs))
+        object.__setattr__(self, "_n", tuple(cs))
 
     def _zero_coeff(self) -> UniPoly:
         return self._coeff._make(self.t, 0, [])
 
     def _rows(self) -> list:
-        """The value as y-rows (z-shift, coefficients): one per y-coefficient."""
-        return [(c.shift, c.coeffs) for c in self.coeffs]
+        """The value as y-rows (z-shift, numerators, denominator): one per
+        y-coefficient."""
+        return [(c.shift, c._n, c._d) for c in self._n]
 
     def _from_rows(self, rows: list):
-        """The value whose y^i coefficient has the row (z-shift, coefficients) rows[i]."""
-        return self._make(self.t, 0, [self._coeff._make(self.t, s, cs) for s, cs in rows])
+        """The value whose y^i coefficient has the row (z-shift, numerators,
+        denominator) rows[i]."""
+        return self._make(self.t, 0, [self._coeff._make(self.t, *row) for row in rows])
+
+    def _term_power(self, i: int, n: int):
+        """(_n[i] * y^i)^n."""
+        return self._make(self.t, i * n, [self._n[i] ** n])
+
+    @staticmethod
+    def _clear(cs: list) -> tuple[list, int]:
+        return cs, 1
 
     def _coerce(self, other):
         """other as a value of this ring, or None if it is no ring value."""
@@ -556,9 +593,11 @@ class BiPoly(_Dense):
         return None
 
     @property
-    def ycoeffs(self) -> tuple:
-        """Coefficients of y^0, y^1, ... (the same tuple as coeffs)."""
-        return self.coeffs
+    def coeffs(self) -> tuple:
+        """Coefficients of y^0, y^1, ..."""
+        return self._n
+
+    ycoeffs = coeffs
 
     # -- constructors ------------------------------------------------
 
@@ -598,35 +637,35 @@ class BiPoly(_Dense):
 
     @property
     def y_degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self._n) - 1 if self._n else NEG_INF
 
     @property
     def x_degree(self):
         """Top z-exponent of the coefficients (the x-degree in Q[x,y])."""
-        return max((c.degree for c in self.coeffs), default=NEG_INF)
+        return max((c.degree for c in self._n), default=NEG_INF)
 
     @property
     def total_degree(self):
-        return max((i + c.degree for i, c in enumerate(self.coeffs) if c), default=NEG_INF)
+        return max((i + c.degree for i, c in enumerate(self._n) if c), default=NEG_INF)
 
     def ycoeff(self, i: int) -> UniPoly:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else self._zero_coeff()
+        return self._n[i] if 0 <= i < len(self._n) else self._zero_coeff()
 
     def __eq__(self, other):
         if isinstance(other, BiPoly):
             return (other.__class__ is self.__class__ and other.t == self.t
-                    and other.coeffs == self.coeffs)
+                    and other._n == self._n)
         if isinstance(other, UniPoly) and (other.__class__ is not self._coeff
                                            or other.t != self.t):
             return False
         if isinstance(other, self._scalars):
-            return self.coeffs == ((other,) if other else ())
+            return self._n == ((other,) if other else ())
         return NotImplemented
 
     def __hash__(self):
-        if len(self.coeffs) < 2:  # equals its y^0 coefficient: hash like it
-            return hash(self.coeffs[0]) if self.coeffs else 0
-        return hash((self.t, self.coeffs))
+        if len(self._n) < 2:  # equals its y^0 coefficient: hash like it
+            return hash(self._n[0]) if self._n else 0
+        return hash((self.t, self._n))
 
     __add__ = __radd__ = _add
     __neg__ = _neg
@@ -638,31 +677,31 @@ class BiPoly(_Dense):
 
     def divexact_y(self) -> "BiPoly":
         """Exact quotient by the variable y."""
-        if self.coeffs and self.coeffs[0]:
+        if self._n and self._n[0]:
             raise NotDivisible(f"{self} is not divisible by y")
-        return self._make(self.t, 0, list(self.coeffs[1:]))
+        return self._make(self.t, 0, list(self._n[1:]))
 
     # -- calculus and printing ---------------------------------------
 
     def dx(self) -> "BiPoly":
-        return self._make(self.t, 0, [c.derivative() for c in self.coeffs])
+        return self._make(self.t, 0, [c.derivative() for c in self._n])
 
     def dy(self) -> "BiPoly":
-        return self._make(self.t, 0, [i * c for i, c in enumerate(self.coeffs)][1:])
+        return self._make(self.t, 0, [i * c for i, c in enumerate(self._n)][1:])
 
     def integrate_dx(self) -> "BiPoly":
-        return self._make(self.t, 0, [c.integrate_dx() for c in self.coeffs])
+        return self._make(self.t, 0, [c.integrate_dx() for c in self._n])
 
     def evaluate(self, xv, yv):
         acc = 0 * yv
-        for c in reversed(self.coeffs):
+        for c in reversed(self._n):
             acc = acc * yv + c(xv)
         return acc
 
     def to_text(self, xvar: str = "x", yvar: str = "y") -> str:
         parts: list[tuple[Fraction, str]] = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            parts += self.coeffs[i]._parts(xvar, _exp_text(i, yvar))
+        for i in range(len(self._n) - 1, -1, -1):
+            parts += self._n[i]._parts(xvar, _exp_text(i, yvar))
         return _join_terms(parts)
 
 
@@ -705,4 +744,4 @@ class LaurentBiPoly(BiPoly):
         return cls(t, tuple(LaurentPoly.from_unipoly(c, t) for c in p.coeffs))
 
     def to_bipoly(self) -> BiPoly:
-        return BiPoly([c.to_unipoly() for c in self.coeffs])
+        return BiPoly([c.to_unipoly() for c in self._n])

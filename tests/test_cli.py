@@ -1,9 +1,11 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
+from newtcomm import PlanarDerivation, commutant, parse_bipoly
 from newtcomm.cli import main
 
 
@@ -418,6 +420,44 @@ class TestHumanOutput:
         code, out, _ = run(capsys, "linearize", "--dx", "y", "--dy", "x")
         assert code == 0
         assert "case2" in out
+
+
+def _perturb_first_basis_element(monkeypatch):
+    """Make solve_commutant return a basis whose element 0 is not delta_f
+    times a power of H, so that the certificate fails at index 0."""
+    solve = commutant.solve_commutant
+
+    def perturbed(f, M):
+        com = solve(f, M)
+        rogue = com.basis[0] + PlanarDerivation(parse_bipoly("x"), parse_bipoly("y"))
+        return replace(com, basis=(rogue,) + com.basis[1:])
+    monkeypatch.setattr(commutant, "solve_commutant", perturbed)
+
+
+class TestFailingCertificate:
+    """A failing certificate is reported, not a traceback: the entry with no
+    decomposition reads none (null in JSON)."""
+
+    def test_human(self, capsys, monkeypatch):
+        _perturb_first_basis_element(monkeypatch)
+        code, out, _ = run(capsys, "certify", "--f", "x^2", "--max-deg-y", "5")
+        assert code == 1
+        assert out.splitlines()[2:] == [
+            "q[0] = none",
+            "q[1] = H",
+            "q[2] = 1",
+            "certificate: FAIL",
+            "reason: basis element 0 differs from the energy basis",
+        ]
+
+    def test_json(self, capsys, monkeypatch):
+        _perturb_first_basis_element(monkeypatch)
+        code, out, _ = run(capsys, "certify", "--f", "x^2", "--max-deg-y", "5", "--json")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["q"] == [None, "H", "1"]
+        assert payload["passed"] is False
+        assert payload["reason"] == "basis element 0 differs from the energy basis"
 
 
 def test_selftest_smoke(capsys):

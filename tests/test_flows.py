@@ -3,6 +3,7 @@
 import math
 
 import pytest
+from hypothesis import given
 
 from newtcomm import (
     HypothesisViolation,
@@ -24,6 +25,8 @@ from newtcomm import (
     rk4_flow,
 )
 from newtcomm import flows
+
+from strategies import bipolys
 
 
 def D(dx: str, dy: str) -> PlanarDerivation:
@@ -199,3 +202,15 @@ class TestRectification:
         gamma = d.scale(hamiltonian(f))
         with pytest.raises(SingularDelta):
             rectification_defect(d, gamma, 1, 1, 0.5, 100)
+
+
+@given(bipolys())
+def test_float_rows_are_the_fraction_view_rounded(p):
+    assert flows._float_rows(p) == [[float(c) for c in u.coeffs] for u in p.ycoeffs]
+
+
+def test_float_rows_of_a_fractional_bipoly():
+    p = parse_bipoly("1/3*x^2*y - 7/10*x + 2/7*y^2 + 1/49 - 5/3*x^3*y^2")
+    rows = flows._float_rows(p)
+    assert rows == [[float(c) for c in u.coeffs] for u in p.ycoeffs]
+    assert rows[1][2] == 1 / 3

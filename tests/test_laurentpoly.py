@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from newtcomm import InvalidInput, LaurentBiPoly, LaurentPoly, RingMismatch, UniPoly
 from newtcomm.poly import NEG_INF
 
-from strategies import laurentpolys
+from strategies import assert_normal_form, laurentpolys, rationals
 
 
 def test_construction_and_exponent_bookkeeping():
@@ -109,6 +110,30 @@ def test_multiply_then_divide(a, b):
     if b.is_zero:
         return
     assert (a * b).divexact(b) == a
+
+
+@given(st.sampled_from((1, 3)).flatmap(lambda t: st.tuples(laurentpolys(t), laurentpolys(t))),
+       st.integers(0, 3))
+def test_results_are_in_normal_form(ab, k):
+    a, b = ab
+    for p in (a, a + b, a - b, -a, a * b, a ** k, a.derivative(), 3 * a):
+        assert_normal_form(p)
+    if b:
+        assert_normal_form((a * b).divexact(b))
+
+
+@given(st.sampled_from((1, 3)), st.integers(-7, 7), rationals.filter(bool), st.integers(-3, 3))
+def test_power_of_a_monomial_is_in_normal_form(t, e, c, k):
+    p = LaurentPoly.term(t, e, c) ** k
+    assert_normal_form(p)
+    assert p == LaurentPoly.term(t, e * k, c ** k)
+
+
+@given(laurentpolys(3), laurentpolys(3))
+def test_sum_matches_fraction_addition(a, b):
+    ta, tb = a.terms, b.terms
+    expected = {e: ta.get(e, 0) + tb.get(e, 0) for e in ta.keys() | tb.keys()}
+    assert (a + b).terms == {e: c for e, c in expected.items() if c}
 
 
 @given(laurentpolys(), laurentpolys())

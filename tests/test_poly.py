@@ -18,7 +18,7 @@ from newtcomm import (
 )
 from newtcomm.poly import NEG_INF
 
-from strategies import bipolys, rationals, unipolys
+from strategies import assert_normal_form, bipolys, rationals, unipolys
 
 x = UniPoly.x()
 
@@ -47,6 +47,9 @@ class TestUniPoly:
         p = x + 1
         with pytest.raises(AttributeError):
             p.coeffs = ()
+        for name in ("_n", "_d"):
+            with pytest.raises(AttributeError):
+                setattr(p, name, ())
 
     def test_pow_negative_rejected(self):
         with pytest.raises(InvalidInput):
@@ -97,6 +100,24 @@ class TestUniPoly:
         assert (p * p)(v) == p(v) ** 2
         q = UniPoly.const(w)
         assert (p + q)(v) == p(v) + w
+
+    @given(unipolys(), unipolys(), st.integers(0, 3))
+    def test_results_are_in_normal_form(self, a, b, k):
+        for p in (a, a + b, a - b, -a, a * b, a ** k, a.derivative(), a.integrate_dx(),
+                  3 * a, Fraction(-2, 3) * a):
+            assert_normal_form(p)
+        if b:
+            assert_normal_form((a * b).divexact(b))
+
+    @given(unipolys(), unipolys())
+    def test_sum_matches_fraction_addition(self, a, b):
+        ca, cb = a.coeffs, b.coeffs
+        width = max(len(ca), len(cb))
+        expected = [(ca[i] if i < len(ca) else 0) + (cb[i] if i < len(cb) else 0)
+                    for i in range(width)]
+        while expected and not expected[-1]:
+            expected.pop()
+        assert (a + b).coeffs == tuple(expected)
 
 
 class TestBiPoly:
@@ -199,6 +220,25 @@ def test_constants_hash_like_scalars():
     assert 3 in {UniPoly.const(3)}
     assert hash(BiPoly.const(3)) == hash(UniPoly.const(3)) == hash(3)
     assert BiPoly.zero() in {0}
+
+
+@pytest.mark.parametrize("c", [0, 3, -3, Fraction(1, 2), Fraction(-7, 3)])
+def test_constants_equal_their_scalar(c):
+    for p in (UniPoly.const(c), LaurentPoly.const(1, c), LaurentPoly.const(3, c)):
+        assert p == c and c == p
+        assert hash(p) == hash(c)
+
+
+def test_bipoly_of_a_unipoly_equals_it():
+    values = (UniPoly.zero(), UniPoly.const(Fraction(-7, 3)), x ** 2 - Fraction(1, 2))
+    for p in values:
+        b = BiPoly.from_uni(p)
+        assert b == p and p == b
+        assert hash(b) == hash(p)
+    table = {Fraction(1, 2): "half", x + 1: "x+1", BiPoly.y(): "y"}
+    assert table[UniPoly.const(Fraction(1, 2))] == table[BiPoly.const(Fraction(1, 2))] == "half"
+    assert table[BiPoly.from_uni(x + 1)] == table[UniPoly([1, 1])] == "x+1"
+    assert table[BiPoly.y_pow(1)] == "y"
 
 
 class TestRingsStayDistinct:
