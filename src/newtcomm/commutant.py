@@ -35,6 +35,13 @@ two halves hold disjoint unknowns: the canonical basis of the whole system
 is the union of the two, sorted by leading unknown (index descending, c
 before d at equal index).
 
+A solve at y-degree M holds the canonical basis at every M' <= M, for every
+f: its elements of y-degree <= M', in order (_prefix).  A run depends only on
+the index its constant sets, not on m, so the solutions at M' are those at M
+with omega_k = 0 wherever m-k > M'; in a reduced echelon basis they are
+spanned by the vectors leading at such a k, the elements of y-degree <= M'.
+The same prefix of energy_basis(f, M) is energy_basis(f, M') (y-degree 2k+1).
+
 The rank-one certificate is one equality: for deg f >= 2 the commutant is
 K[H] delta_f up to y-degree M exactly when this basis equals energy_basis,
 the energy multiples H^k delta_f in descending k.  That tuple is itself in
@@ -62,12 +69,8 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
 
         u_{j-1}' = s_j u_j - (j+1) f u_{j+1},  s_j = 1 if u_{j-1} is a c, else f',
 
-    and level 0 says its right-hand side vanishes.  Each u_i carries one
-    integration constant (u_m is a constant).  Run k sets the constant of
-    u_{m-k} to 1 and the others to 0, so u_i = 0 for i > m-k; the solutions
-    are sum_k omega_k run_k over the reduced echelon null-space basis of the
-    level-0 residuals, which makes them the half's reduced echelon basis
-    (module docstring).
+    and level 0 says its right-hand side vanishes; run k sets the integration
+    constant of u_{m-k} to 1 and the others to 0 (module docstring).
 
     Inside a run every u_i is a pair (dense integer numerators, denominator).
     f = F / d_f and f' = F' / d_f are cleared once; a right-hand side is one
@@ -109,18 +112,19 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
 
 
 def solve_halves(f: UniPoly, m: int, c_parities: tuple[int, ...]) -> list[dict[tuple[str, int], UniPoly]]:
-    """Canonical echelon basis of the solutions of the chosen halves.
-
-    Each solution maps the (kind, i) of its own half to a polynomial.  The
-    basis is the reduced echelon form over the unknowns ordered by index
-    descending, c before d at equal index, then x-degree descending inside
-    each polynomial, so it is unique for the solution space.  Every half's
-    basis is already in that form (_integrate_half), and the halves hold
-    disjoint unknowns, so the echelon basis of their sum is the union of
-    their bases sorted by leading unknown.
-    """
+    """Canonical echelon basis of the solutions of the chosen halves, each
+    mapping the (kind, i) of its own half to a polynomial: reduced echelon over
+    the unknowns by index descending, c before d, then x-degree descending,
+    that is the union of the halves' bases sorted by leading unknown."""
     return sorted((s for p in c_parities for s in _integrate_half(f, m, p)),
                   key=lambda s: min((-i, kind) for (kind, i), q in s.items() if q))
+
+
+def _prefix(basis: tuple, M: int,
+            y_degree=lambda g: max(g.act_x.y_degree, g.act_y.y_degree)) -> tuple:
+    """The canonical basis at y-degree M read off one at a larger y-degree
+    (module docstring); y_degree reads an element's, by default a derivation's."""
+    return tuple(b for b in basis if y_degree(b) <= M)
 
 
 @dataclass(frozen=True)

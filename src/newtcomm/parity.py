@@ -14,14 +14,14 @@ complement "II", and tagging by the parity of m, gives four kinds:
 
 Each system has m+2 equations, labeled e_{m+1} down to e_0.  The I-half
 carries all solutions when deg f >= 2; checkers for the dimension and
-forced-to-zero facts live in check_lemma_suite.
+forced-to-zero facts live in check_lemma_suite (one solve per half).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commutant import energy_basis, solve_halves
+from .commutant import _prefix, energy_basis, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput
 from .poly import BiPoly, UniPoly, as_unipoly
@@ -106,13 +106,17 @@ def solve_system(sys: ParitySystem) -> SolutionSpace:
     """Every polynomial solution, by integrating e_{m+1} .. e_1 top-down and
     imposing e_0 on the integration constants; the basis is the canonical
     echelon basis of the solution space."""
-    basis = tuple(
-        {f"{kind}_{i}": poly for (kind, i), poly in solution.items()}
-        for solution in solve_halves(sys.f, sys.m, (_c_parity(sys.kind),))
-    )
-    forced = frozenset(
-        name for name in sys.unknowns if all(b[name].is_zero for b in basis)
-    )
+    basis = tuple({f"{kind}_{i}": p for (kind, i), p in s.items()}
+                  for s in solve_halves(sys.f, sys.m, (_c_parity(sys.kind),)))
+    return _space_at(sys, basis, sys.m)
+
+
+def _space_at(sys: ParitySystem, basis: tuple[dict, ...], m: int) -> SolutionSpace:
+    """solve_system at m <= sys.m for the half of sys, read off the basis of sys (_prefix)."""
+    basis = tuple({n: p for n, p in b.items() if int(n[2:]) <= m} for b in
+                  _prefix(basis, m, lambda b: max(int(n[2:]) for n, p in b.items() if p)))
+    forced = frozenset(n for n in sys.unknowns
+                       if int(n[2:]) <= m and all(b[n].is_zero for b in basis))
     return SolutionSpace(dimension=len(basis), basis=basis, forced=forced)
 
 
@@ -145,15 +149,13 @@ class LemmaSuiteReport:
         return all(c.passed for c in self.checks)
 
 
-def _check_one(kind: str, m: int, f: UniPoly) -> LemmaCheck:
-    sys = build_system(kind, m, f)
-    space = solve_system(sys)
+def _check_one(kind: str, m: int, space: SolutionSpace, energy: tuple) -> LemmaCheck:
     if kind == "Io":
         expected = (m + 1) // 2
         ok = space.dimension == expected
         detail = f"dimension {space.dimension}, expected {expected}"
         if ok:
-            ok = tuple(assemble_derivation(entry, m) for entry in space.basis) == energy_basis(f, m)
+            ok = tuple(assemble_derivation(entry, m) for entry in space.basis) == energy[-expected:]
             detail += ("; all solutions are energy-polynomial multiples" if ok
                        else "; solutions differ from the energy basis H^k*delta_f")
     else:
@@ -172,13 +174,18 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     For odd m: (Io)_m has dimension (m+1)/2 with every solution an energy
     multiple, and d_m is forced in (IIo)_m (m >= 3).  For even m: d_m is
     forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2;
-    allow_low_degree runs the suite anyway as a negative control.
+    allow_low_degree runs the suite anyway as a negative control.  Each half
+    is solved once, at m_max, and read off at every m (_space_at); the Io
+    checks compare with the matching tails of one energy_basis(f, m_max).
     """
     f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
         raise HypothesisViolation("lemma suite requires deg f >= 2")
     if not isinstance(m_max, int) or m_max < 2:
         raise InvalidInput("m_max must be an integer >= 2")
-    checks = [_check_one(kind, m, f) for kind in KINDS
+    systems = [build_system(kind, m_max, f) for kind in (KINDS[:2] if m_max % 2 else KINDS[2:])]
+    tops = {_c_parity(s.kind): (s, solve_system(s).basis) for s in systems}
+    energy = energy_basis(f, m_max)
+    checks = [_check_one(kind, m, _space_at(*tops[_c_parity(kind)], m), energy) for kind in KINDS
               for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import commutant, family, flows, obstruction, parity
 from .derivations import PlanarDerivation, divergence, hamiltonian, newton_derivation
+from .parsing import parse_unipoly
 from .poly import BiPoly, UniPoly
 
 
@@ -37,29 +38,22 @@ def _verdict(name: str, failures: list[str], detail: str, t0: float) -> Criterio
     return _timed(name, not failures, detail, t0)
 
 
-def _parse_f(text_coeffs: dict[int, int]) -> UniPoly:
-    return UniPoly.from_dict({e: Fraction(c) for e, c in text_coeffs.items()})
-
-
-ACCEPTANCE_FORCES: tuple[UniPoly, ...] = (
-    _parse_f({2: 6, 0: 5}),          # 6x^2 + 5
-    _parse_f({2: 1}),                # x^2
-    _parse_f({3: 1, 1: -1}),         # x^3 - x
-    _parse_f({5: 1, 2: 2, 0: -1}),   # x^5 + 2x^2 - 1
-)
+ACCEPTANCE_FORCES: tuple[UniPoly, ...] = tuple(
+    map(parse_unipoly, ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1")))
 
 
 def run_criterion_1(seed: int = 0) -> CriterionResult:
-    """Commutant dimension floor((M-1)/2)+1 with every element a K[H]-multiple."""
+    """Commutant dimension floor((M-1)/2)+1 with every element a K[H]-multiple,
+    odd M <= 31: one certificate per force at 31, read to each M (_prefix)."""
     t0 = time.perf_counter()
-    failures = []
-    total = 0
+    failures, total = [], 0
     for f in ACCEPTANCE_FORCES:
-        for M in range(1, 22, 2):
+        basis = commutant.certify_rank_one(f, 31).commutant.basis
+        energy = commutant.energy_basis(f, 31)
+        for M in range(1, 32, 2):
             total += 1
-            cert = commutant.certify_rank_one(f, M)
-            if not cert.passed:
-                failures.append(f"f={f}, M={M}: {cert.reason}")
+            if (got := commutant._prefix(basis, M)) != energy[-((M + 1) // 2):]:
+                failures.append(f"f={f}, M={M}: dimension {len(got)}, not the energy basis")
     detail = (f"{total - len(failures)}/{total} (f, M) pairs have dimension "
               f"floor((M-1)/2)+1 with all basis elements energy multiples")
     return _verdict("1-rank-one-certificate", failures, detail, t0)
@@ -115,18 +109,12 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
 
 
 def run_criterion_3(seed: int = 0) -> CriterionResult:
-    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 14."""
+    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 20."""
     t0 = time.perf_counter()
-    x = UniPoly.x()
-    failures = []
-    total = 0
-    for f in (x ** 2, x ** 3):
-        report = parity.check_lemma_suite(f, 14)
-        for check in report.checks:
-            total += 1
-            if not check.passed:
-                failures.append(f"f={f}, {check.name}: {check.detail}")
-    detail = f"{total - len(failures)}/{total} parity-system checks passed"
+    checks = [(f, c) for f in map(parse_unipoly, ("x^2", "x^3"))
+              for c in parity.check_lemma_suite(f, 20).checks]
+    failures = [f"f={f}, {c.name}: {c.detail}" for f, c in checks if not c.passed]
+    detail = f"{len(checks) - len(failures)}/{len(checks)} parity-system checks passed"
     return _verdict("3-parity-lemmas", failures, detail, t0)
 
 

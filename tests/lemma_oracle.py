@@ -1,0 +1,49 @@
+"""Reference lemma suite: every (kind, m) system solved on its own.
+
+``newtcomm.parity.check_lemma_suite`` solves each half once, at m_max, and
+reads every smaller system off that solution as a prefix.  This oracle
+builds and solves each (kind, m) system separately, with one
+``solve_system`` per check and one ``energy_basis(f, m)`` per Io check, and
+formats the checks the same way, so the tests compare the two reports by
+``==``.
+"""
+
+from __future__ import annotations
+
+from newtcomm.commutant import energy_basis
+from newtcomm.parity import (
+    KINDS,
+    LemmaCheck,
+    LemmaSuiteReport,
+    assemble_derivation,
+    build_system,
+    solve_system,
+)
+from newtcomm.poly import UniPoly, as_unipoly
+
+
+def check_one(kind: str, m: int, f: UniPoly) -> LemmaCheck:
+    space = solve_system(build_system(kind, m, f))
+    if kind == "Io":
+        expected = (m + 1) // 2
+        ok = space.dimension == expected
+        detail = f"dimension {space.dimension}, expected {expected}"
+        if ok:
+            ok = tuple(assemble_derivation(entry, m) for entry in space.basis) == energy_basis(f, m)
+            detail += ("; all solutions are energy-polynomial multiples" if ok
+                       else "; solutions differ from the energy basis H^k*delta_f")
+    else:
+        target = f"d_{m}" if kind in ("Ie", "IIo") else f"c_{m}"
+        ok = target in space.forced
+        state = "forced to zero" if ok else "NOT forced to zero"
+        detail = f"{target} {state}; dimension {space.dimension}"
+    return LemmaCheck(name=f"{kind}_{m}", kind=kind, m=m, passed=ok,
+                      dimension=space.dimension, forced=space.forced, detail=detail)
+
+
+def lemma_suite(f: UniPoly, m_max: int) -> LemmaSuiteReport:
+    """The report check_lemma_suite(f, m_max, allow_low_degree=True) gives."""
+    f = as_unipoly(f)
+    checks = tuple(check_one(kind, m, f) for kind in KINDS
+                   for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o"))
+    return LemmaSuiteReport(f=f, m_max=m_max, checks=checks)

@@ -7,12 +7,14 @@ guard against the self-test itself going soft, and a mutation control
 verifies that a deliberately corrupted kernel is caught.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from newtcomm import (
     NotAMultiple,
+    PlanarDerivation,
     UniPoly,
     build_obstruction,
     decompose_in_H,
@@ -22,7 +24,7 @@ from newtcomm import (
     rectification_defect,
     solve_commutant,
 )
-from newtcomm import obstruction, selftest
+from newtcomm import commutant, obstruction, parity, selftest
 
 from conftest import ACCEPTANCE_LINES
 
@@ -42,13 +44,22 @@ def _check(result, budget_seconds):
 
 class TestAcceptanceCriteria:
     def test_criterion_1_rank_one_certificate(self):
-        _check(selftest.run_criterion_1(), 60)
+        _check(selftest.run_criterion_1(), 10)
+
+    def test_criterion_1_certifies_each_force_once(self, monkeypatch):
+        """Every smaller M is read off one certificate per force at M = 31."""
+        calls = []
+        certify = commutant.certify_rank_one
+        monkeypatch.setattr(commutant, "certify_rank_one",
+                            lambda f, M: calls.append((f, M)) or certify(f, M))
+        assert selftest.run_criterion_1().passed
+        assert calls == [(f, 31) for f in selftest.ACCEPTANCE_FORCES]
 
     def test_criterion_2_negative_controls(self):
         _check(selftest.run_criterion_2(), 30)
 
     def test_criterion_3_parity_lemma_suite(self):
-        _check(selftest.run_criterion_3(), 120)
+        _check(selftest.run_criterion_3(), 10)
 
     def test_criterion_4_obstruction_roots(self):
         _check(selftest.run_criterion_4(), 5)
@@ -124,4 +135,33 @@ class TestMutationControl:
 
         monkeypatch.setattr(commutant_module, "hamiltonian", corrupted)
         result = selftest.run_criterion_1()
+        assert not result.passed
+
+    def test_perturbed_base_derivation_is_caught_at_M_1(self, monkeypatch):
+        """Adding (x, y) to delta_f, the last basis element, corrupts every
+        smaller y-degree read off the one certificate, M = 1 first."""
+        real = commutant.solve_commutant
+
+        def perturbed(f, M):
+            com = real(f, M)
+            rogue = com.basis[-1] + PlanarDerivation(parse_bipoly("x"), parse_bipoly("y"))
+            return replace(com, basis=com.basis[:-1] + (rogue,))
+
+        monkeypatch.setattr(commutant, "solve_commutant", perturbed)
+        result = selftest.run_criterion_1()
+        assert not result.passed
+        first = result.detail.split("; first failure: ")[1]
+        assert first.startswith(f"f={selftest.ACCEPTANCE_FORCES[0]}, M=1: "), first
+
+    def test_dropped_solution_is_caught(self, monkeypatch):
+        """Losing the last basis element of each half's one solve must flip
+        criterion 3."""
+        real = parity.solve_system
+
+        def dropped(sys):
+            space = real(sys)
+            return replace(space, basis=space.basis[:-1], dimension=len(space.basis[:-1]))
+
+        monkeypatch.setattr(parity, "solve_system", dropped)
+        result = selftest.run_criterion_3()
         assert not result.passed

@@ -26,9 +26,9 @@ from newtcomm import (
     solve_commutant,
 )
 from newtcomm import commutant
-from newtcomm.commutant import _integrate_half, energy_basis
+from newtcomm.commutant import _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
-from newtcomm.parity import KINDS, build_system, solve_system
+from newtcomm.parity import KINDS, _space_at, build_system, solve_system
 
 import recurrence_oracle
 from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
@@ -151,6 +151,34 @@ def test_integrator_matches_recurrence_oracle_at_M_25(f_text):
     f = parse_unipoly(f_text)
     for c_parity in (0, 1):
         assert _integrate_half(f, 25, c_parity) == recurrence_oracle._integrate_half(f, 25, c_parity)
+
+
+def _assert_prefixes(f: UniPoly, M: int) -> None:
+    """Every smaller y-degree read off one solve at M equals its own solve:
+    the commutant basis for M' <= M, each parity system for 2 <= M' <= M."""
+    top = solve_commutant(f, M).basis
+    for Mp in range(M + 1):
+        assert _prefix(top, Mp) == solve_commutant(f, Mp).basis, Mp
+    for kind in KINDS if M >= 2 else ():
+        top_sys = build_system(kind, M, f)
+        half = solve_system(top_sys).basis
+        for Mp in range(2, M + 1):
+            assert _space_at(top_sys, half, Mp) == solve_system(build_system(kind, Mp, f)), (kind, Mp)
+
+
+@settings(deadline=None)
+@given(f=unipolys(6), M=st.integers(0, 13))
+@example(f=UniPoly(), M=13)
+@example(f=parse_unipoly("3"), M=13)
+@example(f=parse_unipoly("x"), M=13)
+@example(f=parse_unipoly("2*x + 1"), M=13)
+def test_smaller_degrees_are_prefixes(f, M):
+    _assert_prefixes(f, M)
+
+
+@pytest.mark.parametrize("f_text", ["x^5 + 2*x^2 - 1", DEGREE_9_F])
+def test_smaller_degrees_are_prefixes_at_M_25(f_text):
+    _assert_prefixes(parse_unipoly(f_text), 25)
 
 
 class TestDecomposeInH:

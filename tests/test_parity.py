@@ -12,10 +12,14 @@ from newtcomm import (
     solve_commutant,
     solve_system,
 )
+from newtcomm import parity
 from newtcomm.commutant import energy_basis
 from newtcomm.parity import KINDS, assemble_derivation
 
+import lemma_oracle
 from matching_oracle import default_xcap, full_rows, matching_system, system_rows
+
+DEGREE_9_F = "1/3*x^9 - 2/7*x^4 + 3/5*x^2 + x - 5/11"
 
 
 class TestBuildSystem:
@@ -176,6 +180,25 @@ class TestLemmaSuite:
         by_name = {c.name: c for c in report.checks}
         assert by_name["Io_5"].dimension == 3
         assert by_name["Io_3"].dimension == 2
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 9, 16])
+@pytest.mark.parametrize("f_text", ["x^2", "x^3 - x", DEGREE_9_F, "0", "1", "x", "2*x + 1"])
+def test_lemma_suite_matches_per_system_oracle(f_text, m_max):
+    """The suite read off one solve per half equals the suite that solves
+    every (kind, m) system on its own, report for report."""
+    f = parse_unipoly(f_text)
+    got = check_lemma_suite(f, m_max, allow_low_degree=f.degree < 2)
+    assert got == lemma_oracle.lemma_suite(f, m_max)
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 12])
+def test_lemma_suite_solves_each_half_once(monkeypatch, m_max):
+    calls = []
+    solve = parity.solve_system
+    monkeypatch.setattr(parity, "solve_system", lambda sys: calls.append(sys.kind) or solve(sys))
+    check_lemma_suite(parse_unipoly("x^3"), m_max)
+    assert sorted(calls) == (["IIo", "Io"] if m_max % 2 else ["IIe", "Ie"])
 
 
 def test_io_solutions_live_inside_full_commutant():
