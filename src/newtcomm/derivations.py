@@ -52,9 +52,6 @@ class PlanarDerivation:
             self.apply(other.act_y) - other.apply(self.act_y),
         )
 
-    def commutes_with(self, other: "PlanarDerivation") -> bool:
-        return self.bracket(other).is_zero
-
     def divergence(self) -> BiPoly:
         return self.act_x.dx() + self.act_y.dy()
 

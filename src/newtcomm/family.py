@@ -48,18 +48,18 @@ class LaurentFamily:
 
 
 def _coefficients(k: int, a_top: Fraction) -> tuple[Fraction, ...]:
+    """a_0 .. a_{2k+1} by the downward recurrence from a_{2k+1} = a_{2k} = a_top.
+
+    For an integer k >= 1, which build_family checks, neither divisor is
+    zero: (1 - rho) * l = -2l/(2k-1) for l >= 1, and (1 - rho) * l + 1 = 0
+    would need 2l = 2k - 1, which parity rules out."""
     rho = Fraction(2 * k + 1, 2 * k - 1)
     a: dict[int, Fraction] = {2 * k + 1: a_top, 2 * k: a_top}
     for l in range(1, k + 1):
         i = 2 * (k - l)
-        den_odd = (1 - rho) * l
-        if den_odd == 0:
-            raise DegenerateRecurrence(f"zero divisor (1-rho)*l at l={l}")
-        a[i + 1] = (-rho * a[i + 2] - (i + 3) * a[i + 3]) / den_odd
-        den_even = den_odd + 1
-        if den_even == 0:
-            raise DegenerateRecurrence(f"zero divisor (1-rho)*l + 1 at l={l}")
-        a[i] = (a[i + 1] - (i + 2) * a[i + 2]) / den_even
+        den = (1 - rho) * l
+        a[i + 1] = (-rho * a[i + 2] - (i + 3) * a[i + 3]) / den
+        a[i] = (a[i + 1] - (i + 2) * a[i + 2]) / (den + 1)
     return tuple(a[i] for i in range(2 * k + 2))
 
 

@@ -59,10 +59,6 @@ def rref(rows: list[Row], ncols: int) -> tuple[list[Row], list[int]]:
     return pivot_rows, pivot_cols
 
 
-def rank(rows: list[Row], ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
-
-
 def nullspace(rows: list[Row], ncols: int) -> list[Row]:
     """Canonical basis of the solution set of rows * v = 0.
 

@@ -6,10 +6,12 @@ Q[x] (t = 1, shift = 0, so _n[i] / _d is the coefficient of x^i).
 ``LaurentPoly`` is Q[x^(1/t), x^(-1/t)]; its values start at their lowest
 term, so a monomial is O(1) in size.  ``BiPoly`` is a polynomial in y over
 one of those rings (recursive dense: computations downstream group terms by
-powers of y).  Both levels share one dense +, -, *, ** and divexact; the
-Laurent classes add only constructors and conversions.  Mixing rings (a
-different t, or Q[x] with a Laurent ring) raises ``RingMismatch``; scalars
-are coerced into the other operand's ring.
+powers of y).  Both levels share one dense +, -, * and **; the Laurent
+classes add only constructors and ``LaurentPoly.to_unipoly``.  Beyond the
+ring operations the kernel keeps what the computations read: d/dx, d/dy,
+the integral in x, exact division by y, evaluation and printing.  Mixing
+rings (a different t, or Q[x] with a Laurent ring) raises ``RingMismatch``;
+scalars are coerced into the other operand's ring.
 
 Storage is the form of FLINT's fmpq_poly: a tuple _n of int numerators over
 one denominator _d > 0, in lowest terms (gcd(_d, *_n) == 1), with no
@@ -40,7 +42,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, truediv
+from operator import add
 from typing import Iterable
 
 from .errors import InvalidInput, NotDivisible, RingMismatch
@@ -235,26 +237,6 @@ def _power(self, n: int):
     return result
 
 
-def _divexact(self, other):
-    """Exact quotient self / other; NotDivisible when a remainder is left."""
-    o = self._coerce(other)
-    if o is None:
-        raise TypeError("divexact needs a polynomial divisor")
-    if not o._n:
-        raise InvalidInput("division by the zero polynomial")
-    rem, b = list(self.coeffs), o.coeffs
-    db, lead = len(b) - 1, b[-1]
-    quot = [self._zero_coeff()] * max(len(rem) - db, 0)
-    for top in range(len(rem) - 1, db - 1, -1):
-        if rem[top]:
-            q = quot[top - db] = self._div_coeff(rem[top], lead)
-            for j, cb in enumerate(b, top - db):
-                rem[j] -= q * cb
-    if any(rem):
-        raise NotDivisible(f"{self} is not divisible by {o}")
-    return self._make(self.t, self.shift - o.shift, *self._clear(quot))
-
-
 class _Dense:
     """Immutable value in its ring's normal form (see _set)."""
 
@@ -292,8 +274,6 @@ class UniPoly(_Dense):
     shift = 0
     _laurent = False
     _scalars = (int, Fraction)
-    _div_coeff = staticmethod(truediv)
-    _clear = staticmethod(_clear)
 
     def __init__(self, coeffs: Iterable = ()):
         self._set(1, 0, *_clear([_exact(c) for c in coeffs]))
@@ -317,9 +297,6 @@ class UniPoly(_Dense):
             nums, den = [n // g for n in nums], den // g
         object.__setattr__(self, "_n", tuple(nums))
         object.__setattr__(self, "_d", den)
-
-    def _zero_coeff(self) -> Fraction:
-        return _ZERO
 
     def _rows(self) -> tuple:
         """The value as y-rows (z-shift, numerators, denominator): one row."""
@@ -391,15 +368,6 @@ class UniPoly(_Dense):
         return self.shift + len(self._n) - 1 if self._n else NEG_INF
 
     @property
-    def x_degree(self):
-        """Top exponent of x as a Fraction (may be negative or fractional)."""
-        return Fraction(self.degree, self.t) if self._n else NEG_INF
-
-    @property
-    def min_x_degree(self):
-        return Fraction(min(self.terms), self.t) if self._n else NEG_INF
-
-    @property
     def terms(self) -> dict[int, Fraction]:
         """{z-exponent: coefficient} over the nonzero terms."""
         return {self.shift + i: Fraction(n, self._d) for i, n in enumerate(self._n) if n}
@@ -432,7 +400,6 @@ class UniPoly(_Dense):
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul
     __pow__ = _power
-    divexact = _divexact
 
     # -- calculus and printing ---------------------------------------
 
@@ -498,25 +465,10 @@ class LaurentPoly(UniPoly):
                                + ("an integer" if t == 1 else f"a multiple of 1/{t}"))
         return cls.term(t, int(ze), coeff)
 
-    @classmethod
-    def from_unipoly(cls, u: UniPoly, t: int = 1) -> "LaurentPoly":
-        return cls(t, {e * t: c for e, c in u.terms.items()})
-
     def to_unipoly(self) -> UniPoly:
         if any(ze < 0 or ze % self.t for ze in self.terms):
             raise RingMismatch(f"{self} does not lie in the polynomial ring")
         return UniPoly.from_dict({ze // self.t: c for ze, c in self.terms.items()})
-
-    def in_ring(self, t2: int) -> "LaurentPoly":
-        """Re-express over root index t2 (t must divide t2)."""
-        if t2 % self.t:
-            raise RingMismatch(f"cannot embed root index {self.t} into {t2}")
-        return LaurentPoly(t2, {ze * (t2 // self.t): c for ze, c in self.terms.items()})
-
-    def reduce_t(self) -> "LaurentPoly":
-        """Smallest root index representation of the same value."""
-        g = gcd(self.t, *self.terms) if self._n else self.t
-        return LaurentPoly(self.t // g, {ze // g: c for ze, c in self.terms.items()})
 
 
 def as_unipoly(f) -> UniPoly:
@@ -543,7 +495,6 @@ class BiPoly(_Dense):
     _laurent = False
     _coeff = UniPoly
     _scalars = (int, Fraction, UniPoly)
-    _div_coeff = staticmethod(_divexact)
 
     def __init__(self, ycoeffs: Iterable = ()):
         self._set(1, 0, [as_unipoly(c) if isinstance(c, (UniPoly, int, Fraction, str))
@@ -578,10 +529,6 @@ class BiPoly(_Dense):
         """(_n[i] * y^i)^n."""
         return self._make(self.t, i * n, [self._n[i] ** n])
 
-    @staticmethod
-    def _clear(cs: list) -> tuple[list, int]:
-        return cs, 1
-
     def _coerce(self, other):
         """other as a value of this ring, or None if it is no ring value."""
         if other.__class__ is self.__class__ and other.t == self.t:
@@ -593,11 +540,9 @@ class BiPoly(_Dense):
         return None
 
     @property
-    def coeffs(self) -> tuple:
+    def ycoeffs(self) -> tuple:
         """Coefficients of y^0, y^1, ..."""
         return self._n
-
-    ycoeffs = coeffs
 
     # -- constructors ------------------------------------------------
 
@@ -639,15 +584,6 @@ class BiPoly(_Dense):
     def y_degree(self):
         return len(self._n) - 1 if self._n else NEG_INF
 
-    @property
-    def x_degree(self):
-        """Top z-exponent of the coefficients (the x-degree in Q[x,y])."""
-        return max((c.degree for c in self._n), default=NEG_INF)
-
-    @property
-    def total_degree(self):
-        return max((i + c.degree for i, c in enumerate(self._n) if c), default=NEG_INF)
-
     def ycoeff(self, i: int) -> UniPoly:
         return self._n[i] if 0 <= i < len(self._n) else self._zero_coeff()
 
@@ -673,7 +609,6 @@ class BiPoly(_Dense):
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul
     __pow__ = _power
-    divexact = _divexact
 
     def divexact_y(self) -> "BiPoly":
         """Exact quotient by the variable y."""
@@ -687,7 +622,7 @@ class BiPoly(_Dense):
         return self._make(self.t, 0, [c.derivative() for c in self._n])
 
     def dy(self) -> "BiPoly":
-        return self._make(self.t, 0, [i * c for i, c in enumerate(self._n)][1:])
+        return self._make(self.t, 0, [i * c for i, c in enumerate(self._n[1:], 1)])
 
     def integrate_dx(self) -> "BiPoly":
         return self._make(self.t, 0, [c.integrate_dx() for c in self._n])
@@ -720,10 +655,6 @@ class LaurentBiPoly(BiPoly):
         self._set(t, 0, cs)
 
     @classmethod
-    def zero(cls, t: int) -> "LaurentBiPoly":
-        return cls(t, ())
-
-    @classmethod
     def const(cls, t: int, v) -> "LaurentBiPoly":
         return cls(t, (LaurentPoly.const(t, v),))
 
@@ -738,10 +669,3 @@ class LaurentBiPoly(BiPoly):
     @classmethod
     def y_pow(cls, t: int, e: int, coeff: LaurentPoly | int = 1) -> "LaurentBiPoly":
         return cls(t, (0,) * e + (coeff,))
-
-    @classmethod
-    def from_bipoly(cls, p: BiPoly, t: int = 1) -> "LaurentBiPoly":
-        return cls(t, tuple(LaurentPoly.from_unipoly(c, t) for c in p.coeffs))
-
-    def to_bipoly(self) -> BiPoly:
-        return BiPoly([c.to_unipoly() for c in self._n])

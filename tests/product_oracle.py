@@ -16,7 +16,7 @@ from newtcomm.poly import BiPoly
 
 def terms(p) -> dict[tuple[int, int], Fraction]:
     """The nonzero terms of a UniPoly or BiPoly value (Laurent ones too)."""
-    rows = p.coeffs if isinstance(p, BiPoly) else (p,)
+    rows = p.ycoeffs if isinstance(p, BiPoly) else (p,)
     return {(y, z): c for y, row in enumerate(rows) for z, c in row.terms.items()}
 
 

@@ -1,7 +1,9 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
 import json
+import shlex
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -388,17 +390,56 @@ class TestGoldenOutput:
             },
         }, indent=2, sort_keys=True) + "\n"
 
+    def test_h_decompose_json(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "h-decompose",
+            "--f", "x^2",
+            "--gamma-dx", "y^3 - 2/3*x^3*y",
+            "--gamma-dy", "x^2*y^2 - 2/3*x^5",
+            "--json",
+        )
+        assert code == 0
+        assert out == json.dumps({
+            "H": "y^2 - 2/3*x^3",
+            "f": "x^2",
+            "gamma": {
+                "dx": "y^3 - 2/3*x^3*y",
+                "dy": "x^2*y^2 - 2/3*x^5",
+                "ring": {"t": 1},
+            },
+            "q": "H",
+            "q_coeffs": ["0", "1"],
+        }, indent=2, sort_keys=True) + "\n"
+
+
 class TestHumanOutput:
+    """Exact human-readable stdout of subcommands."""
+
     def test_pm_text(self, capsys):
         code, out, _ = run(capsys, "pm", "--m", "3")
         assert code == 0
-        assert "P_3 = 2*X^2 + 4*X - 6" in out
-        assert "roots" in out
+        assert out == (
+            "P_3 = 2*X^2 + 4*X - 6\n"
+            "roots: {-3, 1}\n"
+            "matches expected root set: yes\n"
+        )
 
     def test_parity_text(self, capsys):
         code, out, _ = run(capsys, "parity", "--kind", "Io", "--m", "3", "--f", "x^2")
         assert code == 0
-        assert "c_1' + 3*f*c_3 = d_2" in out
+        assert out == (
+            "(Io)_3 for f = x^2\n"
+            "  e_4: c_3' = 0\n"
+            "  e_3: d_2' = f'*c_3\n"
+            "  e_2: c_1' + 3*f*c_3 = d_2\n"
+            "  e_1: d_0' + 2*f*d_2 = f'*c_1\n"
+            "  e_0: f*c_1 = d_0\n"
+            "dimension = 2\n"
+            "forced zero: none\n"
+            "basis[0]: c_1 = -2/3*x^3, c_3 = 1, d_0 = -2/3*x^5, d_2 = x^2\n"
+            "basis[1]: c_1 = 1, c_3 = 0, d_0 = x^2, d_2 = 0\n"
+        )
 
     def test_h_decompose_text(self, capsys):
         code, out, _ = run(
@@ -409,17 +450,115 @@ class TestHumanOutput:
             "--gamma-dy", "x^2*y^2 - 2/3*x^5",
         )
         assert code == 0
-        assert "H" in out
+        assert out == (
+            "f = x^2\n"
+            "H = y^2 - 2/3*x^3\n"
+            "gamma = (x -> y^3 - 2/3*x^3*y, y -> x^2*y^2 - 2/3*x^5)\n"
+            "q = H\n"
+            "gamma = q(H) * delta_f\n"
+        )
 
     def test_pm_witness_text_k1(self, capsys):
         code, out, _ = run(capsys, "pm-witness", "--m", "3", "--k", "1")
         assert code == 0
-        assert "commutes with alpha = (y, x^(-3)): yes" in out
+        assert out == (
+            "witness for m = 3, k = 1 on t = 1\n"
+            "witness = (x -> x*y^2 - x^(-1), y -> y^3 + 3*x^(-2)*y)\n"
+            "commutes with alpha = (y, x^(-3)): yes\n"
+            "d_3 = 1\n"
+        )
 
     def test_linearize_text(self, capsys):
         code, out, _ = run(capsys, "linearize", "--dx", "y", "--dy", "x")
         assert code == 0
-        assert "case2" in out
+        assert out == (
+            "d = (x -> y, y -> x)\n"
+            "case: case2\n"
+            "delta = (x -> x, y -> y)\n"
+        )
+
+    def test_commutant_text(self, capsys):
+        code, out, _ = run(capsys, "commutant", "--f", "6*x^2 + 5", "--max-deg-y", "3")
+        assert code == 0
+        assert out == (
+            "f = 6*x^2 + 5\n"
+            "max y-degree = 3\n"
+            "dimension = 2\n"
+            "basis[0] = (x -> y^3 - 4*x^3*y - 10*x*y,"
+            " y -> 6*x^2*y^2 + 5*y^2 - 24*x^5 - 80*x^3 - 50*x)\n"
+            "basis[1] = (x -> y, y -> 6*x^2 + 5)\n"
+        )
+
+    def test_certify_text(self, capsys):
+        code, out, _ = run(capsys, "certify", "--f", "6*x^2 + 5", "--max-deg-y", "3")
+        assert code == 0
+        assert out == (
+            "f = 6*x^2 + 5, max y-degree = 3\n"
+            "dimension = 2 (expected 2)\n"
+            "q[0] = H\n"
+            "q[1] = 1\n"
+            "certificate: PASS\n"
+        )
+
+    def test_lemmas_text(self, capsys):
+        multiples = "; all solutions are energy-polynomial multiples"
+        code, out, _ = run(capsys, "lemmas", "--f", "x^2", "--m-max", "5")
+        assert code == 0
+        assert out == (
+            "parity-lemma suite for f = x^2, m <= 5\n"
+            "PASS  IIe_2: c_2 forced to zero; dimension 0\n"
+            "PASS  IIe_4: c_4 forced to zero; dimension 0\n"
+            "PASS  IIo_3: d_3 forced to zero; dimension 0\n"
+            "PASS  IIo_5: d_5 forced to zero; dimension 0\n"
+            "PASS  Ie_2: d_2 forced to zero; dimension 1\n"
+            "PASS  Ie_4: d_4 forced to zero; dimension 2\n"
+            f"PASS  Io_3: dimension 2, expected 2{multiples}\n"
+            f"PASS  Io_5: dimension 3, expected 3{multiples}\n"
+            "suite: PASS\n"
+        )
+
+    def test_laurent_family_text(self, capsys):
+        code, out, _ = run(capsys, "laurent-family", "--k", "2")
+        assert code == 0
+        assert out == (
+            "k = 2, t = 3\n"
+            "a = (-27, 45, 18, 10, 1, 1)\n"
+            "alpha = (x -> y, y -> x^(-5/3))\n"
+            "beta = (x -> x*y^4 + 18*x^(1/3)*y^2 - 27*x^(-1/3),"
+            " y -> y^5 + 10*x^(-2/3)*y^3 + 45*x^(-4/3)*y)\n"
+            "r = y^2 + 3*x^(-2/3)\n"
+            "bracket(alpha, beta) = 0: yes\n"
+            "alpha(r) = 0: yes\n"
+            "ratio identity: holds\n"
+        )
+
+
+def _readme_commands() -> list[list[str]]:
+    """The words of each command of the sh block under "## Command line"
+    in README.md, backslash continuations joined and comments dropped."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [words for words in (shlex.split(line, comments=True) for line in lines) if words]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_every_example():
+    assert len(README_COMMANDS) == 10
+
+
+@pytest.mark.parametrize("words", README_COMMANDS, ids=lambda words: words[1])
+def test_readme_example_runs(capsys, words):
+    program, *argv = words
+    assert program == "newtcomm"
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0, err
+    json.loads(out)
 
 
 def _perturb_first_basis_element(monkeypatch):

@@ -64,7 +64,7 @@ class TestSolveCommutant:
         f = parse_unipoly("x^3 - x")
         d = newton_derivation(f)
         for g in solve_commutant(f, 5).basis:
-            assert d.commutes_with(g)
+            assert d.bracket(g).is_zero
 
     def test_linear_f_has_extra_element(self):
         # f = x: the commutant is NOT spanned by multiples of (y, x).
@@ -89,7 +89,7 @@ class TestSolveCommutant:
     def test_zero_f_allowed(self):
         res = solve_commutant(UniPoly([]), 1)
         assert all(
-            newton_derivation(UniPoly([])).commutes_with(g) for g in res.basis
+            newton_derivation(UniPoly([])).bracket(g).is_zero for g in res.basis
         )
 
     def test_default_xcap_formula(self):

@@ -95,8 +95,8 @@ class TestNewton:
         f = parse_unipoly("x^3 - x")
         d = newton_derivation(f)
         h = hamiltonian(f)
-        assert d.commutes_with(d.scale(h))
-        assert d.commutes_with(d.scale(h * h + 3))
+        assert d.bracket(d.scale(h)).is_zero
+        assert d.bracket(d.scale(h * h + 3)).is_zero
 
 
 class TestLaurentDerivation:
@@ -114,7 +114,7 @@ class TestLaurentDerivation:
             LaurentBiPoly.from_laurent(LaurentPoly.term(t, -3)),
         )
         assert a.bracket(a).is_zero
-        assert a.commutes_with(a.scale(LaurentPoly.const(t, Fraction(7, 2))))
+        assert a.bracket(a.scale(LaurentPoly.const(t, Fraction(7, 2)))).is_zero
 
     def test_apply_leibniz_spot(self):
         t = 2

@@ -5,7 +5,7 @@ from fractions import Fraction
 import hypothesis.strategies as st
 from hypothesis import given
 
-from newtcomm.linsolve import nullspace, rank, rref
+from newtcomm.linsolve import nullspace, rref
 
 
 def R(**kw):
@@ -30,9 +30,9 @@ def test_rref_with_free_column():
 
 def test_rank():
     rows = [R(c0=1, c1=2), R(c0=2, c1=4), R(c1=1)]
-    assert rank(rows, 2) == 2
-    assert rank([], 5) == 0
-    assert rank([{}], 5) == 0
+    assert len(rref(rows, 2)[1]) == 2
+    assert len(rref([], 5)[1]) == 0
+    assert len(rref([{}], 5)[1]) == 0
 
 
 def test_nullspace_known():
@@ -90,6 +90,6 @@ def test_rank_nullity(mat):
     rows = [
         {j: c for j, c in enumerate(r) if c != 0} for r in mat
     ]
-    rk = rank([dict(r) for r in rows], 4)
+    rk = len(rref([dict(r) for r in rows], 4)[1])
     nl = len(nullspace([dict(r) for r in rows], 4))
     assert rk + nl == 4
