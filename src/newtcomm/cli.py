@@ -123,6 +123,8 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     f = parse_unipoly(args.f)
     system = parity.build_system(args.kind, args.m, f)
     space = parity.solve_system(system)
+    basis = [{n: str(parity.coefficient(g, n)) for n in sorted(system.unknowns)}
+             for g in space.basis]
     payload = {
         "kind": system.kind,
         "m": system.m,
@@ -130,16 +132,15 @@ def _cmd_parity(args: argparse.Namespace) -> int:
         "equations": {eq.label: eq.text for eq in system.equations},
         "dimension": space.dimension,
         "forced": sorted(space.forced),
-        "basis": [{name: str(p) for name, p in entry.items()}
-                  for entry in space.basis],
+        "basis": basis,
     }
     human = [f"({system.kind})_{system.m} for f = {f}"]
     human += [f"  {eq.label}: {eq.text}" for eq in system.equations]
     human.append(f"dimension = {space.dimension}")
     forced = ", ".join(sorted(space.forced)) if space.forced else "none"
     human.append(f"forced zero: {forced}")
-    for i, entry in enumerate(space.basis):
-        parts = ", ".join(f"{name} = {entry[name]}" for name in sorted(entry))
+    for i, entry in enumerate(basis):
+        parts = ", ".join(f"{n} = {p}" for n, p in entry.items())
         human.append(f"basis[{i}]: {parts}")
     _emit(args, payload, human)
     return 0

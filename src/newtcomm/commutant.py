@@ -33,7 +33,8 @@ echelon form over k = 0..m, that is, over the unknowns by index descending,
 so the combinations are already the reduced echelon basis of the half.  The
 two halves hold disjoint unknowns: the canonical basis of the whole system
 is the union of the two, sorted by leading unknown (index descending, c
-before d at equal index).
+before d at equal index).  Every solution, of a half or of the whole system,
+is held as the PlanarDerivation gamma it defines: c_i in act_x, d_i in act_y.
 
 A solve at y-degree M holds the canonical basis at every M' <= M, for every
 f: its elements of y-degree <= M', in order (_prefix).  A run depends only on
@@ -60,7 +61,7 @@ from .linsolve import nullspace
 from .poly import BiPoly, UniPoly, _convolve, _grid, _integrate, _lincomb, as_unipoly
 
 
-def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
+def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]:
     """The canonical echelon basis of the polynomial solutions of one half
     of the level system.
 
@@ -77,7 +78,8 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     or two integer convolutions added over the lcm of their denominators, and
     _integrate keeps each u_i in lowest terms.  Fractions are built only for
     the level-0 rows handed to nullspace; each basis polynomial is stored
-    straight from its (numerators, denominator).
+    straight from its (numerators, denominator), the c_i in act_x and the d_i
+    in act_y of one derivation, which is 0 at the other half's indices.
     """
     df, F = _grid(f._rows(), 0, 0)  # (place, numerator) pairs: f = F / df
     FP = [(i - 1, i * n) for i, n in F if i]  # f' = FP / df
@@ -103,28 +105,29 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     rows = [{k: Fraction(nums[s], d) for k, (nums, d) in enumerate(residuals)
              if s < len(nums) and nums[s]}
             for s in range(max(len(nums) for nums, _ in residuals))]
-    return [
-        {("c" if i % 2 == c_parity else "d", i):
-         UniPoly._make(1, 0, *_lincomb([(w, *runs[k][i]) for k, w in omega.items()]))
-         for i in range(m + 1)}
-        for omega in nullspace(rows, m + 1)
-    ]
+    zero, is_c = UniPoly.zero(), [i % 2 == c_parity for i in range(m + 1)]
+    basis = []
+    for omega in nullspace(rows, m + 1):
+        u = [UniPoly._make(1, 0, *_lincomb([(w, *runs[k][i]) for k, w in omega.items()]))
+             for i in range(m + 1)]
+        basis.append(PlanarDerivation(BiPoly([q if c else zero for q, c in zip(u, is_c)]),
+                                      BiPoly([zero if c else q for q, c in zip(u, is_c)])))
+    return basis
 
 
-def solve_halves(f: UniPoly, m: int, c_parities: tuple[int, ...]) -> list[dict[tuple[str, int], UniPoly]]:
-    """Canonical echelon basis of the solutions of the chosen halves, each
-    mapping the (kind, i) of its own half to a polynomial: reduced echelon over
-    the unknowns by index descending, c before d, then x-degree descending,
-    that is the union of the halves' bases sorted by leading unknown."""
-    return sorted((s for p in c_parities for s in _integrate_half(f, m, p)),
-                  key=lambda s: min((-i, kind) for (kind, i), q in s.items() if q))
+def solve_halves(f: UniPoly, m: int, c_parities: tuple[int, ...]) -> list[PlanarDerivation]:
+    """Canonical echelon basis of the solutions of the chosen halves: reduced
+    echelon over the unknowns by index descending, c before d, then x-degree
+    descending, that is the union of the halves' bases sorted by leading
+    unknown (y-degree descending, c before d)."""
+    return sorted((g for p in c_parities for g in _integrate_half(f, m, p)),
+                  key=lambda g: (-g.y_degree, g.act_x.y_degree < g.y_degree))
 
 
-def _prefix(basis: tuple, M: int,
-            y_degree=lambda g: max(g.act_x.y_degree, g.act_y.y_degree)) -> tuple:
+def _prefix(basis: tuple, M: int) -> tuple:
     """The canonical basis at y-degree M read off one at a larger y-degree
-    (module docstring); y_degree reads an element's, by default a derivation's."""
-    return tuple(b for b in basis if y_degree(b) <= M)
+    (module docstring)."""
+    return tuple(g for g in basis if g.y_degree <= M)
 
 
 @dataclass(frozen=True)
@@ -147,13 +150,7 @@ def solve_commutant(f: UniPoly, M: int) -> CommutantBasis:
     if not isinstance(M, int) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
     f = as_unipoly(f)
-    zero = UniPoly.zero()
-    basis = []
-    for polys in solve_halves(f, M, (1, 0)):
-        act_x = BiPoly([polys.get(("c", i), zero) for i in range(M + 1)])
-        act_y = BiPoly([polys.get(("d", i), zero) for i in range(M + 1)])
-        basis.append(PlanarDerivation(act_x, act_y))
-    return CommutantBasis(f=f, M=M, basis=tuple(basis))
+    return CommutantBasis(f, M, tuple(solve_halves(f, M, (1, 0))))
 
 
 @dataclass(frozen=True)

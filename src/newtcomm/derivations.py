@@ -77,6 +77,10 @@ class PlanarDerivation:
     def is_zero(self) -> bool:
         return self.act_x.is_zero and self.act_y.is_zero
 
+    @property
+    def y_degree(self):
+        return max(self.act_x.y_degree, self.act_y.y_degree)
+
     def to_json_dict(self) -> dict:
         return {"ring": {"t": self.t}, "dx": str(self.act_x), "dy": str(self.act_y)}
 

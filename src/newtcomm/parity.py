@@ -12,9 +12,13 @@ complement "II", and tagging by the parity of m, gives four kinds:
                                y-component equations at even levels;
                                unknowns c_even, d_odd.
 
-Each system has m+2 equations, labeled e_{m+1} down to e_0.  The I-half
-carries all solutions when deg f >= 2; checkers for the dimension and
-forced-to-zero facts live in check_lemma_suite (one solve per half).
+Each system has m+2 equations, labeled e_{m+1} down to e_0.  A solution is
+held as the PlanarDerivation it defines (c_i in act_x, d_i in act_y), so a
+solution space is a tuple of derivations.  Unknown names such as "c_3" only
+list the unknowns and the forced ones; coefficient reads a name off a
+derivation.  The I-half carries all solutions when deg f >= 2; checkers for
+the dimension and forced-to-zero facts live in check_lemma_suite (one solve
+per half).
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from .commutant import _prefix, energy_basis, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput
-from .poly import BiPoly, UniPoly, as_unipoly
+from .poly import UniPoly, as_unipoly
 
 KINDS = ("Io", "IIo", "Ie", "IIe")
 
@@ -50,19 +54,16 @@ class ParitySystem:
     equations: tuple[SystemEquation, ...]
 
     @property
-    def c_indices(self) -> tuple[int, ...]:
-        par = _c_parity(self.kind)
-        return tuple(i for i in range(self.m + 1) if i % 2 == par)
-
-    @property
-    def d_indices(self) -> tuple[int, ...]:
-        par = 1 - _c_parity(self.kind)
-        return tuple(i for i in range(self.m + 1) if i % 2 == par)
-
-    @property
     def unknowns(self) -> tuple[str, ...]:
-        names = [f"c_{i}" for i in self.c_indices] + [f"d_{i}" for i in self.d_indices]
-        return tuple(sorted(names, key=lambda s: (-int(s[2:]), s[0])))
+        """c_i or d_i, as the half holds it, for i = m down to 0."""
+        par = _c_parity(self.kind)
+        return tuple(f"{'c' if i % 2 == par else 'd'}_{i}" for i in range(self.m, -1, -1))
+
+
+def coefficient(gamma: PlanarDerivation, name: str) -> UniPoly:
+    """The value gamma gives the unknown name: c_i is the y^i coefficient of
+    gamma(x), d_i that of gamma(y)."""
+    return (gamma.act_x if name[0] == "c" else gamma.act_y).ycoeff(int(name[2:]))
 
 
 def _equation_text(form: str, j: int, m: int) -> str:
@@ -97,34 +98,28 @@ def build_system(kind: str, m: int, f: UniPoly) -> ParitySystem:
 
 @dataclass(frozen=True)
 class SolutionSpace:
-    dimension: int
-    basis: tuple[dict, ...]  # unknown name -> UniPoly, every unknown present
+    basis: tuple[PlanarDerivation, ...]  # canonical echelon basis, one derivation per solution
     forced: frozenset  # unknowns identically zero across the solution set
+
+    @property
+    def dimension(self) -> int:
+        return len(self.basis)
 
 
 def solve_system(sys: ParitySystem) -> SolutionSpace:
     """Every polynomial solution, by integrating e_{m+1} .. e_1 top-down and
     imposing e_0 on the integration constants; the basis is the canonical
     echelon basis of the solution space."""
-    basis = tuple({f"{kind}_{i}": p for (kind, i), p in s.items()}
-                  for s in solve_halves(sys.f, sys.m, (_c_parity(sys.kind),)))
+    basis = tuple(solve_halves(sys.f, sys.m, (_c_parity(sys.kind),)))
     return _space_at(sys, basis, sys.m)
 
 
-def _space_at(sys: ParitySystem, basis: tuple[dict, ...], m: int) -> SolutionSpace:
+def _space_at(sys: ParitySystem, basis: tuple[PlanarDerivation, ...], m: int) -> SolutionSpace:
     """solve_system at m <= sys.m for the half of sys, read off the basis of sys (_prefix)."""
-    basis = tuple({n: p for n, p in b.items() if int(n[2:]) <= m} for b in
-                  _prefix(basis, m, lambda b: max(int(n[2:]) for n, p in b.items() if p)))
-    forced = frozenset(n for n in sys.unknowns
-                       if int(n[2:]) <= m and all(b[n].is_zero for b in basis))
-    return SolutionSpace(dimension=len(basis), basis=basis, forced=forced)
-
-
-def assemble_derivation(space_entry: dict, m: int) -> PlanarDerivation:
-    """Build the derivation whose coefficients a solution assigns."""
-    act_x = BiPoly([space_entry.get(f"c_{i}", UniPoly.zero()) for i in range(m + 1)])
-    act_y = BiPoly([space_entry.get(f"d_{i}", UniPoly.zero()) for i in range(m + 1)])
-    return PlanarDerivation(act_x, act_y)
+    basis = _prefix(basis, m)
+    forced = frozenset(n for n in sys.unknowns[sys.m - m:]
+                       if all(coefficient(g, n).is_zero for g in basis))
+    return SolutionSpace(basis=basis, forced=forced)
 
 
 @dataclass(frozen=True)
@@ -155,7 +150,7 @@ def _check_one(kind: str, m: int, space: SolutionSpace, energy: tuple) -> LemmaC
         ok = space.dimension == expected
         detail = f"dimension {space.dimension}, expected {expected}"
         if ok:
-            ok = tuple(assemble_derivation(entry, m) for entry in space.basis) == energy[-expected:]
+            ok = space.basis == energy[-expected:]
             detail += ("; all solutions are energy-polynomial multiples" if ok
                        else "; solutions differ from the energy basis H^k*delta_f")
     else:

@@ -649,6 +649,7 @@ class LaurentBiPoly(BiPoly):
     _coeff = LaurentPoly
 
     def __init__(self, t: int, ycoeffs: Iterable = ()):
+        t = _root_index(t)
         cs = [LaurentPoly.const(t, c) if isinstance(c, (int, Fraction)) else c for c in ycoeffs]
         if not all(isinstance(c, LaurentPoly) and c.t == t for c in cs):
             raise RingMismatch(f"LaurentBiPoly coefficients must be scalars or LaurentPoly with t = {t}")

@@ -117,9 +117,14 @@ def full_rows(f: UniPoly, M: int, xcap: int):
     return _rows(entries, levels, f, xcap)
 
 
+def _entries(sys: ParitySystem) -> list[tuple[str, int]]:
+    """The (kind, i) pair of each unknown of a parity system."""
+    return [(name[0], int(name[2:])) for name in sys.unknowns]
+
+
 def system_rows(sys: ParitySystem, xcap: int):
     """Rows over one parity system's own column layout."""
-    entries = [("c", i) for i in sys.c_indices] + [("d", i) for i in sys.d_indices]
+    entries = _entries(sys)
     return _rows(entries, [(eq.form, eq.level) for eq in sys.equations], sys.f, xcap)
 
 
@@ -128,14 +133,15 @@ def matching_commutant(f: UniPoly, M: int, xcap: int | None = None) -> list[Plan
     if xcap is None:
         xcap = default_xcap(f, M)
     rows, index, ncols = full_rows(f, M, xcap)
-    basis = []
-    for vec in nullspace(rows, ncols):
-        polys = vector_to_polys(vec, index)
-        basis.append(PlanarDerivation(
-            BiPoly([polys.get(("c", i), UniPoly.zero()) for i in range(M + 1)]),
-            BiPoly([polys.get(("d", i), UniPoly.zero()) for i in range(M + 1)]),
-        ))
-    return basis
+    return [_derivation(vector_to_polys(vec, index), M) for vec in nullspace(rows, ncols)]
+
+
+def _derivation(polys: dict[tuple[str, int], UniPoly], M: int) -> PlanarDerivation:
+    """The derivation with c_i = polys[("c", i)], d_i = polys[("d", i)], 0 if absent."""
+    return PlanarDerivation(
+        BiPoly([polys.get(("c", i), UniPoly.zero()) for i in range(M + 1)]),
+        BiPoly([polys.get(("d", i), UniPoly.zero()) for i in range(M + 1)]),
+    )
 
 
 def matching_system(sys: ParitySystem, xcap: int | None = None) -> SolutionSpace:
@@ -143,11 +149,8 @@ def matching_system(sys: ParitySystem, xcap: int | None = None) -> SolutionSpace
     if xcap is None:
         xcap = default_xcap(sys.f, sys.m)
     rows, index, ncols = system_rows(sys, xcap)
-    basis = []
-    for vec in nullspace(rows, ncols):
-        polys = vector_to_polys(vec, index)
-        basis.append({name: polys.get((name[0], int(name[2:])), UniPoly.zero())
-                      for name in sys.unknowns})
-    forced = frozenset(name for name in sys.unknowns
-                       if all(b[name].is_zero for b in basis))
-    return SolutionSpace(dimension=len(basis), basis=tuple(basis), forced=forced)
+    solutions = [vector_to_polys(vec, index) for vec in nullspace(rows, ncols)]
+    forced = frozenset(name for name, key in zip(sys.unknowns, _entries(sys))
+                       if all(polys.get(key, UniPoly.zero()).is_zero for polys in solutions))
+    return SolutionSpace(basis=tuple(_derivation(polys, sys.m) for polys in solutions),
+                         forced=forced)

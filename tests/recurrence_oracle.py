@@ -14,13 +14,14 @@ the matching oracle cannot.
 
 from __future__ import annotations
 
+from newtcomm.derivations import PlanarDerivation
 from newtcomm.linsolve import nullspace
-from newtcomm.poly import UniPoly
+from newtcomm.poly import BiPoly, UniPoly
 
 
-def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, int], UniPoly]]:
+def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]:
     """Canonical echelon basis of the half whose c-unknowns have index
-    parity c_parity, as (kind, i) -> UniPoly for 0 <= i <= m."""
+    parity c_parity, as derivations (c_i in act_x, d_i in act_y, 0 <= i <= m)."""
     fprime = f.derivative()
     scaled_f = [-(j + 1) * f for j in range(m + 1)]
     zero, one = UniPoly.zero(), UniPoly.one()
@@ -40,9 +41,11 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[dict[tuple[str, i
     width = max(len(r.coeffs) for r in residuals)
     rows = [{k: r.coeff(s) for k, r in enumerate(residuals) if r.coeff(s)}
             for s in range(width)]
-    return [
-        {("c" if i % 2 == c_parity else "d", i):
-         sum((w * runs[k][i] for k, w in omega.items()), zero)
-         for i in range(m + 1)}
-        for omega in nullspace(rows, m + 1)
-    ]
+    basis = []
+    for omega in nullspace(rows, m + 1):
+        u = [sum((w * runs[k][i] for k, w in omega.items()), zero) for i in range(m + 1)]
+        basis.append(PlanarDerivation(
+            BiPoly([q if i % 2 == c_parity else zero for i, q in enumerate(u)]),
+            BiPoly([zero if i % 2 == c_parity else q for i, q in enumerate(u)]),
+        ))
+    return basis

@@ -160,7 +160,7 @@ class TestMutationControl:
 
         def dropped(sys):
             space = real(sys)
-            return replace(space, basis=space.basis[:-1], dimension=len(space.basis[:-1]))
+            return replace(space, basis=space.basis[:-1])
 
         monkeypatch.setattr(parity, "solve_system", dropped)
         result = selftest.run_criterion_3()

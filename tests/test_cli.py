@@ -337,6 +337,53 @@ class TestGoldenOutput:
             "m": 7,
         }, indent=2, sort_keys=True) + "\n"
 
+    def test_parity_iio_json(self, capsys):
+        """A II-half with two-digit unknown names and unknowns whose value is 0."""
+        code, out, _ = run(capsys, "parity", "--kind", "IIo", "--m", "11", "--f", "x", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "basis": [
+                {"c_0": "-x^11", "c_10": "x", "c_2": "5*x^9", "c_4": "-10*x^7",
+                 "c_6": "10*x^5", "c_8": "-5*x^3", "d_1": "-x^10", "d_11": "1",
+                 "d_3": "5*x^8", "d_5": "-10*x^6", "d_7": "10*x^4", "d_9": "-5*x^2"},
+                {"c_0": "x^9", "c_10": "0", "c_2": "-4*x^7", "c_4": "6*x^5",
+                 "c_6": "-4*x^3", "c_8": "x", "d_1": "x^8", "d_11": "0",
+                 "d_3": "-4*x^6", "d_5": "6*x^4", "d_7": "-4*x^2", "d_9": "1"},
+                {"c_0": "-x^7", "c_10": "0", "c_2": "3*x^5", "c_4": "-3*x^3",
+                 "c_6": "x", "c_8": "0", "d_1": "-x^6", "d_11": "0",
+                 "d_3": "3*x^4", "d_5": "-3*x^2", "d_7": "1", "d_9": "0"},
+                {"c_0": "x^5", "c_10": "0", "c_2": "-2*x^3", "c_4": "x",
+                 "c_6": "0", "c_8": "0", "d_1": "x^4", "d_11": "0",
+                 "d_3": "-2*x^2", "d_5": "1", "d_7": "0", "d_9": "0"},
+                {"c_0": "-x^3", "c_10": "0", "c_2": "x", "c_4": "0",
+                 "c_6": "0", "c_8": "0", "d_1": "-x^2", "d_11": "0",
+                 "d_3": "1", "d_5": "0", "d_7": "0", "d_9": "0"},
+                {"c_0": "x", "c_10": "0", "c_2": "0", "c_4": "0",
+                 "c_6": "0", "c_8": "0", "d_1": "1", "d_11": "0",
+                 "d_3": "0", "d_5": "0", "d_7": "0", "d_9": "0"},
+            ],
+            "dimension": 6,
+            "equations": {
+                "e_0": "f*d_1 = f'*c_0",
+                "e_1": "c_0' + 2*f*c_2 = d_1",
+                "e_10": "d_9' + 11*f*d_11 = f'*c_10",
+                "e_11": "c_10' = d_11",
+                "e_12": "d_11' = 0",
+                "e_2": "d_1' + 3*f*d_3 = f'*c_2",
+                "e_3": "c_2' + 4*f*c_4 = d_3",
+                "e_4": "d_3' + 5*f*d_5 = f'*c_4",
+                "e_5": "c_4' + 6*f*c_6 = d_5",
+                "e_6": "d_5' + 7*f*d_7 = f'*c_6",
+                "e_7": "c_6' + 8*f*c_8 = d_7",
+                "e_8": "d_7' + 9*f*d_9 = f'*c_8",
+                "e_9": "c_8' + 10*f*c_10 = d_9",
+            },
+            "f": "x",
+            "forced": [],
+            "kind": "IIo",
+            "m": 11,
+        }, indent=2, sort_keys=True) + "\n"
+
     def test_certify_json(self, capsys):
         code, out, _ = run(capsys, "certify", "--f", "x^5+2*x^2-1", "--max-deg-y", "7", "--json")
         assert code == 0
@@ -439,6 +486,41 @@ class TestHumanOutput:
             "forced zero: none\n"
             "basis[0]: c_1 = -2/3*x^3, c_3 = 1, d_0 = -2/3*x^5, d_2 = x^2\n"
             "basis[1]: c_1 = 1, c_3 = 0, d_0 = x^2, d_2 = 0\n"
+        )
+
+    def test_parity_iio_text(self, capsys):
+        """Unknown names in lexicographic order (c_0, c_10, c_2, ...), zeros included."""
+        code, out, _ = run(capsys, "parity", "--kind", "IIo", "--m", "11", "--f", "x")
+        assert code == 0
+        assert out == (
+            "(IIo)_11 for f = x\n"
+            "  e_12: d_11' = 0\n"
+            "  e_11: c_10' = d_11\n"
+            "  e_10: d_9' + 11*f*d_11 = f'*c_10\n"
+            "  e_9: c_8' + 10*f*c_10 = d_9\n"
+            "  e_8: d_7' + 9*f*d_9 = f'*c_8\n"
+            "  e_7: c_6' + 8*f*c_8 = d_7\n"
+            "  e_6: d_5' + 7*f*d_7 = f'*c_6\n"
+            "  e_5: c_4' + 6*f*c_6 = d_5\n"
+            "  e_4: d_3' + 5*f*d_5 = f'*c_4\n"
+            "  e_3: c_2' + 4*f*c_4 = d_3\n"
+            "  e_2: d_1' + 3*f*d_3 = f'*c_2\n"
+            "  e_1: c_0' + 2*f*c_2 = d_1\n"
+            "  e_0: f*d_1 = f'*c_0\n"
+            "dimension = 6\n"
+            "forced zero: none\n"
+            "basis[0]: c_0 = -x^11, c_10 = x, c_2 = 5*x^9, c_4 = -10*x^7, c_6 = 10*x^5, c_8 = -5*x^3, "
+            "d_1 = -x^10, d_11 = 1, d_3 = 5*x^8, d_5 = -10*x^6, d_7 = 10*x^4, d_9 = -5*x^2\n"
+            "basis[1]: c_0 = x^9, c_10 = 0, c_2 = -4*x^7, c_4 = 6*x^5, c_6 = -4*x^3, c_8 = x, "
+            "d_1 = x^8, d_11 = 0, d_3 = -4*x^6, d_5 = 6*x^4, d_7 = -4*x^2, d_9 = 1\n"
+            "basis[2]: c_0 = -x^7, c_10 = 0, c_2 = 3*x^5, c_4 = -3*x^3, c_6 = x, c_8 = 0, "
+            "d_1 = -x^6, d_11 = 0, d_3 = 3*x^4, d_5 = -3*x^2, d_7 = 1, d_9 = 0\n"
+            "basis[3]: c_0 = x^5, c_10 = 0, c_2 = -2*x^3, c_4 = x, c_6 = 0, c_8 = 0, "
+            "d_1 = x^4, d_11 = 0, d_3 = -2*x^2, d_5 = 1, d_7 = 0, d_9 = 0\n"
+            "basis[4]: c_0 = -x^3, c_10 = 0, c_2 = x, c_4 = 0, c_6 = 0, c_8 = 0, "
+            "d_1 = -x^2, d_11 = 0, d_3 = 1, d_5 = 0, d_7 = 0, d_9 = 0\n"
+            "basis[5]: c_0 = x, c_10 = 0, c_2 = 0, c_4 = 0, c_6 = 0, c_8 = 0, "
+            "d_1 = 1, d_11 = 0, d_3 = 0, d_5 = 0, d_7 = 0, d_9 = 0\n"
         )
 
     def test_h_decompose_text(self, capsys):

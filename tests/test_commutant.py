@@ -28,7 +28,7 @@ from newtcomm import (
 from newtcomm import commutant
 from newtcomm.commutant import _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
-from newtcomm.parity import KINDS, _space_at, build_system, solve_system
+from newtcomm.parity import KINDS, _space_at, build_system, coefficient, solve_system
 
 import recurrence_oracle
 from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
@@ -111,9 +111,7 @@ def test_matches_matching_oracle(f_text):
             system = build_system(kind, m, f)
             got, want = solve_system(system), matching_system(system)
             assert got.dimension == want.dimension, (kind, m)
-            assert [{k: str(p) for k, p in b.items()} for b in got.basis] == [
-                {k: str(p) for k, p in b.items()} for b in want.basis
-            ], (kind, m)
+            assert [str(g) for g in got.basis] == [str(g) for g in want.basis], (kind, m)
             assert got.forced == want.forced, (kind, m)
 
 
@@ -151,6 +149,19 @@ def test_integrator_matches_recurrence_oracle_at_M_25(f_text):
     f = parse_unipoly(f_text)
     for c_parity in (0, 1):
         assert _integrate_half(f, 25, c_parity) == recurrence_oracle._integrate_half(f, 25, c_parity)
+
+
+@pytest.mark.parametrize("f_text", ["x^2", "x^3 - x", DEGREE_9_F, "x", "0"])
+def test_commutant_is_the_union_of_the_halves(f_text):
+    """solve_commutant(f, M) is the bases of the two parity systems of
+    y-degree M, merged by leading unknown: index descending, c before d."""
+    f = parse_unipoly(f_text)
+    for M in range(2, 10):
+        systems = [build_system(kind, M, f) for kind in (KINDS[:2] if M % 2 else KINDS[2:])]
+        order = sorted((n for s in systems for n in s.unknowns), key=lambda n: (-int(n[2:]), n))
+        merged = sorted((g for s in systems for g in solve_system(s).basis),
+                        key=lambda g: next(k for k, n in enumerate(order) if coefficient(g, n)))
+        assert solve_commutant(f, M).basis == tuple(merged), M
 
 
 def _assert_prefixes(f: UniPoly, M: int) -> None:

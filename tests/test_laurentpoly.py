@@ -115,6 +115,20 @@ class TestLaurentBiPoly:
         with pytest.raises(RingMismatch):
             LaurentBiPoly(2, [LaurentPoly.term(3, 1)])
 
+    @pytest.mark.parametrize("build", [
+        LaurentBiPoly.zero, LaurentBiPoly.one, LaurentBiPoly.x,
+        lambda: LaurentBiPoly.from_uni(UniPoly.x()), lambda: LaurentBiPoly.monomial(1, 1),
+    ], ids=["zero", "one", "x", "from_uni", "monomial"])
+    def test_inherited_constructors_raise(self, build):
+        """BiPoly's constructors declare no root index, so on the Laurent
+        ring they raise instead of building a value with a malformed t."""
+        with pytest.raises((TypeError, InvalidInput)):
+            build()
+
+    def test_root_index_is_checked(self):
+        with pytest.raises(InvalidInput):
+            LaurentBiPoly(0)
+
     def test_arithmetic_and_calculus(self):
         t = 3
         r = LaurentBiPoly(t, [LaurentPoly.term(t, -2, Fraction(3)),
