@@ -13,7 +13,10 @@ The numeric half integrates the flow of d and checks the rectifying map
     F2 = int_{x0}^{x} -f2/Delta dr + int_{y0}^{y} f1(x0,s)/Delta(x0,s) ds
 
 (Delta = f1 g2 - f2 g1 for d = (f1, f2), delta = (g1, g2)) against the
-identity F(x(t), y(t)) = (t, 0) along the trajectory.
+identity F(x(t), y(t)) = (t, 0) along the trajectory.  A check evaluates
+polynomials ~10^5 times, so each is compiled once to straight-line Horner
+code with a Horner loop's float operations in the loop's order: no loop
+runs per call, and every float comes out as the loop gave it.
 """
 
 from __future__ import annotations
@@ -127,29 +130,38 @@ def companion_for_linear(d: PlanarDerivation) -> LinearizationResult:
 
 # ------------------------------------------------------------------ numerics
 
+def _float(q: Fraction, what: str) -> float:
+    """q as the nearest float (int / int rounds correctly), or InvalidInput."""
+    try:
+        return q.numerator / q.denominator
+    except OverflowError:
+        raise InvalidInput(f"{what} {q} is outside the float range") from None
+
+
 def _float_rows(p: BiPoly) -> list[list[float]]:
     """y-coefficients as float lists in x; a Laurent value, whose lists are
     in z = x^(1/t) from a z-shift, raises RingMismatch."""
     if isinstance(p, LaurentBiPoly):
         raise RingMismatch(f"float evaluation is an operation of Q[x, y], "
                            f"not of {ring_name(p.t, with_y=True)}")
-    return [[n / u._d for n in u._n] for u in p.ycoeffs]  # int / int rounds correctly
+    return [[_float(c, "coefficient") for c in u.coeffs] for u in p.ycoeffs]
 
 
 def compile_evaluator(p: BiPoly) -> Callable[[float, float], float]:
-    """A float-only evaluator of p, Horner in both variables."""
-    rows = _float_rows(p)
-
-    def ev(xv: float, yv: float) -> float:
-        total = 0.0
-        for row in reversed(rows):
-            acc = 0.0
-            for cf in reversed(row):
-                acc = acc * xv + cf
-            total = total * yv + acc
-        return total
-
-    return ev
+    """A float-only evaluator of p, Horner in both variables, compiled once
+    to straight-line source: `a = a * x + c` per coefficient, where c is the
+    repr of a float (exact on reading back, and the only text spliced in),
+    and `t = t * y + a` per y-row.  These are the nested Horner loop's IEEE
+    operations in its order, so every result, inf, NaN and -0.0 included,
+    is bit-identical to the loop's, without its cost per call.  Statements,
+    not one nested expression, keep the parser's nesting limit away."""
+    lines = ["def ev(x, y):", "    t = 0.0"]
+    for row in reversed(_float_rows(p)):
+        lines += ["    a = 0.0", *(f"    a = a * x + {cf!r}" for cf in reversed(row)),
+                  "    t = t * y + a"]
+    namespace: dict = {}
+    exec("\n".join(lines + ["    return t"]), namespace)
+    return namespace["ev"]
 
 
 def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
@@ -159,22 +171,21 @@ def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
         raise InvalidInput("steps must be >= 1")
     if not math.isfinite(t_end):
         raise InvalidInput(f"t_end must be finite, got {t_end}")
-    fx = compile_evaluator(d.act_x)
-    fy = compile_evaluator(d.act_y)
+    fx, fy = compile_evaluator(d.act_x), compile_evaluator(d.act_y)
     h = t_end / steps
-    t, xv, yv = 0.0, float(x0), float(y0)
-    out = [(t, xv, yv)]
+    xv, yv = float(x0), float(y0)
+    out = [(0.0, xv, yv)]
     for i in range(steps):
         k1x, k1y = fx(xv, yv), fy(xv, yv)
-        k2x = fx(xv + 0.5 * h * k1x, yv + 0.5 * h * k1y)
-        k2y = fy(xv + 0.5 * h * k1x, yv + 0.5 * h * k1y)
-        k3x = fx(xv + 0.5 * h * k2x, yv + 0.5 * h * k2y)
-        k3y = fy(xv + 0.5 * h * k2x, yv + 0.5 * h * k2y)
-        k4x, k4y = fx(xv + h * k3x, yv + h * k3y), fy(xv + h * k3x, yv + h * k3y)
+        xa, ya = xv + 0.5 * h * k1x, yv + 0.5 * h * k1y
+        k2x, k2y = fx(xa, ya), fy(xa, ya)
+        xa, ya = xv + 0.5 * h * k2x, yv + 0.5 * h * k2y
+        k3x, k3y = fx(xa, ya), fy(xa, ya)
+        xa, ya = xv + h * k3x, yv + h * k3y
+        k4x, k4y = fx(xa, ya), fy(xa, ya)
         xv += h / 6.0 * (k1x + 2 * k2x + 2 * k3x + k4x)
         yv += h / 6.0 * (k1y + 2 * k2y + 2 * k3y + k4y)
-        t = (i + 1) * h
-        out.append((t, xv, yv))
+        out.append(((i + 1) * h, xv, yv))
     return out
 
 
@@ -213,11 +224,8 @@ class FlowCheckReport:
 
     @property
     def passed(self) -> bool:
-        ok = math.isfinite(self.max_defect) and self.max_defect < self.tolerance
-        if self.trajectory_error is not None:
-            ok = ok and math.isfinite(self.trajectory_error) \
-                and self.trajectory_error < self.tolerance
-        return ok
+        return all(math.isfinite(e) and e < self.tolerance
+                   for e in (self.max_defect, self.trajectory_error) if e is not None)
 
 
 # Delta evaluations one rectification_defect call may spend on quadrature;
@@ -228,16 +236,10 @@ TOLERANCE = 1e-6  # largest defect (and trajectory error) that passes
 CHECKPOINTS = 33  # trajectory points, evenly spaced in steps, where F is checked
 
 
-def rectification_defect(
-    d: PlanarDerivation,
-    delta: PlanarDerivation,
-    x0: Fraction | int,
-    y0: Fraction | int,
-    t_end: float,
-    steps: int,
-    *,
-    reference: Callable[[float], tuple[float, float]] | None = None,
-) -> FlowCheckReport:
+def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
+                         x0: Fraction | int, y0: Fraction | int, t_end: float, steps: int,
+                         *, reference: Callable[[float], tuple[float, float]] | None = None,
+                         ) -> FlowCheckReport:
     """max |F(x(t), y(t)) - (t, 0)| along the numeric flow of d.
 
     The bracket hypothesis is checked exactly, transversality exactly at
@@ -249,15 +251,13 @@ def rectification_defect(
     if not d.bracket(delta).is_zero:
         raise HypothesisViolation("derivations do not commute")
     x0, y0 = Fraction(x0), Fraction(y0)
+    x0f, y0f = _float(x0, "x0"), _float(y0, "y0")
     delta_poly = d.act_x * delta.act_y - d.act_y * delta.act_x
     if delta_poly.evaluate(x0, y0) == 0:
         raise SingularDelta(f"Delta vanishes at ({x0}, {y0})")
 
-    f1 = compile_evaluator(d.act_x)
-    f2 = compile_evaluator(d.act_y)
-    g1 = compile_evaluator(delta.act_x)
-    g2 = compile_evaluator(delta.act_y)
-    dl = compile_evaluator(delta_poly)
+    f1, f2, g1, g2, dl = map(compile_evaluator, (d.act_x, d.act_y, delta.act_x,
+                                                 delta.act_y, delta_poly))
 
     evals = 0
 
@@ -282,8 +282,7 @@ def rectification_defect(
                 or min(abs(v) for v in samples) < 1e-9 * scale:
             raise SingularDelta("Delta vanishes along the integration path")
 
-    traj = rk4_flow(d, float(x0), float(y0), t_end, steps)
-    x0f, y0f = float(x0), float(y0)
+    traj = rk4_flow(d, x0f, y0f, t_end, steps)
 
     traj_err: float | None = None
     if reference is not None:
@@ -316,10 +315,8 @@ def example_fixture() -> tuple[PlanarDerivation, PlanarDerivation,
                                Callable[[float, float, float], tuple[float, float]]]:
     """The divergence-free pair d = (1+x^2, -2xy), delta = (0, y) and the
     closed-form flow x(t) = tan(t + atan x0), y(t) = y0 (1+x0^2) cos^2(...)."""
-    d = PlanarDerivation(
-        BiPoly.one() + BiPoly.x() * BiPoly.x(),
-        BiPoly.monomial(1, 1, Fraction(-2)),
-    )
+    d = PlanarDerivation(BiPoly.one() + BiPoly.x() * BiPoly.x(),
+                         BiPoly.monomial(1, 1, Fraction(-2)))
     delta = PlanarDerivation(BiPoly.zero(), BiPoly.y())
 
     def evaluator(t: float, x0: float = 0.0, y0: float = 1.0) -> tuple[float, float]:

@@ -113,6 +113,17 @@ class TestExitCodes:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("flag", ["--dx", "--x0"])
+    def test_value_beyond_the_float_range_is_two(self, capsys, flag):
+        # 10^400 has no float: an input error naming the value, not a traceback
+        argv = {"--dx": "1", "--dy": "0", "--gx": "0", "--gy": "1",
+                "--x0": "0", "--y0": "0", "--t-end": "1.0", "--steps": "4"}
+        argv[flag] = "1" + "0" * 400
+        code, _, err = run(capsys, "flow-check", *(w for kv in argv.items() for w in kv))
+        assert code == 2
+        what = "coefficient" if flag == "--dx" else "x0"
+        assert err == f"error: {what} 1{'0' * 400} is outside the float range\n"
+
 
 class TestJsonOutput:
     def test_commutant_json_shape(self, capsys):
@@ -458,6 +469,29 @@ class TestGoldenOutput:
             "q": "H",
             "q_coeffs": ["0", "1"],
         }, indent=2, sort_keys=True) + "\n"
+
+    def test_flow_check_json(self, capsys):
+        # the README example; every float is the IEEE result of a fixed
+        # sequence of operations, so its digits are pinned exactly
+        code, out, _ = run(
+            capsys,
+            "flow-check",
+            "--dx", "1 + x^2", "--dy=-2*x*y",
+            "--gx", "0", "--gy", "y",
+            "--x0", "0", "--y0", "1",
+            "--t-end", "1.0", "--steps", "10000",
+            "--json",
+        )
+        assert code == 0
+        assert out == (
+            '{\n'
+            '  "max_defect": 1.112155922911029e-10,\n'
+            '  "passed": true,\n'
+            '  "steps": 10000,\n'
+            '  "tolerance": 1e-06,\n'
+            '  "trajectory_error": null\n'
+            '}\n'
+        )
 
 
 class TestHumanOutput:

@@ -4,6 +4,7 @@ import math
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from newtcomm import (
     HypothesisViolation,
@@ -26,6 +27,7 @@ from newtcomm import (
 )
 from newtcomm import flows
 
+from evaluator_oracle import loop_evaluator
 from strategies import bipolys
 
 
@@ -158,8 +160,10 @@ class TestRectification:
         assert report.trajectory_error is not None
         assert report.trajectory_error < 1e-6
         # the defect path uses IEEE arithmetic only, so its value is
-        # reproducible; it moves if the checkpoints or the quadrature do
-        assert report.max_defect == pytest.approx(1.112155922911029e-10, rel=1e-6)
+        # reproducible; it moves if the checkpoints, the quadrature or the
+        # order of any float operation do
+        assert report.max_defect == 1.112155922911029e-10
+        assert report.trajectory_error == 2.886579864025407e-15
 
     def test_hyperbolic_pair_before_the_singularity(self):
         # d = (y, x) flowing from (2, 1) stays clear of |y| = |x| until
@@ -214,3 +218,53 @@ def test_float_rows_of_a_fractional_bipoly():
     rows = flows._float_rows(p)
     assert rows == [[float(c) for c in u.coeffs] for u in p.ycoeffs]
     assert rows[1][2] == 1 / 3
+
+
+def test_float_rows_name_a_coefficient_beyond_the_float_range():
+    with pytest.raises(InvalidInput, match=r"^coefficient -10{400} is outside the float range$"):
+        flows._float_rows(parse_bipoly("x - 1" + "0" * 400))
+
+
+def test_base_point_beyond_the_float_range_is_named():
+    d, delta, _ = example_fixture()
+    with pytest.raises(InvalidInput, match=r"^y0 10{400} is outside the float range$"):
+        rectification_defect(d, delta, 0, 10 ** 400, 1.0, 10)
+
+
+def _same_float(a: float, b: float) -> bool:
+    """a and b are the same double: equal with the same sign, or both NaN."""
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return a == b and math.copysign(1.0, a) == math.copysign(1.0, b)
+
+
+SPECIAL_POINTS = (0.0, -0.0, 1.0, -1.0, 0.5, math.inf, -math.inf, math.nan,
+                  1e300, -1e300, 5e-324)
+
+
+class TestCompiledEvaluator:
+    """compile_evaluator gives the nested loop's float, bit for bit."""
+
+    @given(bipolys(max_ydeg=4, max_xdeg=4), st.floats(), st.floats())
+    def test_matches_the_loop(self, p, x, y):
+        assert _same_float(flows.compile_evaluator(p)(x, y), loop_evaluator(p)(x, y))
+
+    @pytest.mark.parametrize("text", ["0", "1", "-x", "x*y - 1/3",
+                                      "1/3*x^2*y - 7/10*x + 2/7*y^2 + 1/49 - 5/3*x^3*y^2",
+                                      "y^3", "x^3"])
+    def test_special_points(self, text):
+        p = parse_bipoly(text)
+        ev, oracle = flows.compile_evaluator(p), loop_evaluator(p)
+        for x in SPECIAL_POINTS:
+            for y in SPECIAL_POINTS:
+                assert _same_float(ev(x, y), oracle(x, y)), (text, x, y)
+
+    @pytest.mark.parametrize("var", ["x", "y"])
+    def test_high_degree(self, var):
+        # one nested expression per polynomial would pass the parser's
+        # nesting limit long before 450 coefficients
+        p = parse_bipoly(" + ".join(f"{(-1) ** k * (k + 1)}/{k + 2}*{var}^{k}"
+                                    for k in range(450)))
+        ev, oracle = flows.compile_evaluator(p), loop_evaluator(p)
+        for v in (0.5, -0.999, 1.0001, -1.0, 2.0, math.inf, math.nan, -0.0):
+            assert _same_float(ev(v, v), oracle(v, v)), v
