@@ -58,7 +58,7 @@ from fractions import Fraction
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
 from .linsolve import nullspace
-from .poly import BiPoly, UniPoly, _convolve, _grid, _integrate, _lincomb, as_unipoly
+from .poly import BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb, as_unipoly
 
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]:
@@ -77,11 +77,11 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]
     f = F / d_f and f' = F' / d_f are cleared once; a right-hand side is one
     or two integer convolutions added over the lcm of their denominators, and
     _integrate keeps each u_i in lowest terms.  Fractions are built only for
-    the level-0 rows handed to nullspace; each basis polynomial is stored
-    straight from its (numerators, denominator), the c_i in act_x and the d_i
-    in act_y of one derivation, which is 0 at the other half's indices.
+    the level-0 rows handed to nullspace; each basis element is stored
+    straight from the pairs, the c_i as the y-rows of act_x and the d_i as
+    those of act_y over one lcm, each empty at the other half's indices.
     """
-    df, F = _grid(f._rows(), 0, 0)  # (place, numerator) pairs: f = F / df
+    F, df = _grid(f._rows, 0, 0), f._d  # (place, numerator) pairs: f = F / df
     FP = [(i - 1, i * n) for i, n in F if i]  # f' = FP / df
     deg = f.degree
 
@@ -105,13 +105,13 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]
     rows = [{k: Fraction(nums[s], d) for k, (nums, d) in enumerate(residuals)
              if s < len(nums) and nums[s]}
             for s in range(max(len(nums) for nums, _ in residuals))]
-    zero, is_c = UniPoly.zero(), [i % 2 == c_parity for i in range(m + 1)]
+    is_c = [i % 2 == c_parity for i in range(m + 1)]
     basis = []
     for omega in nullspace(rows, m + 1):
-        u = [UniPoly._make(1, 0, *_lincomb([(w, *runs[k][i]) for k, w in omega.items()]))
-             for i in range(m + 1)]
-        basis.append(PlanarDerivation(BiPoly([q if c else zero for q, c in zip(u, is_c)]),
-                                      BiPoly([zero if c else q for q, c in zip(u, is_c)])))
+        u = [_lincomb([(w, *runs[k][i]) for k, w in omega.items()]) for i in range(m + 1)]
+        basis.append(PlanarDerivation(*(
+            BiPoly._make(1, *_common([(0, *q) if c == half else (0, [], 1)
+                                      for q, c in zip(u, is_c)])) for half in (True, False))))
     return basis
 
 

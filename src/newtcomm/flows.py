@@ -215,6 +215,11 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
     return recurse(a, b, fa, fm, fb, whole, tol, 48)
 
 
+def _worst(errors: list[float]) -> float:
+    """The largest error, NaN if any is (max drops a NaN it does not see first)."""
+    return math.nan if any(map(math.isnan, errors)) else max(errors)
+
+
 @dataclass(frozen=True)
 class FlowCheckReport:
     max_defect: float
@@ -243,8 +248,9 @@ def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
     """max |F(x(t), y(t)) - (t, 0)| along the numeric flow of d.
 
     The bracket hypothesis is checked exactly, transversality exactly at
-    (x0, y0); vanishing of Delta encountered during quadrature, or more
-    than QUAD_EVAL_BUDGET evaluations of it, raises SingularDelta.
+    (x0, y0).  A trajectory that leaves the float range, vanishing of Delta
+    encountered during quadrature, or more than QUAD_EVAL_BUDGET
+    evaluations of it, raises SingularDelta.
     trajectory_error is filled when a reference solution
     t -> (x, y) is supplied.
     """
@@ -283,17 +289,24 @@ def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
             raise SingularDelta("Delta vanishes along the integration path")
 
     traj = rk4_flow(d, x0f, y0f, t_end, steps)
+    # RK4 keeps an inf or NaN coordinate non-finite: the last sample tells for all
+    if not (math.isfinite(traj[-1][1]) and math.isfinite(traj[-1][2])):
+        i, t = next((i, t) for i, (t, xv, yv) in enumerate(traj)
+                    if not (math.isfinite(xv) and math.isfinite(yv)))
+        raise SingularDelta(f"the trajectory leaves the float range at RK4 step "
+                            f"{i} of {steps} (t = {t:g})")
 
     traj_err: float | None = None
     if reference is not None:
-        traj_err = 0.0
+        gaps = [0.0]
         for t, xv, yv in traj:
             rx, ry = reference(t)
-            traj_err = max(traj_err, abs(xv - rx), abs(yv - ry))
+            gaps += (abs(xv - rx), abs(yv - ry))
+        traj_err = _worst(gaps)
 
     marks = sorted({round(i * steps / (CHECKPOINTS - 1))
                     for i in range(CHECKPOINTS)} | {0, steps})
-    max_defect = 0.0
+    defects = [0.0]
     for idx in marks:
         t, xv, yv = traj[idx]
         scan(x0f, y0f, yv, vertical=True)
@@ -306,8 +319,8 @@ def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
                               x0f, xv, QUAD_TOL) \
             + adaptive_simpson(lambda s: f1(x0f, s) / guard(dl(x0f, s)),
                                y0f, yv, QUAD_TOL)
-        max_defect = max(max_defect, abs(F1 - t), abs(F2))
-    return FlowCheckReport(max_defect=max_defect, trajectory_error=traj_err,
+        defects += (abs(F1 - t), abs(F2))
+    return FlowCheckReport(max_defect=_worst(defects), trajectory_error=traj_err,
                            steps=steps, tolerance=TOLERANCE)
 
 

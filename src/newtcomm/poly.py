@@ -1,37 +1,33 @@
 """Exact polynomial arithmetic over Q: one kernel for Q[x] and the Laurent rings.
 
-A univariate value is sum_i (_n[i] / _d) * z^(shift + i) with z = x^(1/t);
-its ring is t plus whether negative exponents are allowed.  ``UniPoly`` is
-Q[x] (t = 1, shift = 0, so _n[i] / _d is the coefficient of x^i).
-``LaurentPoly`` is Q[x^(1/t), x^(-1/t)]; its values start at their lowest
-term, so a monomial is O(1) in size.  ``BiPoly`` is a polynomial in y over
-one of those rings (recursive dense: computations downstream group terms by
-powers of y).  Both levels share one dense +, -, * and **; the Laurent
-classes add only constructors and ``LaurentPoly.to_unipoly``.  Beyond the
-ring operations the kernel keeps what the computations read: d/dx, d/dy,
-the integral in x, exact division by y, evaluation and printing.  Mixing
-rings (a different t, or Q[x] with a Laurent ring) raises ``RingMismatch``;
-scalars are coerced into the other operand's ring.
+Every value is a polynomial in y over Q[x] (``BiPoly``) or over
+Q[x^(1/t), x^(-1/t)] (``LaurentBiPoly``), read in z = x^(1/t); ``UniPoly``
+and ``LaurentPoly`` are their y-free rings.  All four share one dense +, -,
+* and **, d/dx, the integral in x and printing; the Laurent classes add
+only constructors and ``LaurentPoly.to_unipoly``.  The kernel also keeps
+d/dy, exact division by y and evaluation.  Mixing rings raises
+``RingMismatch``; scalars, and a y-free value of the coefficient ring, are
+coerced into the other operand's ring.
 
-Storage is the form of FLINT's fmpq_poly: a tuple _n of int numerators over
-one denominator _d > 0, in lowest terms (gcd(_d, *_n) == 1), with no
-trailing zero numerator and, in a Laurent ring, no leading one; zero is
-((), 1).  The form is canonical, so == and hash are structural.
-``coeffs``, ``coeff``, ``lc`` and ``terms`` read it as Fractions, built on
-access.  A BiPoly keeps its y-coefficients in _n over _d = 1, so the ring
-operations below serve both levels.
+Storage is one form, FLINT's fmpq_poly laid out in y-rows: _rows is a tuple
+of (z-shift, int numerators), row i the coefficient of y^i, all over one
+denominator _d > 0 in lowest terms (gcd(_d, every numerator) == 1).  A row
+has no trailing zero numerator; in Q[x] its shift is 0, in a Laurent ring
+it has no leading zero either (a monomial is O(1) in size), and an empty
+row is (0, ()).  No row trails empty, and zero is ((), 1).  A univariate
+value is the case of at most one row, read through ``shift`` and ``_n``.
+The form is canonical, so == and hash are structural, also between a
+y-free BiPoly and the univariate value it equals.  ``coeffs``, ``coeff``,
+``lc``, ``terms``, ``ycoeffs`` and ``ycoeff`` are views built on access.
 
-A sum is one aligned integer sum over lcm(da, db).  A product reads each
-operand as y-rows (z-shift, numerators, denominator): one row for a
-univariate value, one per y-coefficient of a BiPoly.  The rows are scaled to
-integers over the lcm of their denominators, the two integer grids are
-convolved over (y, z) in one pass (_convolve), and each output row is stored
-over da * db.  The commutant integrator runs on the same integer form
-through _convolve, _lincomb and _integrate.  Two rules spare tiny operands
-the lcm set-up: when an operand has one coefficient in its dense variable,
-the product is the other operand scaled and shifted (scalars take this path
-once coerced); and a value with one nonzero term c*v^e has n-th power
-c^n*v^(e*n), negative n included for a Laurent monomial.
+A sum is one aligned integer sum per row over lcm(da, db).  A product lays
+both operands out in row-major (y, z) integer grids, convolves them in one
+pass (_convolve) and stores the result over da * db; the commutant
+integrator runs on the same integers through _convolve, _lincomb and
+_integrate.  Two rules spare tiny operands the grid: an operand that is one
+term c*z^e*y^i stored as one numerator (a scalar is one; in Q[x], e = 0)
+scales and shifts the other; and a value with one nonzero term has n-th
+power c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial.
 
 Values are immutable after construction and safe to share across threads.
 The degree of the zero polynomial is ``NEG_INF``, which compares below
@@ -50,6 +46,7 @@ from .errors import InvalidInput, NotDivisible, RingMismatch
 NEG_INF = float("-inf")
 
 _ZERO = Fraction(0)
+_EMPTY = (0, ())  # the normal form of a zero y-row
 
 
 def _exact(v):
@@ -65,6 +62,12 @@ def _clear(cs: list) -> tuple[list, int]:
     """Exact scalars as integer numerators over the lcm of their denominators."""
     d = lcm(*[c.denominator for c in cs])
     return [c.numerator * (d // c.denominator) for c in cs], d
+
+
+def _common(rows) -> tuple[list, int]:
+    """Rows (z-shift, numerators, denominator) over the lcm of the denominators."""
+    d = lcm(*[dr for _, _, dr in rows])
+    return [(s, ns if dr == d else [n * (d // dr) for n in ns]) for s, ns, dr in rows], d
 
 
 def _root_index(t) -> int:
@@ -106,9 +109,11 @@ def _ring_name(p) -> str:
     return ring_name(p.t if p._laurent else None, isinstance(p, BiPoly))
 
 
-def _aligned_sum(sa: int, a, sb: int, b) -> tuple[int, list]:
-    """v^sa * a + v^sb * b for dense coefficient sequences a and b, as
-    (lowest exponent, coefficients); only overlapping entries are added."""
+def _aligned_sum(ra, rb) -> tuple[int, list]:
+    """The sum of the rows (sa, a) and (sb, b), z^sa * a + z^sb * b for dense
+    coefficient sequences a and b, as (lowest exponent, coefficients); only
+    overlapping entries are added."""
+    (sa, a), (sb, b) = ra, rb
     if sa > sb:
         sa, a, sb, b = sb, b, sa, a
     off = sb - sa
@@ -119,51 +124,21 @@ def _aligned_sum(sa: int, a, sb: int, b) -> tuple[int, list]:
     return sa, [*a[:off], *map(add, rest, b), *tail]
 
 
-# -- ring operations -------------------------------------------------
-# A UniPoly or BiPoly value is sum _n[i] * v^(shift+i) / _d in its dense
-# variable v (z or y).  Both classes bind these functions by name rather
-# than inherit them, so that each class's own namespace holds its operators
-# (perfbench/tracing.py wraps them there).
-
-def _add(self, other):
-    o = self._coerce(other)
-    if o is None:
-        return NotImplemented
-    a, da, b, db = self._n, self._d, o._n, o._d
-    if da != db:  # both over lcm(da, db)
-        d = lcm(da, db)
-        a, b, da = [n * (d // da) for n in a], [n * (d // db) for n in b], d
-    return self._make(self.t, *_aligned_sum(self.shift, a, o.shift, b), da)
-
-
-def _neg(self):
-    return self._make(self.t, self.shift, [-c for c in self._n], self._d)
-
-
-def _sub(self, other):
-    o = self._coerce(other)
-    if o is None:
-        return NotImplemented
-    return self + (-o)
-
-
-def _rsub(self, other):
-    return (-self) + other
+def _scaled(rows, k: int):
+    return rows if k == 1 else [(s, [n * k for n in ns]) for s, ns in rows]
 
 
 def _span(rows) -> tuple[int, int]:
     """Lowest z-exponent and one past the highest over the nonzero y-rows."""
-    live = [(s, s + len(ns)) for s, ns, _ in rows if ns]
+    live = [(s, s + len(ns)) for s, ns in rows if ns]
     return min(lo for lo, _ in live), max(hi for _, hi in live)
 
 
-def _grid(rows, lo: int, width: int) -> tuple[int, list]:
-    """The y-rows (shift, numerators, denominator) over one denominator: the
-    lcm of the row denominators and the nonzero numerators rescaled to it,
-    each keyed by its place y * width + z - lo in a row-major grid."""
-    den = lcm(*[d for _, _, d in rows])
-    return den, [(y * width + s - lo + i, n * (den // d))
-                 for y, (s, ns, d) in enumerate(rows) for i, n in enumerate(ns) if n]
+def _grid(rows, lo: int, width: int) -> list:
+    """The nonzero numerators of the y-rows (z-shift, numerators), each keyed
+    by its place y * width + z - lo in a row-major grid."""
+    return [(y * width + s - lo + i, n)
+            for y, (s, ns) in enumerate(rows) for i, n in enumerate(ns) if n]
 
 
 def _convolve(ga, gb: list, size: int) -> list:
@@ -191,41 +166,85 @@ def _lincomb(terms) -> tuple[list, int]:
     return out, den
 
 
+def _antiderivative(nums, L: int) -> list:
+    """L times the antiderivative, constant term 0, of sum nums[i] x^i, for
+    L a multiple of lcm(1..len(nums)): coefficient i divides exactly by i+1."""
+    return [0, *(n * (L // i) for i, n in enumerate(nums, 1))]
+
+
 def _integrate(nums: list, den: int) -> tuple[list, int]:
     """The antiderivative, constant term 0, of sum nums[i] x^i / den in lowest
-    terms: scaled by L = lcm(1..n), coefficient i divided exactly by i+1,
-    then one gcd normalisation."""
+    terms: scaled by L = lcm(1..n), then one gcd normalisation."""
     L = lcm(*range(1, len(nums) + 1))
-    out = [0, *(n * (L // i) for i, n in enumerate(nums, 1))]
+    out = _antiderivative(nums, L)
     g = gcd(den * L, *out)
     return [n // g for n in out], den * L // g
+
+
+# -- ring operations -------------------------------------------------
+# Every class binds these functions by name rather than inherit them, so
+# that each class's own namespace holds its operators (perfbench/tracing.py
+# wraps them there).
+
+def _add(self, other):
+    o = self._coerce(other)
+    if o is None:
+        return NotImplemented
+    a, b, d = self._rows, o._rows, self._d
+    if d != o._d:  # both over lcm(da, db)
+        d = lcm(d, o._d)
+        a, b = _scaled(a, d // self._d), _scaled(b, d // o._d)
+    if len(a) < len(b):
+        a, b = b, a
+    rows = list(map(_aligned_sum, a, b))
+    if len(a) > len(b):
+        rows += a[len(b):]
+    return self._make(self.t, rows, d)
+
+
+def _neg(self):
+    return self._make(self.t, [(s, [-n for n in ns]) for s, ns in self._rows], self._d)
+
+
+def _sub(self, other):
+    return self + (-other)
+
+
+def _rsub(self, other):
+    return (-self) + other
 
 
 def _mul(self, other):
     o = self._coerce(other)
     if o is None:
         return NotImplemented
-    a, b = self._n, o._n
+    a, b, d = self._rows, o._rows, self._d * o._d
     if not a or not b:
-        return self._make(self.t, 0, [])
-    if len(a) == 1 or len(b) == 1:  # one coefficient: scale the other and shift
-        cs = [c * b[0] for c in a] if len(b) == 1 else [a[0] * c for c in b]
-        return self._make(self.t, self.shift + o.shift, cs, self._d * o._d)
-    ra, rb = self._rows(), o._rows()
-    (la, ha), (lb, hb) = _span(ra), _span(rb)
+        return self._make(self.t, [], 1)
+    if len(a[-1][1]) == 1 and (len(a) == 1 or not any([ns for _, ns in a[:-1]])):
+        a, b = b, a
+    if len(b[-1][1]) == 1 and (len(b) == 1 or not any([ns for _, ns in b[:-1]])):
+        s, (c,) = b[-1]  # b is one term c * z^s * y^i: scale a and shift it
+        return self._make(self.t, [_EMPTY] * (len(b) - 1)
+                          + [(r + s, [c * n for n in ns]) for r, ns in a], d)
+    (la, ha), (lb, hb) = _span(a), _span(b)
     width = ha - la + hb - lb - 1
-    (da, ga), (db, gb) = _grid(ra, la, width), _grid(rb, lb, width)
-    acc = _convolve(ga, gb, width * (len(ra) + len(rb) - 1))
-    return self._from_rows([(la + lb, acc[i:i + width], da * db)
-                            for i in range(0, len(acc), width)])
+    acc = _convolve(_grid(a, la, width), _grid(b, lb, width), width * (len(a) + len(b) - 1))
+    return self._make(self.t, [(la + lb, acc[i:i + width]) for i in range(0, len(acc), width)], d)
 
 
 def _power(self, n: int):
     if not isinstance(n, int) or (n < 0 and not self._laurent):
         raise InvalidInput("polynomial powers take non-negative integer exponents")
-    live = [i for i, c in enumerate(self._n) if c]
-    if len(live) == 1:  # one term c * v^e: its power is c^n * v^(e*n)
-        return self._term_power(live[0], n)
+    live = [(i, s + j, c) for i, (s, ns) in enumerate(self._rows) for j, c in enumerate(ns) if c]
+    if len(live) == 1:  # one term c * z^e * y^i: its power is c^n * z^(e*n) * y^(i*n)
+        (i, e, c), = live
+        if n < 0 and i:
+            raise InvalidInput("y has no negative powers")
+        c, d = (c, self._d) if n >= 0 else (self._d, c)
+        if d < 0:
+            c, d = -c, -d
+        return self._make(self.t, [_EMPTY] * (i * n) + [(e * n, [c ** abs(n)])], d ** abs(n))
     if n < 0:
         raise InvalidInput("negative powers only of monomials")
     result, base = self._coerce(1), self
@@ -240,23 +259,122 @@ def _power(self, n: int):
 class _Dense:
     """Immutable value in its ring's normal form (see _set)."""
 
-    __slots__ = ()
+    __slots__ = ("_rows", "_d")
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     @classmethod
-    def _make(cls, t: int, shift: int, nums: list, den: int = 1):
+    def _make(cls, t: int, rows: list, den: int = 1):
         p = object.__new__(cls)
-        p._set(t, shift, nums, den)
+        p._set(t, rows, den)
         return p
+
+    def _set(self, t: int, rows: list, den: int) -> None:
+        """Store sum_i y^i * sum_j ns[j] * z^(s+j) / den over the rows
+        (s, ns) = rows[i], den > 0, in normal form."""
+        laurent, out, g = self._laurent, [], den
+        for s, ns in rows:
+            hi = len(ns)
+            while hi and not ns[hi - 1]:
+                hi -= 1
+            if not hi:
+                out.append(_EMPTY)
+                continue
+            if laurent:
+                lo = 0
+                while not ns[lo]:
+                    lo += 1
+                row = (s + lo, tuple(ns[lo:hi]))
+            elif not s:
+                row = (0, tuple(ns) if hi == len(ns) else tuple(ns[:hi]))
+            else:  # s > 0 pads with zeros; s < 0 only from d/dx, which makes the dropped ones 0
+                row = (0, (0,) * s + tuple(ns[:hi]) if s > 0 else tuple(ns[-s:hi]))
+            if g != 1:
+                g = gcd(g, *row[1])
+            out.append(row)
+        while out and not out[-1][1]:
+            out.pop()
+        if g != 1:  # also when every row is empty: zero is stored over 1
+            out, den = [(s, tuple([n // g for n in ns])) for s, ns in out], den // g
+        if laurent:
+            object.__setattr__(self, "t", t)
+        _set_rows(self, tuple(out))
+        _set_d(self, den)
+
+    def _coerce(self, other):
+        """other as a value of this ring, or None if it is no ring value or
+        a bivariate one that self must be coerced into instead."""
+        if other.__class__ is self.__class__ and other.t == self.t:
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self._make(self.t, [(0, [other.numerator])], other.denominator)
+        if not isinstance(other, _Dense) or (isinstance(other, BiPoly)
+                                             and not isinstance(self, BiPoly)):
+            return None
+        if other._laurent == self._laurent and other.t == self.t:  # y-free: lift
+            return self._make(self.t, other._rows, other._d)
+        raise RingMismatch(f"mixed rings {_ring_name(self)} and {_ring_name(other)}")
+
+    def _polynomial_only(self, op: str) -> None:
+        """Refuse op on every value of a Laurent ring, zero included."""
+        if self._laurent:
+            ring = ring_name(None, isinstance(self, BiPoly))
+            raise RingMismatch(f"{op} is an operation of {ring}, not of {_ring_name(self)}")
 
     @property
     def is_zero(self) -> bool:
-        return not self._n
+        return not self._rows
 
     def __bool__(self):
-        return bool(self._n)
+        return bool(self._rows)
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return (self._d == other.denominator
+                    and self._rows == (((0, (other.numerator,)),) if other else ()))
+        if isinstance(other, _Dense):
+            return (other._laurent == self._laurent and other.t == self.t
+                    and other._rows == self._rows and other._d == self._d)
+        return NotImplemented
+
+    def __hash__(self):
+        r = self._rows
+        if len(r) < 2 and (not r or r[0][0] == 0 and len(r[0][1]) == 1):  # a scalar: hash like it
+            return hash(Fraction(r[0][1][0], self._d) if r else 0)
+        return hash((self.t, r, self._d))
+
+    # -- calculus and printing ---------------------------------------
+
+    def derivative(self):
+        """d/dx: z^e maps to (e/t) z^(e-t)."""
+        t = self.t
+        return self._make(t, [(s - t, [n * (s + i) for i, n in enumerate(ns)])
+                              for s, ns in self._rows], self._d * t)
+
+    dx = derivative
+
+    def integrate_dx(self):
+        """Antiderivative in x with zero constant term."""
+        self._polynomial_only("integrate_dx")
+        L = lcm(*range(1, max([len(ns) for _, ns in self._rows], default=0) + 1))
+        return self._make(1, [(0, _antiderivative(ns, L)) for _, ns in self._rows], self._d * L)
+
+    def _horner(self, ns, v):
+        acc = 0 * v  # keeps the caller's numeric type (Fraction or float)
+        for n in reversed(ns):
+            acc = acc * v + Fraction(n, self._d)
+        return acc
+
+    def to_text(self, xvar: str = "x", yvar: str = "y") -> str:
+        """The terms from the top y-power down, each row from its top term."""
+        t, d, parts = self.t, self._d, []
+        for i in range(len(self._rows) - 1, -1, -1):
+            (s, ns), ypart = self._rows[i], _exp_text(i, yvar)
+            parts += [(Fraction(n, d), "*".join(m for m in (_exp_text(Fraction(s + j, t), xvar),
+                                                            ypart) if m))
+                      for j in range(len(ns) - 1, -1, -1) if (n := ns[j])]
+        return _join_terms(parts)
 
     def __str__(self):
         return self.to_text()
@@ -266,75 +384,40 @@ class _Dense:
         return f"{type(self).__name__}[{ring}{self.to_text()}]"
 
 
-class UniPoly(_Dense):
-    """Polynomial in x over Q, dense: the univariate kernel of every ring."""
+# The slots' setters: cheaper than object.__setattr__, and every result passes _set
+_set_rows, _set_d = _Dense._rows.__set__, _Dense._d.__set__
 
-    __slots__ = ("_n", "_d")
+
+class UniPoly(_Dense):
+    """Polynomial in x over Q, dense: a value of at most one row."""
+
+    __slots__ = ()
     t = 1
-    shift = 0
     _laurent = False
-    _scalars = (int, Fraction)
 
     def __init__(self, coeffs: Iterable = ()):
-        self._set(1, 0, *_clear([_exact(c) for c in coeffs]))
+        nums, den = _clear([_exact(c) for c in coeffs])
+        self._set(1, [(0, nums)], den)
 
-    def _set(self, t: int, shift: int, nums: list, den: int) -> None:
-        """Store sum nums[i] * z^(shift+i) / den, den > 0, in normal form."""
-        lo, hi = 0, len(nums)
-        while hi and not nums[hi - 1]:
-            hi -= 1
-        if self._laurent:
-            while lo < hi and not nums[lo]:
-                lo += 1
-            object.__setattr__(self, "t", t)
-            object.__setattr__(self, "shift", shift + lo if hi else 0)
-            nums = nums[lo:hi]
-        elif shift < 0:  # only from derivative, where nums[0] = 0
-            nums = nums[-shift:hi]
-        else:
-            nums = [0] * shift + nums[:hi] if shift and hi else nums[:hi]
-        if den != 1 and (g := gcd(den, *nums)) != 1:
-            nums, den = [n // g for n in nums], den // g
-        object.__setattr__(self, "_n", tuple(nums))
-        object.__setattr__(self, "_d", den)
+    @property
+    def shift(self) -> int:
+        """The z-exponent of the first stored numerator (0 in Q[x])."""
+        return self._rows[0][0] if self._rows else 0
 
-    def _rows(self) -> tuple:
-        """The value as y-rows (z-shift, numerators, denominator): one row."""
-        return ((self.shift, self._n, self._d),)
-
-    def _from_rows(self, rows: list):
-        return self._make(self.t, *rows[0])
-
-    def _term_power(self, i: int, n: int):
-        """(_n[i] / _d * z^(shift+i))^n; a negative n inverts the term."""
-        c, d = (self._n[i], self._d) if n >= 0 else (self._d, self._n[i])
-        if d < 0:
-            c, d = -c, -d
-        return self._make(self.t, (self.shift + i) * n, [c ** abs(n)], d ** abs(n))
-
-    def _coerce(self, other):
-        """other as a value of this ring, or None if it is no ring value."""
-        if other.__class__ is self.__class__ and other.t == self.t:
-            return other
-        if isinstance(other, self._scalars):
-            return self._make(self.t, 0, [other.numerator], other.denominator)
-        if isinstance(other, UniPoly):
-            raise RingMismatch(f"mixed rings {_ring_name(self)} and {_ring_name(other)}")
-        return None
-
-    def _polynomial_only(self, op: str) -> None:
-        if self._laurent:
-            raise RingMismatch(f"{op} is an operation of Q[x], not of {_ring_name(self)}")
+    @property
+    def _n(self) -> tuple:
+        """The numerators over _d, from z^shift up."""
+        return self._rows[0][1] if self._rows else ()
 
     # -- constructors ------------------------------------------------
 
     @classmethod
     def zero(cls) -> "UniPoly":
-        return cls._make(1, 0, [])
+        return cls._make(1, [])
 
     @classmethod
     def one(cls) -> "UniPoly":
-        return cls._make(1, 0, [1])
+        return cls._make(1, [(0, [1])])
 
     @classmethod
     def const(cls, v) -> "UniPoly":
@@ -342,14 +425,14 @@ class UniPoly(_Dense):
 
     @classmethod
     def x(cls) -> "UniPoly":
-        return cls._make(1, 1, [1])
+        return cls._make(1, [(1, [1])])
 
     @classmethod
     def x_pow(cls, e: int, coeff=1) -> "UniPoly":
         if e < 0:
             raise InvalidInput("negative exponent in a polynomial ring")
         c = _exact(coeff)
-        return cls._make(1, e, [c.numerator], c.denominator)
+        return cls._make(1, [(e, [c.numerator])], c.denominator)
 
     @classmethod
     def from_dict(cls, d: dict) -> "UniPoly":
@@ -365,7 +448,8 @@ class UniPoly(_Dense):
     @property
     def degree(self):
         """Top exponent of z (the x-degree in Q[x]); NEG_INF for zero."""
-        return self.shift + len(self._n) - 1 if self._n else NEG_INF
+        r = self._rows
+        return r[0][0] + len(r[0][1]) - 1 if r else NEG_INF
 
     @property
     def terms(self) -> dict[int, Fraction]:
@@ -374,25 +458,11 @@ class UniPoly(_Dense):
 
     def coeff(self, e: int) -> Fraction:
         """Coefficient of z^e (of x^e in Q[x])."""
-        i = e - self.shift
-        return Fraction(self._n[i], self._d) if 0 <= i < len(self._n) else _ZERO
+        i, ns = e - self.shift, self._n
+        return Fraction(ns[i], self._d) if 0 <= i < len(ns) else _ZERO
 
     def lc(self) -> Fraction:
-        return Fraction(self._n[-1], self._d) if self._n else _ZERO
-
-    def __eq__(self, other):
-        if isinstance(other, UniPoly):
-            return (other.__class__ is self.__class__ and other.t == self.t
-                    and other.shift == self.shift and other._n == self._n and other._d == self._d)
-        if isinstance(other, self._scalars):
-            return (self.shift == 0 and self._d == other.denominator
-                    and self._n == ((other.numerator,) if other else ()))
-        return NotImplemented
-
-    def __hash__(self):
-        if self.shift == 0 and len(self._n) < 2:  # equals a scalar: hash like it
-            return hash(Fraction(self._n[0], self._d) if self._n else 0)
-        return hash((self.t, self.shift, self._n, self._d))
+        return Fraction(self._n[-1], self._d) if self._rows else _ZERO
 
     __add__ = __radd__ = _add
     __neg__ = _neg
@@ -401,47 +471,24 @@ class UniPoly(_Dense):
     __mul__ = __rmul__ = _mul
     __pow__ = _power
 
-    # -- calculus and printing ---------------------------------------
-
-    def derivative(self) -> "UniPoly":
-        """d/dx: z^e maps to (e/t) z^(e-t)."""
-        t, s = self.t, self.shift
-        return self._make(t, s - t, [n * (s + i) for i, n in enumerate(self._n)], self._d * t)
-
-    def integrate_dx(self) -> "UniPoly":
-        """Antiderivative with zero constant term."""
-        self._polynomial_only("integrate_dx")
-        return self._make(1, 0, *_integrate(self._n, self._d))
-
     def __call__(self, v):
         self._polynomial_only("evaluation")
-        acc = 0 * v  # keeps the caller's numeric type (Fraction or float)
-        for c in reversed(self.coeffs):
-            acc = acc * v + c
-        return acc
-
-    def _parts(self, var: str, ypart: str = "") -> list[tuple[Fraction, str]]:
-        """(coefficient, monomial) from the top term down, ypart appended."""
-        t, s, cs = self.t, self.shift, self.coeffs
-        return [(c, "*".join(m for m in (_exp_text(Fraction(s + i, t), var), ypart) if m))
-                for i in range(len(cs) - 1, -1, -1) if (c := cs[i])]
-
-    def to_text(self, var: str = "x") -> str:
-        return _join_terms(self._parts(var))
+        return self._horner(self._n, v)
 
 
 class LaurentPoly(UniPoly):
     """Element of Q[x^(1/t), x^(-1/t)], built from {z-exponent: coefficient}
     with z = x^(1/t).  Every operation is UniPoly's."""
 
-    __slots__ = ("t", "shift")
+    __slots__ = ("t",)
     _laurent = True
 
     def __init__(self, t: int, terms: dict | Iterable = ()):
         t = _root_index(t)
         d = {int(ze): _exact(c) for ze, c in dict(terms).items()}
         lo = min(d, default=0)
-        self._set(t, lo, *_clear([d.get(ze, 0) for ze in range(lo, max(d, default=lo - 1) + 1)]))
+        nums, den = _clear([d.get(ze, 0) for ze in range(lo, max(d, default=lo - 1) + 1)])
+        self._set(t, [(lo, nums)], den)
 
     @classmethod
     def zero(cls, t: int) -> "LaurentPoly":
@@ -454,7 +501,7 @@ class LaurentPoly(UniPoly):
     @classmethod
     def term(cls, t: int, zexp: int, coeff=1) -> "LaurentPoly":
         c = _exact(coeff)
-        return cls._make(_root_index(t), zexp, [c.numerator], c.denominator)
+        return cls._make(_root_index(t), [(zexp, [c.numerator])], c.denominator)
 
     @classmethod
     def x_power(cls, t: int, exp, coeff=1) -> "LaurentPoly":
@@ -485,64 +532,23 @@ def as_unipoly(f) -> UniPoly:
 
 
 class BiPoly(_Dense):
-    """Polynomial in x and y over Q: a tuple of UniPoly y-coefficients.
-    Its ring, and t, are those of the coefficients."""
+    """Polynomial in x and y over Q, one row per power of y.  Its ring, and
+    t, are those of its y-coefficients (_coeff)."""
 
-    __slots__ = ("_n",)
+    __slots__ = ()
     t = 1
-    shift = 0
-    _d = 1
     _laurent = False
     _coeff = UniPoly
-    _scalars = (int, Fraction, UniPoly)
 
     def __init__(self, ycoeffs: Iterable = ()):
-        self._set(1, 0, [as_unipoly(c) if isinstance(c, (UniPoly, int, Fraction, str))
-                         else UniPoly(c) for c in ycoeffs])
-
-    def _set(self, t: int, shift: int, cs: list, den: int = 1) -> None:
-        """Store sum cs[i] * y^(shift+i) (den is always 1); cs is consumed."""
-        if self._laurent:
-            object.__setattr__(self, "t", t)
-        while cs and not cs[-1]:
-            cs.pop()
-        if shift and cs:
-            if shift < 0:
-                raise InvalidInput("y has no negative powers")
-            cs = [self._zero_coeff()] * shift + cs
-        object.__setattr__(self, "_n", tuple(cs))
-
-    def _zero_coeff(self) -> UniPoly:
-        return self._coeff._make(self.t, 0, [])
-
-    def _rows(self) -> list:
-        """The value as y-rows (z-shift, numerators, denominator): one per
-        y-coefficient."""
-        return [(c.shift, c._n, c._d) for c in self._n]
-
-    def _from_rows(self, rows: list):
-        """The value whose y^i coefficient has the row (z-shift, numerators,
-        denominator) rows[i]."""
-        return self._make(self.t, 0, [self._coeff._make(self.t, *row) for row in rows])
-
-    def _term_power(self, i: int, n: int):
-        """(_n[i] * y^i)^n."""
-        return self._make(self.t, i * n, [self._n[i] ** n])
-
-    def _coerce(self, other):
-        """other as a value of this ring, or None if it is no ring value."""
-        if other.__class__ is self.__class__ and other.t == self.t:
-            return other
-        if isinstance(other, self._scalars):
-            return self._make(self.t, 0, [self._zero_coeff()._coerce(other)])
-        if isinstance(other, BiPoly):
-            raise RingMismatch(f"mixed rings {_ring_name(self)} and {_ring_name(other)}")
-        return None
+        cs = [as_unipoly(c) if isinstance(c, (UniPoly, int, Fraction, str)) else UniPoly(c)
+              for c in ycoeffs]
+        self._set(1, *_common([(c.shift, c._n, c._d) for c in cs]))
 
     @property
     def ycoeffs(self) -> tuple:
-        """Coefficients of y^0, y^1, ..."""
-        return self._n
+        """Coefficients of y^0, y^1, ... (a view)."""
+        return tuple(self._coeff._make(self.t, [row], self._d) for row in self._rows)
 
     # -- constructors ------------------------------------------------
 
@@ -582,26 +588,11 @@ class BiPoly(_Dense):
 
     @property
     def y_degree(self):
-        return len(self._n) - 1 if self._n else NEG_INF
+        return len(self._rows) - 1 if self._rows else NEG_INF
 
     def ycoeff(self, i: int) -> UniPoly:
-        return self._n[i] if 0 <= i < len(self._n) else self._zero_coeff()
-
-    def __eq__(self, other):
-        if isinstance(other, BiPoly):
-            return (other.__class__ is self.__class__ and other.t == self.t
-                    and other._n == self._n)
-        if isinstance(other, UniPoly) and (other.__class__ is not self._coeff
-                                           or other.t != self.t):
-            return False
-        if isinstance(other, self._scalars):
-            return self._n == ((other,) if other else ())
-        return NotImplemented
-
-    def __hash__(self):
-        if len(self._n) < 2:  # equals its y^0 coefficient: hash like it
-            return hash(self._n[0]) if self._n else 0
-        return hash((self.t, self._n))
+        row = self._rows[i] if 0 <= i < len(self._rows) else _EMPTY
+        return self._coeff._make(self.t, [row], self._d)
 
     __add__ = __radd__ = _add
     __neg__ = _neg
@@ -612,37 +603,27 @@ class BiPoly(_Dense):
 
     def divexact_y(self) -> "BiPoly":
         """Exact quotient by the variable y."""
-        if self._n and self._n[0]:
+        if self._rows and self._rows[0][1]:
             raise NotDivisible(f"{self} is not divisible by y")
-        return self._make(self.t, 0, list(self._n[1:]))
+        return self._make(self.t, self._rows[1:], self._d)
 
-    # -- calculus and printing ---------------------------------------
-
-    def dx(self) -> "BiPoly":
-        return self._make(self.t, 0, [c.derivative() for c in self._n])
+    # -- calculus ----------------------------------------------------
 
     def dy(self) -> "BiPoly":
-        return self._make(self.t, 0, [i * c for i, c in enumerate(self._n[1:], 1)])
-
-    def integrate_dx(self) -> "BiPoly":
-        return self._make(self.t, 0, [c.integrate_dx() for c in self._n])
+        return self._make(self.t, [(s, [i * n for n in ns])
+                                   for i, (s, ns) in enumerate(self._rows[1:], 1)], self._d)
 
     def evaluate(self, xv, yv):
+        self._polynomial_only("evaluation")
         acc = 0 * yv
-        for c in reversed(self._n):
-            acc = acc * yv + c(xv)
+        for _, ns in reversed(self._rows):
+            acc = acc * yv + self._horner(ns, xv)
         return acc
-
-    def to_text(self, xvar: str = "x", yvar: str = "y") -> str:
-        parts: list[tuple[Fraction, str]] = []
-        for i in range(len(self._n) - 1, -1, -1):
-            parts += self._n[i]._parts(xvar, _exp_text(i, yvar))
-        return _join_terms(parts)
 
 
 class LaurentBiPoly(BiPoly):
-    """Element of Q[x^(1/t), x^(-1/t), y]: a tuple of LaurentPoly
-    y-coefficients.  Every operation is BiPoly's."""
+    """Element of Q[x^(1/t), x^(-1/t), y], with LaurentPoly y-coefficients.
+    Every operation is BiPoly's."""
 
     __slots__ = ("t",)
     _laurent = True
@@ -653,7 +634,7 @@ class LaurentBiPoly(BiPoly):
         cs = [LaurentPoly.const(t, c) if isinstance(c, (int, Fraction)) else c for c in ycoeffs]
         if not all(isinstance(c, LaurentPoly) and c.t == t for c in cs):
             raise RingMismatch(f"LaurentBiPoly coefficients must be scalars or LaurentPoly with t = {t}")
-        self._set(t, 0, cs)
+        self._set(t, *_common([(c.shift, c._n, c._d) for c in cs]))
 
     @classmethod
     def const(cls, t: int, v) -> "LaurentBiPoly":

@@ -6,7 +6,7 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from newtcomm import BiPoly, LaurentPoly, PlanarDerivation, UniPoly
+from newtcomm import BiPoly, LaurentBiPoly, LaurentPoly, PlanarDerivation, UniPoly
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                          max_denominator=3)
@@ -31,21 +31,40 @@ def derivations(max_ydeg: int = 2, max_xdeg: int = 2):
                      bipolys(max_ydeg, max_xdeg))
 
 
+def laurentbipolys(t: int = 2, max_ydeg: int = 3, span: int = 5):
+    return st.lists(laurentpolys(t, span), max_size=max_ydeg + 1).map(
+        lambda cs: LaurentBiPoly(t, cs))
+
+
 def assert_normal_form(p) -> None:
-    """p (a UniPoly or LaurentPoly) is stored in its canonical normal form:
-    int numerators over one denominator d > 0 in lowest terms, no trailing
-    zero (for a Laurent value no leading one either), zero as ((), 1), and
-    rebuilding it from its Fraction view gives an equal value."""
-    n, d = p._n, p._d
-    assert type(d) is int and d > 0, p
-    assert all(type(v) is int for v in n), p
-    assert gcd(d, *n) == 1, p
-    if not n:
-        assert d == 1 and p.shift == 0, p
+    """p is stored in its ring's canonical normal form: y-rows (z-shift,
+    int numerators) over one denominator d > 0, in lowest terms across all
+    rows; every row trimmed (no trailing zero numerator, in a Laurent ring no
+    leading one either, an empty row as (0, ())), Q[x] rows at shift 0, no
+    trailing empty row, at most one row for a y-free value, and zero as
+    ((), 1).  Rebuilding p from its Fraction view (a bivariate value from
+    its ycoeffs, each in normal form itself) gives an equal value."""
+    rows, d = p._rows, p._d
+    nums = [n for _, ns in rows for n in ns]
+    assert type(rows) is tuple and type(d) is int and d > 0, p
+    assert all(type(v) is int for v in nums), p
+    assert gcd(d, *nums) == 1, p
+    assert not rows or rows[-1][1], p
+    if not rows:
+        assert d == 1, p
+    for s, ns in rows:
+        assert type(s) is int and type(ns) is tuple, p
+        if not ns:
+            assert s == 0, p
+        else:
+            assert ns[-1] != 0, p
+            assert ns[0] != 0 if p._laurent else s == 0, p
+    if isinstance(p, BiPoly):
+        for c in p.ycoeffs:
+            assert_normal_form(c)
+        rebuilt = LaurentBiPoly(p.t, p.ycoeffs) if p._laurent else BiPoly(p.ycoeffs)
     else:
-        assert n[-1] != 0, p
-        assert not p._laurent or n[0] != 0, p
-    if p._laurent:
-        assert LaurentPoly(p.t, {p.shift + i: c for i, c in enumerate(p.coeffs)}) == p
-    else:
-        assert UniPoly(p.coeffs) == p
+        assert len(rows) <= 1, p
+        rebuilt = (LaurentPoly(p.t, {p.shift + i: c for i, c in enumerate(p.coeffs)})
+                   if p._laurent else UniPoly(p.coeffs))
+    assert rebuilt == p, p

@@ -26,6 +26,7 @@ from newtcomm import (
     rk4_flow,
 )
 from newtcomm import flows
+from newtcomm.cli import main
 
 from evaluator_oracle import loop_evaluator
 from strategies import bipolys
@@ -182,6 +183,30 @@ class TestRectification:
         d, delta, _ = example_fixture()
         with pytest.raises(SingularDelta, match="budget of 100 Delta evaluations"):
             rectification_defect(d, delta, 0, 1, 1.0, 1000)
+
+    def test_trajectory_leaving_the_float_range_is_named(self, monkeypatch, capsys):
+        # x' = x^2 from x = 1 blows up at t = 1: the RK4 samples overflow
+        # (step 52 is ~2e173, step 53 NaN), which is reported before any
+        # quadrature runs, not as a spent quadrature budget
+        def no_quadrature(*args, **kwargs):
+            raise AssertionError("quadrature ran on a non-finite trajectory")
+
+        monkeypatch.setattr(flows, "adaptive_simpson", no_quadrature)
+        code = main(["flow-check", "--dx", "x^2", "--dy", "0", "--gx", "0", "--gy", "1",
+                     "--x0", "1", "--y0", "0", "--t-end", "2", "--steps", "100"])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "fail: the trajectory leaves the float range at RK4 step 53 of 100 (t = 1.06)\n")
+
+    def test_nan_in_a_later_reference_sample_is_reported(self):
+        # max() keeps a NaN only as its first argument; the error must not
+        # drop one that shows up after finite samples
+        d, delta, evaluator = example_fixture()
+        report = rectification_defect(
+            d, delta, 0, 1, 1.0, 64,
+            reference=lambda t: (math.nan, 0.0) if t > 0.5 else evaluator(t))
+        assert math.isnan(report.trajectory_error)
+        assert not report.passed
 
     def test_non_commuting_rejected_exactly(self):
         with pytest.raises(HypothesisViolation):

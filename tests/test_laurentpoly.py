@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -9,7 +11,7 @@ from hypothesis import strategies as st
 from newtcomm import InvalidInput, LaurentBiPoly, LaurentPoly, RingMismatch, UniPoly
 from newtcomm.poly import NEG_INF
 
-from strategies import assert_normal_form, laurentpolys, rationals
+from strategies import assert_normal_form, laurentbipolys, laurentpolys, rationals
 
 
 def test_construction_and_exponent_bookkeeping():
@@ -138,6 +140,29 @@ class TestLaurentBiPoly:
                                            LaurentPoly.const(t, 2)])
         assert r.dx().ycoeff(0) == LaurentPoly.term(t, -5, Fraction(-2))
         assert (r * r).ycoeff(4) == LaurentPoly.const(t, 1)
+
+    @given(st.sampled_from((1, 3)).flatmap(
+        lambda t: st.tuples(laurentbipolys(t), laurentbipolys(t), laurentpolys(t))),
+        st.integers(0, 3), st.integers(-2, 2))
+    def test_results_are_in_normal_form(self, abc, k, e):
+        a, b, c = abc
+        t = a.t
+        for p in (a, a + b, a - b, a - a, -a, a * b, a ** k, a.dx(), a.dy(),
+                  3 * a, Fraction(-2, 3) * a, a * c, b * LaurentBiPoly.y_pow(t, 2),
+                  LaurentBiPoly.from_laurent(LaurentPoly.term(t, e, Fraction(-3, 2))) ** -k):
+            assert_normal_form(p)
+
+    @pytest.mark.parametrize("p", [LaurentBiPoly(3, []),
+                                   LaurentBiPoly(3, [LaurentPoly.term(3, -2)])],
+                             ids=["zero", "nonzero"])
+    def test_polynomial_only_operations_refuse_every_value(self, p):
+        """integrate_dx and evaluate are operations of Q[x, y]; on a Laurent
+        value they raise naming its own ring, whatever the value."""
+        message = re.escape("of Q[x, y], not of Q[x^(1/3), x^(-1/3), y]")
+        with pytest.raises(RingMismatch, match=message):
+            p.integrate_dx()
+        with pytest.raises(RingMismatch, match=message):
+            p.evaluate(Fraction(1), Fraction(2))
 
     def test_text(self):
         t = 1

@@ -115,6 +115,12 @@ class TestBiPoly:
         assert p.ycoeff(0) == x
         assert p.ycoeff(1) == UniPoly.one()
 
+    def test_const_takes_every_y_free_value(self):
+        assert BiPoly.const(UniPoly.x()) == BiPoly.x()
+        assert BiPoly.const([1, 2]) == BiPoly.from_uni(UniPoly([1, 2]))
+        assert BiPoly.const("3/4") == Fraction(3, 4)
+        assert LaurentBiPoly.const(3, Fraction(-7, 3)) == LaurentPoly.const(3, Fraction(-7, 3))
+
     def test_known_product(self):
         h = BiPoly.y_pow(2) - BiPoly.x() * BiPoly.x()
         assert h * h == (BiPoly.y_pow(4)
@@ -150,6 +156,12 @@ class TestBiPoly:
     @given(bipolys())
     def test_integrate_dx_section(self, p):
         assert p.integrate_dx().dx() == p
+
+    @given(bipolys(), bipolys(), st.integers(0, 3))
+    def test_results_are_in_normal_form(self, a, b, k):
+        for p in (a, a + b, a - b, a - a, -a, a * b, a ** k, a.dx(), a.dy(), a.integrate_dx(),
+                  3 * a, Fraction(-2, 3) * a, a * x, b * BiPoly.y_pow(2)):
+            assert_normal_form(p)
 
 
 def test_to_text_canonical_order():
@@ -215,6 +227,23 @@ def test_bipoly_of_a_unipoly_equals_it():
     assert table[UniPoly.const(Fraction(1, 2))] == table[BiPoly.const(Fraction(1, 2))] == "half"
     assert table[BiPoly.from_uni(x + 1)] == table[UniPoly([1, 1])] == "x+1"
     assert table[BiPoly.y_pow(1)] == "y"
+    for p in (LaurentPoly.zero(3), LaurentPoly.const(3, Fraction(-7, 3)),
+              LaurentPoly(3, {-2: Fraction(5, 7), 4: 1})):
+        b = LaurentBiPoly.from_laurent(p)
+        assert b == p and p == b
+        assert hash(b) == hash(p)
+    assert LaurentBiPoly.from_laurent(LaurentPoly.term(1, 1)) != BiPoly.x()
+
+
+# The ring operators perfbench/tracing.py wraps; it looks them up in each
+# class's own __dict__, so one inherited from a base class would not be traced.
+TRACED_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__",
+                    "__mul__", "__rmul__", "__pow__")
+
+
+@pytest.mark.parametrize("cls", [UniPoly, BiPoly])
+def test_traced_ring_operators_stay_in_the_class_namespace(cls):
+    assert [name for name in TRACED_OPERATORS if name not in vars(cls)] == []
 
 
 class TestRingsStayDistinct:
