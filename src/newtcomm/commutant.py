@@ -54,6 +54,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
@@ -74,25 +75,30 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]
     constant of u_{m-k} to 1 and the others to 0 (module docstring).
 
     Inside a run every u_i is a pair (dense integer numerators, denominator).
-    f = F / d_f and f' = F' / d_f are cleared once; a right-hand side is one
-    or two integer convolutions added over the lcm of their denominators, and
-    _integrate keeps each u_i in lowest terms.  Fractions are built only for
-    the level-0 rows handed to nullspace; each basis element is stored
-    straight from the pairs, the c_i as the y-rows of act_x and the d_i as
-    those of act_y over one lcm, each empty at the other half's indices.
+    f = F / d_f and f' = F' / d_f are cleared once.  A right-hand side is
+    one or two integer convolutions (by F' or by 1, and by F) added into
+    one integer list over the lcm of their denominators; a term with an
+    empty factor (f = 0, or f' = 0) is skipped.  _integrate keeps each u_i
+    in lowest terms, and _lincomb only forms the null-space combinations.
+    Fractions are built only for the level-0 rows handed to nullspace; each
+    basis element is stored straight from the pairs, the c_i as the y-rows
+    of act_x and the d_i as those of act_y over one lcm, each empty at the
+    other half's indices.
     """
     F, df = _grid(f._rows, 0, 0), f._d  # (place, numerator) pairs: f = F / df
     FP = [(i - 1, i * n) for i, n in F if i]  # f' = FP / df
-    deg = f.degree
-
-    def times(g: list, nums: list) -> list:
-        return _convolve(enumerate(nums), g, len(nums) + deg) if g and nums else []
 
     def rhs(u: list, j: int) -> tuple[list, int]:
         (a, da), (b, db) = u[j], u[j + 1]
-        if (j - 1) % 2 != c_parity:
-            a, da = times(FP, a), da * df
-        return _lincomb(((1, a, da), (-(j + 1), times(F, b), db * df)))
+        s, da = ([(0, 1)], da) if (j - 1) % 2 == c_parity else (FP, da * df)  # s_j = 1 or f'
+        den, out = lcm(da, db * df), []
+        for w, g, nums in ((den // da, s, a), (-(j + 1) * (den // (db * df)), F, b)):
+            if g and nums:  # out grows to the longest product
+                out += [0] * (len(nums) + g[-1][0] - len(out))
+                _convolve(enumerate(nums), [(i, w * n) for i, n in g], out)
+        while out and not out[-1]:
+            out.pop()
+        return out, den
 
     runs = []
     for k in range(m + 1):

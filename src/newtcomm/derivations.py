@@ -2,10 +2,12 @@
 
 A derivation is determined by its values on the generators x and y; it
 extends to the whole ring by additivity and the Leibniz rule.  ``apply``
-realizes that extension as dp/dx * act_x + dp/dy * act_y, and ``bracket``
-is the commutator, again returned as a derivation through its values on
-the generators.  One class serves every ring, the ring of act_x and act_y;
-``LaurentDerivation`` only adds a constructor that declares the root index.
+realizes that extension as dp/dx * act_x + dp/dy * act_y, ``bracket`` is
+the commutator through its values on the generators, and ``det`` is
+act_x * e(y) - act_y * e(x).  Each value they return is one sum of
+products (``poly._dot``), normalised once.  One class serves every ring,
+the one ring of act_x and act_y; ``LaurentDerivation`` only adds a
+constructor that declares the root index.
 """
 
 from __future__ import annotations
@@ -13,7 +15,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import RingMismatch
-from .poly import BiPoly, UniPoly
+from .poly import BiPoly, UniPoly, _Dense, _dot, _ring_name, ring_name
+
+
+def _ring(p) -> str:
+    return _ring_name(p) if isinstance(p, _Dense) else type(p).__name__
+
+
+def _same_ring(p, q, what: str) -> None:
+    """Raise RingMismatch unless p and q are BiPoly values of one ring."""
+    if not (isinstance(p, BiPoly) and isinstance(q, BiPoly)
+            and p._laurent == q._laurent and p.t == q.t):
+        raise RingMismatch(f"{what} in {_ring(p)} and {_ring(q)}: "
+                           f"they must lie in one ring of BiPoly values")
 
 
 @dataclass(frozen=True)
@@ -23,6 +37,9 @@ class PlanarDerivation:
 
     act_x: BiPoly
     act_y: BiPoly
+
+    def __post_init__(self):
+        _same_ring(self.act_x, self.act_y, "derivation values")
 
     @property
     def t(self) -> int:
@@ -40,17 +57,31 @@ class PlanarDerivation:
             raise RingMismatch(f"{type(p).__name__} is not an element of the derivation's ring")
         return q
 
+    def _other(self, other) -> "PlanarDerivation":
+        if not isinstance(other, PlanarDerivation):
+            raise RingMismatch(f"{type(other).__name__} is not a derivation")
+        _same_ring(self.act_x, other.act_x, "derivations")
+        return other
+
+    def _products(self, p: BiPoly, sign: int) -> list:
+        """The two products of sign * apply(p), for p in the ring (_dot)."""
+        X, Y = self.act_x, self.act_y
+        return [(sign, *p._dx_rows(), X._rows, X._d), (sign, *p._dy_rows(), Y._rows, Y._d)]
+
     def apply(self, p) -> BiPoly:
-        p = self._element(p)
-        return p.dx() * self.act_x + p.dy() * self.act_y
+        return _dot(self.act_x, self._products(self._element(p), 1))
 
     def bracket(self, other: "PlanarDerivation") -> "PlanarDerivation":
-        if not isinstance(other, PlanarDerivation):
-            raise RingMismatch("bracket needs two derivations on the same ring")
-        return self._like(
-            self.apply(other.act_x) - other.apply(self.act_x),
-            self.apply(other.act_y) - other.apply(self.act_y),
-        )
+        """[self, other]: self(other(v)) - other(self(v)) at v = x and v = y."""
+        other = self._other(other)
+        return self._like(*(_dot(self.act_x, self._products(b, 1) + other._products(a, -1))
+                            for a, b in ((self.act_x, other.act_x), (self.act_y, other.act_y))))
+
+    def det(self, other: "PlanarDerivation") -> BiPoly:
+        """act_x * other.act_y - act_y * other.act_x."""
+        other = self._other(other)
+        X, Y, oX, oY = self.act_x, self.act_y, other.act_x, other.act_y
+        return _dot(X, [(1, X._rows, X._d, oY._rows, oY._d), (-1, Y._rows, Y._d, oX._rows, oX._d)])
 
     def divergence(self) -> BiPoly:
         return self.act_x.dx() + self.act_y.dy()
@@ -92,8 +123,8 @@ class LaurentDerivation(PlanarDerivation):
     """Derivation on Q[x^(1/t), x^(-1/t), y], computed in z = x^(1/t)."""
 
     def __init__(self, t: int, act_x: BiPoly, act_y: BiPoly):
-        if act_x.t != t or act_y.t != t:
-            raise RingMismatch("derivation values must share the declared root index")
+        if not (isinstance(act_x, BiPoly) and act_x._laurent and act_x.t == t):
+            raise RingMismatch(f"derivation value in {_ring(act_x)}, not in {ring_name(t, True)}")
         super().__init__(act_x, act_y)
 
 

@@ -122,7 +122,7 @@ def companion_for_linear(d: PlanarDerivation) -> LinearizationResult:
 
     if not d.bracket(delta).is_zero:
         raise RuntimeError(f"internal: {label} companion does not commute")
-    if (d.act_x * delta.act_y - d.act_y * delta.act_x).is_zero:
+    if d.det(delta).is_zero:
         raise RuntimeError(f"internal: {label} companion is not transversal")
     return LinearizationResult(delta=delta, case_label=label,
                                change_of_coords=change)
@@ -258,7 +258,7 @@ def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
         raise HypothesisViolation("derivations do not commute")
     x0, y0 = Fraction(x0), Fraction(y0)
     x0f, y0f = _float(x0, "x0"), _float(y0, "y0")
-    delta_poly = d.act_x * delta.act_y - d.act_y * delta.act_x
+    delta_poly = d.det(delta)
     if delta_poly.evaluate(x0, y0) == 0:
         raise SingularDelta(f"Delta vanishes at ({x0}, {y0})")
 

@@ -22,12 +22,15 @@ y-free BiPoly and the univariate value it equals.  ``coeffs``, ``coeff``,
 
 A sum is one aligned integer sum per row over lcm(da, db).  A product lays
 both operands out in row-major (y, z) integer grids, convolves them in one
-pass (_convolve) and stores the result over da * db; the commutant
-integrator runs on the same integers through _convolve, _lincomb and
-_integrate.  Two rules spare tiny operands the grid: an operand that is one
-term c*z^e*y^i stored as one numerator (a scalar is one; in Q[x], e = 0)
-scales and shifts the other; and a value with one nonzero term has n-th
-power c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial.
+pass (_convolve) and stores the result over da * db.  A sum of products
+(_dot) convolves every product into one grid over the lcm of the da * db
+and normalises once; its operands may be raw rows with zeros kept, as d/dx
+and d/dy give them (_dx_rows, _dy_rows).  The commutant integrator runs on
+the same integers through _convolve, _integrate and _lincomb.  Two rules
+spare tiny operands the product grid: an operand that is one term
+c*z^e*y^i stored as one numerator (a scalar is one; in Q[x], e = 0) scales
+and shifts the other; and a value with one nonzero term has n-th power
+c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial.
 
 Values are immutable after construction and safe to share across threads.
 The degree of the zero polynomial is ``NEG_INF``, which compares below
@@ -141,14 +144,12 @@ def _grid(rows, lo: int, width: int) -> list:
             for y, (s, ns) in enumerate(rows) for i, n in enumerate(ns) if n]
 
 
-def _convolve(ga, gb: list, size: int) -> list:
-    """acc[i + j] = sum of ca * cb over (i, ca) in ga and (j, cb) in gb, for
-    integer entries keyed by place; ga is read once, gb once per entry of ga."""
-    acc = [0] * size
+def _convolve(ga, gb: list, acc: list) -> None:
+    """acc[i + j] += ca * cb over (i, ca) in ga and (j, cb) in gb, for integer
+    entries keyed by place, in place; ga is read once, gb once per entry of ga."""
     for i, ca in ga:
         for j, cb in gb:
             acc[i + j] += ca * cb
-    return acc
 
 
 def _lincomb(terms) -> tuple[list, int]:
@@ -229,8 +230,27 @@ def _mul(self, other):
                           + [(r + s, [c * n for n in ns]) for r, ns in a], d)
     (la, ha), (lb, hb) = _span(a), _span(b)
     width = ha - la + hb - lb - 1
-    acc = _convolve(_grid(a, la, width), _grid(b, lb, width), width * (len(a) + len(b) - 1))
+    acc = [0] * (width * (len(a) + len(b) - 1))
+    _convolve(_grid(a, la, width), _grid(b, lb, width), acc)
     return self._make(self.t, [(la + lb, acc[i:i + width]) for i in range(0, len(acc), width)], d)
+
+
+def _dot(like, products):
+    """sum of sign * (a / da) * (b / db) over the products (sign, a, da, b, db),
+    y-rows a and b with zero numerators allowed, in like's ring: one integer
+    grid over the lcm of the da * db, normalised once."""
+    live = [(sign, a, da * db, b, _span(a), _span(b)) for sign, a, da, b, db in products
+            if any([ns for _, ns in a]) and any([ns for _, ns in b])]
+    if not live:
+        return like._make(like.t, [], 1)
+    den = lcm(*[d for _, _, d, _, _, _ in live])
+    lo = min([la + lb for *_, (la, _), (lb, _) in live])
+    width = max([ha + hb for *_, (_, ha), (_, hb) in live]) - 1 - lo
+    acc = [0] * (width * max([len(a) + len(b) - 1 for _, a, _, b, _, _ in live]))
+    for sign, a, d, b, (la, _), _ in live:  # b keyed from lo - la: a * b lands at z - lo
+        k = sign * (den // d)
+        _convolve([(i, k * n) for i, n in _grid(a, la, width)], _grid(b, lo - la, width), acc)
+    return like._make(like.t, [(lo, acc[i:i + width]) for i in range(0, len(acc), width)], den)
 
 
 def _power(self, n: int):
@@ -346,11 +366,14 @@ class _Dense:
 
     # -- calculus and printing ---------------------------------------
 
-    def derivative(self):
-        """d/dx: z^e maps to (e/t) z^(e-t)."""
+    def _dx_rows(self) -> tuple[list, int]:
+        """d/dx as (y-rows, denominator), zeros kept: z^e maps to (e/t) z^(e-t)."""
         t = self.t
-        return self._make(t, [(s - t, [n * (s + i) for i, n in enumerate(ns)])
-                              for s, ns in self._rows], self._d * t)
+        return [(s - t, [n * (s + i) for i, n in enumerate(ns)])
+                for s, ns in self._rows], self._d * t
+
+    def derivative(self):
+        return self._make(self.t, *self._dx_rows())
 
     dx = derivative
 
@@ -609,9 +632,12 @@ class BiPoly(_Dense):
 
     # -- calculus ----------------------------------------------------
 
+    def _dy_rows(self) -> tuple[list, int]:
+        """d/dy as (y-rows, denominator), zero numerators kept."""
+        return [(s, [i * n for n in ns]) for i, (s, ns) in enumerate(self._rows[1:], 1)], self._d
+
     def dy(self) -> "BiPoly":
-        return self._make(self.t, [(s, [i * n for n in ns])
-                                   for i, (s, ns) in enumerate(self._rows[1:], 1)], self._d)
+        return self._make(self.t, *self._dy_rows())
 
     def evaluate(self, xv, yv):
         self._polynomial_only("evaluation")

@@ -99,7 +99,7 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
         if not d.bracket(res.delta).is_zero:
             bad += 1
             problems.append(f"grid {a,b,c,e,f,g}: nonzero bracket")
-        elif (d.act_x * res.delta.act_y - d.act_y * res.delta.act_x).is_zero:
+        elif d.det(res.delta).is_zero:
             bad += 1
             problems.append(f"grid {a,b,c,e,f,g}: companion not transversal")
     detail = (f"f=x commutant has {extraneous} non-multiple element(s); "
@@ -203,7 +203,8 @@ def _random_derivation(rng: random.Random) -> PlanarDerivation:
 
 
 def run_criterion_7(seed: int = 0) -> CriterionResult:
-    """Randomized ring axioms: Leibniz, Jacobi, integrate-then-differentiate."""
+    """Randomized ring axioms: Leibniz, Jacobi, the commutator identity of
+    the bracket, integrate-then-differentiate."""
     t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
@@ -217,6 +218,8 @@ def run_criterion_7(seed: int = 0) -> CriterionResult:
                + D3.bracket(D).bracket(D2))
         if not jac.is_zero:
             failures.append(f"case {i}: Jacobi fails")
+        if D.bracket(D2).apply(p) != D.apply(D2.apply(p)) - D2.apply(D.apply(p)):
+            failures.append(f"case {i}: [D, D2](p) != D(D2(p)) - D2(D(p))")
         u = _random_unipoly(rng, 6)
         if u.integrate_dx().derivative() != u:
             failures.append(f"case {i}: integrate-then-differentiate fails")
@@ -227,8 +230,8 @@ def run_criterion_7(seed: int = 0) -> CriterionResult:
             failures.append(f"energy case {i}: delta_f(H) != 0")
         if not divergence(delta_f).is_zero:
             failures.append(f"energy case {i}: divergence != 0")
-    detail = ("200 Leibniz/Jacobi/integration cases and 50 energy-conservation "
-              "cases, all exact")
+    detail = ("200 Leibniz/Jacobi/commutator/integration cases and 50 "
+              "energy-conservation cases, all exact")
     if failures:
         detail = f"{len(failures)} failures; first: " + failures[0]
     return _timed("7-calculus-kernel", not failures, detail, t0)

@@ -6,7 +6,8 @@ from math import gcd
 
 from hypothesis import strategies as st
 
-from newtcomm import BiPoly, LaurentBiPoly, LaurentPoly, PlanarDerivation, UniPoly
+from newtcomm import (BiPoly, LaurentBiPoly, LaurentDerivation, LaurentPoly, PlanarDerivation,
+                      UniPoly)
 
 rationals = st.fractions(min_value=Fraction(-4), max_value=Fraction(4),
                          max_denominator=3)
@@ -34,6 +35,12 @@ def derivations(max_ydeg: int = 2, max_xdeg: int = 2):
 def laurentbipolys(t: int = 2, max_ydeg: int = 3, span: int = 5):
     return st.lists(laurentpolys(t, span), max_size=max_ydeg + 1).map(
         lambda cs: LaurentBiPoly(t, cs))
+
+
+def laurentderivations(t: int = 2, max_ydeg: int = 2, span: int = 3):
+    """Derivations of Q[x^(1/t), x^(-1/t), y], z-exponents down to -span."""
+    return st.builds(lambda ax, ay: LaurentDerivation(t, ax, ay),
+                     laurentbipolys(t, max_ydeg, span), laurentbipolys(t, max_ydeg, span))
 
 
 def assert_normal_form(p) -> None:

@@ -139,8 +139,14 @@ def test_basis_is_canonical_beyond_oracle_range(f_text, M):
 @settings(deadline=None)
 @given(f=unipolys(6), M=st.integers(0, 13), c_parity=st.sampled_from((0, 1)))
 @example(f=UniPoly(), M=13, c_parity=0)
+@example(f=UniPoly(), M=13, c_parity=1)
+@example(f=parse_unipoly("3"), M=13, c_parity=0)
+@example(f=parse_unipoly("3"), M=13, c_parity=1)
+@example(f=parse_unipoly("x"), M=13, c_parity=0)
+@example(f=parse_unipoly("x"), M=13, c_parity=1)
 def test_integrator_matches_recurrence_oracle(f, M, c_parity):
-    """The integer-numerator integrator equals the Fraction recurrence."""
+    """The integer-numerator integrator equals the Fraction recurrence, also
+    where f' is zero (f constant) or f itself is (f = 0)."""
     assert _integrate_half(f, M, c_parity) == recurrence_oracle._integrate_half(f, M, c_parity)
 
 

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from newtcomm import (
     BiPoly,
@@ -20,7 +21,26 @@ from newtcomm import (
     parse_unipoly,
 )
 
-from strategies import bipolys, derivations
+import derivation_oracle as oracle
+from strategies import (assert_normal_form, bipolys, derivations, laurentbipolys,
+                        laurentderivations)
+
+ZERO_D = PlanarDerivation(BiPoly.zero(), BiPoly.zero())
+Y_FREE_D = PlanarDerivation(parse_bipoly("x^2 - 1/2"), parse_bipoly("3"))
+NEWTON_D = PlanarDerivation(parse_bipoly("y"), parse_bipoly("x^3 - x"))
+
+
+def _laurent_cases(*parts):
+    """Hypothesis tuples of values of one Laurent ring, t in {1, 3}, drawn
+    from the strategies named in parts."""
+    makers = {"d": laurentderivations, "p": lambda t: laurentbipolys(t, 2, 3)}
+    return st.sampled_from((1, 3)).flatmap(lambda t: st.tuples(*(makers[k](t) for k in parts)))
+
+
+def _assert_same_values(got: tuple, want: tuple) -> None:
+    assert got == want
+    for v in got:
+        assert_normal_form(v)
 
 
 class TestPlanarDerivation:
@@ -46,6 +66,65 @@ class TestPlanarDerivation:
         lhs = d.bracket(e).apply(p)
         rhs = d.apply(e.apply(p)) - e.apply(d.apply(p))
         assert lhs == rhs
+
+    @given(derivations(), bipolys())
+    @example(ZERO_D, parse_bipoly("x^2*y + 1"))
+    @example(NEWTON_D, BiPoly.zero())
+    @example(NEWTON_D, BiPoly.const(5))
+    @example(Y_FREE_D, parse_bipoly("x*y^2 - y"))
+    @example(NEWTON_D, parse_bipoly("x^3 - 2"))
+    def test_apply_matches_operator_formula(self, d, p):
+        _assert_same_values((d.apply(p),), (oracle.apply(d, p),))
+
+    @given(derivations(), derivations())
+    @example(ZERO_D, NEWTON_D)
+    @example(NEWTON_D, ZERO_D)
+    @example(Y_FREE_D, NEWTON_D)
+    @example(Y_FREE_D, PlanarDerivation(parse_bipoly("x"), parse_bipoly("1")))
+    def test_bracket_matches_operator_formula(self, d, e):
+        b = d.bracket(e)
+        assert type(b) is PlanarDerivation
+        _assert_same_values((b.act_x, b.act_y), oracle.bracket(d, e))
+
+    @given(derivations(), derivations())
+    @example(ZERO_D, NEWTON_D)
+    @example(Y_FREE_D, NEWTON_D)
+    @example(NEWTON_D, NEWTON_D)
+    def test_det_matches_operator_formula(self, d, e):
+        _assert_same_values((d.det(e),), (oracle.det(d, e),))
+
+    def test_apply_coerces_scalars_and_univariate_values(self):
+        for p in (0, 5, Fraction(-2, 3), UniPoly.x(), parse_unipoly("x^3 - 1/2*x")):
+            assert NEWTON_D.apply(p) == oracle.apply(NEWTON_D, NEWTON_D.act_x._coerce(p))
+
+    @pytest.mark.parametrize("act_x, act_y, rings", [
+        (BiPoly.y(), LaurentBiPoly.y(3), ("Q[x, y]", "Q[x^(1/3), x^(-1/3), y]")),
+        (LaurentBiPoly.y(3), BiPoly.y(), ("Q[x^(1/3), x^(-1/3), y]", "Q[x, y]")),
+        (LaurentBiPoly.y(1), BiPoly.y(), ("Q[x, x^(-1), y]", "Q[x, y]")),
+        (LaurentBiPoly.y(2), LaurentBiPoly.y(3),
+         ("Q[x^(1/2), x^(-1/2), y]", "Q[x^(1/3), x^(-1/3), y]")),
+        (UniPoly.x(), BiPoly.y(), ("Q[x]", "Q[x, y]")),
+        (BiPoly.y(), UniPoly.x(), ("Q[x, y]", "Q[x]")),
+        (3, BiPoly.y(), ("int", "Q[x, y]")),
+        (BiPoly.y(), Fraction(1, 2), ("Q[x, y]", "Fraction")),
+    ])
+    def test_values_must_lie_in_one_ring(self, act_x, act_y, rings):
+        with pytest.raises(RingMismatch) as info:
+            PlanarDerivation(act_x, act_y)
+        assert f"in {rings[0]} and {rings[1]}:" in str(info.value)
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_bracket_and_det_refuse_another_ring(self, t):
+        d = PlanarDerivation(BiPoly.y(), BiPoly.x())
+        e = LaurentDerivation(t, LaurentBiPoly.y(t), LaurentBiPoly.y(t))
+        for op in ("bracket", "det"):
+            for a, b in ((d, e), (e, d)):
+                with pytest.raises(RingMismatch):
+                    getattr(a, op)(b)
+            with pytest.raises(RingMismatch):
+                getattr(d, op)(BiPoly.x())
+        with pytest.raises(RingMismatch):
+            e.bracket(LaurentDerivation(t + 1, LaurentBiPoly.y(t + 1), LaurentBiPoly.y(t + 1)))
 
     def test_apply_on_coordinates(self):
         d = PlanarDerivation(parse_bipoly("y"), parse_bipoly("x^2"))
@@ -104,6 +183,10 @@ class TestLaurentDerivation:
         t3 = LaurentBiPoly.y(3)
         with pytest.raises(RingMismatch):
             LaurentDerivation(2, t3, t3)
+        with pytest.raises(RingMismatch, match=r"in Q\[x, y\], not in Q\[x, x\^\(-1\), y\]"):
+            LaurentDerivation(1, BiPoly.y(), BiPoly.x())
+        with pytest.raises(RingMismatch):
+            LaurentDerivation(3, t3, BiPoly.y())
 
     def test_bracket_on_fractional_powers(self):
         # alpha = (y, x^(-3)) in the t=1 ring commutes with itself trivially
@@ -115,6 +198,42 @@ class TestLaurentDerivation:
         )
         assert a.bracket(a).is_zero
         assert a.bracket(a.scale(LaurentPoly.const(t, Fraction(7, 2)))).is_zero
+
+    @given(_laurent_cases("d", "d", "p"))
+    def test_bracket_is_commutator(self, case):
+        d, e, p = case
+        assert d.bracket(e).apply(p) == d.apply(e.apply(p)) - e.apply(d.apply(p))
+
+    @given(_laurent_cases("d", "p"))
+    def test_apply_matches_operator_formula(self, case):
+        d, p = case
+        _assert_same_values((d.apply(p),), (oracle.apply(d, p),))
+
+    @given(_laurent_cases("d", "d"))
+    def test_bracket_and_det_match_operator_formulas(self, case):
+        d, e = case
+        b = d.bracket(e)
+        assert type(b) is LaurentDerivation and b.t == d.t
+        _assert_same_values((b.act_x, b.act_y), oracle.bracket(d, e))
+        _assert_same_values((d.det(e),), (oracle.det(d, e),))
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_zero_constant_and_y_free_edges(self, t):
+        zero = LaurentDerivation(t, LaurentBiPoly(t), LaurentBiPoly(t))
+        y_free = LaurentDerivation(t, LaurentBiPoly.from_laurent(LaurentPoly.term(t, -2, 3)),
+                                   LaurentBiPoly.const(t, Fraction(1, 2)))
+        alpha = LaurentDerivation(t, LaurentBiPoly.y(t),
+                                  LaurentBiPoly.from_laurent(LaurentPoly.term(t, -3)))
+        values = (LaurentBiPoly(t), LaurentBiPoly.const(t, 7),
+                  LaurentBiPoly.from_laurent(LaurentPoly(t, {-1: 2, 0: 1})),
+                  LaurentBiPoly.y_pow(t, 2, LaurentPoly.term(t, -4)))
+        for d in (zero, y_free, alpha):
+            for p in values:
+                _assert_same_values((d.apply(p),), (oracle.apply(d, p),))
+            for e in (zero, y_free, alpha):
+                b = d.bracket(e)
+                _assert_same_values((b.act_x, b.act_y), oracle.bracket(d, e))
+                _assert_same_values((d.det(e),), (oracle.det(d, e),))
 
     def test_apply_leibniz_spot(self):
         t = 2
