@@ -45,6 +45,13 @@ class PlanarDerivation:
     def t(self) -> int:
         return self.act_x.t
 
+    def __eq__(self, other):
+        """Equal when they act alike: one ring and the same values on x and
+        y, whichever class declared them (the hash is that of the values)."""
+        if not isinstance(other, PlanarDerivation):
+            return NotImplemented
+        return self.act_x == other.act_x and self.act_y == other.act_y
+
     def _like(self, act_x: BiPoly, act_y: BiPoly) -> "PlanarDerivation":
         """A derivation of the same class as self."""
         d = object.__new__(type(self))

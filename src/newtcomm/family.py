@@ -12,6 +12,12 @@ and r^s * beta supplies, for each odd m >= 2k+1, a symmetry of y-degree m
 whose slope is -rho — certifying -rho as a root of the level-m obstruction
 polynomial.  The slope-1 witnesses use the polynomial pair (y, x), (x, y)
 with r = y^2 - x^2 instead.
+
+Every value is written directly in the kernel's storage form (``poly``):
+alpha, r and each y-row of beta are one term, and beta(x), beta(y) are
+integer rows over the lcm of the denominators of the a_i.  r^s, a value
+with two terms, is expanded by the binomial theorem inside ``**``.  The
+bracket [alpha, beta] is still computed and checked on every build.
 """
 
 from __future__ import annotations
@@ -21,7 +27,7 @@ from fractions import Fraction
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput
-from .poly import BiPoly, LaurentBiPoly, LaurentPoly
+from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear
 
 
 @dataclass(frozen=True)
@@ -73,19 +79,15 @@ def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
     t = 2 * k - 1
     a = _coefficients(k, a_top)
 
-    alpha = LaurentDerivation(
-        t,
-        LaurentBiPoly.y(t),
-        LaurentBiPoly.from_laurent(LaurentPoly.term(t, -(2 * k + 1))),
-    )
-    # z-exponents: x^(1+(1-rho)l) = z^(t-2l), x^((1-rho)l) = z^(-2l)
-    bx = [LaurentPoly.zero(t) for _ in range(2 * k + 1)]
-    by = [LaurentPoly.zero(t) for _ in range(2 * k + 2)]
-    for l in range(k + 1):
-        i = 2 * (k - l)
-        bx[i] = LaurentPoly.term(t, t - 2 * l, a[i])
-        by[i + 1] = LaurentPoly.term(t, -2 * l, a[i + 1])
-    beta = LaurentDerivation(t, LaurentBiPoly(t, bx), LaurentBiPoly(t, by))
+    alpha = LaurentDerivation(t, LaurentBiPoly.y(t),
+                              LaurentBiPoly._make(t, [(-(2 * k + 1), [1])]))
+    # beta over the lcm of the a_i, one term per y-row: a_i * x^(1+(1-rho)l)
+    # = a_i * z^(t-2l) = a_i * z^(i-1) at even i = 2(k-l) in beta(x), and
+    # a_i * x^((1-rho)l) = a_i * z^(-2l) = a_i * z^(i-t-2) at odd i in beta(y)
+    nums, den = _clear(list(a))
+    bx = [_EMPTY if i % 2 else (i - 1, [n]) for i, n in enumerate(nums[:-1])]
+    by = [(i - t - 2, [n]) if i % 2 else _EMPTY for i, n in enumerate(nums)]
+    beta = LaurentDerivation(t, LaurentBiPoly._make(t, bx, den), LaurentBiPoly._make(t, by, den))
 
     family = LaurentFamily(k=k, t=t, a=a, alpha=alpha, beta=beta)
     if not alpha.bracket(beta).is_zero:
@@ -98,11 +100,7 @@ def first_integral(k: int) -> LaurentBiPoly:
     if not isinstance(k, int) or k < 1:
         raise InvalidInput("k must be an integer >= 1")
     t = 2 * k - 1
-    return LaurentBiPoly(t, [
-        LaurentPoly.term(t, -2, Fraction(2 * k - 1)),
-        LaurentPoly.zero(t),
-        LaurentPoly.const(t, 1),
-    ])
+    return LaurentBiPoly._make(t, [(-2, [t]), _EMPTY, (0, [1])])
 
 
 def pm_witness(m: int, k: int, a_top: Fraction | int | str = 1) -> LaurentDerivation:

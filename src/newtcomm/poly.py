@@ -26,11 +26,15 @@ pass (_convolve) and stores the result over da * db.  A sum of products
 (_dot) convolves every product into one grid over the lcm of the da * db
 and normalises once; its operands may be raw rows with zeros kept, as d/dx
 and d/dy give them (_dx_rows, _dy_rows).  The commutant integrator runs on
-the same integers through _convolve, _integrate and _lincomb.  Two rules
+the same integers through _convolve, _integrate and _lincomb.  Three rules
 spare tiny operands the product grid: an operand that is one term
 c*z^e*y^i stored as one numerator (a scalar is one; in Q[x], e = 0) scales
-and shifts the other; and a value with one nonzero term has n-th power
-c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial.
+and shifts the other; a value with one nonzero term has n-th power
+c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial;
+and a value with two nonzero terms c1*m1 + c2*m2 has, for n >= 0, the n+1
+terms C(n,j)*c1^(n-j)*c2^j*m1^(n-j)*m2^j of the binomial theorem, which
+never collide because m1 != m2.  The scalar and generator constructors
+write their rows directly, as the ring operations do.
 
 Values are immutable after construction and safe to share across threads.
 The degree of the zero polynomial is ``NEG_INF``, which compares below
@@ -40,7 +44,7 @@ every integer, so degree-bound checks need no special cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable
 
@@ -267,6 +271,21 @@ def _power(self, n: int):
         return self._make(self.t, [_EMPTY] * (i * n) + [(e * n, [c ** abs(n)])], d ** abs(n))
     if n < 0:
         raise InvalidInput("negative powers only of monomials")
+    if len(live) == 2:
+        # c1*m1 + c2*m2, m1 before m2 in (y, z): by the binomial theorem its
+        # n-th power has the n+1 terms C(n,j) * c1^(n-j) * c2^j * m1^(n-j) * m2^j,
+        # term j at (dy, dz) * j from m1^n, so no two collide
+        (i1, e1, c1), (i2, e2, c2) = live
+        dy, dz = i2 - i1, e2 - e1
+        terms = [comb(n, j) * c1 ** (n - j) * c2 ** j for j in range(n + 1)]
+        if dy:  # one term per y-row, dy rows apart
+            rows = [_EMPTY] * (i2 * n + 1)
+            rows[i1 * n::dy] = [(e1 * n + dz * j, [c]) for j, c in enumerate(terms)]
+        else:  # one y-row, its terms dz apart
+            ns = [0] * (dz * n + 1)
+            ns[::dz] = terms
+            rows = [_EMPTY] * (i1 * n) + [(e1 * n, ns)]
+        return self._make(self.t, rows, self._d ** n)
     result, base = self._coerce(1), self
     while n:
         if n & 1:
@@ -515,7 +534,7 @@ class LaurentPoly(UniPoly):
 
     @classmethod
     def zero(cls, t: int) -> "LaurentPoly":
-        return cls(t, {})
+        return cls._make(_root_index(t), [])
 
     @classmethod
     def const(cls, t: int, v) -> "LaurentPoly":
@@ -576,16 +595,26 @@ class BiPoly(_Dense):
     # -- constructors ------------------------------------------------
 
     @classmethod
+    def _of_xy(cls, rows: list, den: int = 1) -> "BiPoly":
+        """The value of Q[x,y] with these rows; a Laurent class refuses, as
+        it takes a root index."""
+        if cls._laurent:
+            raise TypeError(f"{cls.__name__} takes a root index t")
+        return cls._make(1, rows, den)
+
+    @classmethod
     def zero(cls) -> "BiPoly":
-        return cls()
+        return cls._of_xy([])
 
     @classmethod
     def one(cls) -> "BiPoly":
-        return cls((1,))
+        return cls._of_xy([(0, [1])])
 
     @classmethod
     def const(cls, v) -> "BiPoly":
-        return cls((v,))
+        if not isinstance(v, (int, Fraction)):
+            return cls((v,))
+        return cls._of_xy([(0, [v.numerator])], v.denominator)
 
     @classmethod
     def from_uni(cls, u: UniPoly) -> "BiPoly":
@@ -593,11 +622,11 @@ class BiPoly(_Dense):
 
     @classmethod
     def x(cls) -> "BiPoly":
-        return cls((UniPoly.x(),))
+        return cls._of_xy([(0, [0, 1])])
 
     @classmethod
     def y(cls) -> "BiPoly":
-        return cls((0, 1))
+        return cls._of_xy([_EMPTY, (0, [1])])
 
     @classmethod
     def y_pow(cls, e: int, coeff: UniPoly | int = 1) -> "BiPoly":
@@ -605,7 +634,10 @@ class BiPoly(_Dense):
 
     @classmethod
     def monomial(cls, xe: int, ye: int, coeff=1) -> "BiPoly":
-        return cls.y_pow(ye, UniPoly.x_pow(xe, coeff))
+        if xe < 0:
+            raise InvalidInput("negative exponent in a polynomial ring")
+        c = _exact(coeff)
+        return cls._of_xy([_EMPTY] * ye + [(xe, [c.numerator])], c.denominator)
 
     # -- structure ---------------------------------------------------
 
@@ -664,7 +696,8 @@ class LaurentBiPoly(BiPoly):
 
     @classmethod
     def const(cls, t: int, v) -> "LaurentBiPoly":
-        return cls(t, (LaurentPoly.const(t, v),))
+        c = _exact(v)
+        return cls._make(_root_index(t), [(0, [c.numerator])], c.denominator)
 
     @classmethod
     def from_laurent(cls, p: LaurentPoly) -> "LaurentBiPoly":
@@ -672,7 +705,7 @@ class LaurentBiPoly(BiPoly):
 
     @classmethod
     def y(cls, t: int) -> "LaurentBiPoly":
-        return cls(t, (0, 1))
+        return cls._make(_root_index(t), [_EMPTY, (0, [1])])
 
     @classmethod
     def y_pow(cls, t: int, e: int, coeff: LaurentPoly | int = 1) -> "LaurentBiPoly":

@@ -217,6 +217,43 @@ class TestGoldenOutput:
             },
         }, indent=2, sort_keys=True) + "\n"
 
+    # The largest witness of the witness benchmark (k = 10, t = 19) and one
+    # built with r^7; recorded before the family values were built from rows
+    # and before a two-term value was raised to a power by the binomial theorem.
+    @pytest.mark.parametrize("k, t, dx, dy", [
+        (10, 19,
+         "x*y^20 + 3610/17*x^(17/19)*y^18 + 20577*x^(15/19)*y^16"
+         " + 15638520/13*x^(13/19)*y^14 + 519980790/11*x^(11/19)*y^12"
+         " + 1317284668*x^(9/19)*y^10 + 26816152170*x^(7/19)*y^8"
+         " + 407605512984*x^(5/19)*y^6 + 4840315466685*x^(3/19)*y^4"
+         " + 61310662578010*x^(1/19)*y^2 - 116490258898219*x^(-1/19)",
+         "y^21 + 210*x^(-2/19)*y^19 + 341145/17*x^(-4/19)*y^17"
+         " + 1152312*x^(-6/19)*y^15 + 574715610/13*x^(-8/19)*y^13"
+         " + 13103515908/11*x^(-10/19)*y^11 + 23052481690*x^(-12/19)*y^9"
+         " + 321793826040*x^(-14/19)*y^7 + 3209893414749*x^(-16/19)*y^5"
+         " + 22588138844530*x^(-18/19)*y^3 + 128752391413821*x^(-20/19)*y"),
+        (3, 5,
+         "x*y^20 + 60*x^(3/5)*y^18 + 1775*x^(1/5)*y^16 + 30000*x^(-1/5)*y^14"
+         " + 306250*x^(-3/5)*y^12 + 1925000*x^(-1)*y^10 + 7218750*x^(-7/5)*y^8"
+         " + 13750000*x^(-9/5)*y^6 + 1953125*x^(-11/5)*y^4 - 39062500*x^(-13/5)*y^2"
+         " - 48828125*x^(-3)",
+         "y^21 + 56*x^(-2/5)*y^19 + 1435*x^(-4/5)*y^17 + 22400*x^(-6/5)*y^15"
+         " + 236250*x^(-8/5)*y^13 + 1750000*x^(-2)*y^11 + 9143750*x^(-12/5)*y^9"
+         " + 33000000*x^(-14/5)*y^7 + 78203125*x^(-16/5)*y^5 + 109375000*x^(-18/5)*y^3"
+         " + 68359375*x^(-4)*y"),
+    ], ids=["k10", "k3"])
+    def test_pm_witness_m21_json(self, capsys, k, t, dx, dy):
+        code, out, _ = run(capsys, "pm-witness", "--m", "21", "--k", str(k), "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "commutes_with_alpha": True,
+            "d_m": "1",
+            "k": k,
+            "m": 21,
+            "t": t,
+            "witness": {"dx": dx, "dy": dy, "ring": {"t": t}},
+        }, indent=2, sort_keys=True) + "\n"
+
     def test_laurent_family_json(self, capsys):
         code, out, _ = run(capsys, "laurent-family", "--k", "3", "--a-top", "2/5", "--json")
         assert code == 0

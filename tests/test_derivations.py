@@ -245,3 +245,39 @@ class TestLaurentDerivation:
         p = LaurentBiPoly.y_pow(t, 1, LaurentPoly.term(t, 1))  # x^(1/2) * y
         q = LaurentBiPoly.from_laurent(LaurentPoly.term(t, 2))  # x
         assert a.apply(p * q) == a.apply(p) * q + p * a.apply(q)
+
+
+class TestEqualityAcrossClasses:
+    """A derivation is its ring and its values on x and y: the class that
+    declared it (PlanarDerivation or LaurentDerivation) does not enter ==."""
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_equal_values_are_equal_both_ways(self, t):
+        vx, vy = LaurentBiPoly.y(t), LaurentBiPoly.from_laurent(LaurentPoly.term(t, -2, 5))
+        a, b = PlanarDerivation(vx, vy), LaurentDerivation(t, vx, vy)
+        assert a == b and b == a and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_bracket_class_follows_the_left_operand(self, t):
+        y = LaurentBiPoly.y(t)
+        a, b = PlanarDerivation(y, y), LaurentDerivation(t, y, y)
+        ab, ba = a.bracket(b), b.bracket(a)
+        assert type(ab) is PlanarDerivation and type(ba) is LaurentDerivation
+        assert ab == ba and hash(ab) == hash(ba) and ab.is_zero
+        e = LaurentDerivation(t, LaurentBiPoly.from_laurent(LaurentPoly.term(t, -1)), y)
+        pe = PlanarDerivation(e.act_x, e.act_y)
+        assert a.bracket(e) == -e.bracket(a) == b.bracket(pe) == -pe.bracket(b)
+        assert hash(a.bracket(e)) == hash(b.bracket(pe))
+
+    def test_rings_and_values_still_separate(self):
+        d = PlanarDerivation(BiPoly.y(), BiPoly.x())
+        laurent = LaurentDerivation(1, LaurentBiPoly.y(1),
+                                    LaurentBiPoly.from_laurent(LaurentPoly.term(1, 1)))
+        assert d != laurent and laurent != d  # same text, another ring
+        assert LaurentDerivation(1, laurent.act_x, laurent.act_y) == laurent
+        assert LaurentDerivation(3, LaurentBiPoly.y(3), LaurentBiPoly.y(3)) != LaurentDerivation(
+            5, LaurentBiPoly.y(5), LaurentBiPoly.y(5))
+        assert d != PlanarDerivation(BiPoly.x(), BiPoly.y())
+        assert d != (d.act_x, d.act_y) and d != "(x -> y, y -> x)"

@@ -16,6 +16,8 @@ from newtcomm import (
     pm_witness_linear,
 )
 
+import family_oracle
+
 # a_0 .. a_{2k+1} produced by the downward two-term recurrence, frozen
 # after an independent hand computation for k = 1 and spot checks of the
 # ratio identity for the rest.
@@ -100,6 +102,18 @@ class TestBuildFamily:
         for i, c in enumerate(fam.beta.act_y.ycoeffs):
             assert c.is_zero or i % 2 == 1
 
+    def test_bracket_is_checked(self, monkeypatch):
+        """A recurrence that goes wrong is caught by the bracket, not built."""
+        from newtcomm import family
+        good = family._coefficients
+
+        def off_by_one(k, a_top):
+            a = good(k, a_top)
+            return (a[0] + 1,) + a[1:]
+        monkeypatch.setattr(family, "_coefficients", off_by_one)
+        with pytest.raises(DegenerateRecurrence):
+            build_family(2)
+
     def test_guards(self):
         with pytest.raises(InvalidInput):
             build_family(0)
@@ -171,3 +185,47 @@ class TestWitnesses:
         assert str(pm_witness_linear(7)) == (
             "(x -> x*y^6 - 3*x^3*y^4 + 3*x^5*y^2 - x^7, "
             "y -> y^7 - 3*x^2*y^5 + 3*x^4*y^3 - x^6*y)")
+
+
+A_TOPS = (1, -2, Fraction(7, 3), Fraction(-9, 8))
+
+
+def assert_same_value(p, q):
+    """Equal in every observable way: class, ring, stored form, text, hash."""
+    assert type(p) is type(q) and p.t == q.t
+    assert p == q and p._rows == q._rows and p._d == q._d
+    assert str(p) == str(q) and hash(p) == hash(q)
+
+
+def assert_same_derivation(d, e):
+    assert type(d) is type(e)
+    assert_same_value(d.act_x, e.act_x)
+    assert_same_value(d.act_y, e.act_y)
+
+
+class TestAgainstPerTermOracle:
+    """The row-built values against the per-term construction (family_oracle)."""
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_family_and_first_integral(self, k):
+        assert_same_value(first_integral(k), family_oracle.first_integral(k))
+        for a_top in A_TOPS:
+            fam, ref = build_family(k, a_top), family_oracle.build_family(k, a_top)
+            assert fam.a == ref.a and fam.t == ref.t
+            assert_same_derivation(fam.alpha, ref.alpha)
+            assert_same_derivation(fam.beta, ref.beta)
+
+    @pytest.mark.parametrize("m", range(3, 32, 2))
+    def test_witnesses(self, m):
+        for k in range(1, (m - 1) // 2 + 1):
+            for a_top in A_TOPS:
+                assert_same_derivation(pm_witness(m, k, a_top),
+                                       family_oracle.pm_witness(m, k, a_top))
+
+    @pytest.mark.parametrize("m", range(3, 32, 2))
+    def test_linear_witness_is_the_repeated_product(self, m):
+        _, d2, r = linear_pair()
+        rs = r ** 0
+        for _ in range((m - 1) // 2):
+            rs = rs * r
+        assert_same_derivation(pm_witness_linear(m), d2.scale(rs))

@@ -3,20 +3,23 @@
 The ring-axiom tests compare `*` only with itself; these compare it, and
 `**`, with `product_oracle`, over Q[x], Q[x,y] and the Laurent rings with
 t = 2 and 3: zero y-rows, negative shifts, one-coefficient operands and
-coefficients with large coprime denominators included.
+coefficients with large coprime denominators included.  Values of one
+and of two nonzero terms, which `**` raises by its own rules, get their
+own strategies.
 """
 
 from fractions import Fraction
 from functools import reduce
 from operator import mul
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from newtcomm import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly
+from newtcomm import BiPoly, InvalidInput, LaurentBiPoly, LaurentPoly, UniPoly
 
 from product_oracle import power, product, terms
-from strategies import rationals
+from strategies import assert_normal_form, rationals
 
 HUGE = (Fraction(10**40, 7), Fraction(-7, 10**40 + 1), Fraction(3**50, 2**61 - 1))
 coefficients = rationals | st.sampled_from(HUGE)
@@ -54,6 +57,20 @@ def values(draw, ring, max_size: int = 6):
     return build(ring, d)
 
 
+@st.composite
+def binomials(draw, ring):
+    """A value of the ring with exactly two nonzero terms, both in one y-row
+    or (with y) in two y-rows."""
+    _, _, with_y, zlo = ring
+    ys, zs = st.integers(0, 3 if with_y else 0), st.integers(zlo, 5)
+    if with_y and draw(st.booleans()):
+        keys = [(y, draw(zs)) for y in draw(st.lists(ys, min_size=2, max_size=2, unique=True))]
+    else:
+        y = draw(ys)
+        keys = [(y, z) for z in draw(st.lists(zs, min_size=2, max_size=2, unique=True))]
+    return build(ring, {key: draw(coefficients.filter(bool)) for key in keys})
+
+
 def ring_pairs():
     return st.sampled_from(RINGS).flatmap(
         lambda ring: st.tuples(st.just(ring), values(ring), values(ring)))
@@ -80,7 +97,9 @@ def test_power_is_the_repeated_product(case):
     lambda ring: st.tuples(values(ring, max_size=1), st.integers(0, 9))))
 def test_power_of_one_term(case):
     p, n = case
-    assert terms(p ** n) == power(terms(p), n)
+    pn, repeated = p ** n, reduce(mul, [p] * n, p ** 0)
+    assert terms(pn) == power(terms(p), n)
+    assert pn == repeated and pn._rows == repeated._rows and pn._d == repeated._d
 
 
 @given(st.sampled_from([r for r in RINGS if r[3] < 0]).flatmap(
@@ -92,3 +111,34 @@ def test_negative_power_of_laurent_monomial(case):
     assert terms(p ** -n) == power(terms(p), -n)
     assert p ** -n * p ** n == build(ring, {(0, 0): Fraction(1)})
 
+
+@given(st.sampled_from(RINGS).flatmap(
+    lambda ring: st.tuples(st.just(ring), binomials(ring), st.integers(0, 12))))
+def test_power_of_two_terms(case):
+    ring, p, n = case
+    assert len(terms(p)) == 2
+    pn = p ** n
+    assert_normal_form(pn)
+    assert type(pn) is type(p) and pn.t == ring[1]
+    assert terms(pn) == power(terms(p), n)
+    repeated = reduce(mul, [p] * n, p ** 0)
+    assert pn == repeated and pn._rows == repeated._rows and pn._d == repeated._d
+
+
+@given(st.sampled_from([r for r in RINGS if r[3] < 0]).flatmap(
+    lambda ring: st.tuples(binomials(ring), st.integers(-5, -1))))
+def test_negative_power_of_two_terms_raises(case):
+    p, n = case
+    with pytest.raises(InvalidInput, match="negative powers only of monomials"):
+        p ** n
+
+
+def test_power_rules_keep_their_values():
+    """Pinned results of the one-term and the two-term rule."""
+    m = LaurentBiPoly(3, [0, 0, LaurentPoly.term(3, -1, Fraction(3, 2))])  # 3/2 z^-1 y^2
+    assert (m ** 3)._rows == ((0, ()),) * 6 + ((-3, (27,)),) and (m ** 3)._d == 8
+    assert LaurentPoly.term(2, 3, Fraction(-2, 5)) ** -2 == LaurentPoly.term(2, -6, Fraction(25, 4))
+    r = LaurentBiPoly(3, [LaurentPoly.term(3, -2, 3), 0, 1])  # y^2 + 3 z^-2
+    assert str(r ** 3) == "y^6 + 9*x^(-2/3)*y^4 + 27*x^(-4/3)*y^2 + 27*x^(-2)"
+    assert str(UniPoly([1, Fraction(1, 2)]) ** 4) == "1/16*x^4 + 1/2*x^3 + 3/2*x^2 + 2*x + 1"
+    assert str((BiPoly.y_pow(2) - BiPoly.monomial(2, 0)) ** 2) == "y^4 - 2*x^2*y^2 + x^4"
