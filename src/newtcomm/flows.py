@@ -27,8 +27,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .derivations import PlanarDerivation
-from .errors import HypothesisViolation, InvalidInput, RingMismatch, SingularDelta
-from .poly import BiPoly, LaurentBiPoly, ring_name
+from .errors import HypothesisViolation, InvalidInput, SingularDelta
+from .poly import BiPoly
 
 
 # ---------------------------------------------------------------- companions
@@ -141,9 +141,7 @@ def _float(q: Fraction, what: str) -> float:
 def _float_rows(p: BiPoly) -> list[list[float]]:
     """y-coefficients as float lists in x; a Laurent value, whose lists are
     in z = x^(1/t) from a z-shift, raises RingMismatch."""
-    if isinstance(p, LaurentBiPoly):
-        raise RingMismatch(f"float evaluation is an operation of Q[x, y], "
-                           f"not of {ring_name(p.t, with_y=True)}")
+    p._polynomial_only("float evaluation")
     return [[_float(c, "coefficient") for c in u.coeffs] for u in p.ycoeffs]
 
 

@@ -141,7 +141,7 @@ def _is_root(a: list[int], r: Fraction) -> bool:
 def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     """All rational roots of p, found exactly by p-adic lifting.
 
-    Powers of x are stripped (contributing the root 0) and denominators
+    The row omits x^shift (the root 0 if shift > 0) and denominators are
     cleared; f is the primitive squarefree part f / gcd(f, f') of what is
     left.  The first odd prime p that does not divide lead = lc(f) and
     keeps f mod p squarefree is chosen; only primes dividing lead or the
@@ -161,12 +161,8 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     p = as_unipoly(p)
     if p.is_zero:
         raise InvalidInput("the zero polynomial has every root")
-    ints = list(p._n)  # p's numerators: p times its denominator, same roots
-    v = 0
-    while ints[v] == 0:
-        v += 1
-    roots = {Fraction(0)} if v else set()
-    ints = ints[v:]
+    ints = p._n  # p / x^shift times its denominator: the same nonzero roots
+    roots = {Fraction(0)} if p.shift else set()
     if len(ints) == 1:
         return frozenset(roots)
     f = _primitive(ints)

@@ -11,10 +11,10 @@ coerced into the other operand's ring.
 
 Storage is one form, FLINT's fmpq_poly laid out in y-rows: _rows is a tuple
 of (z-shift, int numerators), row i the coefficient of y^i, all over one
-denominator _d > 0 in lowest terms (gcd(_d, every numerator) == 1).  A row
-has no trailing zero numerator; in Q[x] its shift is 0, in a Laurent ring
-it has no leading zero either (a monomial is O(1) in size), and an empty
-row is (0, ()).  No row trails empty, and zero is ((), 1).  A univariate
+denominator _d > 0 in lowest terms (gcd(_d, every numerator) == 1).  In
+every ring a row has no leading and no trailing zero numerator, its shift
+is its lowest z-exponent (so a monomial is O(1) in size), and an empty row
+is (0, ()).  No row trails empty, and zero is ((), 1).  A univariate
 value is the case of at most one row, read through ``shift`` and ``_n``.
 The form is canonical, so == and hash are structural, also between a
 y-free BiPoly and the univariate value it equals.  ``coeffs``, ``coeff``,
@@ -28,7 +28,7 @@ and normalises once; its operands may be raw rows with zeros kept, as d/dx
 and d/dy give them (_dx_rows, _dy_rows).  The commutant integrator runs on
 the same integers through _convolve, _integrate and _lincomb.  Three rules
 spare tiny operands the product grid: an operand that is one term
-c*z^e*y^i stored as one numerator (a scalar is one; in Q[x], e = 0) scales
+c*z^e*y^i stored as one numerator (a scalar is one) scales
 and shifts the other; a value with one nonzero term has n-th power
 c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial;
 and a value with two nonzero terms c1*m1 + c2*m2 has, for n >= 0, the n+1
@@ -81,6 +81,13 @@ def _root_index(t) -> int:
     if not isinstance(t, int) or t < 1:
         raise InvalidInput("root index t must be a positive integer")
     return t
+
+
+def _exponent(e, var: str) -> int:
+    """e as a power of var in a ring where var has only natural powers."""
+    if not isinstance(e, int) or e < 0:
+        raise InvalidInput(f"{var} takes non-negative integer exponents, not {e!r}")
+    return e
 
 
 def _join_terms(parts: list[tuple[Fraction, str]]) -> str:
@@ -286,12 +293,11 @@ def _power(self, n: int):
             ns[::dz] = terms
             rows = [_EMPTY] * (i1 * n) + [(e1 * n, ns)]
         return self._make(self.t, rows, self._d ** n)
-    result, base = self._coerce(1), self
-    while n:
-        if n & 1:
-            result = result * base
-        base = base * base
-        n >>= 1
+    result = self if n else self._coerce(1)
+    for bit in f"{n:b}"[1:]:  # left to right: square, then multiply on a 1 bit
+        result = result * result
+        if bit == "1":
+            result = result * self
     return result
 
 
@@ -312,7 +318,7 @@ class _Dense:
     def _set(self, t: int, rows: list, den: int) -> None:
         """Store sum_i y^i * sum_j ns[j] * z^(s+j) / den over the rows
         (s, ns) = rows[i], den > 0, in normal form."""
-        laurent, out, g = self._laurent, [], den
+        out, g = [], den
         for s, ns in rows:
             hi = len(ns)
             while hi and not ns[hi - 1]:
@@ -320,15 +326,10 @@ class _Dense:
             if not hi:
                 out.append(_EMPTY)
                 continue
-            if laurent:
-                lo = 0
-                while not ns[lo]:
-                    lo += 1
-                row = (s + lo, tuple(ns[lo:hi]))
-            elif not s:
-                row = (0, tuple(ns) if hi == len(ns) else tuple(ns[:hi]))
-            else:  # s > 0 pads with zeros; s < 0 only from d/dx, which makes the dropped ones 0
-                row = (0, (0,) * s + tuple(ns[:hi]) if s > 0 else tuple(ns[-s:hi]))
+            lo = 0
+            while not ns[lo]:
+                lo += 1
+            row = (s + lo, tuple(ns[lo:hi]))
             if g != 1:
                 g = gcd(g, *row[1])
             out.append(row)
@@ -336,7 +337,7 @@ class _Dense:
             out.pop()
         if g != 1:  # also when every row is empty: zero is stored over 1
             out, den = [(s, tuple([n // g for n in ns])) for s, ns in out], den // g
-        if laurent:
+        if self._laurent:
             object.__setattr__(self, "t", t)
         _set_rows(self, tuple(out))
         _set_d(self, den)
@@ -399,12 +400,14 @@ class _Dense:
     def integrate_dx(self):
         """Antiderivative in x with zero constant term."""
         self._polynomial_only("integrate_dx")
-        L = lcm(*range(1, max([len(ns) for _, ns in self._rows], default=0) + 1))
-        return self._make(1, [(0, _antiderivative(ns, L)) for _, ns in self._rows], self._d * L)
+        L = lcm(*range(1, max([s + len(ns) for s, ns in self._rows], default=0) + 1))
+        return self._make(1, [(0, _antiderivative((0,) * s + ns, L)) for s, ns in self._rows],
+                          self._d * L)
 
-    def _horner(self, ns, v):
+    def _horner(self, s: int, ns, v):
+        """The Q[x] row (s, ns) at v, by Horner over its numerators from x^0."""
         acc = 0 * v  # keeps the caller's numeric type (Fraction or float)
-        for n in reversed(ns):
+        for n in reversed((0,) * s + ns):
             acc = acc * v + Fraction(n, self._d)
         return acc
 
@@ -443,7 +446,7 @@ class UniPoly(_Dense):
 
     @property
     def shift(self) -> int:
-        """The z-exponent of the first stored numerator (0 in Q[x])."""
+        """The lowest z-exponent of a nonzero term (0 for zero)."""
         return self._rows[0][0] if self._rows else 0
 
     @property
@@ -471,10 +474,8 @@ class UniPoly(_Dense):
 
     @classmethod
     def x_pow(cls, e: int, coeff=1) -> "UniPoly":
-        if e < 0:
-            raise InvalidInput("negative exponent in a polynomial ring")
         c = _exact(coeff)
-        return cls._make(1, [(e, [c.numerator])], c.denominator)
+        return cls._make(1, [(_exponent(e, "x"), [c.numerator])], c.denominator)
 
     @classmethod
     def from_dict(cls, d: dict) -> "UniPoly":
@@ -484,8 +485,10 @@ class UniPoly(_Dense):
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as Fractions, lowest z-exponent first (a view)."""
-        return tuple(Fraction(n, self._d) for n in self._n)
+        """The coefficients as Fractions (a view): in Q[x] from x^0, in a
+        Laurent ring from z^shift."""
+        ns = self._n if self._laurent else (0,) * self.shift + self._n
+        return tuple(Fraction(n, self._d) for n in ns)
 
     @property
     def degree(self):
@@ -515,7 +518,7 @@ class UniPoly(_Dense):
 
     def __call__(self, v):
         self._polynomial_only("evaluation")
-        return self._horner(self._n, v)
+        return self._horner(self.shift, self._n, v)
 
 
 class LaurentPoly(UniPoly):
@@ -622,7 +625,7 @@ class BiPoly(_Dense):
 
     @classmethod
     def x(cls) -> "BiPoly":
-        return cls._of_xy([(0, [0, 1])])
+        return cls._of_xy([(1, [1])])
 
     @classmethod
     def y(cls) -> "BiPoly":
@@ -630,14 +633,13 @@ class BiPoly(_Dense):
 
     @classmethod
     def y_pow(cls, e: int, coeff: UniPoly | int = 1) -> "BiPoly":
-        return cls((0,) * e + (coeff,))
+        return cls((0,) * _exponent(e, "y") + (coeff,))
 
     @classmethod
     def monomial(cls, xe: int, ye: int, coeff=1) -> "BiPoly":
-        if xe < 0:
-            raise InvalidInput("negative exponent in a polynomial ring")
         c = _exact(coeff)
-        return cls._of_xy([_EMPTY] * ye + [(xe, [c.numerator])], c.denominator)
+        return cls._of_xy([_EMPTY] * _exponent(ye, "y") + [(_exponent(xe, "x"), [c.numerator])],
+                          c.denominator)
 
     # -- structure ---------------------------------------------------
 
@@ -674,8 +676,8 @@ class BiPoly(_Dense):
     def evaluate(self, xv, yv):
         self._polynomial_only("evaluation")
         acc = 0 * yv
-        for _, ns in reversed(self._rows):
-            acc = acc * yv + self._horner(ns, xv)
+        for s, ns in reversed(self._rows):
+            acc = acc * yv + self._horner(s, ns, xv)
         return acc
 
 
@@ -709,4 +711,4 @@ class LaurentBiPoly(BiPoly):
 
     @classmethod
     def y_pow(cls, t: int, e: int, coeff: LaurentPoly | int = 1) -> "LaurentBiPoly":
-        return cls(t, (0,) * e + (coeff,))
+        return cls(t, (0,) * _exponent(e, "y") + (coeff,))

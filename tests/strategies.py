@@ -46,10 +46,10 @@ def laurentderivations(t: int = 2, max_ydeg: int = 2, span: int = 3):
 def assert_normal_form(p) -> None:
     """p is stored in its ring's canonical normal form: y-rows (z-shift,
     int numerators) over one denominator d > 0, in lowest terms across all
-    rows; every row trimmed (no trailing zero numerator, in a Laurent ring no
-    leading one either, an empty row as (0, ())), Q[x] rows at shift 0, no
-    trailing empty row, at most one row for a y-free value, and zero as
-    ((), 1).  Rebuilding p from its Fraction view (a bivariate value from
+    rows; in every ring each row trimmed (no leading and no trailing zero
+    numerator, so its shift is its lowest z-exponent, never negative in
+    Q[x]; an empty row as (0, ())), no trailing empty row, at most one row
+    for a y-free value, and zero as ((), 1).  Rebuilding p from its Fraction view (a bivariate value from
     its ycoeffs, each in normal form itself) gives an equal value."""
     rows, d = p._rows, p._d
     nums = [n for _, ns in rows for n in ns]
@@ -64,8 +64,8 @@ def assert_normal_form(p) -> None:
         if not ns:
             assert s == 0, p
         else:
-            assert ns[-1] != 0, p
-            assert ns[0] != 0 if p._laurent else s == 0, p
+            assert ns[0] != 0 and ns[-1] != 0, p
+            assert p._laurent or s >= 0, p
     if isinstance(p, BiPoly):
         for c in p.ycoeffs:
             assert_normal_form(c)

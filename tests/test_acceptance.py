@@ -24,7 +24,7 @@ from newtcomm import (
     rectification_defect,
     solve_commutant,
 )
-from newtcomm import commutant, obstruction, parity, selftest
+from newtcomm import commutant, flows, obstruction, parity, selftest
 
 from conftest import ACCEPTANCE_LINES
 
@@ -152,6 +152,13 @@ class TestMutationControl:
         assert not result.passed
         first = result.detail.split("; first failure: ")[1]
         assert first.startswith(f"f={selftest.ACCEPTANCE_FORCES[0]}, M=1: "), first
+
+    def test_nan_defect_is_caught(self, monkeypatch):
+        """A quadrature that returns NaN must flip criterion 6, not pass it."""
+        monkeypatch.setattr(flows, "adaptive_simpson", lambda *args: float("nan"))
+        result = selftest.run_criterion_6()
+        assert not result.passed
+        assert "rectification defect nan" in result.detail
 
     def test_dropped_solution_is_caught(self, monkeypatch):
         """Losing the last basis element of each half's one solve must flip

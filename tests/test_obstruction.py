@@ -144,6 +144,14 @@ class TestRationalRoots:
         p = UniPoly([-r, Fraction(1)]) * parse_unipoly("x^2 + x + 1")
         assert rational_roots(p) == frozenset({r})
 
+    @pytest.mark.parametrize("k", range(1, 6))
+    def test_power_of_x_times_g(self, k):
+        g = parse_unipoly("(2*x - 3) * (x + 5) * (x^2 + 1)")
+        p = UniPoly.x_pow(k) * g
+        assert p.shift == k
+        assert rational_roots(p) == frozenset({Fraction(0), Fraction(3, 2), Fraction(-5)})
+        assert rational_roots(g) == frozenset({Fraction(3, 2), Fraction(-5)})
+
     def test_fraction_coefficients_negative_lead_zero_root(self):
         p = parse_unipoly("-2/3*x^12") * parse_unipoly("x - 1/2") \
             * parse_unipoly("x + 5/7")

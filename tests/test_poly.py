@@ -16,6 +16,7 @@ from newtcomm import (
     RingMismatch,
     UniPoly,
 )
+from newtcomm.derivations import hamiltonian
 from newtcomm.poly import NEG_INF
 
 from strategies import assert_normal_form, bipolys, rationals, unipolys
@@ -261,3 +262,45 @@ class TestRingsStayDistinct:
             LaurentPoly.term(2, 1)(Fraction(4))
         with pytest.raises(InvalidInput):
             UniPoly.x_pow(-1)
+
+    @pytest.mark.parametrize("build", [
+        lambda: BiPoly.y_pow(-1),
+        lambda: BiPoly.monomial(1, -2),
+        lambda: LaurentBiPoly.y_pow(3, -2, LaurentPoly.term(3, 1)),
+    ], ids=["BiPoly.y_pow", "BiPoly.monomial", "LaurentBiPoly.y_pow"])
+    def test_negative_y_exponent_raises(self, build):
+        with pytest.raises(InvalidInput, match="y takes non-negative integer exponents"):
+            build()
+
+    @pytest.mark.parametrize("build", [
+        lambda: UniPoly.x_pow(-1), lambda: UniPoly.x_pow(2.5),
+        lambda: BiPoly.monomial(-1, 0), lambda: BiPoly.monomial(1.5, 0),
+    ], ids=["x_pow-negative", "x_pow-float", "monomial-negative", "monomial-float"])
+    def test_bad_x_exponent_raises(self, build):
+        with pytest.raises(InvalidInput, match="x takes non-negative integer exponents"):
+            build()
+
+
+class TestOneRowRule:
+    """Every ring stores a row from its lowest nonzero z-exponent, so a
+    power of x is not stored as a run of leading zeros."""
+
+    def test_stored_rows(self):
+        assert UniPoly.x_pow(40)._rows == ((40, (1,)),) and UniPoly.x_pow(40)._d == 1
+        assert BiPoly.x()._rows == ((1, (1,)),) == BiPoly([[0, 1]])._rows
+        h = hamiltonian(x ** 2 - 1)  # y^2 - 2/3 x^3 + 2 x: row 0 starts at x^1
+        assert h._rows[0] == (1, (6, 0, -2)) and h._d == 3
+
+    @given(st.integers(0, 5), st.lists(rationals, max_size=5), rationals)
+    def test_shifted_qx_views_match_the_dense_formulas(self, k, cs, v):
+        dense = [Fraction(0)] * k + cs
+        while dense and not dense[-1]:
+            dense.pop()
+        p = UniPoly(dense)
+        assert p.coeffs == tuple(dense)
+        assert p(v) == sum(c * v ** i for i, c in enumerate(dense))
+        integral = [Fraction(0)] + [c / (i + 1) for i, c in enumerate(dense)]
+        assert p.integrate_dx().coeffs == (tuple(integral) if dense else ())
+        b = BiPoly([UniPoly(cs), p])
+        assert b.evaluate(v, 3) == UniPoly(cs)(v) + 3 * p(v)
+        assert b.integrate_dx().ycoeff(1) == p.integrate_dx()

@@ -142,3 +142,21 @@ def test_power_rules_keep_their_values():
     assert str(r ** 3) == "y^6 + 9*x^(-2/3)*y^4 + 27*x^(-4/3)*y^2 + 27*x^(-2)"
     assert str(UniPoly([1, Fraction(1, 2)]) ** 4) == "1/16*x^4 + 1/2*x^3 + 3/2*x^2 + 2*x + 1"
     assert str((BiPoly.y_pow(2) - BiPoly.monomial(2, 0)) ** 2) == "y^4 - 2*x^2*y^2 + x^4"
+
+
+@pytest.mark.parametrize("n, products", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (13, 5)])
+def test_power_makes_one_product_per_step(monkeypatch, n, products):
+    """Left-to-right binary powering: one squaring per bit below the top
+    one and one product per 1 bit, nothing for an unused next square."""
+    h = BiPoly.y_pow(2) - BiPoly.monomial(4, 0, Fraction(1, 2)) - BiPoly.monomial(2, 0, 2)
+    expected = reduce(mul, [h] * n)
+    calls = []
+    real = BiPoly.__mul__
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(BiPoly, "__mul__", counting)
+    assert h ** n == expected
+    assert len(calls) == products
