@@ -4,7 +4,8 @@ Feeding the ansatz of x-power coefficients into the level equations at
 y-degree m collapses them, after eliminating everything else, to a single
 polynomial condition P_m on the slope variable X.  The roots of P_m are
 the slopes at which a nontrivial symmetry can exist.  The T-chain below
-reproduces that elimination as a two-term recurrence; P_m keeps its
+reproduces that elimination as a two-term recurrence, run on integer
+coefficient lists (its multipliers are x and x + 1 only); P_m keeps its
 integer content (nothing is divided out), so root sets rather than
 coefficients are the stable interface.
 
@@ -13,6 +14,8 @@ zeros of integral polynomials by p-adic expansion", SIAM J. Comput. 1983;
 von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 15), never by
 factoring integers: the content of P_m grows with m, so a divisor search
 on its constant term is exponential in m, while lifting is polynomial.
+One prime that keeps P_m squarefree mod p proves it squarefree, so its
+squarefree part over Z is formed only when a short prime search fails.
 Every reported root is confirmed by exact integer evaluation; nothing
 here uses floating point.
 """
@@ -22,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Iterator
 
 from .errors import InvalidInput
@@ -39,20 +43,29 @@ def build_obstruction(m: int) -> ObstructionPoly:
     """The chain T_m, T_{m-1}, ..., T_0 and the obstruction P_m (odd m >= 3)."""
     if not isinstance(m, int) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
-    X = UniPoly.x()
-    one = UniPoly.one()
-    T: dict[int, UniPoly] = {m: one, m - 1: one}
+    T: dict[int, list[int]] = {m: [1], m - 1: [1]}
     for k in range(1, (m - 1) // 2 + 1):
-        T[m - 2 * k] = X * T[m - 2 * k + 1] \
-            - (m - 2 * k + 2) * ((k - 1) * (X + one) + one) * T[m - 2 * k + 2]
-        T[m - 2 * k - 1] = T[m - 2 * k] \
-            - (m - 2 * k + 1) * k * (X + one) * T[m - 2 * k + 1]
-    P = (Fraction(m - 1, 2) * (X + one) + one) * T[1] - X * T[0]
-    return ObstructionPoly(m=m, T=tuple(T[i] for i in range(m + 1)), P=P)
+        a, b, c, e = T[m - 2 * k + 2], T[m - 2 * k + 1], m - 2 * k + 2, -(m - 2 * k + 1) * k
+        # T_{m-2k} = x b - c ((k - 1)(x + 1) + 1) a, T_{m-2k-1} = T_{m-2k} + e (x + 1) b
+        t = T[m - 2 * k] = _combine((1, 1, b), (-c * (k - 1), 1, a), (-c * k, 0, a))
+        T[m - 2 * k - 1] = _combine((1, 0, t), (e, 0, b), (e, 1, b))
+    h = (m - 1) // 2  # P = (h (x + 1) + 1) T_1 - x T_0
+    P = _combine((h + 1, 0, T[1]), (h, 1, T[1]), (-1, 1, T[0]))
+    return ObstructionPoly(m=m, T=tuple(UniPoly._make(1, [(0, T[i])]) for i in range(m + 1)),
+                           P=UniPoly._make(1, [(0, P)]))
 
 
 # Integer polynomials below are coefficient lists, constant term first,
 # with a nonzero last entry (the zero polynomial is []).
+
+def _combine(*terms: tuple[int, int, list[int]]) -> list[int]:
+    """sum c * x^s * a over the terms (c, s, a), untrimmed."""
+    out = [0] * max(s + len(a) for _, s, a in terms)
+    for c, s, a in terms:
+        for i, v in enumerate(a, s):
+            out[i] += c * v
+    return out
+
 
 def _trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
@@ -114,10 +127,18 @@ def _eval_mod(a: list[int], v: int, q: int) -> int:
 
 
 def _squarefree_mod(a: list[int], p: int) -> bool:
-    """Whether a mod p (same degree as a) has no repeated factor over F_p."""
+    """Whether a mod p (same degree as a) has no repeated factor over F_p:
+    the monic Euclidean remainder sequence of a and a' mod p ends in a unit."""
     u, v = [c % p for c in a], _trim([c % p for c in _derivative(a)])
-    while v:  # lc(v) is a unit mod p, so a pseudo-remainder is a remainder
-        u, v = v, _trim([c % p for c in _pseudo_rem(u, v)])
+    while v:
+        inv, n = pow(v[-1], -1, p), len(v) - 1
+        v = [c * inv % p for c in v]
+        for k in range(len(u) - 1, n - 1, -1):  # u := u mod v, entry by entry
+            top = u[k]
+            if top:
+                for i in range(n):
+                    u[k - n + i] = (u[k - n + i] - top * v[i]) % p
+        u, v = v, _trim(u[:n])
     return len(u) == 1
 
 
@@ -142,16 +163,21 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     """All rational roots of p, found exactly by p-adic lifting.
 
     The row omits x^shift (the root 0 if shift > 0) and denominators are
-    cleared; f is the primitive squarefree part f / gcd(f, f') of what is
-    left.  The first odd prime p that does not divide lead = lc(f) and
-    keeps f mod p squarefree is chosen; only primes dividing lead or the
-    discriminant of f fail, so the search ends.  The roots of f mod p are
-    found by evaluation at 0..p-1 and Newton/Hensel-lifted to a modulus
-    q > 2B, where B = min(|lead| + max_{i<n} |a_i|, |lead| |a_0|) bounds
-    |lead * r| for every rational root r (Cauchy's bound, and r = num/den
-    with num | a_0, den | lead).  For each lift, lead * lift mod q taken in
-    the symmetric range is an integer c, and c / lead is kept only if it
-    is an exact root of p.
+    cleared; f is the primitive part of what is left, lead = lc(f) > 0.
+    The first odd prime p that does not divide lead and keeps f mod p
+    squarefree is the lifting prime, and it proves f squarefree: were
+    f = g^2 h with deg g >= 1, g would be primitive in Z[x] (Gauss's
+    lemma) with p not dividing lc(g), and (g mod p)^2 would divide f mod p.
+    So gcd(f, f') is formed only once deg f such primes have failed (a
+    bound on work, not on correctness): f becomes f / gcd(f, f') and the
+    search restarts; only primes dividing lead or the discriminant of a
+    squarefree f fail, so it ends.  The roots of f mod p are found by
+    evaluation at 0..p-1 and Newton/Hensel-lifted to a modulus q > 2B,
+    where B = min(|lead| + max_{i<n} |a_i|, |lead| |a_0|) bounds |lead * r|
+    for every rational root r (Cauchy's bound, and r = num/den with
+    num | a_0, den | lead).  For each lift, lead * lift mod q taken in the
+    symmetric range is an integer c, and c / lead is kept only if it is an
+    exact root of p.
 
     Complete: a rational root r = num/den has den invertible mod p, so
     r mod p is a root of f mod p, simple because f mod p is squarefree;
@@ -166,10 +192,13 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     if len(ints) == 1:
         return frozenset(roots)
     f = _primitive(ints)
-    f = _quotient(f, _gcd(f, _derivative(f)))  # primitive, lead > 0 (Gauss)
+    usable = (q for q in _odd_primes() if f[-1] % q)
+    prime = next((q for q in islice(usable, len(f) - 1) if _squarefree_mod(f, q)), None)
+    if prime is None:
+        f = _quotient(f, _gcd(f, _derivative(f)))  # primitive, lead > 0 (Gauss)
+        prime = next(q for q in _odd_primes() if f[-1] % q and _squarefree_mod(f, q))
     lead = f[-1]
     bound = min(lead + max(abs(c) for c in f[:-1]), lead * abs(f[0]))
-    prime = next(q for q in _odd_primes() if lead % q and _squarefree_mod(f, q))
     df = _derivative(f)
     for r in range(prime):
         if _eval_mod(f, r, prime):

@@ -545,6 +545,8 @@ class LaurentPoly(UniPoly):
 
     @classmethod
     def term(cls, t: int, zexp: int, coeff=1) -> "LaurentPoly":
+        if not isinstance(zexp, int):
+            raise InvalidInput(f"z takes integer exponents, not {zexp!r}")
         c = _exact(coeff)
         return cls._make(_root_index(t), [(zexp, [c.numerator])], c.denominator)
 

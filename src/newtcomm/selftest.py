@@ -122,7 +122,7 @@ def run_criterion_4(seed: int = 0) -> CriterionResult:
     """Obstruction polynomials: degree bound, P(-1) != 0, exact root sets."""
     t0 = time.perf_counter()
     failures = []
-    for m in range(3, 32, 2):
+    for m in range(3, 62, 2):
         ob = obstruction.build_obstruction(m)
         if ob.P.degree > (m + 1) // 2:
             failures.append(f"m={m}: degree {ob.P.degree} exceeds (m+1)/2")
@@ -136,7 +136,7 @@ def run_criterion_4(seed: int = 0) -> CriterionResult:
         failures.append(f"P_3 spot value mismatch: {spot}")
     elif obstruction.rational_roots(spot) != {Fraction(1), Fraction(-3)}:
         failures.append("P_3 spot roots mismatch")
-    detail = "P_m for odd m <= 31: degree, P(-1) != 0, exact root sets, P_3 spot value"
+    detail = "P_m for odd m <= 61: degree, P(-1) != 0, exact root sets, P_3 spot value"
     return _verdict("4-obstruction-roots", failures, detail, t0)
 
 

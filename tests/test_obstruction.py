@@ -1,9 +1,10 @@
 """Obstruction polynomials P_m and exact rational root finding."""
 
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from newtcomm import (
@@ -11,10 +12,12 @@ from newtcomm import (
     UniPoly,
     build_obstruction,
     expected_root_set,
+    obstruction,
     parse_unipoly,
     rational_roots,
 )
 
+import obstruction_oracle
 from divisor_oracle import divisor_oracle
 from strategies import unipolys
 
@@ -59,6 +62,17 @@ class TestBuildObstruction:
             P = build_obstruction(m).P
             assert rational_roots(P) == expected_root_set(m)
 
+    def test_matches_ring_operator_oracle(self):
+        for m in range(3, 62, 2):
+            ob, ref = build_obstruction(m), obstruction_oracle.build_obstruction(m)
+            assert ob.T == ref.T, m
+            assert ob.P == ref.P, m
+
+    def test_roots_at_m201_within_budget(self):
+        t0 = time.perf_counter()
+        assert rational_roots(build_obstruction(201).P) == expected_root_set(201)
+        assert time.perf_counter() - t0 < 3.0
+
     def test_expected_root_set_contents(self):
         assert expected_root_set(3) == frozenset({Fraction(1), Fraction(-3)})
         assert expected_root_set(5) == frozenset(
@@ -79,6 +93,10 @@ class TestBuildObstruction:
                 build_obstruction(bad)
         with pytest.raises(InvalidInput):
             expected_root_set(4)
+
+
+NOT_SQUAREFREE = "(x - 1)^3 * (2*x + 3)^2 * (x^2 + 1)"
+NOT_SQUAREFREE_ROOTS = frozenset({Fraction(1), Fraction(-3, 2)})
 
 
 class TestRationalRoots:
@@ -130,8 +148,30 @@ class TestRationalRoots:
         )
 
     def test_not_squarefree(self):
-        p = parse_unipoly("(x - 1)^3 * (2*x + 3)^2 * (x^2 + 1)")
-        assert rational_roots(p) == frozenset({Fraction(1), Fraction(-3, 2)})
+        p = parse_unipoly(NOT_SQUAREFREE)
+        assert rational_roots(p) == NOT_SQUAREFREE_ROOTS
+
+    def test_gcd_only_when_the_prime_search_fails(self, monkeypatch):
+        real, calls = obstruction._gcd, []
+        monkeypatch.setattr(obstruction, "_gcd", lambda a, b: calls.append(a) or real(a, b))
+        for m in range(3, 62, 2):
+            rational_roots(build_obstruction(m).P)
+        assert calls == []
+        assert rational_roots(parse_unipoly(NOT_SQUAREFREE)) == NOT_SQUAREFREE_ROOTS
+        assert len(calls) == 1
+        # squarefree, but the roots agree mod 3 and mod 5: deg f = 2 primes fail
+        assert rational_roots(parse_unipoly("(x - 1) * (x - 16)")) == {1, 16}
+        assert len(calls) == 2
+
+    def test_accepting_every_prime_is_caught(self, monkeypatch):
+        """Mutation control: a squarefree test that passes every prime lets
+        the repeated roots of NOT_SQUAREFREE reach the lifting step."""
+        monkeypatch.setattr(obstruction, "_squarefree_mod", lambda a, p: True)
+        try:
+            wrong = rational_roots(parse_unipoly(NOT_SQUAREFREE)) != NOT_SQUAREFREE_ROOTS
+        except ValueError:  # f' vanishes mod p at a repeated root: no Newton step
+            wrong = True
+        assert wrong
 
     def test_constant_term_with_two_large_prime_factors(self):
         # a divisor search on a0 would trial-divide up to ~2^60
@@ -173,3 +213,35 @@ def test_matches_divisor_oracle(factors, cofactor):
     for lin in factors:
         p = p * lin
     assert rational_roots(p) == divisor_oracle(p)
+
+
+PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+small_ints = st.lists(st.integers(-40, 40), min_size=1, max_size=4)
+
+
+@st.composite
+def polys_mod_p(draw):
+    """(integer list, prime p not dividing its last entry), with square
+    factors and derivatives that vanish mod p drawn often."""
+    p = draw(st.sampled_from(PRIMES))
+    kind = draw(st.sampled_from(("random", "square", "no derivative")))
+    if kind == "random":
+        a = draw(st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=9))
+    elif kind == "square":
+        g = UniPoly(draw(small_ints) + [draw(st.integers(1, 9))])
+        h = UniPoly(draw(small_ints) + [draw(st.integers(1, 9))])
+        a = [c.numerator for c in (g * g * h).coeffs]
+    else:  # g(x^p) + p h(x), so a' = 0 mod p
+        g = draw(st.lists(st.integers(-40, 40), min_size=2, max_size=3))
+        a = [p * c for c in draw(st.lists(st.integers(-9, 9), min_size=p * (len(g) - 1) + 1,
+                                          max_size=p * (len(g) - 1) + 1))]
+        for i, c in enumerate(g):
+            a[i * p] += c
+    assume(a[-1] % p)
+    return a, p
+
+
+@given(polys_mod_p())
+def test_squarefree_mod_matches_pseudo_remainder_oracle(case):
+    a, p = case
+    assert obstruction._squarefree_mod(a, p) == obstruction_oracle.squarefree_mod(a, p)

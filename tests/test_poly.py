@@ -280,6 +280,15 @@ class TestRingsStayDistinct:
         with pytest.raises(InvalidInput, match="x takes non-negative integer exponents"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: LaurentPoly.term(2, 1.5), lambda: LaurentPoly.term(3, Fraction(-1, 2)),
+        lambda: LaurentPoly.term(2, "1"),
+    ], ids=["term-float", "term-fraction", "term-str"])
+    def test_non_integer_z_exponent_raises(self, build):
+        assert str(LaurentPoly.term(2, -3, 5)) == "5*x^(-3/2)"  # any integer is one
+        with pytest.raises(InvalidInput, match="z takes integer exponents"):
+            build()
+
 
 class TestOneRowRule:
     """Every ring stores a row from its lowest nonzero z-exponent, so a
