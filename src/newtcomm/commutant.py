@@ -59,7 +59,8 @@ from math import lcm
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
 from .linsolve import nullspace
-from .poly import BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb, as_unipoly
+from .poly import (BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb, _trim,
+                   as_unipoly)
 
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]:
@@ -96,9 +97,7 @@ def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]
             if g and nums:  # out grows to the longest product
                 out += [0] * (len(nums) + g[-1][0] - len(out))
                 _convolve(enumerate(nums), [(i, w * n) for i, n in g], out)
-        while out and not out[-1]:
-            out.pop()
-        return out, den
+        return _trim(out), den
 
     runs = []
     for k in range(m + 1):

@@ -187,9 +187,8 @@ def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
     return out
 
 
-def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
-                     tol: float = 1e-9) -> float:
-    """Adaptive Simpson quadrature with Richardson correction."""
+def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
+    """Adaptive Simpson quadrature with Richardson correction, to QUAD_TOL."""
     if a == b:
         return 0.0
 
@@ -210,7 +209,7 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float,
 
     fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
     whole = simpson(a, b, fa, fm, fb)
-    return recurse(a, b, fa, fm, fb, whole, tol, 48)
+    return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, 48)
 
 
 def _worst(errors: list[float]) -> float:
@@ -309,14 +308,10 @@ def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
         t, xv, yv = traj[idx]
         scan(x0f, y0f, yv, vertical=True)
         scan(yv, x0f, xv, vertical=False)
-        F1 = adaptive_simpson(lambda r: g2(r, yv) / guard(dl(r, yv)),
-                              x0f, xv, QUAD_TOL) \
-            + adaptive_simpson(lambda s: -g1(x0f, s) / guard(dl(x0f, s)),
-                               y0f, yv, QUAD_TOL)
-        F2 = adaptive_simpson(lambda r: -f2(r, yv) / guard(dl(r, yv)),
-                              x0f, xv, QUAD_TOL) \
-            + adaptive_simpson(lambda s: f1(x0f, s) / guard(dl(x0f, s)),
-                               y0f, yv, QUAD_TOL)
+        F1 = (adaptive_simpson(lambda r: g2(r, yv) / guard(dl(r, yv)), x0f, xv)
+              + adaptive_simpson(lambda s: -g1(x0f, s) / guard(dl(x0f, s)), y0f, yv))
+        F2 = (adaptive_simpson(lambda r: -f2(r, yv) / guard(dl(r, yv)), x0f, xv)
+              + adaptive_simpson(lambda s: f1(x0f, s) / guard(dl(x0f, s)), y0f, yv))
         defects += (abs(F1 - t), abs(F2))
     return FlowCheckReport(max_defect=_worst(defects), trajectory_error=traj_err,
                            steps=steps, tolerance=TOLERANCE)

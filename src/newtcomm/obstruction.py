@@ -29,7 +29,7 @@ from itertools import islice
 from typing import Iterator
 
 from .errors import InvalidInput
-from .poly import UniPoly, as_unipoly
+from .poly import UniPoly, _trim, as_unipoly
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ def _combine(*terms: tuple[int, int, list[int]]) -> list[int]:
         for i, v in enumerate(a, s):
             out[i] += c * v
     return out
-
-
-def _trim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
 
 
 def _primitive(a: list[int]) -> list[int]:

@@ -20,14 +20,14 @@ The form is canonical, so == and hash are structural, also between a
 y-free BiPoly and the univariate value it equals.  ``coeffs``, ``coeff``,
 ``lc``, ``terms``, ``ycoeffs`` and ``ycoeff`` are views built on access.
 
-A sum is one aligned integer sum per row over lcm(da, db).  A product lays
-both operands out in row-major (y, z) integer grids, convolves them in one
-pass (_convolve) and stores the result over da * db.  A sum of products
-(_dot) convolves every product into one grid over the lcm of the da * db
-and normalises once; its operands may be raw rows with zeros kept, as d/dx
-and d/dy give them (_dx_rows, _dy_rows).  The commutant integrator runs on
-the same integers through _convolve, _integrate and _lincomb.  Three rules
-spare tiny operands the product grid: an operand that is one term
+A sum is one aligned integer sum per row over lcm(da, db).  Every product,
+and every sum of products, is one _dot: it lays the operands out in
+row-major (y, z) integer grids, convolves every product into one grid over
+the lcm of the da * db (_convolve) and normalises once; a product * is the
+sum of one.  Its operands may be raw rows with zeros kept, as d/dx and d/dy
+give them (_dx_rows, _dy_rows).  The commutant integrator runs on the same
+integers through _convolve, _integrate and _lincomb.  Three rules spare
+tiny operands the product grid: an operand that is one term
 c*z^e*y^i stored as one numerator (a scalar is one) scales
 and shifts the other; a value with one nonzero term has n-th power
 c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial;
@@ -81,6 +81,13 @@ def _root_index(t) -> int:
     if not isinstance(t, int) or t < 1:
         raise InvalidInput("root index t must be a positive integer")
     return t
+
+
+def _zexponent(e) -> int:
+    """e as a power of z in a Laurent ring, where z has every integer power."""
+    if not isinstance(e, int):
+        raise InvalidInput(f"z takes integer exponents, not {e!r}")
+    return e
 
 
 def _exponent(e, var: str) -> int:
@@ -142,10 +149,11 @@ def _scaled(rows, k: int):
     return rows if k == 1 else [(s, [n * k for n in ns]) for s, ns in rows]
 
 
-def _span(rows) -> tuple[int, int]:
-    """Lowest z-exponent and one past the highest over the nonzero y-rows."""
+def _span(rows) -> tuple[int, int] | None:
+    """Lowest z-exponent and one past the highest over the nonempty y-rows,
+    None if every row is empty."""
     live = [(s, s + len(ns)) for s, ns in rows if ns]
-    return min(lo for lo, _ in live), max(hi for _, hi in live)
+    return (min(live)[0], max([hi for _, hi in live])) if live else None
 
 
 def _grid(rows, lo: int, width: int) -> list:
@@ -163,6 +171,13 @@ def _convolve(ga, gb: list, acc: list) -> None:
             acc[i + j] += ca * cb
 
 
+def _trim(ns: list) -> list:
+    """ns without its trailing zeros, popped in place."""
+    while ns and not ns[-1]:
+        ns.pop()
+    return ns
+
+
 def _lincomb(terms) -> tuple[list, int]:
     """sum of w * nums / den over (w, nums, den) in terms, w an int or a
     Fraction and nums dense integer numerators, as integer numerators over
@@ -173,9 +188,7 @@ def _lincomb(terms) -> tuple[list, int]:
         scale = w.numerator * (den // (w.denominator * d))
         for i, n in enumerate(nums):
             out[i] += scale * n
-    while out and not out[-1]:
-        out.pop()
-    return out, den
+    return _trim(out), den
 
 
 def _antiderivative(nums, L: int) -> list:
@@ -230,7 +243,7 @@ def _mul(self, other):
     o = self._coerce(other)
     if o is None:
         return NotImplemented
-    a, b, d = self._rows, o._rows, self._d * o._d
+    a, b = self._rows, o._rows
     if not a or not b:
         return self._make(self.t, [], 1)
     if len(a[-1][1]) == 1 and (len(a) == 1 or not any([ns for _, ns in a[:-1]])):
@@ -238,29 +251,25 @@ def _mul(self, other):
     if len(b[-1][1]) == 1 and (len(b) == 1 or not any([ns for _, ns in b[:-1]])):
         s, (c,) = b[-1]  # b is one term c * z^s * y^i: scale a and shift it
         return self._make(self.t, [_EMPTY] * (len(b) - 1)
-                          + [(r + s, [c * n for n in ns]) for r, ns in a], d)
-    (la, ha), (lb, hb) = _span(a), _span(b)
-    width = ha - la + hb - lb - 1
-    acc = [0] * (width * (len(a) + len(b) - 1))
-    _convolve(_grid(a, la, width), _grid(b, lb, width), acc)
-    return self._make(self.t, [(la + lb, acc[i:i + width]) for i in range(0, len(acc), width)], d)
+                          + [(r + s, [c * n for n in ns]) for r, ns in a], self._d * o._d)
+    return _dot(self, [(1, a, self._d, b, o._d)])
 
 
 def _dot(like, products):
     """sum of sign * (a / da) * (b / db) over the products (sign, a, da, b, db),
     y-rows a and b with zero numerators allowed, in like's ring: one integer
     grid over the lcm of the da * db, normalised once."""
-    live = [(sign, a, da * db, b, _span(a), _span(b)) for sign, a, da, b, db in products
-            if any([ns for _, ns in a]) and any([ns for _, ns in b])]
+    live = [(sign, a, da * db, b, sa[0], sa[0] + sb[0], sa[1] + sb[1], len(a) + len(b))
+            for sign, a, da, b, db in products if (sa := _span(a)) and (sb := _span(b))]
     if not live:
         return like._make(like.t, [], 1)
-    den = lcm(*[d for _, _, d, _, _, _ in live])
-    lo = min([la + lb for *_, (la, _), (lb, _) in live])
-    width = max([ha + hb for *_, (_, ha), (_, hb) in live]) - 1 - lo
-    acc = [0] * (width * max([len(a) + len(b) - 1 for _, a, _, b, _, _ in live]))
-    for sign, a, d, b, (la, _), _ in live:  # b keyed from lo - la: a * b lands at z - lo
-        k = sign * (den // d)
-        _convolve([(i, k * n) for i, n in _grid(a, la, width)], _grid(b, lo - la, width), acc)
+    _, _, ds, _, _, los, his, heights = zip(*live)
+    den, lo = lcm(*ds), min(los)
+    width = max(his) - 1 - lo
+    acc = [0] * (width * (max(heights) - 1))
+    for sign, a, d, b, la, _, _, _ in live:  # b keyed from lo - la: a * b lands at z - lo
+        k, ga = sign * (den // d), _grid(a, la, width)
+        _convolve(ga if k == 1 else [(i, k * n) for i, n in ga], _grid(b, lo - la, width), acc)
     return like._make(like.t, [(lo, acc[i:i + width]) for i in range(0, len(acc), width)], den)
 
 
@@ -479,6 +488,7 @@ class UniPoly(_Dense):
 
     @classmethod
     def from_dict(cls, d: dict) -> "UniPoly":
+        d = {_exponent(e, "x"): c for e, c in d.items()}
         return cls([d.get(e, 0) for e in range(max(d, default=-1) + 1)])
 
     # -- structure ---------------------------------------------------
@@ -530,7 +540,7 @@ class LaurentPoly(UniPoly):
 
     def __init__(self, t: int, terms: dict | Iterable = ()):
         t = _root_index(t)
-        d = {int(ze): _exact(c) for ze, c in dict(terms).items()}
+        d = {_zexponent(ze): _exact(c) for ze, c in dict(terms).items()}
         lo = min(d, default=0)
         nums, den = _clear([d.get(ze, 0) for ze in range(lo, max(d, default=lo - 1) + 1)])
         self._set(t, [(lo, nums)], den)
@@ -545,9 +555,7 @@ class LaurentPoly(UniPoly):
 
     @classmethod
     def term(cls, t: int, zexp: int, coeff=1) -> "LaurentPoly":
-        if not isinstance(zexp, int):
-            raise InvalidInput(f"z takes integer exponents, not {zexp!r}")
-        c = _exact(coeff)
+        zexp, c = _zexponent(zexp), _exact(coeff)
         return cls._make(_root_index(t), [(zexp, [c.numerator])], c.denominator)
 
     @classmethod

@@ -275,7 +275,10 @@ class TestRingsStayDistinct:
     @pytest.mark.parametrize("build", [
         lambda: UniPoly.x_pow(-1), lambda: UniPoly.x_pow(2.5),
         lambda: BiPoly.monomial(-1, 0), lambda: BiPoly.monomial(1.5, 0),
-    ], ids=["x_pow-negative", "x_pow-float", "monomial-negative", "monomial-float"])
+        lambda: UniPoly.from_dict({-1: 3}), lambda: UniPoly.from_dict({2: 1, -1: 3}),
+        lambda: UniPoly.from_dict({2.5: 1}),
+    ], ids=["x_pow-negative", "x_pow-float", "monomial-negative", "monomial-float",
+            "from_dict-negative", "from_dict-negative-beside-positive", "from_dict-float"])
     def test_bad_x_exponent_raises(self, build):
         with pytest.raises(InvalidInput, match="x takes non-negative integer exponents"):
             build()
@@ -283,9 +286,13 @@ class TestRingsStayDistinct:
     @pytest.mark.parametrize("build", [
         lambda: LaurentPoly.term(2, 1.5), lambda: LaurentPoly.term(3, Fraction(-1, 2)),
         lambda: LaurentPoly.term(2, "1"),
-    ], ids=["term-float", "term-fraction", "term-str"])
+        lambda: LaurentPoly(2, {1.5: 1}), lambda: LaurentPoly(2, {"3": 1}),
+        lambda: LaurentPoly(2, {0: 1, Fraction(1, 2): 2}),
+    ], ids=["term-float", "term-fraction", "term-str",
+            "constructor-float", "constructor-str", "constructor-fraction"])
     def test_non_integer_z_exponent_raises(self, build):
         assert str(LaurentPoly.term(2, -3, 5)) == "5*x^(-3/2)"  # any integer is one
+        assert LaurentPoly(2, {-3: 5, 1: 1}) == LaurentPoly.term(2, -3, 5) + LaurentPoly.term(2, 1)
         with pytest.raises(InvalidInput, match="z takes integer exponents"):
             build()
 
