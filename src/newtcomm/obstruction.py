@@ -14,10 +14,11 @@ zeros of integral polynomials by p-adic expansion", SIAM J. Comput. 1983;
 von zur Gathen & Gerhard, *Modern Computer Algebra*, ch. 15), never by
 factoring integers: the content of P_m grows with m, so a divisor search
 on its constant term is exponential in m, while lifting is polynomial.
-One prime that keeps P_m squarefree mod p proves it squarefree, so its
-squarefree part over Z is formed only when a short prime search fails.
-Every reported root is confirmed by exact integer evaluation; nothing
-here uses floating point.
+Lifting needs only that each residue it lifts is a simple root mod p,
+so the prime is chosen by checking P_m' at the roots its scan finds; the
+squarefree part over Z is formed only when a short prime search finds no
+such prime.  Every reported root is confirmed by exact integer
+evaluation; nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -35,24 +36,22 @@ from .poly import UniPoly, _trim, as_unipoly
 @dataclass(frozen=True)
 class ObstructionPoly:
     m: int
-    T: tuple[UniPoly, ...]  # T[0] .. T[m]
     P: UniPoly
 
 
 def build_obstruction(m: int) -> ObstructionPoly:
-    """The chain T_m, T_{m-1}, ..., T_0 and the obstruction P_m (odd m >= 3)."""
+    """The obstruction P_m (odd m >= 3), from the chain T_m, T_{m-1}, ..., T_0."""
     if not isinstance(m, int) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
-    T: dict[int, list[int]] = {m: [1], m - 1: [1]}
+    a, b = [1], [1]  # T_{m-2k+2}, T_{m-2k+1}
     for k in range(1, (m - 1) // 2 + 1):
-        a, b, c, e = T[m - 2 * k + 2], T[m - 2 * k + 1], m - 2 * k + 2, -(m - 2 * k + 1) * k
+        c, e = m - 2 * k + 2, -(m - 2 * k + 1) * k
         # T_{m-2k} = x b - c ((k - 1)(x + 1) + 1) a, T_{m-2k-1} = T_{m-2k} + e (x + 1) b
-        t = T[m - 2 * k] = _combine((1, 1, b), (-c * (k - 1), 1, a), (-c * k, 0, a))
-        T[m - 2 * k - 1] = _combine((1, 0, t), (e, 0, b), (e, 1, b))
+        t = _combine((1, 1, b), (-c * (k - 1), 1, a), (-c * k, 0, a))
+        a, b = t, _combine((1, 0, t), (e, 0, b), (e, 1, b))
     h = (m - 1) // 2  # P = (h (x + 1) + 1) T_1 - x T_0
-    P = _combine((h + 1, 0, T[1]), (h, 1, T[1]), (-1, 1, T[0]))
-    return ObstructionPoly(m=m, T=tuple(UniPoly._make(1, [(0, T[i])]) for i in range(m + 1)),
-                           P=UniPoly._make(1, [(0, P)]))
+    P = _combine((h + 1, 0, a), (h, 1, a), (-1, 1, b))
+    return ObstructionPoly(m=m, P=UniPoly._make(1, [(0, P)]))
 
 
 # Integer polynomials below are coefficient lists, constant term first,
@@ -120,28 +119,25 @@ def _eval_mod(a: list[int], v: int, q: int) -> int:
     return acc
 
 
-def _squarefree_mod(a: list[int], p: int) -> bool:
-    """Whether a mod p (same degree as a) has no repeated factor over F_p:
-    the monic Euclidean remainder sequence of a and a' mod p ends in a unit."""
-    u, v = [c % p for c in a], _trim([c % p for c in _derivative(a)])
-    while v:
-        inv, n = pow(v[-1], -1, p), len(v) - 1
-        v = [c * inv % p for c in v]
-        for k in range(len(u) - 1, n - 1, -1):  # u := u mod v, entry by entry
-            top = u[k]
-            if top:
-                for i in range(n):
-                    u[k - n + i] = (u[k - n + i] - top * v[i]) % p
-        u, v = v, _trim(u[:n])
-    return len(u) == 1
-
-
 def _odd_primes() -> Iterator[int]:
     n = 3
     while True:
         if all(n % d for d in range(3, math.isqrt(n) + 1, 2)):
             yield n
         n += 2
+
+
+def _lifting_prime(f: list[int], tries: int | None = None) -> tuple[int, list[int]] | None:
+    """The first odd prime p not dividing lc(f) at which every root of f mod
+    p is simple, with those roots (found by evaluation at 0..p-1); None once
+    `tries` such primes have failed (no bound if None)."""
+    for p in islice((q for q in _odd_primes() if f[-1] % q), tries):
+        fp = [c % p for c in f]  # reduced once, so the scan runs on small integers
+        roots = [r for r in range(p) if not _eval_mod(fp, r, p)]
+        dfp = _derivative(fp)
+        if all(_eval_mod(dfp, r, p) for r in roots):
+            return p, roots
+    return None
 
 
 def _is_root(a: list[int], r: Fraction) -> bool:
@@ -158,25 +154,24 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
 
     The row omits x^shift (the root 0 if shift > 0) and denominators are
     cleared; f is the primitive part of what is left, lead = lc(f) > 0.
-    The first odd prime p that does not divide lead and keeps f mod p
-    squarefree is the lifting prime, and it proves f squarefree: were
-    f = g^2 h with deg g >= 1, g would be primitive in Z[x] (Gauss's
-    lemma) with p not dividing lc(g), and (g mod p)^2 would divide f mod p.
-    So gcd(f, f') is formed only once deg f such primes have failed (a
-    bound on work, not on correctness): f becomes f / gcd(f, f') and the
-    search restarts; only primes dividing lead or the discriminant of a
-    squarefree f fail, so it ends.  The roots of f mod p are found by
-    evaluation at 0..p-1 and Newton/Hensel-lifted to a modulus q > 2B,
-    where B = min(|lead| + max_{i<n} |a_i|, |lead| |a_0|) bounds |lead * r|
-    for every rational root r (Cauchy's bound, and r = num/den with
-    num | a_0, den | lead).  For each lift, lead * lift mod q taken in the
-    symmetric range is an integer c, and c / lead is kept only if it is an
-    exact root of p.
+    The lifting prime p is the first odd prime not dividing lead at which
+    f' is nonzero mod p at every root r in 0..p-1 of f mod p.  A repeated
+    rational root fails every prime, so once deg f primes have failed (a
+    bound on work, not on correctness) f becomes f / gcd(f, f') and the
+    search runs on without a bound; a squarefree f fails only at primes
+    dividing its discriminant, so it ends.  Each root r mod p is
+    Newton/Hensel-lifted to a modulus q > 2B, where
+    B = min(|lead| + max_{i<n} |a_i|, |lead| |a_0|) bounds |lead * x| for
+    every rational root x (Cauchy's bound, and x = num/den with num | a_0,
+    den | lead).  For each lift, lead * lift mod q taken in the symmetric
+    range is an integer c, and c / lead is kept only if it is an exact
+    root of p.
 
-    Complete: a rational root r = num/den has den invertible mod p, so
-    r mod p is a root of f mod p, simple because f mod p is squarefree;
-    its Hensel lift is unique, hence equals r mod q, and lead * r is the
-    integer of absolute value <= B < q/2 congruent to lead * lift.
+    Complete: a rational root x = num/den of f has den | lead, so den is
+    invertible mod p and x mod p is one of the roots the scan finds.  That
+    root is simple by the choice of p, so its Hensel lift is unique, hence
+    equals x mod q, and lead * x is the integer of absolute value
+    <= B < q/2 congruent to lead * lift.
     """
     p = as_unipoly(p)
     if p.is_zero:
@@ -186,17 +181,15 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     if len(ints) == 1:
         return frozenset(roots)
     f = _primitive(ints)
-    usable = (q for q in _odd_primes() if f[-1] % q)
-    prime = next((q for q in islice(usable, len(f) - 1) if _squarefree_mod(f, q)), None)
-    if prime is None:
+    found = _lifting_prime(f, len(f) - 1)
+    if found is None:
         f = _quotient(f, _gcd(f, _derivative(f)))  # primitive, lead > 0 (Gauss)
-        prime = next(q for q in _odd_primes() if f[-1] % q and _squarefree_mod(f, q))
+        found = _lifting_prime(f)
+    prime, residues = found
     lead = f[-1]
     bound = min(lead + max(abs(c) for c in f[:-1]), lead * abs(f[0]))
     df = _derivative(f)
-    for r in range(prime):
-        if _eval_mod(f, r, prime):
-            continue
+    for r in residues:
         q = prime
         while q <= 2 * bound:
             q *= q

@@ -105,9 +105,7 @@ class TestMutationControl:
 
         def corrupted(m):
             ob = real(m)
-            return obstruction.ObstructionPoly(
-                m=ob.m, T=ob.T, P=ob.P + UniPoly.const(Fraction(1))
-            )
+            return obstruction.ObstructionPoly(m=ob.m, P=ob.P + UniPoly.const(Fraction(1)))
 
         monkeypatch.setattr(obstruction, "build_obstruction", corrupted)
         result = selftest.run_criterion_4()

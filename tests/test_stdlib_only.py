@@ -50,3 +50,40 @@ def test_generated_code_runs_only_in_compile_evaluator():
     calls = {(path.stem, where, name) for path in SOURCES
              for where, name in _dynamic_calls(ast.parse(path.read_text()))}
     assert calls == {("flows", "compile_evaluator", "exec")}
+
+
+def _private_definitions(stmt: ast.stmt) -> set[str]:
+    """Private (single-underscore, not dunder) names a module-level statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = {stmt.name}
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    else:
+        names = set()
+    return {n for n in names if n.startswith("_") and not n.startswith("__")}
+
+
+def _references(node: ast.AST) -> set[str]:
+    """Names read, attributes taken and names imported anywhere under node."""
+    refs = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            refs.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            refs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            refs.add(n.name)
+    return refs
+
+
+def test_every_private_module_name_is_used():
+    """A module-level private name is referenced somewhere in the package
+    outside its own definition, so no helper outlives its last caller."""
+    defined, used = set(), set()
+    for path in SOURCES:
+        for stmt in ast.parse(path.read_text()).body:
+            own = _private_definitions(stmt)
+            defined |= {(path.stem, n) for n in own}
+            used |= _references(stmt) - own
+    assert sorted(n for n in defined if n[1] not in used) == []
