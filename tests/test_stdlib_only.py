@@ -1,5 +1,6 @@
-"""The package imports nothing outside the standard library, and runs
-generated code in one place only."""
+"""The package imports nothing outside the standard library, runs
+generated code in one place only, and keeps no private helper that
+nothing calls."""
 
 import ast
 import sys
