@@ -19,7 +19,6 @@ from .commutant import (
 from .derivations import (
     LaurentDerivation,
     PlanarDerivation,
-    divergence,
     hamiltonian,
     newton_derivation,
 )
@@ -29,7 +28,6 @@ from .errors import (
     InvalidInput,
     NewtcommError,
     NotAMultiple,
-    NotDivisible,
     ParseError,
     RingMismatch,
     SingularDelta,
@@ -86,7 +84,6 @@ __all__ = [
     "LinearizationResult",
     "NewtcommError",
     "NotAMultiple",
-    "NotDivisible",
     "ObstructionPoly",
     "ParitySystem",
     "ParseError",
@@ -104,7 +101,6 @@ __all__ = [
     "check_lemma_suite",
     "companion_for_linear",
     "decompose_in_H",
-    "divergence",
     "example_fixture",
     "expected_root_set",
     "first_integral",

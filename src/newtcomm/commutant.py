@@ -47,7 +47,9 @@ The rank-one certificate is one equality: for deg f >= 2 the commutant is
 K[H] delta_f up to y-degree M exactly when this basis equals energy_basis,
 the energy multiples H^k delta_f in descending k.  That tuple is itself in
 reduced echelon form because H(0, y) = y^2 (hamiltonian integrates f with
-constant term 0), so no element needs decomposing.
+constant term 0), so no element needs decomposing.  decompose_in_H tests
+one derivation by the same argument: it reads q_k where H^k delta_f leads,
+and gamma is an energy multiple exactly when q(H) delta_f rebuilds it.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ from fractions import Fraction
 from math import lcm
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
-from .errors import HypothesisViolation, InvalidInput, NotAMultiple, NotDivisible
+from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch
 from .linsolve import nullspace
-from .poly import (BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb, _trim,
-                   as_unipoly)
+from .poly import (BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb,
+                   _ring_name, _trim, as_unipoly)
 
 
 def _integrate_half(f: UniPoly, m: int, c_parity: int) -> list[PlanarDerivation]:
@@ -178,23 +180,21 @@ class HDecomposition:
 def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     """Express gamma as q(H) * newton_derivation(f) or raise NotAMultiple.
 
-    H = y^2 - 2 INT(f) integrates f with constant term 0, so H(0, y) = y^2
-    and a quotient q = gamma(x)/y that is a polynomial sum_k q_k H^k has
-    q(0, y) = sum_k q_k y^(2k): q_k is the x^0 coefficient of y^(2k).  The
+    The echelon argument of energy_basis: H(0, y) = y^2, so a multiple
+    gamma = sum_k q_k H^k delta_f has gamma(x)(0, y) = sum_k q_k y^(2k+1),
+    and q_k is the x^0 coefficient of y^(2k+1) in gamma(x).  The
     coefficients read that way are the decomposition exactly when their
-    rebuild q(H) equals q.
+    rebuild equals gamma.
     """
     f = as_unipoly(f)
-    try:
-        q = gamma.act_x.divexact_y()
-    except NotDivisible as exc:
-        raise NotAMultiple(f"gamma(x) = {gamma.act_x} is not divisible by y") from exc
-    if q * f != gamma.act_y:
-        raise NotAMultiple("gamma(y) differs from (gamma(x)/y) * f")
-    H = hamiltonian(f)
-    dec = HDecomposition(tuple(c.coeff(0) for c in q.ycoeffs[::2]))
-    if dec.in_H(H) != q:
-        raise NotAMultiple(f"quotient {q} is not a polynomial in H = {H}")
+    if gamma.act_x._laurent:
+        raise RingMismatch(f"gamma lies in {_ring_name(gamma.act_x)}, not in Q[x, y]")
+    dec = HDecomposition(tuple(c.coeff(0) for c in gamma.act_x.ycoeffs[1::2]))
+    rebuilt = dec.reconstruct(f)
+    if rebuilt != gamma:
+        v, value = ("x", gamma.act_x) if rebuilt.act_x != gamma.act_x else ("y", gamma.act_y)
+        raise NotAMultiple(f"gamma({v}) = {value} is not that of any q(H) * delta_f, "
+                           f"H = {hamiltonian(f)}")
     return dec
 
 

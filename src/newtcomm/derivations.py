@@ -5,9 +5,10 @@ extends to the whole ring by additivity and the Leibniz rule.  ``apply``
 realizes that extension as dp/dx * act_x + dp/dy * act_y, ``bracket`` is
 the commutator through its values on the generators, and ``det`` is
 act_x * e(y) - act_y * e(x).  Each value they return is one sum of
-products (``poly._dot``), normalised once.  One class serves every ring,
-the one ring of act_x and act_y; ``LaurentDerivation`` only adds a
-constructor that declares the root index.
+products (``poly._dot``), normalised once.  One class serves every ring:
+a derivation's ring is the one ring of act_x and act_y, so == and hash
+compare ring and values.  ``LaurentDerivation`` is a constructor that also
+checks the declared root index.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ def _same_ring(p, q, what: str) -> None:
 
 @dataclass(frozen=True)
 class PlanarDerivation:
-    """Derivation with act_x = D(x), act_y = D(y) (Q[x,y] unless both lie
-    in a Laurent ring)."""
+    """Derivation with act_x = D(x), act_y = D(y), of the ring both values
+    lie in (Q[x,y] unless both lie in a Laurent ring)."""
 
     act_x: BiPoly
     act_y: BiPoly
@@ -44,19 +45,6 @@ class PlanarDerivation:
     @property
     def t(self) -> int:
         return self.act_x.t
-
-    def __eq__(self, other):
-        """Equal when they act alike: one ring and the same values on x and
-        y, whichever class declared them (the hash is that of the values)."""
-        if not isinstance(other, PlanarDerivation):
-            return NotImplemented
-        return self.act_x == other.act_x and self.act_y == other.act_y
-
-    def _like(self, act_x: BiPoly, act_y: BiPoly) -> "PlanarDerivation":
-        """A derivation of the same class as self."""
-        d = object.__new__(type(self))
-        PlanarDerivation.__init__(d, act_x, act_y)
-        return d
 
     def _element(self, p) -> BiPoly:
         q = self.act_x._coerce(p)
@@ -81,8 +69,9 @@ class PlanarDerivation:
     def bracket(self, other: "PlanarDerivation") -> "PlanarDerivation":
         """[self, other]: self(other(v)) - other(self(v)) at v = x and v = y."""
         other = self._other(other)
-        return self._like(*(_dot(self.act_x, self._products(b, 1) + other._products(a, -1))
-                            for a, b in ((self.act_x, other.act_x), (self.act_y, other.act_y))))
+        return PlanarDerivation(*(_dot(self.act_x, self._products(b, 1) + other._products(a, -1))
+                                  for a, b in ((self.act_x, other.act_x),
+                                               (self.act_y, other.act_y))))
 
     def det(self, other: "PlanarDerivation") -> BiPoly:
         """act_x * other.act_y - act_y * other.act_x."""
@@ -96,20 +85,20 @@ class PlanarDerivation:
     def scale(self, g) -> "PlanarDerivation":
         """Multiply by a ring element (module structure over the ring)."""
         g = self._element(g)
-        return self._like(g * self.act_x, g * self.act_y)
+        return PlanarDerivation(g * self.act_x, g * self.act_y)
 
     def __add__(self, other):
         if not isinstance(other, PlanarDerivation):
             return NotImplemented
-        return self._like(self.act_x + other.act_x, self.act_y + other.act_y)
+        return PlanarDerivation(self.act_x + other.act_x, self.act_y + other.act_y)
 
     def __sub__(self, other):
         if not isinstance(other, PlanarDerivation):
             return NotImplemented
-        return self._like(self.act_x - other.act_x, self.act_y - other.act_y)
+        return PlanarDerivation(self.act_x - other.act_x, self.act_y - other.act_y)
 
     def __neg__(self):
-        return self._like(-self.act_x, -self.act_y)
+        return PlanarDerivation(-self.act_x, -self.act_y)
 
     @property
     def is_zero(self) -> bool:
@@ -126,13 +115,12 @@ class PlanarDerivation:
         return f"(x -> {self.act_x}, y -> {self.act_y})"
 
 
-class LaurentDerivation(PlanarDerivation):
-    """Derivation on Q[x^(1/t), x^(-1/t), y], computed in z = x^(1/t)."""
-
-    def __init__(self, t: int, act_x: BiPoly, act_y: BiPoly):
-        if not (isinstance(act_x, BiPoly) and act_x._laurent and act_x.t == t):
-            raise RingMismatch(f"derivation value in {_ring(act_x)}, not in {ring_name(t, True)}")
-        super().__init__(act_x, act_y)
+def LaurentDerivation(t: int, act_x: BiPoly, act_y: BiPoly) -> PlanarDerivation:
+    """The derivation of Q[x^(1/t), x^(-1/t), y] with these values, computed
+    in z = x^(1/t)."""
+    if not (isinstance(act_x, BiPoly) and act_x._laurent and act_x.t == t):
+        raise RingMismatch(f"derivation value in {_ring(act_x)}, not in {ring_name(t, True)}")
+    return PlanarDerivation(act_x, act_y)
 
 
 def newton_derivation(f: UniPoly) -> PlanarDerivation:
@@ -143,7 +131,3 @@ def newton_derivation(f: UniPoly) -> PlanarDerivation:
 def hamiltonian(f: UniPoly) -> BiPoly:
     """Energy integral y^2 - 2*INT(f)dx; killed by newton_derivation(f)."""
     return BiPoly.y_pow(2) - 2 * BiPoly.from_uni(f.integrate_dx())
-
-
-def divergence(d: PlanarDerivation) -> BiPoly:
-    return d.divergence()

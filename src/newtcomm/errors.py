@@ -13,10 +13,6 @@ class RingMismatch(NewtcommError):
     """Operands live in incompatible rings (e.g. different root orders t)."""
 
 
-class NotDivisible(NewtcommError):
-    """Exact polynomial division was requested but leaves a remainder."""
-
-
 class ParseError(NewtcommError):
     """Expression text could not be parsed.
 

@@ -35,8 +35,8 @@ class LaurentFamily:
     k: int
     t: int
     a: tuple[Fraction, ...]  # a_0 .. a_{2k+1}
-    alpha: LaurentDerivation
-    beta: LaurentDerivation
+    alpha: PlanarDerivation
+    beta: PlanarDerivation
 
     @property
     def rho(self) -> Fraction:
@@ -103,7 +103,7 @@ def first_integral(k: int) -> LaurentBiPoly:
     return LaurentBiPoly._make(t, [(-2, [t]), _EMPTY, (0, [1])])
 
 
-def pm_witness(m: int, k: int, a_top: Fraction | int | str = 1) -> LaurentDerivation:
+def pm_witness(m: int, k: int, a_top: Fraction | int | str = 1) -> PlanarDerivation:
     """r^((m-(2k+1))/2) * beta: y-degree m, commutes with alpha, d_m != 0."""
     if not isinstance(m, int) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")

@@ -5,9 +5,10 @@ Q[x^(1/t), x^(-1/t)] (``LaurentBiPoly``), read in z = x^(1/t); ``UniPoly``
 and ``LaurentPoly`` are their y-free rings.  All four share one dense +, -,
 * and **, d/dx, the integral in x and printing; the Laurent classes add
 only constructors and ``LaurentPoly.to_unipoly``.  The kernel also keeps
-d/dy, exact division by y and evaluation.  Mixing rings raises
-``RingMismatch``; scalars, and a y-free value of the coefficient ring, are
-coerced into the other operand's ring.
+d/dy and evaluation.  Mixing rings raises ``RingMismatch``; scalars, and a
+y-free value of the coefficient ring, are coerced into the other operand's
+ring.  ``const`` takes a scalar only: ``from_uni`` and ``from_laurent``
+lift a y-free value.
 
 Storage is one form, FLINT's fmpq_poly laid out in y-rows: _rows is a tuple
 of (z-shift, int numerators), row i the coefficient of y^i, all over one
@@ -48,7 +49,7 @@ from math import comb, gcd, lcm
 from operator import add
 from typing import Iterable
 
-from .errors import InvalidInput, NotDivisible, RingMismatch
+from .errors import InvalidInput, RingMismatch
 
 NEG_INF = float("-inf")
 
@@ -625,9 +626,8 @@ class BiPoly(_Dense):
 
     @classmethod
     def const(cls, v) -> "BiPoly":
-        if not isinstance(v, (int, Fraction)):
-            return cls((v,))
-        return cls._of_xy([(0, [v.numerator])], v.denominator)
+        c = _exact(v)
+        return cls._of_xy([(0, [c.numerator])], c.denominator)
 
     @classmethod
     def from_uni(cls, u: UniPoly) -> "BiPoly":
@@ -667,12 +667,6 @@ class BiPoly(_Dense):
     __rsub__ = _rsub
     __mul__ = __rmul__ = _mul
     __pow__ = _power
-
-    def divexact_y(self) -> "BiPoly":
-        """Exact quotient by the variable y."""
-        if self._rows and self._rows[0][1]:
-            raise NotDivisible(f"{self} is not divisible by y")
-        return self._make(self.t, self._rows[1:], self._d)
 
     # -- calculus ----------------------------------------------------
 

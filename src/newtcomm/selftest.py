@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import commutant, family, flows, obstruction, parity
-from .derivations import PlanarDerivation, divergence, hamiltonian, newton_derivation
+from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .parsing import parse_unipoly
 from .poly import BiPoly, UniPoly
 
@@ -228,7 +228,7 @@ def run_criterion_7(seed: int = 0) -> CriterionResult:
         delta_f = newton_derivation(f)
         if not delta_f.apply(hamiltonian(f)).is_zero:
             failures.append(f"energy case {i}: delta_f(H) != 0")
-        if not divergence(delta_f).is_zero:
+        if not delta_f.divergence().is_zero:
             failures.append(f"energy case {i}: divergence != 0")
     detail = ("200 Leibniz/Jacobi/commutator/integration cases and 50 "
               "energy-conservation cases, all exact")

@@ -13,6 +13,7 @@ from fractions import Fraction
 import pytest
 
 from newtcomm import (
+    LaurentBiPoly,
     NotAMultiple,
     PlanarDerivation,
     UniPoly,
@@ -24,7 +25,7 @@ from newtcomm import (
     rectification_defect,
     solve_commutant,
 )
-from newtcomm import commutant, flows, obstruction, parity, selftest
+from newtcomm import commutant, family, flows, obstruction, parity, selftest
 
 from conftest import ACCEPTANCE_LINES
 
@@ -170,3 +171,31 @@ class TestMutationControl:
         monkeypatch.setattr(parity, "solve_system", dropped)
         result = selftest.run_criterion_3()
         assert not result.passed
+
+    def test_non_transversal_companion_is_caught(self, monkeypatch):
+        """A companion delta = d commutes with d but is parallel to it: it
+        must flip criterion 2 as not transversal."""
+        real = flows.companion_for_linear
+        monkeypatch.setattr(flows, "companion_for_linear", lambda d: replace(real(d), delta=d))
+        result = selftest.run_criterion_2()
+        assert not result.passed
+        assert result.detail.endswith(": companion not transversal"), result.detail
+
+    def test_first_integral_plus_y_is_caught(self, monkeypatch):
+        """r + y is no first integral of alpha = (y, x^(-rho)), as alpha(y) != 0,
+        so it must flip criterion 5 (r plus a constant would not)."""
+        real = family.first_integral
+        monkeypatch.setattr(family, "first_integral",
+                            lambda k: real(k) + LaurentBiPoly.y(2 * k - 1))
+        result = selftest.run_criterion_5()
+        assert not result.passed
+        assert "alpha(r) != 0" in result.detail, result.detail
+
+    def test_bracket_sign_flip_is_caught(self, monkeypatch):
+        """-[D, E] satisfies Jacobi as [D, E] does; the commutator check of
+        criterion 7 must see the flip."""
+        real = PlanarDerivation.bracket
+        monkeypatch.setattr(PlanarDerivation, "bracket", lambda d, e: -real(d, e))
+        result = selftest.run_criterion_7()
+        assert not result.passed
+        assert "[D, D2](p) != D(D2(p)) - D2(D(p))" in result.detail, result.detail

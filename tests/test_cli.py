@@ -36,8 +36,8 @@ class TestExitCodes:
         )
         assert code == 1
         assert err.startswith("fail: ")
-        # gamma = (y^2 - x^3) * delta_f passes the divisibility and y-component
-        # checks, but y^2 - x^3 is not a polynomial in H = y^2 - 2/3*x^3
+        # gamma = (y^2 - x^3) * delta_f has the shape of a multiple, but
+        # y^2 - x^3 is not a polynomial in H = y^2 - 2/3*x^3
         code, _, err = run(
             capsys,
             "h-decompose",

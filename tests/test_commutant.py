@@ -10,6 +10,9 @@ from hypothesis import strategies as st
 from newtcomm import (
     HDecomposition,
     HypothesisViolation,
+    LaurentBiPoly,
+    LaurentDerivation,
+    LaurentPoly,
     NotAMultiple,
     PlanarDerivation,
     RingMismatch,
@@ -218,7 +221,7 @@ class TestDecomposeInH:
     def test_rejects_non_multiples(self):
         f = parse_unipoly("x^2")
         with pytest.raises(NotAMultiple):
-            # gamma(x) not divisible by y
+            # gamma(x) has no odd power of y
             decompose_in_H(f, PlanarDerivation(parse_bipoly("x"), parse_bipoly("y")))
         with pytest.raises(NotAMultiple):
             # right shape in x but wrong y-component
@@ -232,6 +235,23 @@ class TestDecomposeInH:
         with pytest.raises(NotAMultiple):
             # quotient y has odd y-degree
             decompose_in_H(f, newton_derivation(f).scale(parse_bipoly("y")))
+
+    def test_message_names_the_failing_component_and_H(self):
+        f = parse_unipoly("x^2")
+        for dx, dy, v in (("x", "y", "x"), ("y", "x^2 + 1", "y"), ("x*y + y", "x^2", "x")):
+            with pytest.raises(NotAMultiple, match=r"^gamma\(%s\) = " % v) as info:
+                decompose_in_H(f, PlanarDerivation(parse_bipoly(dx), parse_bipoly(dy)))
+            assert str(info.value).endswith("H = y^2 - 2/3*x^3")
+
+    @pytest.mark.parametrize("t", [1, 3])
+    def test_gamma_outside_qxy_raises_ring_mismatch(self, t):
+        """A derivation of a Laurent ring is refused for its ring, also when
+        its values read like those of delta_f or of no multiple at all."""
+        f = parse_unipoly("x^2")
+        x2 = LaurentBiPoly.from_laurent(LaurentPoly.term(t, 2 * t))
+        for gx, gy in ((LaurentBiPoly.y(t), x2), (x2, LaurentBiPoly.y(t))):
+            with pytest.raises(RingMismatch, match=r"not in Q\[x, y\]"):
+                decompose_in_H(f, LaurentDerivation(t, gx, gy))
 
 
 class TestCertifyRankOne:

@@ -2,6 +2,7 @@
 
 import time
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given
@@ -36,6 +37,48 @@ FROZEN_P = {
 FROZEN_P_AT_MINUS_1 = {3: -8, 5: 48, 7: -384, 9: 3840, 11: -46080}
 
 
+def _affine_times(c0: int, c1: int, p: list[int]) -> list[int]:
+    """(c0 + c1*X) * p on integer coefficient lists, constant term first."""
+    out = [0] * (len(p) + 1)
+    for i, v in enumerate(p):
+        out[i] += c0 * v
+        out[i + 1] += c1 * v
+    return out
+
+
+def _continuant(m: int) -> list[int]:
+    """The determinant D_m of the commutation system of P_m's ansatz, as an
+    integer coefficient list in X.
+
+    For d = (y, x^X) and, with h = (m-1)/2,
+
+        gamma(x) = sum_{l=0..h} c_l x^(1+(1+X)l) y^(m-1-2l),
+        gamma(y) = sum_{l=0..h} b_l x^((1+X)l) y^(m-2l),
+
+    [d, gamma] = 0 is a square linear system in the m + 1 unknowns, with
+    entries affine in X.  Ordering the unknowns b_0, c_0, ..., b_h, c_h and
+    the rows x_0, y_1, x_1, ..., x_h, y_{h+1} (component, then level l)
+    makes it tridiagonal, so its determinant is the continuant
+    D_{-1} = 1, D_0 = -1 and, for i = 1..m with l = i // 2,
+
+        odd i:  D_i = -X D_{i-1} - (m-2l)(1+l+lX) D_{i-2},
+        even i: D_i = -D_{i-1} - (m+1-2l) l (1+X) D_{i-2}.
+    """
+    prev, cur = [1], [-1]
+    for i in range(1, m + 1):
+        l = i // 2
+        if i % 2:
+            k = -(m - 2 * l)
+            terms = _affine_times(0, -1, cur), _affine_times(k * (1 + l), k * l, prev)
+        else:
+            k = -(m + 1 - 2 * l) * l
+            terms = [-v for v in cur], _affine_times(k, k, prev)
+        prev, cur = cur, [sum(vs) for vs in zip_longest(*terms, fillvalue=0)]
+    while cur and not cur[-1]:
+        cur.pop()
+    return cur
+
+
 class TestBuildObstruction:
     def test_frozen_polynomials(self):
         for m, text in FROZEN_P.items():
@@ -58,6 +101,13 @@ class TestBuildObstruction:
     def test_matches_ring_operator_oracle(self):
         for m in range(3, 62, 2):
             assert build_obstruction(m).P == obstruction_oracle.build_obstruction(m).P, m
+
+    def test_pm_is_the_continuant_of_its_commutation_system(self):
+        """P_m = -D_m for odd m <= 201: the T-chain is the determinant of
+        the commutation system of the ansatz, not only a recurrence whose
+        roots match expected_root_set."""
+        for m in range(3, 202, 2):
+            assert list(build_obstruction(m).P.coeffs) == [-v for v in _continuant(m)], m
 
     def test_roots_at_m201_within_budget(self):
         t0 = time.perf_counter()

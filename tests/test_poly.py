@@ -1,4 +1,4 @@
-"""Exact polynomial arithmetic: ring axioms, division by y, calculus, printing."""
+"""Exact polynomial arithmetic: ring axioms, calculus, printing."""
 
 from fractions import Fraction
 
@@ -12,7 +12,6 @@ from newtcomm import (
     InvalidInput,
     LaurentBiPoly,
     LaurentPoly,
-    NotDivisible,
     RingMismatch,
     UniPoly,
 )
@@ -116,23 +115,26 @@ class TestBiPoly:
         assert p.ycoeff(0) == x
         assert p.ycoeff(1) == UniPoly.one()
 
-    def test_const_takes_every_y_free_value(self):
-        assert BiPoly.const(UniPoly.x()) == BiPoly.x()
-        assert BiPoly.const([1, 2]) == BiPoly.from_uni(UniPoly([1, 2]))
+    def test_const_takes_scalars_only(self):
+        """const makes a scalar in either ring; a y-free value is lifted by
+        from_uni or from_laurent, the one lift, and const refuses it."""
         assert BiPoly.const("3/4") == Fraction(3, 4)
         assert LaurentBiPoly.const(3, Fraction(-7, 3)) == LaurentPoly.const(3, Fraction(-7, 3))
+        with pytest.raises(TypeError):
+            BiPoly.const(UniPoly.x())
+        with pytest.raises(TypeError):
+            BiPoly.const([1, 2])
+        with pytest.raises(TypeError):
+            LaurentBiPoly.const(3, LaurentPoly.term(3, 1))
+        assert BiPoly.from_uni(UniPoly.x()) == BiPoly.x()
+        assert LaurentBiPoly.from_laurent(LaurentPoly.term(3, 1)) == LaurentBiPoly(
+            3, [LaurentPoly.term(3, 1)])
 
     def test_known_product(self):
         h = BiPoly.y_pow(2) - BiPoly.x() * BiPoly.x()
         assert h * h == (BiPoly.y_pow(4)
                          - 2 * BiPoly.monomial(2, 2)
                          + BiPoly.monomial(4, 0))
-
-    def test_divexact_y(self):
-        p = BiPoly.y_pow(3) + BiPoly.x() * BiPoly.y()
-        assert p.divexact_y() == BiPoly.y_pow(2) + BiPoly.x()
-        with pytest.raises(NotDivisible):
-            (BiPoly.y() + BiPoly.one()).divexact_y()
 
     def test_partial_derivatives_commute(self):
         p = BiPoly.monomial(3, 2) + BiPoly.monomial(1, 4, Fraction(-2, 3))
