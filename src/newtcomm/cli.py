@@ -16,25 +16,9 @@ from fractions import Fraction
 
 from . import commutant, family, flows, obstruction, parity, selftest
 from .derivations import PlanarDerivation, hamiltonian
-from .errors import (
-    DegenerateRecurrence,
-    HypothesisViolation,
-    InvalidInput,
-    NotAMultiple,
-    ParseError,
-    RingMismatch,
-    SingularDelta,
-)
+from .errors import DegenerateRecurrence, NewtcommError, NotAMultiple, SingularDelta
 from .parsing import parse_bipoly, parse_unipoly
 from .poly import UniPoly
-
-
-def _emit(args: argparse.Namespace, payload: dict, human: list[str]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in human:
-            print(line)
 
 
 def rational(text: str) -> Fraction:
@@ -49,9 +33,17 @@ def _q_text(q_coeffs: tuple[Fraction, ...]) -> str:
     return UniPoly(list(q_coeffs)).to_text("H")
 
 
-# ---------------------------------------------------------------- commands
+def _derivation(dx: str, dy: str) -> PlanarDerivation:
+    return PlanarDerivation(parse_bipoly(dx), parse_bipoly(dy))
 
-def _cmd_commutant(args: argparse.Namespace) -> int:
+
+# ---------------------------------------------------------------- commands
+# Each command returns its result as (JSON payload, human lines, exit code);
+# main prints one of the two forms.
+
+Result = tuple[dict, list[str], int]
+
+def _cmd_commutant(args: argparse.Namespace) -> Result:
     f = parse_unipoly(args.f)
     basis = commutant.solve_commutant(f, args.max_deg_y)
     payload = {
@@ -66,34 +58,32 @@ def _cmd_commutant(args: argparse.Namespace) -> int:
         f"dimension = {basis.dimension}",
     ]
     human += [f"basis[{i}] = {g}" for i, g in enumerate(basis.basis)]
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
-def _cmd_h_decompose(args: argparse.Namespace) -> int:
+def _cmd_h_decompose(args: argparse.Namespace) -> Result:
     f = parse_unipoly(args.f)
-    gamma = PlanarDerivation(parse_bipoly(args.gamma_dx),
-                                       parse_bipoly(args.gamma_dy))
+    gamma = _derivation(args.gamma_dx, args.gamma_dy)
     dec = commutant.decompose_in_H(f, gamma)  # NotAMultiple -> exit 1
+    H, q = hamiltonian(f), _q_text(dec.q_coeffs)
     payload = {
         "f": str(f),
         "gamma": gamma.to_json_dict(),
-        "H": str(hamiltonian(f)),
-        "q": _q_text(dec.q_coeffs),
+        "H": str(H),
+        "q": q,
         "q_coeffs": [str(c) for c in dec.q_coeffs],
     }
     human = [
         f"f = {f}",
-        f"H = {hamiltonian(f)}",
+        f"H = {H}",
         f"gamma = {gamma}",
-        f"q = {_q_text(dec.q_coeffs)}",
+        f"q = {q}",
         "gamma = q(H) * delta_f",
     ]
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
-def _cmd_certify(args: argparse.Namespace) -> int:
+def _cmd_certify(args: argparse.Namespace) -> Result:
     f = parse_unipoly(args.f)
     cert = commutant.certify_rank_one(f, args.max_deg_y)
     qs = [None if d is None else _q_text(d.q_coeffs) for d in cert.decompositions]
@@ -115,11 +105,10 @@ def _cmd_certify(args: argparse.Namespace) -> int:
     human.append(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
     if cert.reason:
         human.append(f"reason: {cert.reason}")
-    _emit(args, payload, human)
-    return 0 if cert.passed else 1
+    return payload, human, 0 if cert.passed else 1
 
 
-def _cmd_parity(args: argparse.Namespace) -> int:
+def _cmd_parity(args: argparse.Namespace) -> Result:
     f = parse_unipoly(args.f)
     system = parity.build_system(args.kind, args.m, f)
     space = parity.solve_system(system)
@@ -142,11 +131,10 @@ def _cmd_parity(args: argparse.Namespace) -> int:
     for i, entry in enumerate(basis):
         parts = ", ".join(f"{n} = {p}" for n, p in entry.items())
         human.append(f"basis[{i}]: {parts}")
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
-def _cmd_lemmas(args: argparse.Namespace) -> int:
+def _cmd_lemmas(args: argparse.Namespace) -> Result:
     f = parse_unipoly(args.f)
     report = parity.check_lemma_suite(f, args.m_max)
     checks = sorted(report.checks, key=lambda c: (c.kind, c.m))
@@ -162,11 +150,10 @@ def _cmd_lemmas(args: argparse.Namespace) -> int:
     human += [f"{'PASS' if c.passed else 'FAIL'}  {c.name}: {c.detail}"
               for c in checks]
     human.append(f"suite: {'PASS' if report.passed else 'FAIL'}")
-    _emit(args, payload, human)
-    return 0 if report.passed else 1
+    return payload, human, 0 if report.passed else 1
 
 
-def _cmd_pm(args: argparse.Namespace) -> int:
+def _cmd_pm(args: argparse.Namespace) -> Result:
     ob = obstruction.build_obstruction(args.m)
     roots = obstruction.rational_roots(ob.P)
     expected = obstruction.expected_root_set(ob.m)
@@ -184,11 +171,10 @@ def _cmd_pm(args: argparse.Namespace) -> int:
         "roots: {" + ", ".join(str(r) for r in sorted(roots)) + "}",
         f"matches expected root set: {'yes' if ok else 'NO'}",
     ]
-    _emit(args, payload, human)
-    return 0 if ok else 1
+    return payload, human, 0 if ok else 1
 
 
-def _cmd_pm_witness(args: argparse.Namespace) -> int:
+def _cmd_pm_witness(args: argparse.Namespace) -> Result:
     w = family.pm_witness(args.m, args.k)
     alpha = family.build_family(args.k).alpha
     commutes = alpha.bracket(w).is_zero
@@ -208,11 +194,10 @@ def _cmd_pm_witness(args: argparse.Namespace) -> int:
         f"{'yes' if commutes else 'NO'}",
         f"d_{args.m} = {d_m}",
     ]
-    _emit(args, payload, human)
-    return 0 if commutes and not d_m.is_zero else 1
+    return payload, human, 0 if commutes and not d_m.is_zero else 1
 
 
-def _cmd_laurent_family(args: argparse.Namespace) -> int:
+def _cmd_laurent_family(args: argparse.Namespace) -> Result:
     fam = family.build_family(args.k, args.a_top)
     r = family.first_integral(args.k)
     ratio = fam.ratio_identity_holds()
@@ -238,12 +223,11 @@ def _cmd_laurent_family(args: argparse.Namespace) -> int:
         f"alpha(r) = 0: {'yes' if annihilates else 'NO'}",
         f"ratio identity: {'holds' if ratio else 'FAILS'}",
     ]
-    _emit(args, payload, human)
-    return 0 if ratio and annihilates else 1
+    return payload, human, 0 if ratio and annihilates else 1
 
 
-def _cmd_linearize(args: argparse.Namespace) -> int:
-    d = PlanarDerivation(parse_bipoly(args.dx), parse_bipoly(args.dy))
+def _cmd_linearize(args: argparse.Namespace) -> Result:
+    d = _derivation(args.dx, args.dy)
     res = flows.companion_for_linear(d)
     payload = {
         "d": d.to_json_dict(),
@@ -258,13 +242,11 @@ def _cmd_linearize(args: argparse.Namespace) -> int:
     ]
     if res.change_of_coords:
         human.append(f"change of coordinates: {res.change_of_coords}")
-    _emit(args, payload, human)
-    return 0
+    return payload, human, 0
 
 
-def _cmd_flow_check(args: argparse.Namespace) -> int:
-    d = PlanarDerivation(parse_bipoly(args.dx), parse_bipoly(args.dy))
-    delta = PlanarDerivation(parse_bipoly(args.gx), parse_bipoly(args.gy))
+def _cmd_flow_check(args: argparse.Namespace) -> Result:
+    d, delta = _derivation(args.dx, args.dy), _derivation(args.gx, args.gy)
     report = flows.rectification_defect(
         d, delta, args.x0, args.y0, args.t_end, args.steps)
     payload = {
@@ -279,11 +261,10 @@ def _cmd_flow_check(args: argparse.Namespace) -> int:
         f"steps = {report.steps}, tolerance = {report.tolerance:.1e}",
         f"flow check: {'PASS' if report.passed else 'FAIL'}",
     ]
-    _emit(args, payload, human)
-    return 0 if report.passed else 1
+    return payload, human, 0 if report.passed else 1
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
+def _cmd_selftest(args: argparse.Namespace) -> Result:
     results = selftest.run_all(seed=args.seed)
     all_passed = all(r.passed for r in results)
     payload = {
@@ -296,8 +277,7 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
     human = [f"{'PASS' if r.passed else 'FAIL'}  {r.name}  "
              f"({r.seconds}s)  {r.detail}" for r in results]
     human.append(f"selftest: {'PASS' if all_passed else 'FAIL'}")
-    _emit(args, payload, human)
-    return 0 if all_passed else 1
+    return payload, human, 0 if all_passed else 1
 
 
 # ----------------------------------------------------------------- parser
@@ -381,16 +361,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
-    except (ParseError, InvalidInput, RingMismatch, HypothesisViolation) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NotAMultiple, SingularDelta, DegenerateRecurrence) as exc:
-        print(f"fail: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        payload, human, code = args.func(args)
+    except (NewtcommError, ValueError) as exc:  # a failed check exits 1, bad input 2
+        failed = isinstance(exc, (NotAMultiple, SingularDelta, DegenerateRecurrence))
+        print(f"{'fail' if failed else 'error'}: {exc}", file=sys.stderr)
+        return 1 if failed else 2
+    print(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(human))
+    return code
 
 
 if __name__ == "__main__":

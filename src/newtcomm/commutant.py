@@ -166,15 +166,11 @@ class HDecomposition:
 
     q_coeffs: tuple[Fraction, ...]
 
-    def in_H(self, H: BiPoly) -> BiPoly:
-        """sum_k q_coeffs[k] * H^k, by Horner."""
-        q = BiPoly.zero()
-        for a in reversed(self.q_coeffs):
-            q = q * H + a
-        return q
-
     def reconstruct(self, f: UniPoly) -> PlanarDerivation:
-        return newton_derivation(f).scale(self.in_H(hamiltonian(f)))
+        H, q = hamiltonian(f), BiPoly.zero()
+        for a in reversed(self.q_coeffs):  # q(H) by Horner
+            q = q * H + a
+        return newton_derivation(f).scale(q)
 
 
 def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:

@@ -318,15 +318,14 @@ def rectification_defect(d: PlanarDerivation, delta: PlanarDerivation,
 
 
 def example_fixture() -> tuple[PlanarDerivation, PlanarDerivation,
-                               Callable[[float, float, float], tuple[float, float]]]:
+                               Callable[[float], tuple[float, float]]]:
     """The divergence-free pair d = (1+x^2, -2xy), delta = (0, y) and the
-    closed-form flow x(t) = tan(t + atan x0), y(t) = y0 (1+x0^2) cos^2(...)."""
+    closed-form flow from (0, 1): x(t) = tan t, y(t) = cos^2 t."""
     d = PlanarDerivation(BiPoly.one() + BiPoly.x() * BiPoly.x(),
                          BiPoly.monomial(1, 1, Fraction(-2)))
     delta = PlanarDerivation(BiPoly.zero(), BiPoly.y())
 
-    def evaluator(t: float, x0: float = 0.0, y0: float = 1.0) -> tuple[float, float]:
-        th = t + math.atan(x0)
-        return math.tan(th), y0 * (1.0 + x0 * x0) * math.cos(th) ** 2
+    def evaluator(t: float) -> tuple[float, float]:
+        return math.tan(t), math.cos(t) ** 2
 
     return d, delta, evaluator

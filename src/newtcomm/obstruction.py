@@ -161,17 +161,17 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     search runs on without a bound; a squarefree f fails only at primes
     dividing its discriminant, so it ends.  Each root r mod p is
     Newton/Hensel-lifted to a modulus q > 2B, where
-    B = min(|lead| + max_{i<n} |a_i|, |lead| |a_0|) bounds |lead * x| for
-    every rational root x (Cauchy's bound, and x = num/den with num | a_0,
-    den | lead).  For each lift, lead * lift mod q taken in the symmetric
-    range is an integer c, and c / lead is kept only if it is an exact
-    root of p.
+    B = |lead| + max_{i<n} |a_i| bounds |lead * x| for every complex root
+    x of f (Cauchy's bound |x| <= 1 + max_{i<n} |a_i| / |lead|).  For each
+    lift, lead * lift mod q taken in the symmetric range is an integer c,
+    and c / lead is kept only if it is an exact root of p.
 
     Complete: a rational root x = num/den of f has den | lead, so den is
     invertible mod p and x mod p is one of the roots the scan finds.  That
     root is simple by the choice of p, so its Hensel lift is unique, hence
-    equals x mod q, and lead * x is the integer of absolute value
-    <= B < q/2 congruent to lead * lift.
+    equals x mod q.  lead * x is an integer, as den | lead, of absolute
+    value <= B < q/2 by Cauchy's bound, and it is congruent to lead * lift,
+    so it is c.
     """
     p = as_unipoly(p)
     if p.is_zero:
@@ -187,7 +187,7 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
         found = _lifting_prime(f)
     prime, residues = found
     lead = f[-1]
-    bound = min(lead + max(abs(c) for c in f[:-1]), lead * abs(f[0]))
+    bound = lead + max(abs(c) for c in f[:-1])
     df = _derivative(f)
     for r in residues:
         q = prime

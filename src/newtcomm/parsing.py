@@ -103,44 +103,43 @@ class _Parser:
         return value
 
     def expr(self):
-        value, _ = self.term()
+        value = self.term()
         while True:
             ch = self.peek()
             if ch == "+":
                 self.pos += 1
-                value = value + self.term()[0]
+                value = value + self.term()
             elif ch == "-":
                 self.pos += 1
-                value = value - self.term()[0]
+                value = value - self.term()
             else:
                 return value
 
     def term(self):
-        value, bare_x = self.factor()
+        value = self.factor()
         while self.peek() == "*":
             self.pos += 1
-            value = value * self.factor()[0]
-            bare_x = False
-        return value, bare_x
+            value = value * self.factor()
+        return value
 
     def factor(self):
         if self.peek() == "-":
             self.pos += 1
-            value, _ = self.factor()
-            return -value, False
+            return -self.factor()
         return self.power()
 
     def power(self):
-        value, bare_x = self.atom()
+        bare_x = self.peek() == "x"
+        value = self.atom()
         if self.peek() != "^":
-            return value, bare_x
+            return value
         self.pos += 1
         at = self.pos
         exp = self.exponent()
         if exp.denominator == 1 and exp >= 0:
-            return value ** int(exp), False
+            return value ** int(exp)
         if bare_x:
-            return self.ring.x_pow(exp, at), False
+            return self.ring.x_pow(exp, at)
         raise RingMismatch(f"exponent {exp} is only allowed on x in a Laurent ring")
 
     def exponent(self) -> Fraction:
@@ -165,13 +164,13 @@ class _Parser:
             self.pos += 1
             value = self.expr()
             self.expect(")")
-            return value, False
+            return value
         if ch in ("x", "y"):
             at = self.pos
             self.pos += 1
-            return self.ring.var(ch, at), ch == "x"
+            return self.ring.var(ch, at)
         if ch.isdigit():
-            return self.ring.const(self.read_rational()), False
+            return self.ring.const(self.read_rational())
         what = f"'{ch}'" if ch else "end of input"
         raise ParseError(f"unexpected {what}", self.pos)
 

@@ -35,7 +35,9 @@ c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial;
 and a value with two nonzero terms c1*m1 + c2*m2 has, for n >= 0, the n+1
 terms C(n,j)*c1^(n-j)*c2^j*m1^(n-j)*m2^j of the binomial theorem, which
 never collide because m1 != m2.  The scalar and generator constructors
-write their rows directly, as the ring operations do.
+write their rows directly, as the ring operations do; those that take no
+root index build only Q[x] and Q[x,y] values, and a Laurent class refuses
+them.
 
 Values are immutable after construction and safe to share across threads.
 The degree of the zero polynomial is ``NEG_INF``, which compares below
@@ -325,6 +327,31 @@ class _Dense:
         p._set(t, rows, den)
         return p
 
+    @classmethod
+    def _of_xy(cls, rows: list, den: int = 1):
+        """The value of Q[x] or Q[x,y] with these rows, for the constructors
+        that take no root index; a Laurent class refuses them."""
+        if cls._laurent:
+            raise TypeError(f"{cls.__name__} takes a root index t")
+        return cls._make(1, rows, den)
+
+    @classmethod
+    def zero(cls):
+        return cls._of_xy([])
+
+    @classmethod
+    def one(cls):
+        return cls._of_xy([(0, [1])])
+
+    @classmethod
+    def const(cls, v):
+        c = _exact(v)
+        return cls._of_xy([(0, [c.numerator])], c.denominator)
+
+    @classmethod
+    def x(cls):
+        return cls._of_xy([(1, [1])])
+
     def _set(self, t: int, rows: list, den: int) -> None:
         """Store sum_i y^i * sum_j ns[j] * z^(s+j) / den over the rows
         (s, ns) = rows[i], den > 0, in normal form."""
@@ -421,11 +448,11 @@ class _Dense:
             acc = acc * v + Fraction(n, self._d)
         return acc
 
-    def to_text(self, xvar: str = "x", yvar: str = "y") -> str:
+    def to_text(self, xvar: str = "x") -> str:
         """The terms from the top y-power down, each row from its top term."""
         t, d, parts = self.t, self._d, []
         for i in range(len(self._rows) - 1, -1, -1):
-            (s, ns), ypart = self._rows[i], _exp_text(i, yvar)
+            (s, ns), ypart = self._rows[i], _exp_text(i, "y")
             parts += [(Fraction(n, d), "*".join(m for m in (_exp_text(Fraction(s + j, t), xvar),
                                                             ypart) if m))
                       for j in range(len(ns) - 1, -1, -1) if (n := ns[j])]
@@ -467,30 +494,15 @@ class UniPoly(_Dense):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls) -> "UniPoly":
-        return cls._make(1, [])
-
-    @classmethod
-    def one(cls) -> "UniPoly":
-        return cls._make(1, [(0, [1])])
-
-    @classmethod
-    def const(cls, v) -> "UniPoly":
-        return cls.x_pow(0, v)
-
-    @classmethod
-    def x(cls) -> "UniPoly":
-        return cls._make(1, [(1, [1])])
-
-    @classmethod
     def x_pow(cls, e: int, coeff=1) -> "UniPoly":
         c = _exact(coeff)
-        return cls._make(1, [(_exponent(e, "x"), [c.numerator])], c.denominator)
+        return cls._of_xy([(_exponent(e, "x"), [c.numerator])], c.denominator)
 
     @classmethod
     def from_dict(cls, d: dict) -> "UniPoly":
-        d = {_exponent(e, "x"): c for e, c in d.items()}
-        return cls([d.get(e, 0) for e in range(max(d, default=-1) + 1)])
+        d = {_exponent(e, "x"): _exact(c) for e, c in d.items()}
+        nums, den = _clear([d.get(e, 0) for e in range(max(d, default=-1) + 1)])
+        return cls._of_xy([(0, nums)], den)
 
     # -- structure ---------------------------------------------------
 
@@ -609,33 +621,8 @@ class BiPoly(_Dense):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def _of_xy(cls, rows: list, den: int = 1) -> "BiPoly":
-        """The value of Q[x,y] with these rows; a Laurent class refuses, as
-        it takes a root index."""
-        if cls._laurent:
-            raise TypeError(f"{cls.__name__} takes a root index t")
-        return cls._make(1, rows, den)
-
-    @classmethod
-    def zero(cls) -> "BiPoly":
-        return cls._of_xy([])
-
-    @classmethod
-    def one(cls) -> "BiPoly":
-        return cls._of_xy([(0, [1])])
-
-    @classmethod
-    def const(cls, v) -> "BiPoly":
-        c = _exact(v)
-        return cls._of_xy([(0, [c.numerator])], c.denominator)
-
-    @classmethod
     def from_uni(cls, u: UniPoly) -> "BiPoly":
-        return cls((u,))
-
-    @classmethod
-    def x(cls) -> "BiPoly":
-        return cls._of_xy([(1, [1])])
+        return cls.zero() + as_unipoly(u)  # a Laurent class refuses before u is read
 
     @classmethod
     def y(cls) -> "BiPoly":

@@ -18,6 +18,10 @@ RATIONAL_VALUES = tuple(map(Fraction, """
 """.split()))
 rationals = st.sampled_from(RATIONAL_VALUES)
 
+# The 13 values of st.fractions(-3, 3, max_denominator=2), the entries of
+# the linsolve matrices, in the same (|q|, q) order.
+HALF_VALUES = tuple(map(Fraction, "0 -1/2 1/2 -1 1 -3/2 3/2 -2 2 -5/2 5/2 -3 3".split()))
+
 
 def unipolys(max_deg: int = 4):
     return st.lists(rationals, min_size=0, max_size=max_deg + 1).map(UniPoly)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from newtcomm import PlanarDerivation, commutant, parse_bipoly
+from newtcomm import PlanarDerivation, commutant, errors, obstruction, parse_bipoly
 from newtcomm.cli import main
 
 
@@ -123,6 +123,33 @@ class TestExitCodes:
         assert code == 2
         what = "coefficient" if flag == "--dx" else "x0"
         assert err == f"error: {what} 1{'0' * 400} is outside the float range\n"
+
+
+# Every library error and how main reports it: a failed mathematical check
+# exits 1 with "fail: ", anything else is bad input and exits 2 with "error: ".
+ERROR_EXITS = {
+    "NotAMultiple": (1, "fail"), "SingularDelta": (1, "fail"),
+    "DegenerateRecurrence": (1, "fail"),
+    "InvalidInput": (2, "error"), "RingMismatch": (2, "error"),
+    "ParseError": (2, "error"), "HypothesisViolation": (2, "error"),
+}
+
+
+def test_every_library_error_has_an_exit_code():
+    """A new NewtcommError class must be classified in ERROR_EXITS."""
+    assert sorted(c.__name__ for c in errors.NewtcommError.__subclasses__()) == sorted(ERROR_EXITS)
+
+
+@pytest.mark.parametrize("name", sorted(ERROR_EXITS))
+def test_library_error_exit_code(capsys, monkeypatch, name):
+    cls = getattr(errors, name)
+    exc = cls("boom", 3) if cls is errors.ParseError else cls("boom")
+
+    def raise_it(m):
+        raise exc
+    monkeypatch.setattr(obstruction, "build_obstruction", raise_it)
+    code, prefix = ERROR_EXITS[name]
+    assert run(capsys, "pm", "--m", "5") == (code, "", f"{prefix}: {exc}\n")
 
 
 class TestJsonOutput:

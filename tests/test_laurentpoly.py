@@ -117,14 +117,22 @@ class TestLaurentBiPoly:
         with pytest.raises(RingMismatch):
             LaurentBiPoly(2, [LaurentPoly.term(3, 1)])
 
-    @pytest.mark.parametrize("build", [
-        LaurentBiPoly.zero, LaurentBiPoly.one, LaurentBiPoly.x,
-        lambda: LaurentBiPoly.from_uni(UniPoly.x()), lambda: LaurentBiPoly.monomial(1, 1),
-    ], ids=["zero", "one", "x", "from_uni", "monomial"])
-    def test_inherited_constructors_raise(self, build):
-        """BiPoly's constructors declare no root index, so on the Laurent
-        ring they raise instead of building a value with a malformed t."""
-        with pytest.raises((TypeError, InvalidInput)):
+    @pytest.mark.parametrize("cls, build", [
+        (LaurentBiPoly, LaurentBiPoly.zero), (LaurentBiPoly, LaurentBiPoly.one),
+        (LaurentBiPoly, LaurentBiPoly.x),
+        (LaurentBiPoly, lambda: LaurentBiPoly.from_uni(UniPoly.x())),
+        (LaurentBiPoly, lambda: LaurentBiPoly.from_uni(LaurentPoly.term(2, 1))),
+        (LaurentBiPoly, lambda: LaurentBiPoly.monomial(1, 1)),
+        (LaurentPoly, LaurentPoly.one), (LaurentPoly, LaurentPoly.x),
+        (LaurentPoly, lambda: LaurentPoly.x_pow(2)),
+        (LaurentPoly, lambda: LaurentPoly.from_dict({1: 2})),
+    ], ids=["zero", "one", "x", "from_uni", "from_uni-laurent", "monomial",
+            "uni-one", "uni-x", "uni-x_pow", "uni-from_dict"])
+    def test_inherited_constructors_raise(self, cls, build):
+        """The constructors that take no root index build only Q[x] or
+        Q[x,y] values, so every Laurent class refuses them, with one text,
+        instead of building a value with a malformed t."""
+        with pytest.raises(TypeError, match=f"^{cls.__name__} takes a root index t$"):
             build()
 
     def test_root_index_is_checked(self):
