@@ -6,7 +6,7 @@ For each k >= 1 the pair lives on K[x^(1/(2k-1)), x^(-1/(2k-1)), y]:
     beta(x) = sum_l a_{2(k-l)} * x^(1+(1-rho)l) * y^(2(k-l)),   l = 0..k,
     beta(y) = sum_l a_{2(k-l)+1} * x^((1-rho)l) * y^(2(k-l)+1),
 
-with the a_i fixed by a two-step downward recurrence from a_{2k+1} = a_{2k}.
+with a_{2k+1}, ..., a_0 the null vector of ``obstruction.ansatz_rows`` at X = -rho.
 The pair commutes exactly, alpha annihilates r = y^2 + (2k-1)x^(-2/(2k-1)),
 and r^s * beta supplies, for each odd m >= 2k+1, a symmetry of y-degree m
 whose slope is -rho — certifying -rho as a root of the level-m obstruction
@@ -27,7 +27,8 @@ from fractions import Fraction
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput
-from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear
+from .obstruction import ansatz_rows
+from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear, _exact
 
 
 @dataclass(frozen=True)
@@ -54,26 +55,21 @@ class LaurentFamily:
 
 
 def _coefficients(k: int, a_top: Fraction) -> tuple[Fraction, ...]:
-    """a_0 .. a_{2k+1} by the downward recurrence from a_{2k+1} = a_{2k} = a_top.
-
-    For an integer k >= 1, which build_family checks, neither divisor is
-    zero: (1 - rho) * l = -2l/(2k-1) for l >= 1, and (1 - rho) * l + 1 = 0
-    would need 2l = 2k - 1, which parity rules out."""
-    rho = Fraction(2 * k + 1, 2 * k - 1)
-    a: dict[int, Fraction] = {2 * k + 1: a_top, 2 * k: a_top}
-    for l in range(1, k + 1):
-        i = 2 * (k - l)
-        den = (1 - rho) * l
-        a[i + 1] = (-rho * a[i + 2] - (i + 3) * a[i + 3]) / den
-        a[i] = (a[i + 1] - (i + 2) * a[i + 2]) / (den + 1)
-    return tuple(a[i] for i in range(2 * k + 2))
+    """a_0 .. a_{2k+1} = u_m .. u_0, the null vector of ansatz_rows(m = 2k+1) at X = -m/t,
+    from u_0 = a_top: row i fixes u_{i+1}.  Times t, an entry (e0, e1) is e0 t - e1 m, and
+    no super entry used is 0: t - 2l is odd in the x rows, and -2l has l >= 1 in the y rows."""
+    t, m = 2 * k - 1, 2 * k + 1
+    u = [0, a_top]  # u_{-1}, u_0
+    for (s0, s1), (d0, d1), (p0, p1) in ansatz_rows(m)[:-1]:
+        u.append(-((s0 * t - s1 * m) * u[-2] + (d0 * t - d1 * m) * u[-1]) / (p0 * t - p1 * m))
+    return tuple(reversed(u[1:]))
 
 
 def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
     """Construct the commuting pair for k; a_top scales the whole family."""
     if not isinstance(k, int) or k < 1:
         raise InvalidInput("k must be an integer >= 1")
-    a_top = Fraction(a_top)
+    a_top = Fraction(_exact(a_top) if isinstance(a_top, str) else a_top)
     if a_top == 0:
         raise InvalidInput("a_top must be nonzero")
     t = 2 * k - 1

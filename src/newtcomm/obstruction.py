@@ -1,13 +1,14 @@
 """Obstruction polynomials for Laurent-coefficient symmetries at negative slope.
 
-Feeding the ansatz of x-power coefficients into the level equations at
-y-degree m collapses them, after eliminating everything else, to a single
-polynomial condition P_m on the slope variable X.  The roots of P_m are
-the slopes at which a nontrivial symmetry can exist.  The T-chain below
-reproduces that elimination as a two-term recurrence, run on integer
-coefficient lists (its multipliers are x and x + 1 only); P_m keeps its
-integer content (nothing is divided out), so root sets rather than
-coefficients are the stable interface.
+Odd y-degree m symmetries of d = (y, x^X) take, for h = (m-1)/2, the ansatz
+
+    gamma(x) = sum_{l=0..h} c_l x^(1+(1+X)l) y^(m-1-2l),
+    gamma(y) = sum_{l=0..h} b_l x^((1+X)l) y^(m-2l).
+
+[d, gamma] = 0 is a square tridiagonal system in b_0, c_0, ..., b_h, c_h
+(``ansatz_rows``) whose determinant, a continuant, is -P_m: its roots are
+the slopes with a symmetry, and at X = -rho its null vector is ``family``'s
+beta.  P_m keeps its integer content; root sets are the stable interface.
 
 Rational roots are found by p-adic lifting (Loos, "Computing rational
 zeros of integral polynomials by p-adic expansion", SIAM J. Comput. 1983;
@@ -39,30 +40,35 @@ class ObstructionPoly:
     P: UniPoly
 
 
-def build_obstruction(m: int) -> ObstructionPoly:
-    """The obstruction P_m (odd m >= 3), from the chain T_m, T_{m-1}, ..., T_0."""
+def ansatz_rows(m: int) -> list[tuple[tuple[int, int], ...]]:
+    """Rows (sub, diagonal, super) of [d, gamma] = 0, ordered x_0, y_1, x_1, ..., y_{h+1}:
+    row i is sub u_{i-1} + diagonal u_i + super u_{i+1} = 0, an entry (e0, e1) is e0 + e1 X."""
     if not isinstance(m, int) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
-    a, b = [1], [1]  # T_{m-2k+2}, T_{m-2k+1}
-    for k in range(1, (m - 1) // 2 + 1):
-        c, e = m - 2 * k + 2, -(m - 2 * k + 1) * k
-        # T_{m-2k} = x b - c ((k - 1)(x + 1) + 1) a, T_{m-2k-1} = T_{m-2k} + e (x + 1) b
-        t = _combine((1, 1, b), (-c * (k - 1), 1, a), (-c * k, 0, a))
-        a, b = t, _combine((1, 0, t), (e, 0, b), (e, 1, b))
-    h = (m - 1) // 2  # P = (h (x + 1) + 1) T_1 - x T_0
-    P = _combine((h + 1, 0, a), (h, 1, a), (-1, 1, b))
-    return ObstructionPoly(m=m, P=UniPoly._make(1, [(0, P)]))
+    return [row for l in range((m + 1) // 2) for row in  # x_l, y_{l+1}
+            (((m + 1 - 2 * l, 0), (-1, 0), (1 + l, l)), ((m - 2 * l, 0), (0, -1), (l + 1, l + 1)))]
+
+
+def build_obstruction(m: int) -> ObstructionPoly:
+    """P_m = -D_m (odd m >= 3) for the continuant D_i = diagonal_i D_{i-1} - sub_i
+    super_{i-1} D_{i-2} of ansatz_rows(m), D_{-1} = 1; run from -1, it is P_m."""
+    D2, D1, p0, p1 = [], [-1], 0, 0  # -D_{i-2}, -D_{i-1}, super_{i-1} = p0 + p1 X
+    for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m):
+        D2, D1, p0, p1 = D1, _combine((d0, 0, D1), (d1, 1, D1), (-s0 * p0, 0, D2),
+                                      (-s0 * p1 - s1 * p0, 1, D2), (-s1 * p1, 2, D2)), q0, q1
+    return ObstructionPoly(m=m, P=UniPoly._make(1, [(0, D1)]))
 
 
 # Integer polynomials below are coefficient lists, constant term first,
 # with a nonzero last entry (the zero polynomial is []).
 
 def _combine(*terms: tuple[int, int, list[int]]) -> list[int]:
-    """sum c * x^s * a over the terms (c, s, a), untrimmed."""
-    out = [0] * max(s + len(a) for _, s, a in terms)
+    """sum c * x^s * a over the terms (c, s, a) with c != 0, untrimmed."""
+    out = [0] * max(s + len(a) for c, s, a in terms if c)
     for c, s, a in terms:
-        for i, v in enumerate(a, s):
-            out[i] += c * v
+        if c:
+            for i, v in enumerate(a, s):
+                out[i] += c * v
     return out
 
 

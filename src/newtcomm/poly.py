@@ -63,9 +63,12 @@ def _exact(v):
     """v as an exact scalar, an int or a Fraction (a str is parsed)."""
     if isinstance(v, (int, Fraction)):
         return v
-    if isinstance(v, str):
+    if not isinstance(v, str):
+        raise TypeError(f"cannot use {type(v).__name__} as an exact coefficient")
+    try:
         return Fraction(v)
-    raise TypeError(f"cannot use {type(v).__name__} as an exact coefficient")
+    except (ValueError, ZeroDivisionError):
+        raise InvalidInput(f"not a rational number: {v!r}") from None
 
 
 def _clear(cs: list) -> tuple[list, int]:

@@ -5,7 +5,9 @@ from integer rows: one ``LaurentPoly`` per term, zero ``LaurentPoly`` values
 in the empty y-rows, and ``LaurentBiPoly`` over those.  The power of the
 first integral is the repeated product, so it shares neither the row
 construction nor the binomial rule of ``**`` with the package; the tests
-compare the two.
+compare the two.  The a_i come from the two-step downward recurrence the
+package used before it read them off the ansatz system of ``obstruction``,
+so a wrong row there shows as a wrong a_i here.
 """
 
 from __future__ import annotations
@@ -15,8 +17,24 @@ from functools import reduce
 from operator import mul
 
 from newtcomm.derivations import LaurentDerivation
-from newtcomm.family import LaurentFamily, _coefficients
+from newtcomm.family import LaurentFamily
 from newtcomm.poly import LaurentBiPoly, LaurentPoly
+
+
+def _coefficients(k: int, a_top: Fraction) -> tuple[Fraction, ...]:
+    """a_0 .. a_{2k+1} by the downward recurrence from a_{2k+1} = a_{2k} = a_top.
+
+    For an integer k >= 1 neither divisor is zero: (1 - rho) * l = -2l/(2k-1)
+    for l >= 1, and (1 - rho) * l + 1 = 0 would need 2l = 2k - 1, which
+    parity rules out."""
+    rho = Fraction(2 * k + 1, 2 * k - 1)
+    a: dict[int, Fraction] = {2 * k + 1: a_top, 2 * k: a_top}
+    for l in range(1, k + 1):
+        i = 2 * (k - l)
+        den = (1 - rho) * l
+        a[i + 1] = (-rho * a[i + 2] - (i + 3) * a[i + 3]) / den
+        a[i] = (a[i + 1] - (i + 2) * a[i + 2]) / (den + 1)
+    return tuple(a[i] for i in range(2 * k + 2))
 
 
 def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:

@@ -748,6 +748,23 @@ def test_readme_example_runs(capsys, words):
     json.loads(out)
 
 
+def test_readme_layout_names_every_module():
+    """The Layout block of README.md names each module of src/newtcomm but
+    __init__.py, and each oracle module of tests, and no other file."""
+    root = Path(__file__).resolve().parent.parent
+    block = (root / "README.md").read_text().split("\n## Layout\n", 1)[1].split("```")[1]
+    listed: dict[str, set[str]] = {}
+    for line in block.splitlines():
+        if line.endswith("/"):
+            names = listed.setdefault(line, set())
+        elif line.startswith("  ") and line[2] != " ":
+            names.add(line.split()[0])
+    assert listed == {
+        "src/newtcomm/": {p.name for p in (root / "src" / "newtcomm").glob("*.py")} - {"__init__.py"},
+        "tests/": {p.name for p in (root / "tests").glob("*_oracle.py")},
+    }
+
+
 def _perturb_first_basis_element(monkeypatch):
     """Make solve_commutant return a basis whose element 0 is not delta_f
     times a power of H, so that the certificate fails at index 0."""

@@ -122,6 +122,17 @@ class TestBuildFamily:
         with pytest.raises(InvalidInput):
             build_family(1, 0)
 
+    def test_bad_a_top_text_is_invalid_input(self):
+        """a_top may be rational text; text that is not a rational number is
+        bad input.  A value Fraction reads, such as a float, still scales."""
+        assert build_family(2, " 7/3 ").a == build_family(2, Fraction(7, 3)).a
+        assert build_family(1, 1.5).a == build_family(1, Fraction(3, 2)).a
+        for bad in ("1/0", "abc", ""):
+            with pytest.raises(InvalidInput, match="not a rational number"):
+                build_family(1, bad)
+        with pytest.raises(InvalidInput, match="not a rational number"):
+            pm_witness(3, 1, "abc")
+
 
 class TestFirstIntegral:
     def test_value(self):

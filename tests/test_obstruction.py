@@ -2,7 +2,6 @@
 
 import time
 from fractions import Fraction
-from itertools import zip_longest
 
 import pytest
 from hypothesis import assume, given
@@ -10,13 +9,19 @@ from hypothesis import strategies as st
 
 from newtcomm import (
     InvalidInput,
+    LaurentBiPoly,
+    LaurentDerivation,
+    LaurentPoly,
     UniPoly,
+    build_family,
     build_obstruction,
     expected_root_set,
     obstruction,
     parse_unipoly,
     rational_roots,
 )
+from newtcomm.linsolve import nullspace, rref
+from newtcomm.obstruction import ansatz_rows
 
 import obstruction_oracle
 from divisor_oracle import divisor_oracle
@@ -35,48 +40,6 @@ FROZEN_P = {
     ),
 }
 FROZEN_P_AT_MINUS_1 = {3: -8, 5: 48, 7: -384, 9: 3840, 11: -46080}
-
-
-def _affine_times(c0: int, c1: int, p: list[int]) -> list[int]:
-    """(c0 + c1*X) * p on integer coefficient lists, constant term first."""
-    out = [0] * (len(p) + 1)
-    for i, v in enumerate(p):
-        out[i] += c0 * v
-        out[i + 1] += c1 * v
-    return out
-
-
-def _continuant(m: int) -> list[int]:
-    """The determinant D_m of the commutation system of P_m's ansatz, as an
-    integer coefficient list in X.
-
-    For d = (y, x^X) and, with h = (m-1)/2,
-
-        gamma(x) = sum_{l=0..h} c_l x^(1+(1+X)l) y^(m-1-2l),
-        gamma(y) = sum_{l=0..h} b_l x^((1+X)l) y^(m-2l),
-
-    [d, gamma] = 0 is a square linear system in the m + 1 unknowns, with
-    entries affine in X.  Ordering the unknowns b_0, c_0, ..., b_h, c_h and
-    the rows x_0, y_1, x_1, ..., x_h, y_{h+1} (component, then level l)
-    makes it tridiagonal, so its determinant is the continuant
-    D_{-1} = 1, D_0 = -1 and, for i = 1..m with l = i // 2,
-
-        odd i:  D_i = -X D_{i-1} - (m-2l)(1+l+lX) D_{i-2},
-        even i: D_i = -D_{i-1} - (m+1-2l) l (1+X) D_{i-2}.
-    """
-    prev, cur = [1], [-1]
-    for i in range(1, m + 1):
-        l = i // 2
-        if i % 2:
-            k = -(m - 2 * l)
-            terms = _affine_times(0, -1, cur), _affine_times(k * (1 + l), k * l, prev)
-        else:
-            k = -(m + 1 - 2 * l) * l
-            terms = [-v for v in cur], _affine_times(k, k, prev)
-        prev, cur = cur, [sum(vs) for vs in zip_longest(*terms, fillvalue=0)]
-    while cur and not cur[-1]:
-        cur.pop()
-    return cur
 
 
 class TestBuildObstruction:
@@ -103,11 +66,10 @@ class TestBuildObstruction:
             assert build_obstruction(m).P == obstruction_oracle.build_obstruction(m).P, m
 
     def test_pm_is_the_continuant_of_its_commutation_system(self):
-        """P_m = -D_m for odd m <= 201: the T-chain is the determinant of
-        the commutation system of the ansatz, not only a recurrence whose
-        roots match expected_root_set."""
+        """P_m, the continuant of ansatz_rows(m), is the T-chain's P_m for
+        odd m <= 201: the hand elimination the package used before."""
         for m in range(3, 202, 2):
-            assert list(build_obstruction(m).P.coeffs) == [-v for v in _continuant(m)], m
+            assert build_obstruction(m).P == obstruction_oracle.build_obstruction(m).P, m
 
     def test_roots_at_m201_within_budget(self):
         t0 = time.perf_counter()
@@ -134,6 +96,85 @@ class TestBuildObstruction:
                 build_obstruction(bad)
         with pytest.raises(InvalidInput):
             expected_root_set(4)
+
+
+def _ansatz_matrix_from_bracket(m: int, X: Fraction) -> list[list[Fraction]]:
+    """The commutation system of P_m's ansatz at slope X (X != -1), read off
+    the derivation kernel: entry (r, j) is the coefficient of row r's
+    monomial in [d, e_j], for d = (y, x^X) and the basis derivations e_j of
+    the unknowns b_0, c_0, ..., b_h, c_h, in the ring of root index den(X).
+
+    Row x_l is read at x^((1+X)l) y^(m-2l) in act_x and row y_l at
+    x^((1+X)l-1) y^(m+1-2l) in act_y; each [d, e_j] is asserted to hold no
+    other term."""
+    t, p, h = X.denominator, X.numerator, (m - 1) // 2
+    step = t + p  # x^(1+X) = z^step
+
+    def mono(ze: int, ye: int) -> LaurentBiPoly:
+        return LaurentBiPoly.y_pow(t, ye, LaurentPoly.term(t, ze))
+
+    zero = LaurentBiPoly(t, [])
+    basis, rows = [], []
+    for l in range(h + 1):
+        basis.append(LaurentDerivation(t, zero, mono(step * l, m - 2 * l)))  # b_l
+        basis.append(LaurentDerivation(t, mono(t + step * l, m - 1 - 2 * l), zero))  # c_l
+        rows.append((0, step * l, m - 2 * l))  # x_l
+        rows.append((1, step * (l + 1) - t, m - 1 - 2 * l))  # y_{l+1}
+    d = LaurentDerivation(t, LaurentBiPoly.y(t), mono(p, 0))
+    matrix = [[Fraction(0)] * (m + 1) for _ in rows]
+    for j, e in enumerate(basis):
+        br = d.bracket(e)
+        rest = [br.act_x, br.act_y]
+        for r, (part, ze, ye) in enumerate(rows):
+            matrix[r][j] = c = rest[part].ycoeff(ye).coeff(ze)
+            rest[part] = rest[part] - c * mono(ze, ye)
+        assert rest[0].is_zero and rest[1].is_zero, (m, X, j)
+    return matrix
+
+
+def _ansatz_matrix(m: int, X: Fraction) -> list[list[Fraction]]:
+    """ansatz_rows(m) at slope X, as a dense matrix of Fractions."""
+    matrix = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
+    for i, row in enumerate(ansatz_rows(m)):
+        for j, (e0, e1) in zip((i - 1, i, i + 1), row):
+            if 0 <= j <= m:
+                matrix[i][j] = e0 + e1 * X
+    return matrix
+
+
+def _sparse(matrix: list[list[Fraction]]) -> list[dict[int, Fraction]]:
+    return [{j: v for j, v in enumerate(row) if v} for row in matrix]
+
+
+def _nullity(matrix: list[list[Fraction]]) -> int:
+    return len(matrix[0]) - len(rref(_sparse(matrix), len(matrix[0]))[1])
+
+
+class TestAnsatzSystem:
+    """ansatz_rows is the commutation condition [d, gamma] = 0, as the
+    derivation kernel computes it, and its null spaces are the slopes of
+    expected_root_set and the beta of build_family."""
+
+    @pytest.mark.parametrize("m", range(3, 42, 2))
+    def test_rows_are_the_bracket_of_the_ansatz(self, m):
+        """Every entry is affine in X, so agreement at two X is identity."""
+        for X in (Fraction(2), Fraction(-1, 3)):
+            assert X not in expected_root_set(m)
+            assert _ansatz_matrix_from_bracket(m, X) == _ansatz_matrix(m, X), (m, X)
+            assert _nullity(_ansatz_matrix(m, X)) == 0, (m, X)
+
+    @pytest.mark.parametrize("m", range(3, 42, 2))
+    def test_null_space_at_every_expected_root(self, m):
+        for X in expected_root_set(m):
+            assert _nullity(_ansatz_matrix(m, X)) >= 1, (m, X)
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_null_vector_at_minus_rho_is_beta(self, k):
+        """At m = 2k+1 and X = -rho, the null space is spanned by
+        a_{2k+1}, ..., a_0 of build_family(k) (a_{2k+1} = 1)."""
+        m = 2 * k + 1
+        null = nullspace(_sparse(_ansatz_matrix(m, Fraction(-m, 2 * k - 1))), m + 1)
+        assert null == _sparse([list(reversed(build_family(k).a))])
 
 
 NOT_SQUAREFREE = "(x - 1)^3 * (2*x + 3)^2 * (x^2 + 1)"

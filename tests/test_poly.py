@@ -298,6 +298,20 @@ class TestRingsStayDistinct:
         with pytest.raises(InvalidInput, match="z takes integer exponents"):
             build()
 
+    @pytest.mark.parametrize("build", [
+        lambda: UniPoly(["1/0"]), lambda: UniPoly([1, "abc"]),
+        lambda: LaurentPoly(2, {0: "x"}), lambda: LaurentPoly.term(2, 1, "2/0"),
+        lambda: BiPoly.const("1/"), lambda: LaurentBiPoly.const(3, ""),
+    ], ids=["UniPoly-zero-denominator", "UniPoly-word", "LaurentPoly-letter",
+            "term-zero-denominator", "BiPoly.const-no-denominator", "LaurentBiPoly.const-empty"])
+    def test_bad_rational_text_raises(self, build):
+        """A str coefficient is read as a rational number; text that is not
+        one is bad input, not a ZeroDivisionError or ValueError."""
+        assert UniPoly([" 3/4 ", "-2", "1.5", "1e2"]) \
+            == UniPoly([Fraction(3, 4), -2, Fraction(3, 2), 100])
+        with pytest.raises(InvalidInput, match="not a rational number"):
+            build()
+
 
 class TestOneRowRule:
     """Every ring stores a row from its lowest nonzero z-exponent, so a
