@@ -86,13 +86,13 @@ def _cmd_h_decompose(args: argparse.Namespace) -> Result:
 def _cmd_certify(args: argparse.Namespace) -> Result:
     f = parse_unipoly(args.f)
     cert = commutant.certify_rank_one(f, args.max_deg_y)
-    qs = [None if d is None else _q_text(d.q_coeffs) for d in cert.decompositions]
+    qs = [_q_text(d.q_coeffs) for d in cert.decompositions]
     payload = {
         "f": str(f),
         "max_deg_y": cert.M,
         "dimension": cert.dimension,
         "expected_dimension": cert.expected_dimension,
-        "q": qs,  # None where the basis element is no energy multiple
+        "q": qs,
         "passed": cert.passed,
     }
     if cert.reason:
@@ -101,7 +101,7 @@ def _cmd_certify(args: argparse.Namespace) -> Result:
         f"f = {f}, max y-degree = {cert.M}",
         f"dimension = {cert.dimension} (expected {cert.expected_dimension})",
     ]
-    human += [f"q[{i}] = {'none' if q is None else q}" for i, q in enumerate(qs)]
+    human += [f"q[{i}] = {q}" for i, q in enumerate(qs)]
     human.append(f"certificate: {'PASS' if cert.passed else 'FAIL'}")
     if cert.reason:
         human.append(f"reason: {cert.reason}")

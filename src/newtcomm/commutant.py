@@ -1,5 +1,5 @@
-"""Commutant of the Newton derivation (y, f): basis computation and
-energy-polynomial certificates.
+"""Commutant of the Newton derivation (y, f): basis computation and the
+rank-one certificate.
 
 Writing a candidate as gamma(x) = sum c_i(x) y^i, gamma(y) = sum d_i(x) y^i
 with y-degree at most M, the commutation condition splits by powers of y
@@ -43,13 +43,44 @@ with omega_k = 0 wherever m-k > M'; in a reduced echelon basis they are
 spanned by the vectors leading at such a k, the elements of y-degree <= M'.
 The same prefix of energy_basis(f, M) is energy_basis(f, M') (y-degree 2k+1).
 
-The rank-one certificate is one equality: for deg f >= 2 the commutant is
-K[H] delta_f up to y-degree M exactly when this basis equals energy_basis,
-the energy multiples H^k delta_f in descending k.  That tuple is itself in
-reduced echelon form because H(0, y) = y^2 (hamiltonian integrates f with
-constant term 0), so no element needs decomposing.  decompose_in_H tests
-one derivation by the same argument: it reads q_k where H^k delta_f leads,
-and gamma is an energy multiple exactly when q(H) delta_f rebuilds it.
+The rank-one certificate does not run the integrator; it rests on the
+leading form of delta_f.  Let n = deg f >= 2 and c = lc(f), and give x the
+weight 2 and y the weight n + 1.  Then delta_f = d_0 + terms of lower
+weight, with d_0 = (y, c x^n) homogeneous, so the top-weight part gamma_0
+of a gamma that commutes with delta_f commutes with d_0, and its y-degree is
+at most that of gamma.  Among the commuting gamma of top weight <= w, those
+whose weight-w part vanishes are the ones of lower top weight, so the
+weight-w parts inject the quotient into the commutant of d_0, weight by
+weight.  With C_M the commutant up to y-degree M:
+
+    (M+1)//2 = len(energy_basis(f, M)) <= dim C_M(delta_f) <= dim C_M(d_0).
+
+The lower bound holds because delta_f kills H, so every H^k delta_f
+commutes, and the H^k delta_f lead at distinct unknowns.  For the upper
+bound, c scales out: y -> sqrt(c) y carries d_0 to a multiple of (y, x^n),
+and a nullity does not change under a field extension.  So dim C_M(d_0) is
+the sum of the nullities of the weight pieces of (y, x^X) at X = n, the
+ansatz systems obstruction.ansatz_rows(m, a) of y-degree at most M: a = 1
+with 1 <= m <= M (y-degree m) and a = 0 with 2 <= m <= M + 1 (y-degree
+m - 1).  A piece whose x-offset is not 0 or 1 modulo n + 1 has only the
+zero solution (see obstruction), and so has a = 0 at m = 1, where
+gamma = (const, 0).  At X >= 1 every super entry
+but the last row's is nonzero, so forward substitution from the top unknown
+leaves at most one free unknown: a piece has nullity 1 exactly when its
+continuant, evaluated in integers at X = n, is 0, and its solutions then
+have the piece's y-degree.  The certificate passes when the pieces of
+nullity 1 are exactly those at a = 0 and even m, where the top forms
+H_0^k d_0 of the energy basis lie: the bounds then meet, so C_M(delta_f) is
+spanned by energy_basis(f, M), which is its canonical basis.  That tuple is
+itself in reduced echelon form because H(0, y) = y^2 (hamiltonian
+integrates f with constant term 0).
+
+This is not a second solver of the level system: it decides the graded
+system of d_0, and the lemma links that system to the one of delta_f.
+selftest criterion 1 runs solve_commutant next to the certificate, so the
+two check each other.  decompose_in_H tests one derivation by the echelon
+argument: it reads q_k where H^k delta_f leads, and gamma is an energy
+multiple exactly when q(H) delta_f rebuilds it.
 """
 
 from __future__ import annotations
@@ -61,6 +92,7 @@ from math import lcm
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch
 from .linsolve import nullspace
+from .obstruction import ansatz_rows
 from .poly import (BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb,
                    _ring_name, _trim, as_unipoly)
 
@@ -207,15 +239,50 @@ def energy_basis(f: UniPoly, M: int) -> tuple[PlanarDerivation, ...]:
     return tuple(reversed(basis))
 
 
+def _piece_nullity(rows: list, X: int) -> int | None:
+    """Nullity of one weight piece at the integer X: 1 if its continuant
+    D_i = diagonal_i D_{i-1} - sub_i super_{i-1} D_{i-2} (D_{-1} = 1) ends at 0,
+    and 0 if not; None if a super entry but the last row's is 0 at X, since
+    the nullity can then exceed 1."""
+    D2, D1, p = 0, 1, 1  # D_{i-2}, D_{i-1}, super_{i-1} at X
+    for (s0, s1), (d0, d1), (q0, q1) in rows:
+        if not p:
+            return None
+        D2, D1, p = D1, (d0 + d1 * X) * D1 - (s0 + s1 * X) * p * D2, q0 + q1 * X
+    return 0 if D1 else 1
+
+
+def _graded_nullities(X: int, M: int) -> dict[tuple[int, int], int | None]:
+    """The nullity of each weight piece (m, a) of (y, x^X) up to y-degree M, for
+    an integer X >= 1; they sum to solve_commutant(x^X, M).dimension."""
+    return {(m, a): _piece_nullity(ansatz_rows(m, a), X)
+            for a in (1, 0) for m in range(2 - a, M + 2 - a)}
+
+
+def _graded_reason(X: int, M: int, lower: int) -> str | None:
+    """None if the pieces of nullity 1 are exactly those at a = 0 and even m,
+    and their count meets the lower bound; else the first piece that fails."""
+    nullity = _graded_nullities(X, M)
+    for (m, a), k in nullity.items():
+        if k != (want := int(a == 0 and m % 2 == 0)):
+            return f"piece (m, a) = ({m}, {a}) at X = {X} has " + (
+                "a zero super entry" if k is None else f"nullity {k}, not {want}")
+    if (bound := sum(nullity.values())) != lower:
+        return f"the weight pieces at X = {X} bound the dimension by {bound}, not {lower}"
+    return None
+
+
 @dataclass(frozen=True)
 class RankOneCertificate:
+    """commutant holds the energy multiples, a basis of the whole commutant
+    when passed; reason names the first weight piece, or the bound, that fails."""
+
     f: UniPoly
     M: int
     commutant: CommutantBasis
-    decompositions: tuple[HDecomposition | None, ...]
+    decompositions: tuple[HDecomposition, ...]
     expected_dimension: int
     passed: bool
-    failing_index: int | None
     reason: str | None
 
     @property
@@ -225,27 +292,22 @@ class RankOneCertificate:
 
 def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
     """Certify that every commuting derivation up to y-degree M is an
-    energy-polynomial multiple of the base derivation (needs deg f >= 2)."""
+    energy-polynomial multiple of the base derivation (needs deg f >= 2),
+    from the weight pieces of its leading form (module docstring)."""
     f = as_unipoly(f)
     if f.degree < 2:
         raise HypothesisViolation("certification requires deg f >= 2")
-    com = solve_commutant(f, M)
-    expected = (M - 1) // 2 + 1
-    canon = energy_basis(f, M)  # equal to com.basis iff the span is K[H] delta_f
-    decs = tuple(HDecomposition((Fraction(0),) * (len(canon) - 1 - i) + (Fraction(1),))
-                 if i < len(canon) and gamma == canon[i] else None
-                 for i, gamma in enumerate(com.basis))
-    failing = decs.index(None) if None in decs else None
-    reason = None if failing is None else f"basis element {failing} differs from the energy basis"
-    if failing is None and com.dimension != expected:
-        reason = f"dimension {com.dimension} != expected {expected}"
+    if not isinstance(M, int) or M < 0:
+        raise InvalidInput("max y-degree M must be a non-negative integer")
+    canon = energy_basis(f, M)
+    reason = _graded_reason(f.degree, M, len(canon))
     return RankOneCertificate(
         f=f,
         M=M,
-        commutant=com,
-        decompositions=decs,
-        expected_dimension=expected,
+        commutant=CommutantBasis(f, M, canon),
+        decompositions=tuple(HDecomposition((Fraction(0),) * (len(canon) - 1 - i) + (Fraction(1),))
+                             for i in range(len(canon))),
+        expected_dimension=(M - 1) // 2 + 1,
         passed=reason is None,
-        failing_index=failing,
         reason=reason,
     )

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isfinite
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput
@@ -69,6 +70,8 @@ def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
     """Construct the commuting pair for k; a_top scales the whole family."""
     if not isinstance(k, int) or k < 1:
         raise InvalidInput("k must be an integer >= 1")
+    if isinstance(a_top, float) and not isfinite(a_top):
+        raise InvalidInput(f"a_top must be finite, not {a_top}")
     a_top = Fraction(_exact(a_top) if isinstance(a_top, str) else a_top)
     if a_top == 0:
         raise InvalidInput("a_top must be nonzero")

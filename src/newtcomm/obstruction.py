@@ -1,14 +1,19 @@
 """Obstruction polynomials for Laurent-coefficient symmetries at negative slope.
 
-Odd y-degree m symmetries of d = (y, x^X) take, for h = (m-1)/2, the ansatz
+Symmetries of d = (y, x^X) of y-degree m with x-offset a take the ansatz
 
-    gamma(x) = sum_{l=0..h} c_l x^(1+(1+X)l) y^(m-1-2l),
-    gamma(y) = sum_{l=0..h} b_l x^((1+X)l) y^(m-2l).
+    gamma(x) = sum_l c_l x^(a+(1+X)l) y^(m-1-2l),
+    gamma(y) = sum_l b_l x^(a-1+(1+X)l) y^(m-2l),
 
-[d, gamma] = 0 is a square tridiagonal system in b_0, c_0, ..., b_h, c_h
-(``ansatz_rows``) whose determinant, a continuant, is -P_m: its roots are
-the slopes with a symmetry, and at X = -rho its null vector is ``family``'s
-beta.  P_m keeps its integer content; root sets are the stable interface.
+over the l with a nonnegative y-power, and without b_0 at a = 0, where its
+x-power would be x^(-1).  With weights 2 for x and X + 1 for y, d is
+homogeneous, and each such ansatz is one weight piece of the commutation
+condition; at integer X >= 1 a piece whose offset is not 0 or 1 modulo
+X + 1 has only the zero solution.  [d, gamma] = 0 is a square tridiagonal
+system in b_0, c_0, b_1, c_1, ... (``ansatz_rows``).  At a = 1 and odd m its
+determinant, a continuant, is -P_m: its roots are the slopes with a
+symmetry, and at X = -rho its null vector is ``family``'s beta.  P_m keeps
+its integer content; root sets are the stable interface.
 
 Rational roots are found by p-adic lifting (Loos, "Computing rational
 zeros of integral polynomials by p-adic expansion", SIAM J. Comput. 1983;
@@ -40,18 +45,29 @@ class ObstructionPoly:
     P: UniPoly
 
 
-def ansatz_rows(m: int) -> list[tuple[tuple[int, int], ...]]:
-    """Rows (sub, diagonal, super) of [d, gamma] = 0, ordered x_0, y_1, x_1, ..., y_{h+1}:
-    row i is sub u_{i-1} + diagonal u_i + super u_{i+1} = 0, an entry (e0, e1) is e0 + e1 X."""
-    if not isinstance(m, int) or m < 3 or m % 2 == 0:
-        raise InvalidInput("m must be an odd integer >= 3")
-    return [row for l in range((m + 1) // 2) for row in  # x_l, y_{l+1}
-            (((m + 1 - 2 * l, 0), (-1, 0), (1 + l, l)), ((m - 2 * l, 0), (0, -1), (l + 1, l + 1)))]
+def ansatz_rows(m: int, a: int = 1) -> list[tuple[tuple[int, int], ...]]:
+    """Rows (sub, diagonal, super) of [d, gamma] = 0 for the ansatz of y-degree m and
+    x-offset a in {0, 1}, on the unknowns u = b_0, c_0, b_1, c_1, ..., m + 1 of them
+    (b_0 dropped at a = 0): row i is sub u_{i-1} + diagonal u_i + super u_{i+1} = 0,
+    and an entry (e0, e1) is e0 + e1 X.  The rows run x_0, y_1, x_1, y_2, ...; x_0,
+    which reads 0 = 0 at a = 0, is dropped there:
+
+        x_l:      (m+1-2l) c_{l-1} - b_l + (a+(1+X)l) c_l = 0,
+        y_{l+1}:  (m-2l) b_l - X c_l + (a+l+(l+1)X) b_{l+1} = 0."""
+    if not isinstance(a, int) or a not in (0, 1):
+        raise InvalidInput("the x-offset a must be 0 or 1")
+    if not isinstance(m, int) or m < 2 - a:
+        raise InvalidInput(f"m must be an integer >= {2 - a} at a = {a}")
+    rows = [row for l in range(m // 2 + 1) for row in  # x_l, y_{l+1}
+            (((m + 1 - 2 * l, 0), (-1, 0), (a + l, l)), ((m - 2 * l, 0), (0, -1), (a + l, l + 1)))]
+    return rows[1 - a:m + 1]
 
 
 def build_obstruction(m: int) -> ObstructionPoly:
     """P_m = -D_m (odd m >= 3) for the continuant D_i = diagonal_i D_{i-1} - sub_i
     super_{i-1} D_{i-2} of ansatz_rows(m), D_{-1} = 1; run from -1, it is P_m."""
+    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+        raise InvalidInput("m must be an odd integer >= 3")
     D2, D1, p0, p1 = [], [-1], 0, 0  # -D_{i-2}, -D_{i-1}, super_{i-1} = p0 + p1 X
     for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m):
         D2, D1, p0, p1 = D1, _combine((d0, 0, D1), (d1, 1, D1), (-s0 * p0, 0, D2),

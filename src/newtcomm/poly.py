@@ -577,7 +577,7 @@ class LaurentPoly(UniPoly):
     @classmethod
     def x_power(cls, t: int, exp, coeff=1) -> "LaurentPoly":
         """x^exp as an element of the ring with root index t."""
-        ze = Fraction(exp) * t
+        ze = Fraction(_exact(exp)) * t
         if ze.denominator != 1:
             raise RingMismatch(f"exponent {exp} is not "
                                + ("an integer" if t == 1 else f"a multiple of 1/{t}"))

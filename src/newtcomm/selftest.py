@@ -44,19 +44,22 @@ ACCEPTANCE_FORCES: tuple[UniPoly, ...] = tuple(
 
 def run_criterion_1(seed: int = 0) -> CriterionResult:
     """Commutant dimension floor((M-1)/2)+1 with every element a K[H]-multiple,
-    odd M <= 31: one certificate per force at 31, read to each M (_prefix)."""
+    odd M <= 31: per force, one solve at 31, read to each M (_prefix), must
+    equal the energy basis, and the graded certificate at 31 must pass."""
     t0 = time.perf_counter()
-    failures, total = [], 0
+    failures, uncertified, total = [], [], 0
     for f in ACCEPTANCE_FORCES:
-        basis = commutant.certify_rank_one(f, 31).commutant.basis
-        energy = commutant.energy_basis(f, 31)
+        basis = commutant.solve_commutant(f, 31).basis
+        cert = commutant.certify_rank_one(f, 31)  # holds energy_basis(f, 31)
         for M in range(1, 32, 2):
             total += 1
-            if (got := commutant._prefix(basis, M)) != energy[-((M + 1) // 2):]:
+            if (got := commutant._prefix(basis, M)) != cert.commutant.basis[-((M + 1) // 2):]:
                 failures.append(f"f={f}, M={M}: dimension {len(got)}, not the energy basis")
+        if not cert.passed:
+            uncertified.append(f"f={f}, M=31: certificate fails: {cert.reason}")
     detail = (f"{total - len(failures)}/{total} (f, M) pairs have dimension "
               f"floor((M-1)/2)+1 with all basis elements energy multiples")
-    return _verdict("1-rank-one-certificate", failures, detail, t0)
+    return _verdict("1-rank-one-certificate", failures + uncertified, detail, t0)
 
 
 GRID_SIZE = 200

@@ -48,13 +48,16 @@ class TestAcceptanceCriteria:
         _check(selftest.run_criterion_1(), 10)
 
     def test_criterion_1_certifies_each_force_once(self, monkeypatch):
-        """Every smaller M is read off one certificate per force at M = 31."""
+        """Per force, one solve and one certificate at M = 31: every smaller M
+        is read off the solve, and the certificate does not solve."""
         calls = []
-        certify = commutant.certify_rank_one
-        monkeypatch.setattr(commutant, "certify_rank_one",
-                            lambda f, M: calls.append((f, M)) or certify(f, M))
+        for name in ("solve_commutant", "certify_rank_one"):
+            real = getattr(commutant, name)
+            monkeypatch.setattr(commutant, name, lambda f, M, name=name, real=real:
+                                calls.append((name, f, M)) or real(f, M))
         assert selftest.run_criterion_1().passed
-        assert calls == [(f, 31) for f in selftest.ACCEPTANCE_FORCES]
+        assert calls == [(name, f, 31) for f in selftest.ACCEPTANCE_FORCES
+                         for name in ("solve_commutant", "certify_rank_one")]
 
     def test_criterion_2_negative_controls(self):
         _check(selftest.run_criterion_2(), 30)
@@ -138,7 +141,7 @@ class TestMutationControl:
 
     def test_perturbed_base_derivation_is_caught_at_M_1(self, monkeypatch):
         """Adding (x, y) to delta_f, the last basis element, corrupts every
-        smaller y-degree read off the one certificate, M = 1 first."""
+        smaller y-degree read off the one solve, M = 1 first."""
         real = commutant.solve_commutant
 
         def perturbed(f, M):
@@ -151,6 +154,18 @@ class TestMutationControl:
         assert not result.passed
         first = result.detail.split("; first failure: ")[1]
         assert first.startswith(f"f={selftest.ACCEPTANCE_FORCES[0]}, M=1: "), first
+
+    def test_failing_certificate_is_caught(self, monkeypatch):
+        """A certificate that fails flips criterion 1 even where the solve
+        agrees with the energy basis."""
+        reason = commutant._graded_reason
+        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M, lower: reason(1, M, lower))
+        result = selftest.run_criterion_1()
+        assert not result.passed
+        assert result.detail.startswith("64/64 (f, M) pairs")
+        first = result.detail.split("; first failure: ")[1]
+        assert first == (f"f={selftest.ACCEPTANCE_FORCES[0]}, M=31: certificate fails: "
+                         "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0")
 
     def test_nan_defect_is_caught(self, monkeypatch):
         """A quadrature that returns NaN must flip criterion 6, not pass it."""

@@ -2,12 +2,11 @@
 
 import json
 import shlex
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from newtcomm import PlanarDerivation, commutant, errors, obstruction, parse_bipoly
+from newtcomm import commutant, errors, obstruction
 from newtcomm.cli import main
 
 
@@ -765,42 +764,37 @@ def test_readme_layout_names_every_module():
     }
 
 
-def _perturb_first_basis_element(monkeypatch):
-    """Make solve_commutant return a basis whose element 0 is not delta_f
-    times a power of H, so that the certificate fails at index 0."""
-    solve = commutant.solve_commutant
-
-    def perturbed(f, M):
-        com = solve(f, M)
-        rogue = com.basis[0] + PlanarDerivation(parse_bipoly("x"), parse_bipoly("y"))
-        return replace(com, basis=(rogue,) + com.basis[1:])
-    monkeypatch.setattr(commutant, "solve_commutant", perturbed)
+def _pieces_at_X_1(monkeypatch):
+    """Make the certificate read the weight pieces at X = 1, as if deg f were
+    1, so that the piece (m, a) = (1, 1) closes and the certificate fails."""
+    reason = commutant._graded_reason
+    monkeypatch.setattr(commutant, "_graded_reason", lambda X, M, lower: reason(1, M, lower))
 
 
 class TestFailingCertificate:
-    """A failing certificate is reported, not a traceback: the entry with no
-    decomposition reads none (null in JSON)."""
+    """A failing certificate is reported, not a traceback: the reason names
+    the weight piece and the X it was read at."""
 
     def test_human(self, capsys, monkeypatch):
-        _perturb_first_basis_element(monkeypatch)
+        _pieces_at_X_1(monkeypatch)
         code, out, _ = run(capsys, "certify", "--f", "x^2", "--max-deg-y", "5")
         assert code == 1
         assert out.splitlines()[2:] == [
-            "q[0] = none",
+            "q[0] = H^2",
             "q[1] = H",
             "q[2] = 1",
             "certificate: FAIL",
-            "reason: basis element 0 differs from the energy basis",
+            "reason: piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0",
         ]
 
     def test_json(self, capsys, monkeypatch):
-        _perturb_first_basis_element(monkeypatch)
+        _pieces_at_X_1(monkeypatch)
         code, out, _ = run(capsys, "certify", "--f", "x^2", "--max-deg-y", "5", "--json")
         assert code == 1
         payload = json.loads(out)
-        assert payload["q"] == [None, "H", "1"]
+        assert payload["q"] == ["H^2", "H", "1"]
         assert payload["passed"] is False
-        assert payload["reason"] == "basis element 0 differs from the energy basis"
+        assert payload["reason"] == "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0"
 
 
 def test_selftest_smoke(capsys):

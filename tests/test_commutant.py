@@ -1,6 +1,6 @@
 """Commutant computation and the rank-one certificate."""
 
-from dataclasses import replace
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from newtcomm import (
     HDecomposition,
     HypothesisViolation,
+    InvalidInput,
     LaurentBiPoly,
     LaurentDerivation,
     LaurentPoly,
@@ -29,7 +30,7 @@ from newtcomm import (
     solve_commutant,
 )
 from newtcomm import commutant
-from newtcomm.commutant import _integrate_half, _prefix, energy_basis
+from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, _space_at, build_system, coefficient, solve_system
 
@@ -263,25 +264,72 @@ class TestCertifyRankOne:
                 assert cert.passed, (f_text, M, cert.reason)
                 assert cert.expected_dimension == (M - 1) // 2 + 1
                 assert cert.commutant.dimension == cert.expected_dimension
-                assert cert.failing_index is None
 
-    def test_perturbed_basis_fails_at_its_index(self, monkeypatch):
-        """A basis element that is not its energy basis element is caught and
-        named, whatever the rest of the basis holds."""
-        solve = commutant.solve_commutant
+    @pytest.mark.parametrize("f_text", [
+        "-3*x^2 + x - 1/2", "2/5*x^3 - x^2 + 7", "x^4 - 3*x^3 + x", "-x^5 + 1/3*x^4 - 2",
+        "7/2*x^6 + x - 1", "x^7 - 2*x^5 + 3/4*x^2", "-1/9*x^8 + x^3 - x", DEGREE_9_F])
+    def test_basis_is_the_integrators_basis(self, f_text):
+        """The graded certificate returns solve_commutant's basis, for forces
+        of degree 2..9 with lower terms, M <= 21 (read off one solve)."""
+        f = parse_unipoly(f_text)
+        top = solve_commutant(f, 21).basis
+        for M in range(22):
+            cert = certify_rank_one(f, M)
+            assert cert.passed, (M, cert.reason)
+            assert cert.commutant.basis == _prefix(top, M), M
 
-        def perturbed(f, M):
-            com = solve(f, M)
-            rogue = com.basis[0] + PlanarDerivation(parse_bipoly("x"), parse_bipoly("y"))
-            return replace(com, basis=(rogue,) + com.basis[1:])
+    @pytest.mark.parametrize("X", [1, 2, 3, 5, 9])
+    def test_piece_nullities_sum_to_the_commutant_dimension(self, X):
+        """The weight pieces of (y, x^X) hold its whole commutant, M <= 17;
+        at X = 1 the odd-m, a = 1 pieces close too, so the sum exceeds
+        (M+1)//2 there."""
+        top = solve_commutant(parse_unipoly(f"x^{X}"), 17).basis
+        for M in range(18):
+            nullity = _graded_nullities(X, M)
+            assert sum(nullity.values()) == len(_prefix(top, M)), M
+            closing = {piece for piece, k in nullity.items() if k}
+            extra = {(m, 1) for m in range(1, M + 1, 2)} if X == 1 else set()
+            assert closing == {(m, 0) for m in range(2, M + 2, 2)} | extra, M
 
-        monkeypatch.setattr(commutant, "solve_commutant", perturbed)
+    def test_degree_9_at_M_81_within_budget(self):
+        f = parse_unipoly(DEGREE_9_F)
+        t0 = time.perf_counter()
+        cert = certify_rank_one(f, 81)
+        assert time.perf_counter() - t0 < 2.0
+        assert cert.passed and cert.dimension == 41
+
+    def test_zero_super_entry_is_caught(self, monkeypatch):
+        """Mutation control: a zero super entry breaks the forward substitution
+        that bounds a piece's nullity by 1, so the certificate refuses it."""
+        rows = commutant.ansatz_rows
+
+        def zeroed(m, a=1):
+            out = rows(m, a)
+            return [(out[0][0], out[0][1], (0, 0))] + out[1:] if (m, a) == (4, 0) else out
+
+        monkeypatch.setattr(commutant, "ansatz_rows", zeroed)
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
-        assert cert.failing_index == 0
-        assert "element 0" in cert.reason
-        assert cert.decompositions[0] is None
-        assert [d.q_coeffs for d in cert.decompositions[1:]] == [(0, 1), (1,)]
+        assert cert.reason == "piece (m, a) = (4, 0) at X = 2 has a zero super entry"
+
+    def test_skipped_offset_0_pieces_are_caught(self, monkeypatch):
+        """Mutation control: without the a = 0 pieces, where the energy
+        multiples lead, the pieces bound the dimension below the energy basis."""
+        nullities = commutant._graded_nullities
+        monkeypatch.setattr(commutant, "_graded_nullities", lambda X, M: {
+            piece: k for piece, k in nullities(X, M).items() if piece[1] == 1})
+        cert = certify_rank_one(parse_unipoly("x^2"), 5)
+        assert cert.passed is False
+        assert cert.reason == "the weight pieces at X = 2 bound the dimension by 0, not 3"
+
+    def test_pieces_at_X_1_are_caught(self, monkeypatch):
+        """Mutation control: the pieces read at X = 1, as if deg f were 1:
+        1 is a root of P_m, so the odd-m, a = 1 pieces close."""
+        reason = commutant._graded_reason
+        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M, lower: reason(1, M, lower))
+        cert = certify_rank_one(parse_unipoly("x^2"), 5)
+        assert cert.passed is False
+        assert cert.reason == "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0"
 
     def test_energy_basis_is_descending_powers(self, monkeypatch):
         """(H^s delta_f, ..., delta_f), s = floor((M-1)/2), with one product
@@ -305,6 +353,11 @@ class TestCertifyRankOne:
             certify_rank_one(parse_unipoly("x"), 1)
         with pytest.raises(HypothesisViolation):
             certify_rank_one(parse_unipoly("3"), 1)
+
+    @pytest.mark.parametrize("M", [-1, 2.0, "3", None])
+    def test_rejects_bad_M(self, M):
+        with pytest.raises(InvalidInput):
+            certify_rank_one(parse_unipoly("x^2"), M)
 
     def test_decompositions_reconstruct(self):
         f = parse_unipoly("x^5 + 2*x^2 - 1")

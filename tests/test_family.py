@@ -133,6 +133,15 @@ class TestBuildFamily:
         with pytest.raises(InvalidInput, match="not a rational number"):
             pm_witness(3, 1, "abc")
 
+    def test_non_finite_float_a_top_is_invalid_input(self):
+        """A float a_top scales only if it is finite; nan and inf are bad input."""
+        assert build_family(1, -0.25).a == build_family(1, Fraction(-1, 4)).a
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InvalidInput, match="a_top must be finite"):
+                build_family(1, bad)
+        with pytest.raises(InvalidInput, match="a_top must be finite"):
+            pm_witness(3, 1, float("nan"))
+
 
 class TestFirstIntegral:
     def test_value(self):

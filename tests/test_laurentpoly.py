@@ -23,6 +23,15 @@ def test_construction_and_exponent_bookkeeping():
         LaurentPoly(0, {})
 
 
+def test_x_power_reads_rational_text():
+    """The exponent may be rational text; text that is not a rational number
+    is bad input, like a bad coefficient."""
+    assert LaurentPoly.x_power(2, " -3/2 ") == LaurentPoly.x_power(2, Fraction(-3, 2))
+    for bad in ("1/0", "abc", ""):
+        with pytest.raises(InvalidInput, match="not a rational number"):
+            LaurentPoly.x_power(2, bad)
+
+
 def test_t_mismatch_raises():
     a = LaurentPoly.term(2, 1)
     b = LaurentPoly.term(3, 1)

@@ -21,7 +21,6 @@ from newtcomm import (
     rational_roots,
 )
 from newtcomm.linsolve import nullspace, rref
-from newtcomm.obstruction import ansatz_rows
 
 import obstruction_oracle
 from divisor_oracle import divisor_oracle
@@ -98,46 +97,52 @@ class TestBuildObstruction:
             expected_root_set(4)
 
 
-def _ansatz_matrix_from_bracket(m: int, X: Fraction) -> list[list[Fraction]]:
-    """The commutation system of P_m's ansatz at slope X (X != -1), read off
-    the derivation kernel: entry (r, j) is the coefficient of row r's
-    monomial in [d, e_j], for d = (y, x^X) and the basis derivations e_j of
-    the unknowns b_0, c_0, ..., b_h, c_h, in the ring of root index den(X).
+def _ansatz_matrix_from_bracket(m: int, X: Fraction, a: int = 1) -> list[list[Fraction]]:
+    """The commutation system of the ansatz of y-degree m and x-offset a at
+    slope X (X != -1), read off the derivation kernel: entry (r, j) is the
+    coefficient of row r's monomial in [d, e_j], for d = (y, x^X) and the
+    basis derivations e_j of the unknowns b_0, c_0, b_1, c_1, ... (b_0 dropped
+    at a = 0), in the ring of root index den(X).
 
-    Row x_l is read at x^((1+X)l) y^(m-2l) in act_x and row y_l at
-    x^((1+X)l-1) y^(m+1-2l) in act_y; each [d, e_j] is asserted to hold no
-    other term."""
-    t, p, h = X.denominator, X.numerator, (m - 1) // 2
-    step = t + p  # x^(1+X) = z^step
+    Row x_l is read at x^(a-1+(1+X)l) y^(m-2l) in act_x and row y_l at
+    x^(a-2+(1+X)l) y^(m+1-2l) in act_y (x_0 dropped at a = 0); each [d, e_j]
+    is asserted to hold no other term."""
+    t, p = X.denominator, X.numerator
+    step, shift = t + p, (a - 1) * t  # x^(1+X) = z^step, x^(a-1) = z^shift
 
     def mono(ze: int, ye: int) -> LaurentBiPoly:
         return LaurentBiPoly.y_pow(t, ye, LaurentPoly.term(t, ze))
 
     zero = LaurentBiPoly(t, [])
-    basis, rows = [], []
-    for l in range(h + 1):
-        basis.append(LaurentDerivation(t, zero, mono(step * l, m - 2 * l)))  # b_l
-        basis.append(LaurentDerivation(t, mono(t + step * l, m - 1 - 2 * l), zero))  # c_l
-        rows.append((0, step * l, m - 2 * l))  # x_l
-        rows.append((1, step * (l + 1) - t, m - 1 - 2 * l))  # y_{l+1}
+    unknowns, rows = [], []  # (act_y?, z-exponent, y-exponent) of each e_j
+    for l in range(m // 2 + 1):
+        unknowns.append((True, shift + step * l, m - 2 * l))  # b_l
+        unknowns.append((False, shift + t + step * l, m - 1 - 2 * l))  # c_l
+        rows.append((0, shift + step * l, m - 2 * l))  # x_l
+        rows.append((1, shift + step * (l + 1) - t, m - 1 - 2 * l))  # y_{l+1}
+    rows = rows[1 - a:m + 1]
+    basis = [LaurentDerivation(t, *((zero, mono(ze, ye)) if on_y else (mono(ze, ye), zero)))
+             for on_y, ze, ye in unknowns[1 - a:m + 1]]
     d = LaurentDerivation(t, LaurentBiPoly.y(t), mono(p, 0))
-    matrix = [[Fraction(0)] * (m + 1) for _ in rows]
+    matrix = [[Fraction(0)] * len(basis) for _ in rows]
     for j, e in enumerate(basis):
         br = d.bracket(e)
         rest = [br.act_x, br.act_y]
         for r, (part, ze, ye) in enumerate(rows):
             matrix[r][j] = c = rest[part].ycoeff(ye).coeff(ze)
             rest[part] = rest[part] - c * mono(ze, ye)
-        assert rest[0].is_zero and rest[1].is_zero, (m, X, j)
+        assert rest[0].is_zero and rest[1].is_zero, (m, X, a, j)
     return matrix
 
 
-def _ansatz_matrix(m: int, X: Fraction) -> list[list[Fraction]]:
-    """ansatz_rows(m) at slope X, as a dense matrix of Fractions."""
-    matrix = [[Fraction(0)] * (m + 1) for _ in range(m + 1)]
-    for i, row in enumerate(ansatz_rows(m)):
+def _ansatz_matrix(m: int, X: Fraction, a: int = 1) -> list[list[Fraction]]:
+    """obstruction.ansatz_rows(m, a) at slope X, as a dense matrix of Fractions."""
+    rows = obstruction.ansatz_rows(m, a)
+    n = len(rows)
+    matrix = [[Fraction(0)] * n for _ in range(n)]
+    for i, row in enumerate(rows):
         for j, (e0, e1) in zip((i - 1, i, i + 1), row):
-            if 0 <= j <= m:
+            if 0 <= j < n:
                 matrix[i][j] = e0 + e1 * X
     return matrix
 
@@ -152,16 +157,41 @@ def _nullity(matrix: list[list[Fraction]]) -> int:
 
 class TestAnsatzSystem:
     """ansatz_rows is the commutation condition [d, gamma] = 0, as the
-    derivation kernel computes it, and its null spaces are the slopes of
-    expected_root_set and the beta of build_family."""
+    derivation kernel computes it, at both x-offsets, and at a = 1 and odd m
+    its null spaces are the slopes of expected_root_set and the beta of
+    build_family."""
 
-    @pytest.mark.parametrize("m", range(3, 42, 2))
+    @pytest.mark.parametrize("m", range(1, 42))
     def test_rows_are_the_bracket_of_the_ansatz(self, m):
-        """Every entry is affine in X, so agreement at two X is identity."""
-        for X in (Fraction(2), Fraction(-1, 3)):
-            assert X not in expected_root_set(m)
-            assert _ansatz_matrix_from_bracket(m, X) == _ansatz_matrix(m, X), (m, X)
-            assert _nullity(_ansatz_matrix(m, X)) == 0, (m, X)
+        """Every entry is affine in X, so agreement at two X is identity, for
+        both offsets and both parities of m.  Neither X is a closing slope of
+        a piece, so only the pieces at a = 0 and even m, which hold H_0^k d_0
+        for every X, have a null vector."""
+        for a in (1, 0) if m >= 2 else (1,):
+            for X in (Fraction(2), Fraction(-1, 3)):
+                assert _ansatz_matrix_from_bracket(m, X, a) == _ansatz_matrix(m, X, a), (m, X, a)
+                assert _nullity(_ansatz_matrix(m, X, a)) == (a == 0 and m % 2 == 0), (m, X, a)
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 9])
+    def test_dropped_offset_term_is_caught(self, m, monkeypatch):
+        """Mutation control: the a-term of y_1's super entry dropped (a + 0 + X
+        read as X) changes the rows at a = 1 only, and the bracket sees it."""
+        rows = obstruction.ansatz_rows
+
+        def dropped(m, a=1):
+            out = rows(m, a)
+            s, d, (q0, q1) = out[a]  # y_1, after x_0 at a = 1
+            return out[:a] + [(s, d, (q0 - a, q1))] + out[a + 1:]
+
+        monkeypatch.setattr(obstruction, "ansatz_rows", dropped)
+        X = Fraction(2)
+        assert _ansatz_matrix_from_bracket(m, X, 1) != _ansatz_matrix(m, X, 1)
+        assert _ansatz_matrix_from_bracket(m, X, 0) == _ansatz_matrix(m, X, 0)
+
+    def test_bad_offset_or_degree(self):
+        for m, a in ((0, 1), (1, 0), (-2, 0), (3, 2), (3, -1), (2.0, 1), (3, "1")):
+            with pytest.raises(InvalidInput):
+                obstruction.ansatz_rows(m, a)
 
     @pytest.mark.parametrize("m", range(3, 42, 2))
     def test_null_space_at_every_expected_root(self, m):
