@@ -75,6 +75,19 @@ spanned by energy_basis(f, M), which is its canonical basis.  That tuple is
 itself in reduced echelon form because H(0, y) = y^2 (hamiltonian
 integrates f with constant term 0).
 
+The bounds hold half by half, so a passing certificate also gives each
+half of the level system at y-degree M with no solve.  A piece (m, a) has
+c-indices congruent to m - 1 and d-indices congruent to m (mod 2), so the
+even-m pieces lie in the half of odd-index c's and even-index d's and the
+odd-m pieces in the other half.  The top-weight part of gamma only drops
+monomials, so it keeps a solution inside its half, and the weight-by-weight
+injection above sends the solutions of a half into the pieces of that half:
+the dimension of a half is at most the sum of its pieces' nullities.  Every
+H^k delta_f lies in the first half, as delta_f = (y, f) does and H is even
+in y.  So when the certificate passes, all pieces of nullity 1 are in the
+first half, which is spanned by energy_basis(f, M), and the second half is
+zero; parity.check_lemma_suite reads its halves off that way.
+
 This is not a second solver of the level system: it decides the graded
 system of d_0, and the lemma links that system to the one of delta_f.
 selftest criterion 1 runs solve_commutant next to the certificate, so the

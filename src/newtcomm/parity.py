@@ -17,15 +17,17 @@ held as the PlanarDerivation it defines (c_i in act_x, d_i in act_y), so a
 solution space is a tuple of derivations.  Unknown names such as "c_3" only
 list the unknowns and the forced ones; coefficient reads a name off a
 derivation.  The I-half carries all solutions when deg f >= 2; checkers for
-the dimension and forced-to-zero facts live in check_lemma_suite (one solve
-per half).
+the dimension and forced-to-zero facts live in check_lemma_suite.  It reads
+both halves off the rank-one certificate when deg f >= 2 and the certificate
+passes (the I half is the energy basis, the II half is empty), and otherwise
+solves each half once; solve_system always runs the integrator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .commutant import _prefix, energy_basis, solve_halves
+from .commutant import _graded_reason, _prefix, energy_basis, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput
 from .poly import UniPoly, as_unipoly
@@ -115,11 +117,18 @@ def solve_system(sys: ParitySystem) -> SolutionSpace:
 
 
 def _space_at(sys: ParitySystem, basis: tuple[PlanarDerivation, ...], m: int) -> SolutionSpace:
-    """solve_system at m <= sys.m for the half of sys, read off the basis of sys (_prefix)."""
+    """solve_system at m <= sys.m for the half of sys, read off the basis of sys (_prefix).
+
+    c_i is forced when y-row i of act_x is absent or empty in every basis
+    element, d_i likewise in act_y."""
     basis = _prefix(basis, m)
-    forced = frozenset(n for n in sys.unknowns[sys.m - m:]
-                       if all(coefficient(g, n).is_zero for g in basis))
-    return SolutionSpace(basis=basis, forced=forced)
+    held = {"c": [g.act_x._rows for g in basis], "d": [g.act_y._rows for g in basis]}
+
+    def is_forced(name: str) -> bool:
+        i = int(name[2:])
+        return all(i >= len(rows) or not rows[i][1] for rows in held[name[0]])
+
+    return SolutionSpace(basis, frozenset(filter(is_forced, sys.unknowns[sys.m - m:])))
 
 
 @dataclass(frozen=True)
@@ -170,8 +179,12 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     multiple, and d_m is forced in (IIo)_m (m >= 3).  For even m: d_m is
     forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2;
     allow_low_degree runs the suite anyway as a negative control.  Each half
-    is solved once, at m_max, and read off at every m (_space_at); the Io
+    is found once, at m_max, and read off at every m (_space_at); the Io
     checks compare with the matching tails of one energy_basis(f, m_max).
+    When deg f >= 2 and the rank-one certificate passes at m_max, the halves
+    are read off it with no solve: the I half is energy_basis(f, m_max) and
+    the II half is empty (the certificate lemma in the commutant module
+    docstring, half by half).  Otherwise each half is solved once.
     """
     f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
@@ -179,8 +192,11 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     if not isinstance(m_max, int) or m_max < 2:
         raise InvalidInput("m_max must be an integer >= 2")
     systems = [build_system(kind, m_max, f) for kind in (KINDS[:2] if m_max % 2 else KINDS[2:])]
-    tops = {_c_parity(s.kind): (s, solve_system(s).basis) for s in systems}
     energy = energy_basis(f, m_max)
+    if f.degree >= 2 and _graded_reason(f.degree, m_max, len(energy)) is None:
+        tops = {_c_parity(s.kind): (s, energy if _c_parity(s.kind) else ()) for s in systems}
+    else:
+        tops = {_c_parity(s.kind): (s, solve_system(s).basis) for s in systems}
     checks = [_check_one(kind, m, _space_at(*tops[_c_parity(kind)], m), energy) for kind in KINDS
               for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

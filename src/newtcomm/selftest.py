@@ -112,12 +112,22 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
 
 
 def run_criterion_3(seed: int = 0) -> CriterionResult:
-    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 20."""
+    """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 20.
+
+    The suite reads its halves off the rank-one certificate; per force, one
+    solve of each half at m = 20 must give the same halves (the energy basis
+    and nothing), so the two methods check each other."""
     t0 = time.perf_counter()
-    checks = [(f, c) for f in map(parse_unipoly, ("x^2", "x^3"))
-              for c in parity.check_lemma_suite(f, 20).checks]
+    forces = tuple(map(parse_unipoly, ("x^2", "x^3")))
+    checks = [(f, c) for f in forces for c in parity.check_lemma_suite(f, 20).checks]
     failures = [f"f={f}, {c.name}: {c.detail}" for f, c in checks if not c.passed]
     detail = f"{len(checks) - len(failures)}/{len(checks)} parity-system checks passed"
+    for f in forces:
+        for kind, want in (("Ie", commutant.energy_basis(f, 20)), ("IIe", ())):
+            got = parity.solve_system(parity.build_system(kind, 20, f)).basis
+            if got != want:
+                failures.append(f"f={f}, {kind}_20: the solve (dimension {len(got)}) "
+                                f"differs from the certificate (dimension {len(want)})")
     return _verdict("3-parity-lemmas", failures, detail, t0)
 
 

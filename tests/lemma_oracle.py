@@ -1,7 +1,8 @@
 """Reference lemma suite: every (kind, m) system solved on its own.
 
-``newtcomm.parity.check_lemma_suite`` solves each half once, at m_max, and
-reads every smaller system off that solution as a prefix.  This oracle
+``newtcomm.parity.check_lemma_suite`` reads both halves at m_max off the
+rank-one certificate when it passes (else solves each half once) and
+reads every smaller system off them as a prefix.  This oracle
 builds and solves each (kind, m) system separately, with one
 ``solve_system`` per check and one ``energy_basis(f, m)`` per Io check, and
 formats the checks the same way, so the tests compare the two reports by

@@ -187,6 +187,14 @@ class TestMutationControl:
         result = selftest.run_criterion_3()
         assert not result.passed
 
+    def test_dropped_energy_multiple_is_caught(self, monkeypatch):
+        """An energy basis that loses delta_f, its last element, must flip
+        criterion 3, whose suite reads the I half off the energy basis."""
+        real = parity.energy_basis
+        monkeypatch.setattr(parity, "energy_basis", lambda f, M: real(f, M)[:-1])
+        result = selftest.run_criterion_3()
+        assert not result.passed
+
     def test_non_transversal_companion_is_caught(self, monkeypatch):
         """A companion delta = d commutes with d but is parallel to it: it
         must flip criterion 2 as not transversal."""

@@ -1,6 +1,8 @@
 """The four parity-restricted triangular systems and the lemma suite."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from newtcomm import (
     HypothesisViolation,
@@ -18,6 +20,7 @@ from newtcomm.parity import KINDS
 
 import lemma_oracle
 from matching_oracle import default_xcap, full_rows, matching_system, system_rows
+from strategies import unipolys
 
 DEGREE_9_F = "1/3*x^9 - 2/7*x^4 + 3/5*x^2 + x - 5/11"
 
@@ -184,20 +187,49 @@ class TestLemmaSuite:
 @pytest.mark.parametrize("m_max", [2, 3, 9, 16])
 @pytest.mark.parametrize("f_text", ["x^2", "x^3 - x", DEGREE_9_F, "0", "1", "x", "2*x + 1"])
 def test_lemma_suite_matches_per_system_oracle(f_text, m_max):
-    """The suite read off one solve per half equals the suite that solves
-    every (kind, m) system on its own, report for report."""
+    """The suite, read off the certificate or off one solve per half, equals
+    the suite that solves every (kind, m) system on its own, report for report."""
     f = parse_unipoly(f_text)
     got = check_lemma_suite(f, m_max, allow_low_degree=f.degree < 2)
     assert got == lemma_oracle.lemma_suite(f, m_max)
 
 
 @pytest.mark.parametrize("m_max", [2, 3, 12])
-def test_lemma_suite_solves_each_half_once(monkeypatch, m_max):
+def test_lemma_suite_reads_certified_halves_without_solving(monkeypatch, m_max):
+    """deg f >= 2 with a passing certificate: both halves come off it, no solve."""
     calls = []
     solve = parity.solve_system
     monkeypatch.setattr(parity, "solve_system", lambda sys: calls.append(sys.kind) or solve(sys))
-    check_lemma_suite(parse_unipoly("x^3"), m_max)
-    assert sorted(calls) == (["IIo", "Io"] if m_max % 2 else ["IIe", "Ie"])
+    f = parse_unipoly("x^3")
+    assert check_lemma_suite(f, m_max) == lemma_oracle.lemma_suite(f, m_max)
+    assert calls == []
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 12])
+@pytest.mark.parametrize("f_text, fail_certificate", [("x^3", True), ("x", False)])
+def test_lemma_suite_solves_each_half_once_without_certificate(monkeypatch, m_max, f_text,
+                                                               fail_certificate):
+    """A failing certificate, or deg f < 2 under allow_low_degree: each half
+    is solved once, at m_max, and the report does not change."""
+    f = parse_unipoly(f_text)
+    want = check_lemma_suite(f, m_max, allow_low_degree=True)
+    if fail_certificate:
+        monkeypatch.setattr(parity, "_graded_reason", lambda X, M, lower: "forced failure")
+    calls = []
+    solve = parity.solve_system
+    monkeypatch.setattr(parity, "solve_system",
+                        lambda sys: calls.append((sys.kind, sys.m)) or solve(sys))
+    assert check_lemma_suite(f, m_max, allow_low_degree=True) == want
+    assert sorted(calls) == ([("IIo", m_max), ("Io", m_max)] if m_max % 2
+                             else [("IIe", m_max), ("Ie", m_max)])
+
+
+@settings(deadline=None)
+@given(f=unipolys(6).filter(lambda f: f.degree >= 2), m_max=st.integers(2, 13))
+def test_lemma_suite_matches_oracle_for_random_forces(f, m_max):
+    """For forces of degree 2..6 the suite read off the certificate equals the
+    per-system oracle."""
+    assert check_lemma_suite(f, m_max) == lemma_oracle.lemma_suite(f, m_max)
 
 
 def test_io_solutions_live_inside_full_commutant():
