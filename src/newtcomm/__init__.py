@@ -36,7 +36,6 @@ from .family import (
     LaurentFamily,
     build_family,
     first_integral,
-    linear_pair,
     pm_witness,
     pm_witness_linear,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "expected_root_set",
     "first_integral",
     "hamiltonian",
-    "linear_pair",
     "newton_derivation",
     "parse_bipoly",
     "parse_laurent",

@@ -4,27 +4,34 @@ For each k >= 1 the pair lives on K[x^(1/(2k-1)), x^(-1/(2k-1)), y]:
 
     alpha = (y, x^(-rho)),   rho = (2k+1)/(2k-1),
     beta(x) = sum_l a_{2(k-l)} * x^(1+(1-rho)l) * y^(2(k-l)),   l = 0..k,
-    beta(y) = sum_l a_{2(k-l)+1} * x^((1-rho)l) * y^(2(k-l)+1),
+    beta(y) = sum_l a_{2(k-l)+1} * x^((1-rho)l) * y^(2(k-l)+1).
 
-with a_{2k+1}, ..., a_0 the null vector of ``obstruction.ansatz_rows`` at X = -rho.
-The pair commutes exactly, alpha annihilates r = y^2 + (2k-1)x^(-2/(2k-1)),
-and r^s * beta supplies, for each odd m >= 2k+1, a symmetry of y-degree m
-whose slope is -rho — certifying -rho as a root of the level-m obstruction
-polynomial.  The slope-1 witnesses use the polynomial pair (y, x), (x, y)
-with r = y^2 - x^2 instead.
+The pair commutes exactly, and alpha annihilates r = y^2 + (2k-1)x^(-2/(2k-1)).
 
-Every value is written directly in the kernel's storage form (``poly``):
-alpha, r and each y-row of beta are one term, and beta(x), beta(y) are
-integer rows over the lcm of the denominators of the a_i.  r^s, a value
-with two terms, is expanded by the binomial theorem inside ``**``.  The
-bracket [alpha, beta] is still computed and checked on every build.
+Every witness is the null vector of ``obstruction.ansatz_rows(m)`` at a
+root X of P_m, its top unknown a_top, read into the ansatz of y-degree m
+(``_witness``): beta at m = 2k+1 and X = -rho, ``pm_witness(m, k)`` at
+X = -rho for odd m >= 2k+1, ``pm_witness_linear(m)`` at X = 1 in Q[x, y].
+Forward substitution finds it, row i fixing u_{i+1}.  At X = -rho_k the
+super entries are (2k-1-2l)/(2k-1) in the x rows and -2(l+1)/(2k-1) in
+the y rows; at X = 1 they are 1+2l and 2(l+1).  None is 0, so u_0 fixes
+the rest and the null space has dimension at most 1.  r^((m-2k-1)/2) * beta,
+like (y^2-x^2)^((m-1)/2) * (x, y), commutes with the same field, lies in
+that ansatz and has the same top coefficient, so it is that null vector;
+no power of r is formed.
+
+Values are written in the kernel's storage form (``poly``): each y-row of
+a witness is one term, all over one denominator.  The bracket
+[alpha, beta] is checked on every build of the family.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import isfinite
+from operator import mul
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput
@@ -55,39 +62,51 @@ class LaurentFamily:
         return a[1] == -rho * a[0]
 
 
-def _coefficients(k: int, a_top: Fraction) -> tuple[Fraction, ...]:
-    """a_0 .. a_{2k+1} = u_m .. u_0, the null vector of ansatz_rows(m = 2k+1) at X = -m/t,
-    from u_0 = a_top: row i fixes u_{i+1}.  Times t, an entry (e0, e1) is e0 t - e1 m, and
-    no super entry used is 0: t - 2l is odd in the x rows, and -2l has l >= 1 in the y rows."""
-    t, m = 2 * k - 1, 2 * k + 1
-    u = [0, a_top]  # u_{-1}, u_0
-    for (s0, s1), (d0, d1), (p0, p1) in ansatz_rows(m)[:-1]:
-        u.append(-((s0 * t - s1 * m) * u[-2] + (d0 * t - d1 * m) * u[-1]) / (p0 * t - p1 * m))
-    return tuple(reversed(u[1:]))
+def _a_top(a_top) -> Fraction:
+    """a_top as a nonzero Fraction; rational text is parsed, a float must be finite."""
+    if isinstance(a_top, float) and not isfinite(a_top):
+        raise InvalidInput(f"a_top must be finite, not {a_top}")
+    a_top = Fraction(_exact(a_top) if isinstance(a_top, str) else a_top)
+    if a_top == 0:
+        raise InvalidInput("a_top must be nonzero")
+    return a_top
+
+
+def _witness(m: int, X: Fraction, a_top: Fraction, cls) -> PlanarDerivation:
+    """The symmetry of (y, x^X) in the ansatz of y-degree m with u_0 = a_top, over cls
+    with t = den(X), for X = p/t with no super entry 0: fraction-free substitution,
+    entries times t, v_0 = 1, v_{i+1} = -(sub_i super_{i-1} v_{i-1} + diag_i v_i),
+    u_i = a_top v_i / (super_0 ... super_{i-1}).  DegenerateRecurrence unless the last
+    row closes (v_{m+1} = 0).  u_i is one term of y-row m - i: at even i of gamma(y),
+    at z^((t+p)i/2), at odd i of gamma(x), at z^(t+(t+p)(i-1)/2)."""
+    p, t = X.numerator, X.denominator
+    v, sups = [0, 1], [1]  # v_{-1}, v_0; 1, super_0, super_1, ...
+    for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m):
+        v.append(-((s0 * t + s1 * p) * sups[-1] * v[-2] + (d0 * t + d1 * p) * v[-1]))
+        sups.append(q0 * t + q1 * p)
+    if v.pop():
+        raise DegenerateRecurrence(f"X = {X} is not a root: the ansatz of y-degree {m} "
+                                   "does not close")
+    nums, den = _clear([a_top * Fraction(vi, pi)
+                        for vi, pi in zip(v[1:], accumulate(sups, mul))])
+    gx, gy = [_EMPTY] * m, [_EMPTY] * (m + 1)
+    for i, n in enumerate(nums):
+        if i % 2:
+            gx[m - i] = (t + (t + p) * (i - 1) // 2, [n])
+        else:
+            gy[m - i] = ((t + p) * i // 2, [n])
+    return PlanarDerivation(cls._make(t, gx, den), cls._make(t, gy, den))
 
 
 def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
     """Construct the commuting pair for k; a_top scales the whole family."""
     if not isinstance(k, int) or k < 1:
         raise InvalidInput("k must be an integer >= 1")
-    if isinstance(a_top, float) and not isfinite(a_top):
-        raise InvalidInput(f"a_top must be finite, not {a_top}")
-    a_top = Fraction(_exact(a_top) if isinstance(a_top, str) else a_top)
-    if a_top == 0:
-        raise InvalidInput("a_top must be nonzero")
     t = 2 * k - 1
-    a = _coefficients(k, a_top)
-
+    beta = _witness(2 * k + 1, Fraction(-(2 * k + 1), t), _a_top(a_top), LaurentBiPoly)
+    a = tuple((beta.act_y if i % 2 else beta.act_x).ycoeff(i).lc() for i in range(2 * k + 2))
     alpha = LaurentDerivation(t, LaurentBiPoly.y(t),
                               LaurentBiPoly._make(t, [(-(2 * k + 1), [1])]))
-    # beta over the lcm of the a_i, one term per y-row: a_i * x^(1+(1-rho)l)
-    # = a_i * z^(t-2l) = a_i * z^(i-1) at even i = 2(k-l) in beta(x), and
-    # a_i * x^((1-rho)l) = a_i * z^(-2l) = a_i * z^(i-t-2) at odd i in beta(y)
-    nums, den = _clear(list(a))
-    bx = [_EMPTY if i % 2 else (i - 1, [n]) for i, n in enumerate(nums[:-1])]
-    by = [(i - t - 2, [n]) if i % 2 else _EMPTY for i, n in enumerate(nums)]
-    beta = LaurentDerivation(t, LaurentBiPoly._make(t, bx, den), LaurentBiPoly._make(t, by, den))
-
     family = LaurentFamily(k=k, t=t, a=a, alpha=alpha, beta=beta)
     if not alpha.bracket(beta).is_zero:
         raise DegenerateRecurrence("constructed pair does not commute")
@@ -108,23 +127,11 @@ def pm_witness(m: int, k: int, a_top: Fraction | int | str = 1) -> PlanarDerivat
         raise InvalidInput("m must be an odd integer >= 3")
     if not isinstance(k, int) or not 1 <= k <= (m - 1) // 2:
         raise InvalidInput("k must satisfy 1 <= k <= (m-1)/2")
-    family = build_family(k, a_top)
-    s = (m - (2 * k + 1)) // 2
-    scale = first_integral(k) ** s
-    return family.beta.scale(scale)
-
-
-def linear_pair() -> tuple[PlanarDerivation, PlanarDerivation, BiPoly]:
-    """The slope-1 companions (y, x), (x, y) and their first integral y^2 - x^2."""
-    d1 = PlanarDerivation(BiPoly.y(), BiPoly.x())
-    d2 = PlanarDerivation(BiPoly.x(), BiPoly.y())
-    r = BiPoly.y_pow(2) - BiPoly.x() * BiPoly.x()
-    return d1, d2, r
+    return _witness(m, Fraction(-(2 * k + 1), 2 * k - 1), _a_top(a_top), LaurentBiPoly)
 
 
 def pm_witness_linear(m: int) -> PlanarDerivation:
     """(y^2 - x^2)^((m-1)/2) * (x, y): the witness that 1 is a slope root."""
     if not isinstance(m, int) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
-    _, d2, r = linear_pair()
-    return d2.scale(r ** ((m - 1) // 2))
+    return _witness(m, Fraction(1), Fraction(1), BiPoly)

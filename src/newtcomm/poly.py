@@ -27,17 +27,15 @@ row-major (y, z) integer grids, convolves every product into one grid over
 the lcm of the da * db (_convolve) and normalises once; a product * is the
 sum of one.  Its operands may be raw rows with zeros kept, as d/dx and d/dy
 give them (_dx_rows, _dy_rows).  The commutant integrator runs on the same
-integers through _convolve, _integrate and _lincomb.  Three rules spare
+integers through _convolve, _integrate and _lincomb.  Two rules spare
 tiny operands the product grid: an operand that is one term
 c*z^e*y^i stored as one numerator (a scalar is one) scales
-and shifts the other; a value with one nonzero term has n-th power
-c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial;
-and a value with two nonzero terms c1*m1 + c2*m2 has, for n >= 0, the n+1
-terms C(n,j)*c1^(n-j)*c2^j*m1^(n-j)*m2^j of the binomial theorem, which
-never collide because m1 != m2.  The scalar and generator constructors
-write their rows directly, as the ring operations do; those that take no
-root index build only Q[x] and Q[x,y] values, and a Laurent class refuses
-them.
+and shifts the other; and a value with one nonzero term has n-th power
+c^n*z^(e*n)*y^(i*n), negative n included for a y-free Laurent monomial.
+Every other power is repeated squaring through *.  The scalar and
+generator constructors write their rows directly, as the ring operations
+do; those that take no root index build only Q[x] and Q[x,y] values, and
+a Laurent class refuses them.
 
 Values are immutable after construction and safe to share across threads.
 The degree of the zero polynomial is ``NEG_INF``, which compares below
@@ -47,7 +45,7 @@ every integer, so degree-bound checks need no special cases.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable
 
@@ -293,21 +291,6 @@ def _power(self, n: int):
         return self._make(self.t, [_EMPTY] * (i * n) + [(e * n, [c ** abs(n)])], d ** abs(n))
     if n < 0:
         raise InvalidInput("negative powers only of monomials")
-    if len(live) == 2:
-        # c1*m1 + c2*m2, m1 before m2 in (y, z): by the binomial theorem its
-        # n-th power has the n+1 terms C(n,j) * c1^(n-j) * c2^j * m1^(n-j) * m2^j,
-        # term j at (dy, dz) * j from m1^n, so no two collide
-        (i1, e1, c1), (i2, e2, c2) = live
-        dy, dz = i2 - i1, e2 - e1
-        terms = [comb(n, j) * c1 ** (n - j) * c2 ** j for j in range(n + 1)]
-        if dy:  # one term per y-row, dy rows apart
-            rows = [_EMPTY] * (i2 * n + 1)
-            rows[i1 * n::dy] = [(e1 * n + dz * j, [c]) for j, c in enumerate(terms)]
-        else:  # one y-row, its terms dz apart
-            ns = [0] * (dz * n + 1)
-            ns[::dz] = terms
-            rows = [_EMPTY] * (i1 * n) + [(e1 * n, ns)]
-        return self._make(self.t, rows, self._d ** n)
     result = self if n else self._coerce(1)
     for bit in f"{n:b}"[1:]:  # left to right: square, then multiply on a 1 bit
         result = result * result

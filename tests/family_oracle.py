@@ -2,12 +2,13 @@
 
 This is the construction ``newtcomm.family`` used before it built its values
 from integer rows: one ``LaurentPoly`` per term, zero ``LaurentPoly`` values
-in the empty y-rows, and ``LaurentBiPoly`` over those.  The power of the
-first integral is the repeated product, so it shares neither the row
-construction nor the binomial rule of ``**`` with the package; the tests
-compare the two.  The a_i come from the two-step downward recurrence the
-package used before it read them off the ansatz system of ``obstruction``,
-so a wrong row there shows as a wrong a_i here.
+in the empty y-rows, and ``LaurentBiPoly`` over those.  A witness is
+r^s * beta, the power of the first integral taken as the repeated product,
+and the slope-1 witness is (y^2 - x^2)^s * (x, y) from ``linear_pair``; the
+package reads both off the null vector of the ansatz system instead, so the
+tests compare two constructions.  The a_i come from the two-step downward
+recurrence the package used before it read them off the ansatz system of
+``obstruction``, so a wrong row there shows as a wrong a_i here.
 """
 
 from __future__ import annotations
@@ -16,9 +17,9 @@ from fractions import Fraction
 from functools import reduce
 from operator import mul
 
-from newtcomm.derivations import LaurentDerivation
+from newtcomm.derivations import LaurentDerivation, PlanarDerivation
 from newtcomm.family import LaurentFamily
-from newtcomm.poly import LaurentBiPoly, LaurentPoly
+from newtcomm.poly import BiPoly, LaurentBiPoly, LaurentPoly
 
 
 def _coefficients(k: int, a_top: Fraction) -> tuple[Fraction, ...]:
@@ -73,3 +74,11 @@ def pm_witness(m: int, k: int, a_top: Fraction | int | str = 1) -> LaurentDeriva
     r = first_integral(k)
     scale = reduce(mul, [r] * s, LaurentBiPoly(r.t, [1]))
     return family.beta.scale(scale)
+
+
+def linear_pair() -> tuple[PlanarDerivation, PlanarDerivation, BiPoly]:
+    """The slope-1 companions (y, x), (x, y) and their first integral y^2 - x^2."""
+    d1 = PlanarDerivation(BiPoly.y(), BiPoly.x())
+    d2 = PlanarDerivation(BiPoly.x(), BiPoly.y())
+    r = BiPoly.y_pow(2) - BiPoly.x() * BiPoly.x()
+    return d1, d2, r

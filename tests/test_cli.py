@@ -251,8 +251,8 @@ class TestGoldenOutput:
         }, indent=2, sort_keys=True) + "\n"
 
     # The largest witness of the witness benchmark (k = 10, t = 19) and one
-    # built with r^7; recorded before the family values were built from rows
-    # and before a two-term value was raised to a power by the binomial theorem.
+    # equal to r^7 * beta; recorded when witnesses were built as powers of r
+    # times beta, before they were read off the null vector of the ansatz.
     @pytest.mark.parametrize("k, t, dx, dy", [
         (10, 19,
          "x*y^20 + 3610/17*x^(17/19)*y^18 + 20577*x^(15/19)*y^16"

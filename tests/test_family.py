@@ -7,10 +7,11 @@ import pytest
 from newtcomm import (
     DegenerateRecurrence,
     InvalidInput,
+    LaurentBiPoly,
+    LaurentDerivation,
     LaurentPoly,
     build_family,
     first_integral,
-    linear_pair,
     parse_bipoly,
     pm_witness,
     pm_witness_linear,
@@ -103,15 +104,15 @@ class TestBuildFamily:
             assert c.is_zero or i % 2 == 1
 
     def test_bracket_is_checked(self, monkeypatch):
-        """A recurrence that goes wrong is caught by the bracket, not built."""
+        """A null vector that goes wrong is caught by the bracket, not built."""
         from newtcomm import family
-        good = family._coefficients
+        good = family._witness
 
-        def off_by_one(k, a_top):
-            a = good(k, a_top)
-            return (a[0] + 1,) + a[1:]
-        monkeypatch.setattr(family, "_coefficients", off_by_one)
-        with pytest.raises(DegenerateRecurrence):
+        def plus_y_beta(m, X, a_top, cls):
+            beta = good(m, X, a_top, cls)
+            return beta + beta.scale(LaurentBiPoly.y(beta.t))
+        monkeypatch.setattr(family, "_witness", plus_y_beta)
+        with pytest.raises(DegenerateRecurrence, match="does not commute"):
             build_family(2)
 
     def test_guards(self):
@@ -183,8 +184,28 @@ class TestWitnesses:
         with pytest.raises(InvalidInput):
             pm_witness(1, 1)  # m too small
 
+    @pytest.mark.parametrize("m, X", [(3, Fraction(-5)), (5, Fraction(-7, 5))],
+                             ids=["m3-X=-5", "m5-X=-7/5"])
+    def test_a_wrong_root_is_refused(self, monkeypatch, m, X):
+        """-5 is no root of P_3, and -(j+2)/j = -7/5 at j = 5 is no root of P_5
+        (it is -rho_3, a root from m = 7 on): the ansatz does not close.  With
+        its closing row zeroed, the substitution builds a field at X, and that
+        field does not commute with (y, x^X); at the root -3 it is still the
+        oracle's witness."""
+        from newtcomm import family
+        with pytest.raises(DegenerateRecurrence, match="not a root"):
+            family._witness(m, X, Fraction(1), LaurentBiPoly)
+        real = family.ansatz_rows
+        monkeypatch.setattr(family, "ansatz_rows", lambda m: real(m)[:-1] + [((0, 0),) * 3])
+        assert (family._witness(m, Fraction(-3), Fraction(1), LaurentBiPoly)
+                == family_oracle.pm_witness(m, 1))
+        t = X.denominator
+        d = LaurentDerivation(t, LaurentBiPoly.y(t),
+                              LaurentBiPoly.from_laurent(LaurentPoly.term(t, X.numerator)))
+        assert not d.bracket(family._witness(m, X, Fraction(1), LaurentBiPoly)).is_zero
+
     def test_linear_pair(self):
-        d1, d2, r = linear_pair()
+        d1, d2, r = family_oracle.linear_pair()
         assert d1.act_x == parse_bipoly("y") and d1.act_y == parse_bipoly("x")
         assert d2.act_x == parse_bipoly("x") and d2.act_y == parse_bipoly("y")
         assert r == parse_bipoly("y^2 - x^2")
@@ -192,7 +213,7 @@ class TestWitnesses:
         assert d1.apply(r).is_zero
 
     def test_linear_witness(self):
-        d1, _, _ = linear_pair()
+        d1, _, _ = family_oracle.linear_pair()
         for m in (3, 5, 7):
             w = pm_witness_linear(m)
             assert d1.bracket(w).is_zero
@@ -235,7 +256,7 @@ class TestAgainstPerTermOracle:
             assert_same_derivation(fam.alpha, ref.alpha)
             assert_same_derivation(fam.beta, ref.beta)
 
-    @pytest.mark.parametrize("m", range(3, 32, 2))
+    @pytest.mark.parametrize("m", range(3, 42, 2))
     def test_witnesses(self, m):
         for k in range(1, (m - 1) // 2 + 1):
             for a_top in A_TOPS:
@@ -244,7 +265,7 @@ class TestAgainstPerTermOracle:
 
     @pytest.mark.parametrize("m", range(3, 32, 2))
     def test_linear_witness_is_the_repeated_product(self, m):
-        _, d2, r = linear_pair()
+        _, d2, r = family_oracle.linear_pair()
         rs = r ** 0
         for _ in range((m - 1) // 2):
             rs = rs * r

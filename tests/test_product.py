@@ -4,7 +4,7 @@ The ring-axiom tests compare `*` only with itself; these compare it, and
 `**`, with `product_oracle`, over Q[x], Q[x,y] and the Laurent rings with
 t = 2 and 3: zero y-rows, negative shifts, one-coefficient operands and
 coefficients with large coprime denominators included.  Values of one
-and of two nonzero terms, which `**` raises by its own rules, get their
+nonzero term, which `**` raises by its own rule, and of two, get their
 own strategies.
 """
 
@@ -134,7 +134,8 @@ def test_negative_power_of_two_terms_raises(case):
 
 
 def test_power_rules_keep_their_values():
-    """Pinned results of the one-term and the two-term rule."""
+    """Pinned results of the one-term rule and of two-term values, which
+    take the general path of repeated squaring."""
     m = LaurentBiPoly(3, [0, 0, LaurentPoly.term(3, -1, Fraction(3, 2))])  # 3/2 z^-1 y^2
     assert (m ** 3)._rows == ((0, ()),) * 6 + ((-3, (27,)),) and (m ** 3)._d == 8
     assert LaurentPoly.term(2, 3, Fraction(-2, 5)) ** -2 == LaurentPoly.term(2, -6, Fraction(25, 4))
@@ -147,9 +148,11 @@ def test_power_rules_keep_their_values():
 @pytest.mark.parametrize("n, products", [(2, 1), (3, 2), (4, 2), (5, 3), (8, 3), (13, 5)])
 def test_power_makes_one_product_per_step(monkeypatch, n, products):
     """Left-to-right binary powering: one squaring per bit below the top
-    one and one product per 1 bit, nothing for an unused next square."""
-    h = BiPoly.y_pow(2) - BiPoly.monomial(4, 0, Fraction(1, 2)) - BiPoly.monomial(2, 0, 2)
-    expected = reduce(mul, [h] * n)
+    one and one product per 1 bit, nothing for an unused next square.  A
+    value of two terms takes the same path as one of three."""
+    hs = (BiPoly.y_pow(2) - BiPoly.monomial(4, 0, Fraction(1, 2)) - BiPoly.monomial(2, 0, 2),
+          BiPoly.y_pow(2) - BiPoly.monomial(2, 0))
+    expected = [reduce(mul, [h] * n) for h in hs]
     calls = []
     real = BiPoly.__mul__
 
@@ -158,5 +161,7 @@ def test_power_makes_one_product_per_step(monkeypatch, n, products):
         return real(a, b)
 
     monkeypatch.setattr(BiPoly, "__mul__", counting)
-    assert h ** n == expected
-    assert len(calls) == products
+    for h, want in zip(hs, expected):
+        calls.clear()
+        assert h ** n == want
+        assert len(calls) == products, str(h)
