@@ -64,12 +64,12 @@ ansatz systems obstruction.ansatz_rows(m, a) of y-degree at most M: a = 1
 with 1 <= m <= M (y-degree m) and a = 0 with 2 <= m <= M + 1 (y-degree
 m - 1).  A piece whose x-offset is not 0 or 1 modulo n + 1 has only the
 zero solution (see obstruction), and so has a = 0 at m = 1, where
-gamma = (const, 0).  At X >= 1 every super entry
-but the last row's is nonzero, so forward substitution from the top unknown
-leaves at most one free unknown: a piece has nullity 1 exactly when its
-continuant, evaluated in integers at X = n, is 0, and its solutions then
-have the piece's y-degree.  The certificate passes when the pieces of
-nullity 1 are exactly those at a = 0 and even m, where the top forms
+gamma = (const, 0).  At X >= 1 every super entry but the last row's is
+nonzero, so forward substitution from the top unknown leaves at most one
+free unknown: a piece has nullity 1 exactly when obstruction.substitute at
+X = n closes (its last value, the continuant up to sign, is 0), and its
+solutions then have the piece's y-degree.  The certificate passes when the
+pieces of nullity 1 are exactly those at a = 0 and even m, where the top forms
 H_0^k d_0 of the energy basis lie: the bounds then meet, so C_M(delta_f) is
 spanned by energy_basis(f, M), which is its canonical basis.  That tuple is
 itself in reduced echelon form because H(0, y) = y^2 (hamiltonian
@@ -105,7 +105,7 @@ from math import lcm
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch
 from .linsolve import nullspace
-from .obstruction import ansatz_rows
+from .obstruction import substitute
 from .poly import (BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb,
                    _ring_name, _trim, as_unipoly)
 
@@ -252,23 +252,10 @@ def energy_basis(f: UniPoly, M: int) -> tuple[PlanarDerivation, ...]:
     return tuple(reversed(basis))
 
 
-def _piece_nullity(rows: list, X: int) -> int | None:
-    """Nullity of one weight piece at the integer X: 1 if its continuant
-    D_i = diagonal_i D_{i-1} - sub_i super_{i-1} D_{i-2} (D_{-1} = 1) ends at 0,
-    and 0 if not; None if a super entry but the last row's is 0 at X, since
-    the nullity can then exceed 1."""
-    D2, D1, p = 0, 1, 1  # D_{i-2}, D_{i-1}, super_{i-1} at X
-    for (s0, s1), (d0, d1), (q0, q1) in rows:
-        if not p:
-            return None
-        D2, D1, p = D1, (d0 + d1 * X) * D1 - (s0 + s1 * X) * p * D2, q0 + q1 * X
-    return 0 if D1 else 1
-
-
 def _graded_nullities(X: int, M: int) -> dict[tuple[int, int], int | None]:
-    """The nullity of each weight piece (m, a) of (y, x^X) up to y-degree M, for
-    an integer X >= 1; they sum to solve_commutant(x^X, M).dimension."""
-    return {(m, a): _piece_nullity(ansatz_rows(m, a), X)
+    """The nullity of each weight piece (m, a) of (y, x^X) up to y-degree M, for an
+    integer X >= 1 (None at a zero super entry); they sum to the commutant's dimension."""
+    return {(m, a): None if (s := substitute(m, a, X)) is None else int(s[0][-1] == 0)
             for a in (1, 0) for m in range(2 - a, M + 2 - a)}
 
 

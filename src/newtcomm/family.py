@@ -12,13 +12,13 @@ Every witness is the null vector of ``obstruction.ansatz_rows(m)`` at a
 root X of P_m, its top unknown a_top, read into the ansatz of y-degree m
 (``_witness``): beta at m = 2k+1 and X = -rho, ``pm_witness(m, k)`` at
 X = -rho for odd m >= 2k+1, ``pm_witness_linear(m)`` at X = 1 in Q[x, y].
-Forward substitution finds it, row i fixing u_{i+1}.  At X = -rho_k the
-super entries are (2k-1-2l)/(2k-1) in the x rows and -2(l+1)/(2k-1) in
+``obstruction.substitute`` finds it, row i fixing u_{i+1}.  At X = -rho_k
+the super entries are (2k-1-2l)/(2k-1) in the x rows and -2(l+1)/(2k-1) in
 the y rows; at X = 1 they are 1+2l and 2(l+1).  None is 0, so u_0 fixes
-the rest and the null space has dimension at most 1.  r^((m-2k-1)/2) * beta,
-like (y^2-x^2)^((m-1)/2) * (x, y), commutes with the same field, lies in
-that ansatz and has the same top coefficient, so it is that null vector;
-no power of r is formed.
+the rest and the null space has dimension at most 1; an X that zeroes one
+is refused.  r^((m-2k-1)/2) * beta, like (y^2-x^2)^((m-1)/2) * (x, y),
+commutes with the same field, lies in that ansatz and has the same top
+coefficient, so it is that null vector; no power of r is formed.
 
 Values are written in the kernel's storage form (``poly``): each y-row of
 a witness is one term, all over one denominator.  The bracket
@@ -35,7 +35,7 @@ from operator import mul
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput
-from .obstruction import ansatz_rows
+from .obstruction import substitute
 from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear, _exact
 
 
@@ -74,27 +74,21 @@ def _a_top(a_top) -> Fraction:
 
 def _witness(m: int, X: Fraction, a_top: Fraction, cls) -> PlanarDerivation:
     """The symmetry of (y, x^X) in the ansatz of y-degree m with u_0 = a_top, over cls
-    with t = den(X), for X = p/t with no super entry 0: fraction-free substitution,
-    entries times t, v_0 = 1, v_{i+1} = -(sub_i super_{i-1} v_{i-1} + diag_i v_i),
-    u_i = a_top v_i / (super_0 ... super_{i-1}).  DegenerateRecurrence unless the last
-    row closes (v_{m+1} = 0).  u_i is one term of y-row m - i: at even i of gamma(y),
-    at z^((t+p)i/2), at odd i of gamma(x), at z^(t+(t+p)(i-1)/2)."""
+    with t = den(X): u_i = a_top v_i / (super_0 ... super_{i-1}) of substitute, or
+    DegenerateRecurrence.  u_i is one term of y-row m - i, of gamma(x) at odd i and
+    of gamma(y) at even i, at z^(t (i mod 2) + (t+p) floor(i/2))."""
     p, t = X.numerator, X.denominator
-    v, sups = [0, 1], [1]  # v_{-1}, v_0; 1, super_0, super_1, ...
-    for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m):
-        v.append(-((s0 * t + s1 * p) * sups[-1] * v[-2] + (d0 * t + d1 * p) * v[-1]))
-        sups.append(q0 * t + q1 * p)
+    if (solved := substitute(m, 1, p, t)) is None:
+        raise DegenerateRecurrence(f"the ansatz of y-degree {m} has a zero super entry at X = {X}")
+    v, sups = solved
     if v.pop():
         raise DegenerateRecurrence(f"X = {X} is not a root: the ansatz of y-degree {m} "
                                    "does not close")
     nums, den = _clear([a_top * Fraction(vi, pi)
-                        for vi, pi in zip(v[1:], accumulate(sups, mul))])
+                        for vi, pi in zip(v, accumulate(sups, mul, initial=1))])
     gx, gy = [_EMPTY] * m, [_EMPTY] * (m + 1)
     for i, n in enumerate(nums):
-        if i % 2:
-            gx[m - i] = (t + (t + p) * (i - 1) // 2, [n])
-        else:
-            gy[m - i] = ((t + p) * i // 2, [n])
+        (gx if i % 2 else gy)[m - i] = (t * (i % 2) + (t + p) * (i // 2), [n])
     return PlanarDerivation(cls._make(t, gx, den), cls._make(t, gy, den))
 
 
@@ -107,10 +101,9 @@ def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
     a = tuple((beta.act_y if i % 2 else beta.act_x).ycoeff(i).lc() for i in range(2 * k + 2))
     alpha = LaurentDerivation(t, LaurentBiPoly.y(t),
                               LaurentBiPoly._make(t, [(-(2 * k + 1), [1])]))
-    family = LaurentFamily(k=k, t=t, a=a, alpha=alpha, beta=beta)
     if not alpha.bracket(beta).is_zero:
         raise DegenerateRecurrence("constructed pair does not commute")
-    return family
+    return LaurentFamily(k=k, t=t, a=a, alpha=alpha, beta=beta)
 
 
 def first_integral(k: int) -> LaurentBiPoly:

@@ -165,6 +165,8 @@ def compile_evaluator(p: BiPoly) -> Callable[[float, float], float]:
 def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
              steps: int) -> list[tuple[float, float, float]]:
     """Classical fixed-step RK4 trajectory [(t, x, y)] of the flow of d."""
+    if not isinstance(steps, int):
+        raise InvalidInput(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise InvalidInput("steps must be >= 1")
     if not math.isfinite(t_end):
@@ -188,7 +190,9 @@ def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
 
 
 def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
-    """Adaptive Simpson quadrature with Richardson correction, to QUAD_TOL."""
+    """Adaptive Simpson quadrature with Richardson correction to QUAD_TOL; NaN ends a branch."""
+    if not (math.isfinite(a) and math.isfinite(b)):
+        raise InvalidInput(f"integration bounds must be finite, got {a} and {b}")
     if a == b:
         return 0.0
 
@@ -202,7 +206,7 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
         fr = fn(0.5 * (mid + hi))
         left = simpson(lo, mid, flo, fl, fmid)
         right = simpson(mid, hi, fmid, fr, fhi)
-        if depth <= 0 or abs(left + right - whole) <= 15.0 * eps:
+        if depth <= 0 or not abs(left + right - whole) > 15.0 * eps:
             return left + right + (left + right - whole) / 15.0
         return (recurse(lo, mid, flo, fl, fmid, left, eps / 2.0, depth - 1)
                 + recurse(mid, hi, fmid, fr, fhi, right, eps / 2.0, depth - 1))

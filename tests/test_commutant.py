@@ -29,7 +29,7 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
-from newtcomm import commutant
+from newtcomm import commutant, obstruction
 from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, _space_at, build_system, coefficient, solve_system
@@ -301,13 +301,13 @@ class TestCertifyRankOne:
     def test_zero_super_entry_is_caught(self, monkeypatch):
         """Mutation control: a zero super entry breaks the forward substitution
         that bounds a piece's nullity by 1, so the certificate refuses it."""
-        rows = commutant.ansatz_rows
+        rows = obstruction.ansatz_rows
 
         def zeroed(m, a=1):
             out = rows(m, a)
             return [(out[0][0], out[0][1], (0, 0))] + out[1:] if (m, a) == (4, 0) else out
 
-        monkeypatch.setattr(commutant, "ansatz_rows", zeroed)
+        monkeypatch.setattr(obstruction, "ansatz_rows", zeroed)
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
         assert cert.reason == "piece (m, a) = (4, 0) at X = 2 has a zero super entry"

@@ -192,17 +192,27 @@ class TestWitnesses:
         its closing row zeroed, the substitution builds a field at X, and that
         field does not commute with (y, x^X); at the root -3 it is still the
         oracle's witness."""
-        from newtcomm import family
+        from newtcomm import family, obstruction
         with pytest.raises(DegenerateRecurrence, match="not a root"):
             family._witness(m, X, Fraction(1), LaurentBiPoly)
-        real = family.ansatz_rows
-        monkeypatch.setattr(family, "ansatz_rows", lambda m: real(m)[:-1] + [((0, 0),) * 3])
+        real = obstruction.ansatz_rows
+        monkeypatch.setattr(obstruction, "ansatz_rows",
+                            lambda m, a=1: real(m, a)[:-1] + [((0, 0),) * 3])
         assert (family._witness(m, Fraction(-3), Fraction(1), LaurentBiPoly)
                 == family_oracle.pm_witness(m, 1))
         t = X.denominator
         d = LaurentDerivation(t, LaurentBiPoly.y(t),
                               LaurentBiPoly.from_laurent(LaurentPoly.term(t, X.numerator)))
         assert not d.bracket(family._witness(m, X, Fraction(1), LaurentBiPoly)).is_zero
+
+    def test_a_zero_super_entry_is_refused(self):
+        """-2 = -(j+1)/j at j = 1 zeroes the super entry of row x_1 of the
+        ansatz of y-degree 4: substitution cannot fix u_3, and _witness names
+        that instead of dividing by the zero product of super entries."""
+        from newtcomm import family
+        with pytest.raises(DegenerateRecurrence, match=r"^the ansatz of y-degree 4 has a "
+                                                       r"zero super entry at X = -2$"):
+            family._witness(4, Fraction(-2), Fraction(1), LaurentBiPoly)
 
     def test_linear_pair(self):
         d1, d2, r = family_oracle.linear_pair()

@@ -119,6 +119,15 @@ class TestNumerics:
             with pytest.raises(InvalidInput):
                 rk4_flow(d, 1.0, 0.0, t_end, 10)
 
+    def test_rk4_refuses_a_non_integer_step_count(self):
+        d = D("x", "0")
+        for steps in (2.0, 2.5, "10", None):
+            with pytest.raises(InvalidInput, match="^steps must be an integer, got "):
+                rk4_flow(d, 1.0, 0.0, 1.0, steps)
+        for steps in (0, -3):
+            with pytest.raises(InvalidInput, match=r"^steps must be >= 1$"):
+                rk4_flow(d, 1.0, 0.0, 1.0, steps)
+
     def test_rk4_refuses_laurent_fields(self):
         # a Laurent coefficient list is in z = x^(1/t) and starts at a
         # z-shift; read as a list in x, x^(-1) at x = 2 and the family's
@@ -142,6 +151,35 @@ class TestNumerics:
         assert adaptive_simpson(lambda s: s * s, -1.0, 2.0) == pytest.approx(
             3.0, abs=1e-12
         )
+
+
+    def test_adaptive_simpson_refuses_non_finite_bounds(self):
+        """A NaN or infinite bound has no quadrature; it is refused before
+        the integrand is evaluated, not bisected to the depth limit."""
+        for a, b in ((math.nan, 1.0), (0.0, math.nan), (0.0, math.inf), (-math.inf, 0.0),
+                     (math.inf, math.inf)):
+            integrand = _counted(math.cos, 0)
+            with pytest.raises(InvalidInput, match="^integration bounds must be finite"):
+                adaptive_simpson(integrand, a, b)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_adaptive_simpson_ends_on_a_non_finite_integrand(self, value):
+        """A NaN (or inf - inf) error estimate ends the branch at once: five
+        evaluations, and the result is NaN."""
+        integrand = _counted(lambda s: value, 5)
+        assert math.isnan(adaptive_simpson(integrand, 0.0, 1.0))
+
+
+def _counted(fn, budget: int):
+    """fn, failing the test once it is called more than budget times."""
+    calls = 0
+
+    def counted(s: float) -> float:
+        nonlocal calls
+        calls += 1
+        assert calls <= budget, f"more than {budget} integrand evaluations"
+        return fn(s)
+    return counted
 
 
 class TestRectification:

@@ -198,6 +198,17 @@ class TestAnsatzSystem:
         for X in expected_root_set(m):
             assert _nullity(_ansatz_matrix(m, X)) >= 1, (m, X)
 
+    @pytest.mark.parametrize("m", range(3, 42, 2))
+    def test_substitution_ends_at_the_continuant(self, m):
+        """The pointwise substitution and the Z[X] continuant are one
+        recurrence: at a = 1 its last value is -t^(m+1) P_m(p/t)."""
+        P = build_obstruction(m).P
+        for X in (Fraction(2), Fraction(-1, 3), Fraction(5, 7), Fraction(-3), Fraction(9)):
+            p, t = X.numerator, X.denominator
+            v, sups = obstruction.substitute(m, 1, p, t)
+            assert v[-1] == -t ** (m + 1) * P(X), (m, X)
+            assert len(v) == m + 2 and len(sups) == m + 1, (m, X)
+
     @pytest.mark.parametrize("k", range(1, 21))
     def test_null_vector_at_minus_rho_is_beta(self, k):
         """At m = 2k+1 and X = -rho, the null space is spanned by

@@ -1,6 +1,6 @@
 """The package imports nothing outside the standard library, runs
-generated code in one place only, and keeps no private helper that
-nothing calls."""
+generated code in one place only, and keeps no import that its module
+never reads and no private helper that nothing calls."""
 
 import ast
 import sys
@@ -76,6 +76,20 @@ def _references(node: ast.AST) -> set[str]:
         elif isinstance(n, ast.alias):
             refs.add(n.name)
     return refs
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "__init__.py"],
+                         ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    """Every name a module imports is read in that module, so no import
+    outlives its last use (__init__ imports to re-export)."""
+    tree = ast.parse(path.read_text())
+    imported = {(alias.asname or alias.name).split(".")[0] for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    assert sorted(imported - read) == [], f"{path.name} imports them and never reads them"
 
 
 def test_every_private_module_name_is_used():
