@@ -100,13 +100,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import comb, lcm
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch
 from .linsolve import nullspace
 from .obstruction import substitute
-from .poly import (BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb,
+from .poly import (_EMPTY, BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb,
                    _ring_name, _trim, as_unipoly)
 
 
@@ -212,6 +212,9 @@ class HDecomposition:
     q_coeffs: tuple[Fraction, ...]
 
     def reconstruct(self, f: UniPoly) -> PlanarDerivation:
+        """q(H) delta_f by ring products: Horner in H, then scale.  It stays
+        apart from energy_basis's binomial rows, so that decompose_in_H (and
+        every caller that rebuilds a basis element) checks them."""
         H, q = hamiltonian(f), BiPoly.zero()
         for a in reversed(self.q_coeffs):  # q(H) by Horner
             q = q * H + a
@@ -239,16 +242,49 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
     return dec
 
 
+def _times(a: list, b: list) -> list:
+    """The product of the dense integer numerators a and b ([] is 0)."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    _convolve([(i, n) for i, n in enumerate(a) if n], [(j, n) for j, n in enumerate(b) if n], out)
+    return out
+
+
 def energy_basis(f: UniPoly, M: int) -> tuple[PlanarDerivation, ...]:
-    """(H^s delta_f, ..., H delta_f, delta_f), s = floor((M-1)/2); () if M = 0.
+    """(H^s delta_f, ..., H delta_f, delta_f), s = floor((M-1)/2); () if M <= 0.
+
+    H = y^2 + G with G = g / D its y^0 row, so
+    H^k = sum_j C(k, j) y^(2j) D^j g^(k-j) / D^k.  With f = F / d_f, the
+    y-rows of H^k delta_f = (y H^k, f H^k) are written straight from the
+    integer powers g^i and their products F g^i: act_x has row 2j+1 =
+    C(k, j) D^j g^(k-j) over D^k, act_y row 2j = C(k, j) D^j F g^(k-j)
+    over D^k d_f, each component normalised once.
 
     This is the reduced echelon basis of its span, which is unique:
     H^k delta_f leads with 1 at the x^0 coefficient of c_{2k+1}, where every
-    other H^j delta_f is 0 because H(0, y) = y^2."""
+    other H^j delta_f is 0 because H(0, y) = y^2, that is g(0) = 0."""
+    if not isinstance(M, int):
+        raise InvalidInput("max y-degree M must be an integer")
     H = hamiltonian(f)
-    basis = [newton_derivation(f)] if M > 0 else []
-    while len(basis) < (M + 1) // 2:
-        basis.append(basis[-1].scale(H))
+    if M <= 0:
+        return ()
+    (sg, g), D = H._rows[0], H._d  # G = z^sg g / D; the y^2 row is D / D
+    (sf, F), df = f._rows[0] if f._rows else _EMPTY, f._d
+    gp = [[1]]  # gp[i]: the numerators of g^i, from z^(i sg)
+    for _ in range((M - 1) // 2):
+        gp.append(_times(gp[-1], g))
+    fgp = [_times(F, p) for p in gp]  # F g^i, from z^(sf + i sg)
+    Dj = [D ** j for j in range(len(gp))]
+    basis = []
+    for k in range(len(gp)):
+        x_rows, y_rows = [_EMPTY] * (2 * k + 2), [_EMPTY] * (2 * k + 1)
+        for j in range(k + 1):
+            c = comb(k, j) * Dj[j]
+            x_rows[2 * j + 1] = ((k - j) * sg, [c * n for n in gp[k - j]])
+            y_rows[2 * j] = (sf + (k - j) * sg, [c * n for n in fgp[k - j]])
+        basis.append(PlanarDerivation(BiPoly._make(1, x_rows, Dj[k]),
+                                      BiPoly._make(1, y_rows, Dj[k] * df)))
     return tuple(reversed(basis))
 
 

@@ -201,9 +201,9 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
 
     def recurse(lo: float, hi: float, flo: float, fmid: float, fhi: float,
                 whole: float, eps: float, depth: int) -> float:
-        mid = 0.5 * (lo + hi)
-        fl = fn(0.5 * (lo + mid))
-        fr = fn(0.5 * (mid + hi))
+        mid = 0.5 * lo + 0.5 * hi  # halved first, so a sum past the float range cannot overflow
+        fl = fn(0.5 * lo + 0.5 * mid)
+        fr = fn(0.5 * mid + 0.5 * hi)
         left = simpson(lo, mid, flo, fl, fmid)
         right = simpson(mid, hi, fmid, fr, fhi)
         if depth <= 0 or not abs(left + right - whole) > 15.0 * eps:
@@ -211,7 +211,7 @@ def adaptive_simpson(fn: Callable[[float], float], a: float, b: float) -> float:
         return (recurse(lo, mid, flo, fl, fmid, left, eps / 2.0, depth - 1)
                 + recurse(mid, hi, fmid, fr, fhi, right, eps / 2.0, depth - 1))
 
-    fa, fm, fb = fn(a), fn(0.5 * (a + b)), fn(b)
+    fa, fm, fb = fn(a), fn(0.5 * a + 0.5 * b), fn(b)
     whole = simpson(a, b, fa, fm, fb)
     return recurse(a, b, fa, fm, fb, whole, QUAD_TOL, 48)
 

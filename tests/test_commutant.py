@@ -1,5 +1,6 @@
 """Commutant computation and the rank-one certificate."""
 
+import inspect
 import time
 from fractions import Fraction
 
@@ -29,11 +30,12 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
-from newtcomm import commutant, obstruction
+from newtcomm import commutant, obstruction, poly
 from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, _space_at, build_system, coefficient, solve_system
 
+import energy_oracle
 import recurrence_oracle
 from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
 from strategies import rationals, unipolys
@@ -332,21 +334,21 @@ class TestCertifyRankOne:
         assert cert.reason == "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0"
 
     def test_energy_basis_is_descending_powers(self, monkeypatch):
-        """(H^s delta_f, ..., delta_f), s = floor((M-1)/2), with one product
-        by H per power."""
+        """(H^s delta_f, ..., delta_f), s = floor((M-1)/2), written from the
+        binomial rows with no product of ring values."""
         f = parse_unipoly("x^3 - x")
         d, H = newton_derivation(f), hamiltonian(f)
         assert energy_basis(f, 0) == ()
         assert energy_basis(f, 1) == energy_basis(f, 2) == (d,)
         assert energy_basis(f, 5) == energy_basis(f, 6) == (d.scale(H * H), d.scale(H), d)
-        scale = PlanarDerivation.scale
         calls = []
+        scale, dot = PlanarDerivation.scale, poly._dot
         monkeypatch.setattr(PlanarDerivation, "scale",
-                            lambda self, g: calls.append(g) or scale(self, g))
+                            lambda self, g: calls.append("scale") or scale(self, g))
+        monkeypatch.setattr(poly, "_dot", lambda *a: calls.append("_dot") or dot(*a))
         for M in range(1, 12):
-            calls.clear()
             assert len(energy_basis(f, M)) == (M - 1) // 2 + 1
-            assert calls == [H] * ((M - 1) // 2), M
+        assert calls == []
 
     def test_rejects_low_degree(self):
         with pytest.raises(HypothesisViolation):
@@ -365,6 +367,58 @@ class TestCertifyRankOne:
         for g, dec in zip(cert.commutant.basis, cert.decompositions):
             assert dec is not None
             assert dec.reconstruct(f) == g
+
+
+ENERGY_FORCES = DEGENERATE_FORCES + FORCES + (
+    "3/7*x^3 - 2/5*x + 5/2", "-5/3*x^4 + 1/2*x^3 - 7", "3/4*x^6 - x^2 + 1/9*x - 2",
+    "x^7 - 2*x^5 + 3/4*x^2", "-1/9*x^8 + x^3 - x", DEGREE_9_F)
+
+
+def _mutant(old: str, new: str):
+    """energy_basis with the source text old replaced by new, in commutant's namespace."""
+    src = inspect.getsource(commutant.energy_basis)
+    assert old in src
+    namespace = dict(vars(commutant))
+    exec(src.replace(old, new), namespace)
+    return namespace["energy_basis"]
+
+
+class TestEnergyBasis:
+    """energy_basis against the repeated product by H (energy_oracle)."""
+
+    @pytest.mark.parametrize("f_text", ENERGY_FORCES)
+    def test_matches_the_repeated_product(self, f_text):
+        f = parse_unipoly(f_text)
+        want = energy_oracle.energy_basis(f, 41)
+        for M in range(-2, 42):
+            assert energy_basis(f, M) == want[len(want) - max(0, (M + 1) // 2):], M
+
+    def test_matches_the_repeated_product_at_M_81(self):
+        f = parse_unipoly(DEGREE_9_F)
+        assert energy_basis(f, 81) == energy_oracle.energy_basis(f, 81)
+
+    @settings(deadline=None)
+    @given(f=unipolys(6), M=st.integers(0, 13))
+    def test_matches_the_repeated_product_for_any_f(self, f, M):
+        assert energy_basis(f, M) == energy_oracle.energy_basis(f, M)
+
+    @pytest.mark.parametrize("old, new", [("comb(k, j)", "comb(k, j + 1)"),
+                                          ("comb(k, j) * Dj[j]", "comb(k, j)")])
+    @pytest.mark.parametrize("f_text", ["x^3 - x", DEGREE_9_F])
+    def test_mutated_rows_are_caught(self, old, new, f_text):
+        """Mutation controls: a wrong binomial, or the D^j weight dropped,
+        no longer gives H^k delta_f."""
+        f = parse_unipoly(f_text)
+        assert _mutant(old, new)(f, 5) != energy_oracle.energy_basis(f, 5)
+
+    @pytest.mark.parametrize("M", [2.0, "3", None, Fraction(3)])
+    def test_rejects_non_integer_M(self, M):
+        with pytest.raises(InvalidInput):
+            energy_basis(parse_unipoly("x^2"), M)
+
+    @pytest.mark.parametrize("M", [0, -1, -7])
+    def test_non_positive_M_is_empty(self, M):
+        assert energy_basis(parse_unipoly("x^2"), M) == ()
 
 
 @pytest.mark.parametrize("text, t", [("x^(1/3)", 3), ("x^(-1)", 1)])

@@ -152,6 +152,10 @@ class TestNumerics:
             3.0, abs=1e-12
         )
 
+    def test_adaptive_simpson_bounds_near_the_float_range(self):
+        """Finite bounds whose sum overflows still have finite midpoints."""
+        assert adaptive_simpson(lambda s: 1.0, 1e308, 1.7e308) == pytest.approx(7e307)
+        assert adaptive_simpson(lambda s: 1.0, -1.7e308, -1e308) == pytest.approx(7e307)
 
     def test_adaptive_simpson_refuses_non_finite_bounds(self):
         """A NaN or infinite bound has no quadrature; it is refused before
