@@ -103,7 +103,7 @@ from fractions import Fraction
 from math import comb, lcm
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
-from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch
+from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch, is_int
 from .linsolve import nullspace
 from .obstruction import substitute
 from .poly import (_EMPTY, BiPoly, UniPoly, _common, _convolve, _grid, _integrate, _lincomb,
@@ -199,7 +199,7 @@ def solve_commutant(f: UniPoly, M: int) -> CommutantBasis:
     The basis is complete for every f.  Degenerate f (zero or degree <= 1)
     is accepted for negative controls.
     """
-    if not isinstance(M, int) or M < 0:
+    if not is_int(M) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
     f = as_unipoly(f)
     return CommutantBasis(f, M, tuple(solve_halves(f, M, (1, 0))))
@@ -264,7 +264,7 @@ def energy_basis(f: UniPoly, M: int) -> tuple[PlanarDerivation, ...]:
     This is the reduced echelon basis of its span, which is unique:
     H^k delta_f leads with 1 at the x^0 coefficient of c_{2k+1}, where every
     other H^j delta_f is 0 because H(0, y) = y^2, that is g(0) = 0."""
-    if not isinstance(M, int):
+    if not is_int(M):
         raise InvalidInput("max y-degree M must be an integer")
     H = hamiltonian(f)
     if M <= 0:
@@ -333,7 +333,7 @@ def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
     f = as_unipoly(f)
     if f.degree < 2:
         raise HypothesisViolation("certification requires deg f >= 2")
-    if not isinstance(M, int) or M < 0:
+    if not is_int(M) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
     canon = energy_basis(f, M)
     reason = _graded_reason(f.degree, M, len(canon))

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer test its guards share."""
 
 
 class NewtcommError(Exception):
@@ -38,3 +38,7 @@ class SingularDelta(NewtcommError):
 
 class DegenerateRecurrence(NewtcommError):
     """A recurrence hit a zero coefficient it needs to divide by."""
+
+
+def is_int(n) -> bool:
+    return isinstance(n, int) and not isinstance(n, bool)  # Python counts a bool as an int

@@ -34,7 +34,7 @@ from math import isfinite
 from operator import mul
 
 from .derivations import LaurentDerivation, PlanarDerivation
-from .errors import DegenerateRecurrence, InvalidInput
+from .errors import DegenerateRecurrence, InvalidInput, is_int
 from .obstruction import substitute
 from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear, _exact
 
@@ -94,7 +94,7 @@ def _witness(m: int, X: Fraction, a_top: Fraction, cls) -> PlanarDerivation:
 
 def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
     """Construct the commuting pair for k; a_top scales the whole family."""
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise InvalidInput("k must be an integer >= 1")
     t = 2 * k - 1
     beta = _witness(2 * k + 1, Fraction(-(2 * k + 1), t), _a_top(a_top), LaurentBiPoly)
@@ -108,7 +108,7 @@ def build_family(k: int, a_top: Fraction | int | str = 1) -> LaurentFamily:
 
 def first_integral(k: int) -> LaurentBiPoly:
     """r = y^2 + (2k-1) x^(-2/(2k-1)); alpha annihilates it."""
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise InvalidInput("k must be an integer >= 1")
     t = 2 * k - 1
     return LaurentBiPoly._make(t, [(-2, [t]), _EMPTY, (0, [1])])
@@ -116,15 +116,15 @@ def first_integral(k: int) -> LaurentBiPoly:
 
 def pm_witness(m: int, k: int, a_top: Fraction | int | str = 1) -> PlanarDerivation:
     """r^((m-(2k+1))/2) * beta: y-degree m, commutes with alpha, d_m != 0."""
-    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+    if not is_int(m) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
-    if not isinstance(k, int) or not 1 <= k <= (m - 1) // 2:
+    if not is_int(k) or not 1 <= k <= (m - 1) // 2:
         raise InvalidInput("k must satisfy 1 <= k <= (m-1)/2")
     return _witness(m, Fraction(-(2 * k + 1), 2 * k - 1), _a_top(a_top), LaurentBiPoly)
 
 
 def pm_witness_linear(m: int) -> PlanarDerivation:
     """(y^2 - x^2)^((m-1)/2) * (x, y): the witness that 1 is a slope root."""
-    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+    if not is_int(m) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
     return _witness(m, Fraction(1), Fraction(1), BiPoly)

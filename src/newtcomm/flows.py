@@ -27,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .derivations import PlanarDerivation
-from .errors import HypothesisViolation, InvalidInput, SingularDelta
+from .errors import HypothesisViolation, InvalidInput, SingularDelta, is_int
 from .poly import BiPoly
 
 
@@ -165,7 +165,7 @@ def compile_evaluator(p: BiPoly) -> Callable[[float, float], float]:
 def rk4_flow(d: PlanarDerivation, x0: float, y0: float, t_end: float,
              steps: int) -> list[tuple[float, float, float]]:
     """Classical fixed-step RK4 trajectory [(t, x, y)] of the flow of d."""
-    if not isinstance(steps, int):
+    if not is_int(steps):
         raise InvalidInput(f"steps must be an integer, got {steps!r}")
     if steps < 1:
         raise InvalidInput("steps must be >= 1")

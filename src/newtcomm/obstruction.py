@@ -36,7 +36,7 @@ from fractions import Fraction
 from itertools import islice
 from typing import Iterator
 
-from .errors import InvalidInput
+from .errors import InvalidInput, is_int
 from .poly import UniPoly, _trim, as_unipoly
 
 
@@ -55,9 +55,9 @@ def ansatz_rows(m: int, a: int = 1) -> list[tuple[tuple[int, int], ...]]:
 
         x_l:      (m+1-2l) c_{l-1} - b_l + (a+(1+X)l) c_l = 0,
         y_{l+1}:  (m-2l) b_l - X c_l + (a+l+(l+1)X) b_{l+1} = 0."""
-    if not isinstance(a, int) or a not in (0, 1):
+    if not is_int(a) or a not in (0, 1):
         raise InvalidInput("the x-offset a must be 0 or 1")
-    if not isinstance(m, int) or m < 2 - a:
+    if not is_int(m) or m < 2 - a:
         raise InvalidInput(f"m must be an integer >= {2 - a} at a = {a}")
     rows = [row for l in range(m // 2 + 1) for row in  # x_l, y_{l+1}
             (((m + 1 - 2 * l, 0), (-1, 0), (a + l, l)), ((m - 2 * l, 0), (0, -1), (a + l, l + 1)))]
@@ -82,7 +82,7 @@ def substitute(m: int, a: int, p: int, t: int = 1) -> tuple[list[int], list[int]
 def build_obstruction(m: int) -> ObstructionPoly:
     """P_m = -D_m (odd m >= 3) for the continuant D_i = diagonal_i D_{i-1} - sub_i
     super_{i-1} D_{i-2} of ansatz_rows(m), D_{-1} = 1; run from -1, it is P_m."""
-    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+    if not is_int(m) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
     D2, D1, p0, p1 = [], [-1], 0, 0  # -D_{i-2}, -D_{i-1}, super_{i-1} = p0 + p1 X
     for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m):
@@ -241,7 +241,7 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
 
 def expected_root_set(m: int) -> frozenset[Fraction]:
     """{1} together with -(2k+1)/(2k-1) for 1 <= k <= (m-1)/2."""
-    if not isinstance(m, int) or m < 3 or m % 2 == 0:
+    if not is_int(m) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
     roots = {Fraction(1)}
     for k in range(1, (m - 1) // 2 + 1):

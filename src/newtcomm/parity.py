@@ -16,28 +16,25 @@ Each system has m+2 equations, labeled e_{m+1} down to e_0.  A solution is
 held as the PlanarDerivation it defines (c_i in act_x, d_i in act_y), so a
 solution space is a tuple of derivations.  Unknown names such as "c_3" only
 list the unknowns and the forced ones; coefficient reads a name off a
-derivation.  The I-half carries all solutions when deg f >= 2; checkers for
-the dimension and forced-to-zero facts live in check_lemma_suite.  It reads
-both halves off the rank-one certificate when deg f >= 2 and the certificate
-passes (the I half is the energy basis, the II half is empty), and otherwise
-solves each half once; solve_system always runs the integrator.
+derivation.  The I-half carries all solutions when deg f >= 2.  One read-off
+of a half's basis (_read_off: each element's y-degree, each unknown's least
+y-degree with a nonempty row) gives its solution space at every smaller m.
+solve_system integrates; check_lemma_suite reads both halves off the rank-one
+certificate when it passes (the I half is the energy basis, the II half empty).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
-from .commutant import _graded_reason, _prefix, energy_basis, solve_halves
+from .commutant import _graded_reason, energy_basis, solve_halves
 from .derivations import PlanarDerivation
-from .errors import HypothesisViolation, InvalidInput
+from .errors import HypothesisViolation, InvalidInput, is_int
 from .poly import UniPoly, as_unipoly
 
 KINDS = ("Io", "IIo", "Ie", "IIe")
-
-
-def _c_parity(kind: str) -> int:
-    """Index parity of the c-unknowns: odd for I-systems, even for II."""
-    return 1 if kind in ("Io", "Ie") else 0
+_C_PARITY = {"Io": 1, "IIo": 0, "Ie": 1, "IIe": 0}  # index parity of the c-unknowns
 
 
 @dataclass(frozen=True)
@@ -55,11 +52,12 @@ class ParitySystem:
     f: UniPoly
     equations: tuple[SystemEquation, ...]
 
-    @property
-    def unknowns(self) -> tuple[str, ...]:
-        """c_i or d_i, as the half holds it, for i = m down to 0."""
-        par = _c_parity(self.kind)
-        return tuple(f"{'c' if i % 2 == par else 'd'}_{i}" for i in range(self.m, -1, -1))
+    unknowns = property(lambda self: _unknowns(_C_PARITY[self.kind], self.m))
+
+
+def _unknowns(c_par: int, m: int) -> tuple[str, ...]:
+    """c_i or d_i, as the half with c-parity c_par holds it, for i = m down to 0."""
+    return tuple(f"{'c' if i % 2 == c_par else 'd'}_{i}" for i in range(m, -1, -1))
 
 
 def coefficient(gamma: PlanarDerivation, name: str) -> UniPoly:
@@ -86,16 +84,14 @@ def build_system(kind: str, m: int, f: UniPoly) -> ParitySystem:
     """
     if kind not in KINDS:
         raise InvalidInput(f"kind must be one of {KINDS}")
-    if not isinstance(m, int) or m < 2:
+    if not is_int(m) or m < 2:
         raise InvalidInput("m must be an integer >= 2")
     f = as_unipoly(f)
     c_even_levels = kind in ("Io", "Ie")  # x-component equations at even levels
-    eqs = []
-    for j in range(m + 1, -1, -1):
-        form = "C" if (j % 2 == 0) == c_even_levels else "D"
-        eqs.append(SystemEquation(label=f"e_{j}", level=j, form=form,
-                                  text=_equation_text(form, j, m)))
-    return ParitySystem(kind=kind, m=m, f=f, equations=tuple(eqs))
+    forms = ["C" if (j % 2 == 0) == c_even_levels else "D" for j in range(m + 2)]
+    return ParitySystem(kind=kind, m=m, f=f, equations=tuple(
+        SystemEquation(f"e_{j}", j, forms[j], _equation_text(forms[j], j, m))
+        for j in range(m + 1, -1, -1)))
 
 
 @dataclass(frozen=True)
@@ -112,23 +108,24 @@ def solve_system(sys: ParitySystem) -> SolutionSpace:
     """Every polynomial solution, by integrating e_{m+1} .. e_1 top-down and
     imposing e_0 on the integration constants; the basis is the canonical
     echelon basis of the solution space."""
-    basis = tuple(solve_halves(sys.f, sys.m, (_c_parity(sys.kind),)))
-    return _space_at(sys, basis, sys.m)
+    par = _C_PARITY[sys.kind]
+    return _read_off(par, tuple(solve_halves(sys.f, sys.m, (par,))), sys.m)(sys.m)
 
 
-def _space_at(sys: ParitySystem, basis: tuple[PlanarDerivation, ...], m: int) -> SolutionSpace:
-    """solve_system at m <= sys.m for the half of sys, read off the basis of sys (_prefix).
-
-    c_i is forced when y-row i of act_x is absent or empty in every basis
-    element, d_i likewise in act_y."""
-    basis = _prefix(basis, m)
-    held = {"c": [g.act_x._rows for g in basis], "d": [g.act_y._rows for g in basis]}
-
-    def is_forced(name: str) -> bool:
-        i = int(name[2:])
-        return all(i >= len(rows) or not rows[i][1] for rows in held[name[0]])
-
-    return SolutionSpace(basis, frozenset(filter(is_forced, sys.unknowns[sys.m - m:])))
+def _read_off(c_par: int, basis: tuple[PlanarDerivation, ...], m_max: int):
+    """m -> the SolutionSpace at m <= m_max of the half with c-parity c_par, off
+    its basis at m_max: the elements of y-degree <= m, a suffix (_prefix in
+    commutant), and the unknowns of index <= m with no nonempty row (c_i in
+    act_x, d_i in act_y) in any of them, that is, least y-degree above m."""
+    degs = [g.y_degree for g in reversed(basis)]
+    least = {}  # unknown -> least y-degree with its row nonempty, ascending
+    for g, deg in zip(reversed(basis), degs):
+        for letter, comp in (("c", g.act_x), ("d", g.act_y)):
+            for i in [i for i, (_, ns) in enumerate(comp._rows) if ns]:
+                least.setdefault(f"{letter}_{i}", deg)
+    names, held, firsts = _unknowns(c_par, m_max), list(least), list(least.values())
+    return lambda m: SolutionSpace(basis[len(basis) - bisect_right(degs, m):], frozenset(
+        names[m_max - m:]).difference(held[:bisect_right(firsts, m)]))
 
 
 @dataclass(frozen=True)
@@ -165,8 +162,7 @@ def _check_one(kind: str, m: int, space: SolutionSpace, energy: tuple) -> LemmaC
     else:
         target = f"d_{m}" if kind in ("Ie", "IIo") else f"c_{m}"
         ok = target in space.forced
-        state = "forced to zero" if ok else "NOT forced to zero"
-        detail = f"{target} {state}; dimension {space.dimension}"
+        detail = f"{target} {'' if ok else 'NOT '}forced to zero; dimension {space.dimension}"
     return LemmaCheck(name=f"{kind}_{m}", kind=kind, m=m, passed=ok,
                       dimension=space.dimension, forced=space.forced, detail=detail)
 
@@ -179,24 +175,24 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     multiple, and d_m is forced in (IIo)_m (m >= 3).  For even m: d_m is
     forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2;
     allow_low_degree runs the suite anyway as a negative control.  Each half
-    is found once, at m_max, and read off at every m (_space_at); the Io
+    is found once, at m_max, and read off at every m (_read_off); the Io
     checks compare with the matching tails of one energy_basis(f, m_max).
-    When deg f >= 2 and the rank-one certificate passes at m_max, the halves
-    are read off it with no solve: the I half is energy_basis(f, m_max) and
-    the II half is empty (the certificate lemma in the commutant module
-    docstring, half by half).  Otherwise each half is solved once.
+    With deg f >= 2 and a passing certificate at m_max, the I half is that
+    energy basis and the II half is empty (the certificate lemma in the
+    commutant module docstring, half by half): no solve, no ParitySystem.
     """
     f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
         raise HypothesisViolation("lemma suite requires deg f >= 2")
-    if not isinstance(m_max, int) or m_max < 2:
+    if not is_int(m_max) or m_max < 2:
         raise InvalidInput("m_max must be an integer >= 2")
-    systems = [build_system(kind, m_max, f) for kind in (KINDS[:2] if m_max % 2 else KINDS[2:])]
     energy = energy_basis(f, m_max)
     if f.degree >= 2 and _graded_reason(f.degree, m_max, len(energy)) is None:
-        tops = {_c_parity(s.kind): (s, energy if _c_parity(s.kind) else ()) for s in systems}
+        tops = {1: energy, 0: ()}
     else:
-        tops = {_c_parity(s.kind): (s, solve_system(s).basis) for s in systems}
-    checks = [_check_one(kind, m, _space_at(*tops[_c_parity(kind)], m), energy) for kind in KINDS
+        tops = {_C_PARITY[kind]: solve_system(build_system(kind, m_max, f)).basis
+                for kind in (KINDS[:2] if m_max % 2 else KINDS[2:])}
+    spaces = {par: _read_off(par, top, m_max) for par, top in tops.items()}
+    checks = [_check_one(kind, m, spaces[_C_PARITY[kind]](m), energy) for kind in KINDS
               for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

@@ -6,20 +6,40 @@ reads every smaller system off them as a prefix.  This oracle
 builds and solves each (kind, m) system separately, with one
 ``solve_system`` per check and one ``energy_basis(f, m)`` per Io check, and
 formats the checks the same way, so the tests compare the two reports by
-``==``.
+``==``.  ``space_at`` is the per-m scan that the suite ran before its
+one read-off per half: the oracle for ``newtcomm.parity._read_off``.
 """
 
 from __future__ import annotations
 
-from newtcomm.commutant import energy_basis
+from newtcomm.commutant import _prefix, energy_basis
 from newtcomm.parity import (
     KINDS,
     LemmaCheck,
     LemmaSuiteReport,
+    ParitySystem,
+    SolutionSpace,
     build_system,
     solve_system,
 )
 from newtcomm.poly import UniPoly, as_unipoly
+
+
+def space_at(sys: ParitySystem, basis: tuple, m: int) -> SolutionSpace:
+    """The solution space at m <= sys.m of the half of sys, read off its basis
+    at sys.m: the prefix of y-degree <= m, and each unknown of index <= m
+    tested against each of its elements.
+
+    c_i is forced when y-row i of act_x is absent or empty in every basis
+    element, d_i likewise in act_y."""
+    basis = _prefix(basis, m)
+    held = {"c": [g.act_x._rows for g in basis], "d": [g.act_y._rows for g in basis]}
+
+    def is_forced(name: str) -> bool:
+        i = int(name[2:])
+        return all(i >= len(rows) or not rows[i][1] for rows in held[name[0]])
+
+    return SolutionSpace(basis, frozenset(filter(is_forced, sys.unknowns[sys.m - m:])))
 
 
 def check_one(kind: str, m: int, f: UniPoly) -> LemmaCheck:

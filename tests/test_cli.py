@@ -500,6 +500,44 @@ class TestGoldenOutput:
             "passed": True,
         }, indent=2, sort_keys=True) + "\n"
 
+    def test_lemmas_json_m12(self, capsys):
+        """The size of the benchmark's lemma job, recorded before the suite
+        read each half off in one pass."""
+        multiples = "; all solutions are energy-polynomial multiples"
+        checks = [
+            ("IIe_2", 0, "c_2 forced to zero; dimension 0"),
+            ("IIe_4", 0, "c_4 forced to zero; dimension 0"),
+            ("IIe_6", 0, "c_6 forced to zero; dimension 0"),
+            ("IIe_8", 0, "c_8 forced to zero; dimension 0"),
+            ("IIe_10", 0, "c_10 forced to zero; dimension 0"),
+            ("IIe_12", 0, "c_12 forced to zero; dimension 0"),
+            ("IIo_3", 0, "d_3 forced to zero; dimension 0"),
+            ("IIo_5", 0, "d_5 forced to zero; dimension 0"),
+            ("IIo_7", 0, "d_7 forced to zero; dimension 0"),
+            ("IIo_9", 0, "d_9 forced to zero; dimension 0"),
+            ("IIo_11", 0, "d_11 forced to zero; dimension 0"),
+            ("Ie_2", 1, "d_2 forced to zero; dimension 1"),
+            ("Ie_4", 2, "d_4 forced to zero; dimension 2"),
+            ("Ie_6", 3, "d_6 forced to zero; dimension 3"),
+            ("Ie_8", 4, "d_8 forced to zero; dimension 4"),
+            ("Ie_10", 5, "d_10 forced to zero; dimension 5"),
+            ("Ie_12", 6, "d_12 forced to zero; dimension 6"),
+            ("Io_3", 2, "dimension 2, expected 2" + multiples),
+            ("Io_5", 3, "dimension 3, expected 3" + multiples),
+            ("Io_7", 4, "dimension 4, expected 4" + multiples),
+            ("Io_9", 5, "dimension 5, expected 5" + multiples),
+            ("Io_11", 6, "dimension 6, expected 6" + multiples),
+        ]
+        code, out, _ = run(capsys, "lemmas", "--f", "x^3 - x", "--m-max", "12", "--json")
+        assert code == 0
+        assert out == json.dumps({
+            "checks": [{"detail": detail, "dimension": dimension, "name": name, "passed": True}
+                       for name, dimension, detail in checks],
+            "f": "x^3 - x",
+            "m_max": 12,
+            "passed": True,
+        }, indent=2, sort_keys=True) + "\n"
+
     def test_linearize_json(self, capsys):
         code, out, _ = run(capsys, "linearize", "--dx", "x+y", "--dy", "2*x-y+1", "--json")
         assert code == 0

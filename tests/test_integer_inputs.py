@@ -1,0 +1,52 @@
+"""Integer parameters refuse bool, which Python counts as an int: True
+would otherwise pass for 1 and False for 0."""
+
+import pytest
+
+from newtcomm import (
+    InvalidInput,
+    build_family,
+    certify_rank_one,
+    first_integral,
+    newton_derivation,
+    parse_unipoly,
+    pm_witness,
+    rk4_flow,
+    solve_commutant,
+)
+from newtcomm.commutant import energy_basis
+from newtcomm.obstruction import ansatz_rows, substitute
+
+X2 = parse_unipoly("x^2")
+
+CALLS = {
+    "solve_commutant": (lambda: solve_commutant(X2, True),
+                        "max y-degree M must be a non-negative integer"),
+    "energy_basis": (lambda: energy_basis(X2, True), "max y-degree M must be an integer"),
+    "energy_basis_false": (lambda: energy_basis(X2, False), "max y-degree M must be an integer"),
+    "certify_rank_one": (lambda: certify_rank_one(X2, True),
+                         "max y-degree M must be a non-negative integer"),
+    "ansatz_rows_m": (lambda: ansatz_rows(True, 1), "m must be an integer >= 1 at a = 1"),
+    "ansatz_rows_a": (lambda: ansatz_rows(3, True), "the x-offset a must be 0 or 1"),
+    "substitute": (lambda: substitute(True, 1, 2), "m must be an integer >= 1 at a = 1"),
+    "build_family": (lambda: build_family(True), "k must be an integer >= 1"),
+    "first_integral": (lambda: first_integral(True), "k must be an integer >= 1"),
+    "pm_witness": (lambda: pm_witness(5, True), r"k must satisfy 1 <= k <= \(m-1\)/2"),
+    "rk4_flow": (lambda: rk4_flow(newton_derivation(X2), 0.5, 0.0, 0.1, steps=True),
+                 "steps must be an integer, got True"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALLS))
+def test_bool_is_not_an_integer(name):
+    call, message = CALLS[name]
+    with pytest.raises(InvalidInput, match=f"^{message}$"):
+        call()
+
+
+def test_int_still_accepted():
+    assert solve_commutant(X2, 1).M == 1
+    assert len(energy_basis(X2, 3)) == 2
+    assert build_family(1).k == 1
+    assert len(rk4_flow(newton_derivation(X2), 0.5, 0.0, 0.1, steps=1)) == 2
+    assert substitute(1, 1, 2) is not None

@@ -14,8 +14,8 @@ from newtcomm import (
     solve_commutant,
     solve_system,
 )
-from newtcomm import parity
-from newtcomm.commutant import energy_basis
+from newtcomm import certify_rank_one, parity
+from newtcomm.commutant import energy_basis, solve_halves
 from newtcomm.parity import KINDS
 
 import lemma_oracle
@@ -23,6 +23,7 @@ from matching_oracle import default_xcap, full_rows, matching_system, system_row
 from strategies import unipolys
 
 DEGREE_9_F = "1/3*x^9 - 2/7*x^4 + 3/5*x^2 + x - 5/11"
+CERTIFIED_FORCES = ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1", DEGREE_9_F)
 
 
 class TestBuildSystem:
@@ -200,9 +201,48 @@ def test_lemma_suite_reads_certified_halves_without_solving(monkeypatch, m_max):
     calls = []
     solve = parity.solve_system
     monkeypatch.setattr(parity, "solve_system", lambda sys: calls.append(sys.kind) or solve(sys))
+    built = []
+    build = parity.build_system
+    monkeypatch.setattr(parity, "build_system",
+                        lambda kind, m, f: built.append(kind) or build(kind, m, f))
     f = parse_unipoly("x^3")
     assert check_lemma_suite(f, m_max) == lemma_oracle.lemma_suite(f, m_max)
     assert calls == []
+    assert built == []
+
+
+def test_read_off_keeps_the_least_y_degree():
+    """Ie_2 of x^2 read off the top half at m_max = 3, (H delta_f, delta_f):
+    c_1 and d_0 are nonempty in delta_f, of y-degree 1, so only d_2 is forced.
+    A read-off that kept the first y-degree it met, 3 from H delta_f, would
+    force them too."""
+    by_name = {c.name: c for c in check_lemma_suite(parse_unipoly("x^2"), 3).checks}
+    assert by_name["Ie_2"].forced == {"d_2"}
+
+
+def _assert_read_off_matches_scan(f, m_max, halves):
+    """Every m <= m_max of each half: the one read-off equals the per-m scan."""
+    for kind in KINDS[:2] if m_max % 2 else KINDS[2:]:
+        par, sys = parity._C_PARITY[kind], build_system(kind, m_max, f)
+        space_at = parity._read_off(par, halves[par], m_max)
+        for m in range(m_max + 1):
+            assert space_at(m) == lemma_oracle.space_at(sys, halves[par], m), (kind, m)
+
+
+@pytest.mark.parametrize("m_max", [20, 41])
+@pytest.mark.parametrize("f_text", CERTIFIED_FORCES)
+def test_read_off_matches_scan_on_certified_halves(f_text, m_max):
+    f = parse_unipoly(f_text)
+    assert certify_rank_one(f, m_max).passed
+    _assert_read_off_matches_scan(f, m_max, {1: energy_basis(f, m_max), 0: ()})
+
+
+@pytest.mark.parametrize("m_max", range(2, 14))
+@pytest.mark.parametrize("f_text", ["0", "1", "x", "2*x + 1"])
+def test_read_off_matches_scan_on_solved_halves(f_text, m_max):
+    f = parse_unipoly(f_text)
+    _assert_read_off_matches_scan(f, m_max, {par: tuple(solve_halves(f, m_max, (par,)))
+                                             for par in (0, 1)})
 
 
 @pytest.mark.parametrize("m_max", [2, 3, 12])
