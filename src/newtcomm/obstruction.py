@@ -24,8 +24,10 @@ on its constant term is exponential in m, while lifting is polynomial.
 Lifting needs only that each residue it lifts is a simple root mod p,
 so the prime is chosen by checking P_m' at the roots its scan finds; the
 squarefree part over Z is formed only when a short prime search finds no
-such prime.  Every reported root is confirmed by exact integer
-evaluation; nothing here uses floating point.
+such prime.  Lifting stops at the first exact root among its rational
+reconstructions (Wang, Guy & Davenport, SIGSAM Bull. 1982; op. cit.
+§5.10).  Every reported root is confirmed by exact integer evaluation;
+nothing here uses floating point.
 """
 
 from __future__ import annotations
@@ -187,6 +189,16 @@ def _is_root(a: list[int], r: Fraction) -> bool:
     return acc == 0
 
 
+def _reconstruct(r: int, q: int) -> Fraction:
+    """The num/den = r (mod q) with |num|, den <= sqrt(q/2) if there is one: r_j / t_j
+    at the first r_j <= sqrt(q/2) of the half-extended Euclid on (q, r), r_j = t_j r mod q."""
+    half, r0, r1, t0, t1 = math.isqrt(q // 2), q, r, 0, 1
+    while r1 > half:
+        k = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - k * r1, t1, t0 - k * t1
+    return Fraction(r1, t1)
+
+
 def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     """All rational roots of p, found exactly by p-adic lifting.
 
@@ -198,18 +210,20 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
     bound on work, not on correctness) f becomes f / gcd(f, f') and the
     search runs on without a bound; a squarefree f fails only at primes
     dividing its discriminant, so it ends.  Each root r mod p is
-    Newton/Hensel-lifted to a modulus q > 2B, where
-    B = |lead| + max_{i<n} |a_i| bounds |lead * x| for every complex root
-    x of f (Cauchy's bound |x| <= 1 + max_{i<n} |a_i| / |lead|).  For each
-    lift, lead * lift mod q taken in the symmetric range is an integer c,
-    and c / lead is kept only if it is an exact root of p.
+    Newton/Hensel-lifted, squaring q each step, until num/den, r mod q
+    reconstructed, has den | lead and is an exact root of f; failing that,
+    to q > 2B, where B = |lead| + max_{i<n} |a_i| bounds |lead * x| for
+    every complex root x of f (Cauchy's bound |x| <= 1 + max_{i<n} |a_i| /
+    |lead|).  There lead * lift mod q taken in the symmetric range is an
+    integer c, and c / lead is kept only if it is an exact root of p.
 
     Complete: a rational root x = num/den of f has den | lead, so den is
     invertible mod p and x mod p is one of the roots the scan finds.  That
     root is simple by the choice of p, so its Hensel lift is unique, hence
     equals x mod q.  lead * x is an integer, as den | lead, of absolute
     value <= B < q/2 by Cauchy's bound, and it is congruent to lead * lift,
-    so it is c.
+    so it is c.  An early stop loses no root: by Gauss's lemma, two
+    rational roots of f in one residue would make it a double root mod p.
     """
     p = as_unipoly(p)
     if p.is_zero:
@@ -232,10 +246,15 @@ def rational_roots(p: UniPoly) -> frozenset[Fraction]:
         while q <= 2 * bound:
             q *= q
             r = (r - _eval_mod(f, r, q) * pow(_eval_mod(df, r, q), -1, q)) % q
-        c = lead * r % q
-        cand = Fraction(c - q if c > q // 2 else c, lead)
-        if _is_root(ints, cand):
-            roots.add(cand)
+            cand = _reconstruct(r, q)
+            if lead % cand.denominator == 0 and _is_root(f, cand):
+                roots.add(cand)
+                break
+        else:
+            c = lead * r % q
+            cand = Fraction(c - q if c > q // 2 else c, lead)
+            if _is_root(ints, cand):
+                roots.add(cand)
     return frozenset(roots)
 
 

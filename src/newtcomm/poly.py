@@ -49,7 +49,7 @@ from math import gcd, lcm
 from operator import add
 from typing import Iterable
 
-from .errors import InvalidInput, RingMismatch
+from .errors import InvalidInput, RingMismatch, is_int
 
 NEG_INF = float("-inf")
 
@@ -82,21 +82,21 @@ def _common(rows) -> tuple[list, int]:
 
 
 def _root_index(t) -> int:
-    if not isinstance(t, int) or t < 1:
+    if not is_int(t) or t < 1:
         raise InvalidInput("root index t must be a positive integer")
     return t
 
 
 def _zexponent(e) -> int:
     """e as a power of z in a Laurent ring, where z has every integer power."""
-    if not isinstance(e, int):
+    if not is_int(e):
         raise InvalidInput(f"z takes integer exponents, not {e!r}")
     return e
 
 
 def _exponent(e, var: str) -> int:
     """e as a power of var in a ring where var has only natural powers."""
-    if not isinstance(e, int) or e < 0:
+    if not is_int(e) or e < 0:
         raise InvalidInput(f"{var} takes non-negative integer exponents, not {e!r}")
     return e
 
@@ -278,7 +278,7 @@ def _dot(like, products):
 
 
 def _power(self, n: int):
-    if not isinstance(n, int) or (n < 0 and not self._laurent):
+    if not is_int(n) or (n < 0 and not self._laurent):
         raise InvalidInput("polynomial powers take non-negative integer exponents")
     live = [(i, s + j, c) for i, (s, ns) in enumerate(self._rows) for j, c in enumerate(ns) if c]
     if len(live) == 1:  # one term c * z^e * y^i: its power is c^n * z^(e*n) * y^(i*n)

@@ -211,6 +211,13 @@ class TestJsonOutput:
         assert len(payload["roots"]) == 61
         assert payload["matches_expected"] is True
 
+    def test_pm_json_m301(self, capsys):
+        code, out, _ = run(capsys, "pm", "--m", "301", "--json")
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["roots"]) == 151
+        assert payload["matches_expected"] is True
+
     def test_parity_json(self, capsys):
         code, out, _ = run(
             capsys, "parity", "--kind", "Ie", "--m", "2", "--f", "x^2", "--json"

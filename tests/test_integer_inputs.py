@@ -5,6 +5,8 @@ import pytest
 
 from newtcomm import (
     InvalidInput,
+    LaurentBiPoly,
+    LaurentPoly,
     build_family,
     certify_rank_one,
     first_integral,
@@ -34,6 +36,13 @@ CALLS = {
     "pm_witness": (lambda: pm_witness(5, True), r"k must satisfy 1 <= k <= \(m-1\)/2"),
     "rk4_flow": (lambda: rk4_flow(newton_derivation(X2), 0.5, 0.0, 0.1, steps=True),
                  "steps must be an integer, got True"),
+    "x_power": (lambda: LaurentPoly.x_power(True, 1), "root index t must be a positive integer"),
+    "laurent_y": (lambda: LaurentBiPoly.y(True), "root index t must be a positive integer"),
+    "power": (lambda: parse_unipoly("x") ** True,
+              "polynomial powers take non-negative integer exponents"),
+    "z_exponent": (lambda: LaurentPoly.term(1, True), "z takes integer exponents, not True"),
+    "y_exponent": (lambda: LaurentBiPoly.y_pow(1, True),
+                   "y takes non-negative integer exponents, not True"),
 }
 
 
@@ -50,3 +59,5 @@ def test_int_still_accepted():
     assert build_family(1).k == 1
     assert len(rk4_flow(newton_derivation(X2), 0.5, 0.0, 0.1, steps=1)) == 2
     assert substitute(1, 1, 2) is not None
+    assert LaurentPoly.x_power(1, 1) == LaurentPoly.term(1, 1)
+    assert parse_unipoly("x") ** 2 == parse_unipoly("x^2")

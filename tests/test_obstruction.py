@@ -75,6 +75,12 @@ class TestBuildObstruction:
         assert rational_roots(build_obstruction(201).P) == expected_root_set(201)
         assert time.perf_counter() - t0 < 3.0
 
+    @pytest.mark.parametrize("m", (301, 401, 601))
+    def test_roots_at_large_m_within_budget(self, m):
+        t0 = time.perf_counter()
+        assert rational_roots(build_obstruction(m).P) == expected_root_set(m)
+        assert time.perf_counter() - t0 < 3.0
+
     def test_expected_root_set_contents(self):
         assert expected_root_set(3) == frozenset({Fraction(1), Fraction(-3)})
         assert expected_root_set(5) == frozenset(
@@ -304,6 +310,30 @@ class TestRationalRoots:
             wrong = True
         assert wrong
 
+    def test_accepting_every_candidate_is_caught(self, monkeypatch):
+        """Mutation control: with the exact check accepting every candidate,
+        the first reconstruction whose denominator divides lc(f) is reported.
+        On (999983x - 1000003)(x^2 + 1), lifted from the residue 2 mod 3, that
+        is 2.  (x^2 - 2)(3x - 1) would not show it: 2 has no square root mod
+        its lifting prime 5, and the one residue, 1/3 mod 5, reconstructs to
+        1/3 at once."""
+        p = parse_unipoly("(999983*x - 1000003) * (x^2 + 1)")
+        assert rational_roots(p) == {Fraction(1000003, 999983)}
+        monkeypatch.setattr(obstruction, "_is_root", lambda a, r: True)
+        assert rational_roots(p) == {Fraction(2)}
+
+    @pytest.mark.parametrize("text", ("(999983*x - 1000003) * (x^2 + 1)",
+                                      "(1000033*x + 999979) * (x^4 - 29)"))
+    def test_wrong_early_reconstructions_are_rejected(self, text, monkeypatch):
+        """A root whose numerator and denominator are near 10^6 is not the
+        reconstruction at small q: the exact check rejects what comes first,
+        and lifting goes on to the root."""
+        real, seen = obstruction._is_root, []
+        monkeypatch.setattr(obstruction, "_is_root", lambda a, r: seen.append(r) or real(a, r))
+        roots = rational_roots(parse_unipoly(text))
+        assert roots == divisor_oracle(parse_unipoly(text)) and len(roots) == 1
+        assert seen[-1] in roots and any(r not in roots for r in seen)
+
     def test_constant_term_with_two_large_prime_factors(self):
         # a divisor search on a0 would trial-divide up to ~2^60
         n = 576460752303423619 * 1152921504606847009
@@ -344,6 +374,18 @@ def test_matches_divisor_oracle(factors, cofactor):
     for lin in factors:
         p = p * lin
     assert rational_roots(p) == divisor_oracle(p)
+
+
+near_a_million = st.integers(10**6 - 10**3, 10**6 + 10**3)
+
+
+@given(near_a_million, near_a_million, st.sampled_from((1, -1)),
+       st.sampled_from(("x^2 + 1", "x^4 - 29", "x^2 + x + 1")))
+def test_large_planted_root_matches_divisor_oracle(num, den, sign, cofactor):
+    """A root num/den near 10^6 over a cofactor with no rational root: the
+    reconstructions at small q are not the root, so lifting must go on."""
+    p = UniPoly([Fraction(-sign * num), Fraction(den)]) * parse_unipoly(cofactor)
+    assert rational_roots(p) == divisor_oracle(p) == {Fraction(sign * num, den)}
 
 
 PRIMES = (3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
