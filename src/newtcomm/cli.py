@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import commutant, family, flows, obstruction, parity, selftest
+from . import commutant, family, flows, obstruction, parity
 from .derivations import PlanarDerivation, hamiltonian
 from .errors import DegenerateRecurrence, NewtcommError, NotAMultiple, SingularDelta
 from .parsing import parse_bipoly, parse_unipoly
@@ -265,6 +265,8 @@ def _cmd_flow_check(args: argparse.Namespace) -> Result:
 
 
 def _cmd_selftest(args: argparse.Namespace) -> Result:
+    from . import selftest  # here only: no other subcommand pays for its import
+
     results = selftest.run_all(seed=args.seed)
     all_passed = all(r.passed for r in results)
     payload = {

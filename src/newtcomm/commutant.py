@@ -98,9 +98,9 @@ multiple exactly when q(H) delta_f rebuilds it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, lcm
+from typing import NamedTuple
 
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
 from .errors import HypothesisViolation, InvalidInput, NotAMultiple, RingMismatch, is_int
@@ -182,8 +182,7 @@ def _prefix(basis: tuple, M: int) -> tuple:
     return tuple(g for g in basis if g.y_degree <= M)
 
 
-@dataclass(frozen=True)
-class CommutantBasis:
+class CommutantBasis(NamedTuple):
     f: UniPoly
     M: int
     basis: tuple[PlanarDerivation, ...]
@@ -205,8 +204,7 @@ def solve_commutant(f: UniPoly, M: int) -> CommutantBasis:
     return CommutantBasis(f, M, tuple(solve_halves(f, M, (1, 0))))
 
 
-@dataclass(frozen=True)
-class HDecomposition:
+class HDecomposition(NamedTuple):
     """gamma = (sum_k q_coeffs[k] * H^k) * newton_derivation(f)."""
 
     q_coeffs: tuple[Fraction, ...]
@@ -308,8 +306,7 @@ def _graded_reason(X: int, M: int, lower: int) -> str | None:
     return None
 
 
-@dataclass(frozen=True)
-class RankOneCertificate:
+class RankOneCertificate(NamedTuple):
     """commutant holds the energy multiples, a basis of the whole commutant
     when passed; reason names the first weight piece, or the bound, that fails."""
 

@@ -8,12 +8,12 @@ act_x * e(y) - act_y * e(x).  Each value they return is one sum of
 products (``poly._dot``), normalised once.  One class serves every ring:
 a derivation's ring is the one ring of act_x and act_y, so == and hash
 compare ring and values.  ``LaurentDerivation`` is a constructor that also
-checks the declared root index.
+checks the declared root index.  A derivation is an immutable slotted
+object, like the ring values; it is no tuple, since it has operators of its
+own (``2 * d`` is no repetition).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import RingMismatch
 from .poly import BiPoly, UniPoly, _Dense, _dot, _ring_name, ring_name
@@ -31,16 +31,32 @@ def _same_ring(p, q, what: str) -> None:
                            f"they must lie in one ring of BiPoly values")
 
 
-@dataclass(frozen=True)
 class PlanarDerivation:
     """Derivation with act_x = D(x), act_y = D(y), of the ring both values
     lie in (Q[x,y] unless both lie in a Laurent ring)."""
 
-    act_x: BiPoly
-    act_y: BiPoly
+    __slots__ = ("act_x", "act_y")
 
-    def __post_init__(self):
-        _same_ring(self.act_x, self.act_y, "derivation values")
+    def __init__(self, act_x: BiPoly, act_y: BiPoly):
+        _same_ring(act_x, act_y, "derivation values")
+        _set_x(self, act_x)
+        _set_y(self, act_y)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.act_x == other.act_x and self.act_y == other.act_y
+
+    def __hash__(self):
+        return hash((self.act_x, self.act_y))
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}(act_x={self.act_x!r}, act_y={self.act_y!r})"
 
     @property
     def t(self) -> int:
@@ -113,6 +129,10 @@ class PlanarDerivation:
 
     def __str__(self):
         return f"(x -> {self.act_x}, y -> {self.act_y})"
+
+
+# The slots' setters: __setattr__ refuses every assignment after __init__
+_set_x, _set_y = PlanarDerivation.act_x.__set__, PlanarDerivation.act_y.__set__
 
 
 def LaurentDerivation(t: int, act_x: BiPoly, act_y: BiPoly) -> PlanarDerivation:

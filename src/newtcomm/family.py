@@ -27,11 +27,11 @@ a witness is one term, all over one denominator.  The bracket
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import isfinite
 from operator import mul
+from typing import NamedTuple
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput, is_int
@@ -39,8 +39,7 @@ from .obstruction import substitute
 from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear, _exact
 
 
-@dataclass(frozen=True)
-class LaurentFamily:
+class LaurentFamily(NamedTuple):
     k: int
     t: int
     a: tuple[Fraction, ...]  # a_0 .. a_{2k+1}

@@ -22,9 +22,8 @@ runs per call, and every float comes out as the loop gave it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput, SingularDelta, is_int
@@ -33,8 +32,7 @@ from .poly import BiPoly
 
 # ---------------------------------------------------------------- companions
 
-@dataclass(frozen=True)
-class LinearizationResult:
+class LinearizationResult(NamedTuple):
     delta: PlanarDerivation
     case_label: str
     change_of_coords: str | None = None
@@ -221,8 +219,7 @@ def _worst(errors: list[float]) -> float:
     return math.nan if any(map(math.isnan, errors)) else max(errors)
 
 
-@dataclass(frozen=True)
-class FlowCheckReport:
+class FlowCheckReport(NamedTuple):
     max_defect: float
     trajectory_error: float | None
     steps: int

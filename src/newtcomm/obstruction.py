@@ -33,17 +33,15 @@ nothing here uses floating point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import InvalidInput, is_int
 from .poly import UniPoly, _trim, as_unipoly
 
 
-@dataclass(frozen=True)
-class ObstructionPoly:
+class ObstructionPoly(NamedTuple):
     m: int
     P: UniPoly
 

@@ -26,7 +26,7 @@ certificate when it passes (the I half is the energy basis, the II half empty).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .commutant import _graded_reason, energy_basis, solve_halves
 from .derivations import PlanarDerivation
@@ -37,16 +37,14 @@ KINDS = ("Io", "IIo", "Ie", "IIe")
 _C_PARITY = {"Io": 1, "IIo": 0, "Ie": 1, "IIe": 0}  # index parity of the c-unknowns
 
 
-@dataclass(frozen=True)
-class SystemEquation:
+class SystemEquation(NamedTuple):
     label: str
     level: int
     form: str  # "C" = x-component shape, "D" = y-component shape
     text: str
 
 
-@dataclass(frozen=True)
-class ParitySystem:
+class ParitySystem(NamedTuple):
     kind: str
     m: int
     f: UniPoly
@@ -94,8 +92,7 @@ def build_system(kind: str, m: int, f: UniPoly) -> ParitySystem:
         for j in range(m + 1, -1, -1)))
 
 
-@dataclass(frozen=True)
-class SolutionSpace:
+class SolutionSpace(NamedTuple):
     basis: tuple[PlanarDerivation, ...]  # canonical echelon basis, one derivation per solution
     forced: frozenset  # unknowns identically zero across the solution set
 
@@ -128,8 +125,7 @@ def _read_off(c_par: int, basis: tuple[PlanarDerivation, ...], m_max: int):
         names[m_max - m:]).difference(held[:bisect_right(firsts, m)]))
 
 
-@dataclass(frozen=True)
-class LemmaCheck:
+class LemmaCheck(NamedTuple):
     name: str
     kind: str
     m: int
@@ -139,8 +135,7 @@ class LemmaCheck:
     detail: str
 
 
-@dataclass(frozen=True)
-class LemmaSuiteReport:
+class LemmaSuiteReport(NamedTuple):
     f: UniPoly
     m_max: int
     checks: tuple[LemmaCheck, ...]

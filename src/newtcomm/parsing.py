@@ -9,20 +9,37 @@ Grammar (whitespace insensitive)::
     atom     := NUMBER ['/' NUMBER] | 'x' | 'y' | '(' expr ')'
     exponent := NUMBER | '-' NUMBER | '(' ['-'] NUMBER ['/' NUMBER] ')'
 
+NUMBER is a run of decimal digits (``str.isdecimal``, what ``int`` reads);
 NUMBER '/' NUMBER is a rational literal (there is no division operator).
 Integer exponents apply to any subexpression; negative or fractional
 exponents are only meaningful on the bare variable x in a Laurent ring,
 where p/q needs q | t.  Canonical printing is the ``str()`` of each ring
-type; ``parse(str(p))`` returns ``p``.  One ring adapter, ``_Ring``,
-supplies the constants, variables and fractional powers of x of each ring.
+type; ``parse(str(p))`` returns ``p``.
+
+The text is split into tokens once, by one regular expression; a token's
+position is worked out only when an error names it.  A term of plain
+factors (literals, x, y, their integer powers, and a fractional power of
+the bare x) is read as one monomial n/d * y^i * z^e, with no ring
+operation, and each sum collects its monomials into one value through one
+``_make``.  Ring +, * and ** act only on parenthesised sub-expressions and
+their powers.  Parentheses and unary minus signs nest at most MAX_NESTING
+deep.  One ring adapter, ``_Ring``, supplies the class, the z-exponent of
+x and the fractional powers of x of each ring.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import ParseError, RingMismatch
-from .poly import BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, ring_name
+from .poly import _EMPTY, BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, ring_name
+
+MAX_NESTING = 100  # open parentheses plus pending unary minus signs
+
+# A run of decimal digits, or any one other character that is not whitespace
+_TOKEN = re.compile(r"\d+|\S")
 
 
 class _Ring:
@@ -34,153 +51,189 @@ class _Ring:
         self.t = t
         self.with_y = with_y
         self.name = ring_name(t, with_y)
+        self.cls = BiPoly if t is None else LaurentBiPoly
+        self.root = 1 if t is None else t  # x = z^root
 
-    def const(self, q):
-        return BiPoly.const(q) if self.t is None else LaurentBiPoly.const(self.t, q)
-
-    def var(self, name, pos):
-        if name == "x":
-            return BiPoly.x() if self.t is None else self.x_pow(1, pos)
-        if not self.with_y:
-            raise ParseError(f"variable {name} not allowed in {self.name}", pos)
-        return BiPoly.y() if self.t is None else LaurentBiPoly.y(self.t)
-
-    def x_pow(self, q, pos):
+    def x_exponent(self, q) -> int:
+        """The z-exponent of x^q, for q negative or fractional."""
         if self.t is None:
             raise RingMismatch(f"exponent {q} needs a Laurent ring, not {self.name}")
-        return LaurentBiPoly.from_laurent(LaurentPoly.x_power(self.t, q))
+        return LaurentPoly.x_power(self.t, q).shift
+
+    def make(self, monos: list):
+        """sum of n/d * y^i * z^e over the monomials (n, d, i, e), d > 0."""
+        den = lcm(*[d for _, d, _, _ in monos])
+        rows: dict[int, dict[int, int]] = {}
+        for n, d, i, e in monos:
+            row = rows.setdefault(i, {})
+            row[e] = row.get(e, 0) + n * (den // d)
+        out = []
+        for i in range(max(rows) + 1):
+            row = rows.get(i)
+            if row is None:
+                out.append(_EMPTY)
+            else:
+                lo = min(row)
+                out.append((lo, [row.get(e, 0) for e in range(lo, max(row) + 1)]))
+        return self.cls._make(self.root, out, den)
 
 
 class _Parser:
-    def __init__(self, text: str, ring):
+    """Recursive descent over the tokens of one text, with "" at the end.
+    A plain factor or term is a monomial tuple (n, d, i, e), any other a
+    ring value."""
+
+    def __init__(self, text: str, ring: _Ring):
         self.text = text
-        self.pos = 0
+        self.toks = _TOKEN.findall(text) + [""]
+        self.i = 0
         self.ring = ring
+        self.depth = 0
 
-    # -- lexing helpers ----------------------------------------------
+    def error(self, message: str, i: int, last: bool = False) -> ParseError:
+        """ParseError at token i (its last character if last), or at the
+        end of the text past the last token."""
+        spans = [m.span() for m in _TOKEN.finditer(self.text)]
+        return ParseError(message, spans[i][last] - last if i < len(spans) else len(self.text))
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+    def found(self, i: int) -> str:
+        return f"'{self.toks[i][0]}'" if self.toks[i] else "end of input"
 
-    def peek(self) -> str:
-        self._skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def nest(self, levels: int, first: int) -> None:
+        """Open levels of nesting at the tokens from first on."""
+        if self.depth + levels > MAX_NESTING:
+            raise self.error("expression nested too deeply", first + MAX_NESTING - self.depth)
+        self.depth += levels
 
-    def expect(self, ch: str):
-        got = self.peek()
-        if got != ch:
-            what = f"'{got}'" if got else "end of input"
-            raise ParseError(f"expected '{ch}', found {what}", self.pos)
-        self.pos += 1
-
-    def read_int(self) -> int:
-        self._skip_ws()
-        start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
-            self.pos += 1
-        if self.pos == start:
-            raise ParseError("expected a number", start)
-        return int(self.text[start:self.pos])
-
-    def read_rational(self) -> Fraction:
-        num = self.read_int()
-        if self.peek() == "/":
-            self.pos += 1
-            den = self.read_int()
-            if den == 0:
-                raise ParseError("zero denominator", self.pos - 1)
-            return Fraction(num, den)
-        return Fraction(num)
+    def close(self) -> None:
+        if self.toks[self.i] != ")":
+            raise self.error(f"expected ')', found {self.found(self.i)}", self.i)
+        self.i += 1
 
     # -- grammar -----------------------------------------------------
 
     def parse(self):
         value = self.expr()
-        self._skip_ws()
-        if self.pos < len(self.text):
-            raise ParseError(f"unexpected '{self.text[self.pos]}'", self.pos)
+        if self.toks[self.i]:
+            raise self.error(f"unexpected {self.found(self.i)}", self.i)
         return value
 
     def expr(self):
-        value = self.term()
+        """The sum of the terms as one ring value: the monomials through one
+        make, the other terms by ring +."""
+        monos, rest, toks, sign = [], None, self.toks, 1
         while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                value = value + self.term()
-            elif ch == "-":
-                self.pos += 1
-                value = value - self.term()
+            v = self.term(sign)
+            if type(v) is tuple:
+                monos.append(v)
             else:
-                return value
+                rest = v if rest is None else rest + v
+            tok = toks[self.i]
+            if tok != "+" and tok != "-":
+                break
+            sign = 1 if tok == "+" else -1
+            self.i += 1
+        if not monos:
+            return rest
+        value = self.ring.make(monos)
+        return value if rest is None else value + rest
 
-    def term(self):
-        value = self.factor()
-        while self.peek() == "*":
-            self.pos += 1
-            value = value * self.factor()
-        return value
+    def term(self, n: int):
+        """The product of the factors times n: a monomial, or a ring value if
+        a factor is one."""
+        d, i, e = 1, 0, 0
+        rest, toks = None, self.toks
+        while True:
+            v = self.factor()
+            if type(v) is tuple:
+                n, d, i, e = n * v[0], d * v[1], i + v[2], e + v[3]
+            else:
+                rest = v if rest is None else rest * v
+            if toks[self.i] != "*":
+                break
+            self.i += 1
+        if rest is None:
+            return n, d, i, e
+        return rest * self.ring.make([(n, d, i, e)])
 
     def factor(self):
-        if self.peek() == "-":
-            self.pos += 1
-            return -self.factor()
-        return self.power()
+        """Unary minus signs, then an atom with its exponent."""
+        toks, at = self.toks, self.i
+        while toks[at] == "-":
+            at += 1
+        minus = at - self.i
+        if minus:
+            self.nest(minus, self.i)
+        tok = toks[at]
+        self.i = at + 1
+        if tok == "x":
+            v = (1, 1, 0, self.ring.root)
+        elif tok == "y":
+            if not self.ring.with_y:
+                raise self.error(f"variable y not allowed in {self.ring.name}", at)
+            v = (1, 1, 1, 0)
+        elif tok.isdecimal():
+            v = (*self.rational(at), 0, 0)
+        elif tok == "(":
+            self.nest(1, at)
+            v = self.expr()
+            self.close()
+            self.depth -= 1
+        else:
+            raise self.error(f"unexpected {self.found(at)}", at)
+        if toks[self.i] == "^":
+            self.i += 1
+            k = self.exponent()
+            if type(k) is int and k >= 0:
+                v = (v[0] ** k, v[1] ** k, v[2] * k, v[3] * k) if type(v) is tuple else v ** k
+            elif tok == "x":
+                v = (1, 1, 0, self.ring.x_exponent(k))
+            else:
+                raise RingMismatch(f"exponent {k} is only allowed on x in a Laurent ring")
+        if minus:
+            self.depth -= minus
+            if minus % 2:
+                v = (-v[0], *v[1:]) if type(v) is tuple else -v
+        return v
 
-    def power(self):
-        bare_x = self.peek() == "x"
-        value = self.atom()
-        if self.peek() != "^":
-            return value
-        self.pos += 1
-        at = self.pos
-        exp = self.exponent()
-        if exp.denominator == 1 and exp >= 0:
-            return value ** int(exp)
-        if bare_x:
-            return self.ring.x_pow(exp, at)
-        raise RingMismatch(f"exponent {exp} is only allowed on x in a Laurent ring")
+    def rational(self, at: int) -> tuple[int, int]:
+        """(numerator, denominator) of the literal whose first token is at."""
+        toks = self.toks
+        if toks[at + 1] != "/":
+            self.i = at + 1
+            return int(toks[at]), 1
+        if not toks[at + 2].isdecimal():
+            raise self.error("expected a number", at + 2)
+        den = int(toks[at + 2])
+        if not den:
+            raise self.error("zero denominator", at + 2, last=True)
+        self.i = at + 3
+        return int(toks[at]), den
 
-    def exponent(self) -> Fraction:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            sign = 1
-            if self.peek() == "-":
-                self.pos += 1
-                sign = -1
-            q = self.read_rational()
-            self.expect(")")
-            return sign * q
-        if ch == "-":
-            self.pos += 1
-            return Fraction(-self.read_int())
-        return Fraction(self.read_int())
-
-    def atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            value = self.expr()
-            self.expect(")")
-            return value
-        if ch in ("x", "y"):
-            at = self.pos
-            self.pos += 1
-            return self.ring.var(ch, at)
-        if ch.isdigit():
-            return self.ring.const(self.read_rational())
-        what = f"'{ch}'" if ch else "end of input"
-        raise ParseError(f"unexpected {what}", self.pos)
+    def exponent(self) -> int | Fraction:
+        """The exponent after '^': an int, or a Fraction if not integral."""
+        toks, at = self.toks, self.i
+        paren = toks[at] == "("
+        at += paren
+        sign = -1 if toks[at] == "-" else 1
+        at += sign == -1
+        if not toks[at].isdecimal():
+            raise self.error("expected a number", at)
+        if not paren:
+            self.i = at + 1
+            return sign * int(toks[at])
+        num, den = self.rational(at)
+        self.close()
+        q = Fraction(sign * num, den)
+        return q.numerator if q.denominator == 1 else q
 
 
-def _run(text: str, ring):
+def _run(text: str, ring: _Ring):
     parser = _Parser(text, ring)
     try:
         return parser.parse()
     except RecursionError:
-        raise ParseError("expression nested too deeply", parser.pos) from None
+        raise parser.error("expression nested too deeply", parser.i) from None
 
 
 def parse_bipoly(text: str) -> BiPoly:

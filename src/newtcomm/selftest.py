@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import commutant, family, flows, obstruction, parity
 from .derivations import PlanarDerivation, hamiltonian, newton_derivation
@@ -18,8 +18,7 @@ from .parsing import parse_unipoly
 from .poly import BiPoly, UniPoly
 
 
-@dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(NamedTuple):
     name: str
     passed: bool
     detail: str

@@ -7,7 +7,6 @@ guard against the self-test itself going soft, and a mutation control
 verifies that a deliberately corrupted kernel is caught.
 """
 
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -147,7 +146,7 @@ class TestMutationControl:
         def perturbed(f, M):
             com = real(f, M)
             rogue = com.basis[-1] + PlanarDerivation(parse_bipoly("x"), parse_bipoly("y"))
-            return replace(com, basis=com.basis[:-1] + (rogue,))
+            return com._replace(basis=com.basis[:-1] + (rogue,))
 
         monkeypatch.setattr(commutant, "solve_commutant", perturbed)
         result = selftest.run_criterion_1()
@@ -181,7 +180,7 @@ class TestMutationControl:
 
         def dropped(sys):
             space = real(sys)
-            return replace(space, basis=space.basis[:-1])
+            return space._replace(basis=space.basis[:-1])
 
         monkeypatch.setattr(parity, "solve_system", dropped)
         result = selftest.run_criterion_3()
@@ -199,7 +198,7 @@ class TestMutationControl:
         """A companion delta = d commutes with d but is parallel to it: it
         must flip criterion 2 as not transversal."""
         real = flows.companion_for_linear
-        monkeypatch.setattr(flows, "companion_for_linear", lambda d: replace(real(d), delta=d))
+        monkeypatch.setattr(flows, "companion_for_linear", lambda d: real(d)._replace(delta=d))
         result = selftest.run_criterion_2()
         assert not result.passed
         assert result.detail.endswith(": companion not transversal"), result.detail

@@ -1,11 +1,15 @@
 """Command line interface: exit codes, output shapes, determinism."""
 
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import newtcomm
 from newtcomm import commutant, errors, obstruction
 from newtcomm.cli import main
 
@@ -66,10 +70,14 @@ class TestExitCodes:
             assert code == 2 and "error: " in err, bad
         code, _, err = run(capsys, "laurent-family", "--k", "2", "--a-top", "1/0")
         assert code == 2 and "error: " in err
-        # nesting deeper than the interpreter's stack is a parse error
+        # nesting deeper than parsing.MAX_NESTING is a parse error
         for deep in ("(" * 200 + "x" + ")" * 200, "-" * 1000 + "x"):
             code, _, err = run(capsys, "commutant", f"--f={deep}", "--max-deg-y", "1")
             assert code == 2 and "error: " in err, deep[:3]
+
+    def test_superscript_digit_is_a_positioned_error(self, capsys):
+        code, out, err = run(capsys, "certify", "--f", "x^\u00b2", "--max-deg-y", "3")
+        assert (code, out, err) == (2, "", "error: expected a number (at position 2)\n")
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
@@ -848,3 +856,13 @@ def test_selftest_smoke(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert len(payload["criteria"]) == 7
+
+
+def test_cli_import_leaves_selftest_unloaded():
+    """Only the selftest subcommand imports selftest (and parses its forces),
+    so every other subcommand starts without it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(newtcomm.__file__).resolve().parent.parent)}
+    probe = "import sys, newtcomm.cli; print(sorted(m for m in sys.modules if 'newtcomm' in m))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert "'newtcomm.cli'" in out and "'newtcomm.selftest'" not in out, out

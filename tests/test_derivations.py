@@ -17,8 +17,10 @@ from newtcomm import (
     hamiltonian,
     newton_derivation,
     parse_bipoly,
+    parse_laurent_bipoly,
     parse_unipoly,
 )
+from newtcomm import commutant, family, flows, obstruction, parity, selftest
 
 import derivation_oracle as oracle
 from strategies import (assert_normal_form, bipolys, derivations, laurentbipolys,
@@ -281,3 +283,61 @@ class TestEqualityAcrossClasses:
             5, LaurentBiPoly.y(5), LaurentBiPoly.y(5))
         assert d != PlanarDerivation(BiPoly.x(), BiPoly.y())
         assert d != (d.act_x, d.act_y) and d != "(x -> y, y -> x)"
+
+
+# Every result record and its fields, in order
+RECORDS = [
+    (commutant.CommutantBasis, ("f", "M", "basis")),
+    (commutant.HDecomposition, ("q_coeffs",)),
+    (commutant.RankOneCertificate, ("f", "M", "commutant", "decompositions",
+                                    "expected_dimension", "passed", "reason")),
+    (family.LaurentFamily, ("k", "t", "a", "alpha", "beta")),
+    (flows.LinearizationResult, ("delta", "case_label", "change_of_coords")),
+    (flows.FlowCheckReport, ("max_defect", "trajectory_error", "steps", "tolerance")),
+    (obstruction.ObstructionPoly, ("m", "P")),
+    (parity.SystemEquation, ("label", "level", "form", "text")),
+    (parity.ParitySystem, ("kind", "m", "f", "equations")),
+    (parity.SolutionSpace, ("basis", "forced")),
+    (parity.LemmaCheck, ("name", "kind", "m", "passed", "dimension", "forced", "detail")),
+    (parity.LemmaSuiteReport, ("f", "m_max", "checks")),
+    (selftest.CriterionResult, ("name", "passed", "detail", "seconds")),
+]
+
+
+class TestRecordSemantics:
+    """A derivation is an immutable slotted object with operators of its own,
+    not a tuple; the result records are named tuples of fixed fields."""
+
+    def test_assignment_refused(self):
+        d = PlanarDerivation(parse_bipoly("y"), parse_bipoly("x^3 - x"))
+        for name in ("act_x", "act_y", "other"):
+            with pytest.raises(AttributeError, match="PlanarDerivation is immutable"):
+                setattr(d, name, BiPoly.x())
+        with pytest.raises(AttributeError, match="PlanarDerivation is immutable"):
+            del d.act_x
+        assert d == NEWTON_D
+
+    def test_equal_derivations_hash_alike(self):
+        d = PlanarDerivation(parse_bipoly("y"), parse_bipoly("x^3 - x"))
+        assert d is not NEWTON_D and d == NEWTON_D and hash(d) == hash(NEWTON_D)
+        pair = (d.act_x, d.act_y)
+        assert d != pair and pair != d and not d == pair
+
+    def test_no_sequence_protocol(self):
+        d = NEWTON_D
+        for op in (lambda: 2 * d, lambda: d * 2, lambda: len(d), lambda: iter(d),
+                   lambda: d[0]):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_repr_text(self):
+        assert repr(NEWTON_D) == "PlanarDerivation(act_x=BiPoly[y], act_y=BiPoly[x^3 - x])"
+        d = LaurentDerivation(3, parse_laurent_bipoly("y", 3), parse_laurent_bipoly("x^(-5/3)", 3))
+        assert repr(d) == ("PlanarDerivation(act_x=LaurentBiPoly[t=3; y], "
+                           "act_y=LaurentBiPoly[t=3; x^(-5/3)])")
+
+    @pytest.mark.parametrize("record, fields", RECORDS, ids=[r.__name__ for r, _ in RECORDS])
+    def test_record_fields(self, record, fields):
+        assert record._fields == fields
+        assert record._field_defaults == (
+            {"change_of_coords": None} if record is flows.LinearizationResult else {})

@@ -4,7 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from newtcomm import (
     BiPoly,
@@ -17,8 +18,11 @@ from newtcomm import (
     parse_laurent_bipoly,
     parse_unipoly,
 )
+from newtcomm import parsing as nc_parsing
+from newtcomm.parsing import MAX_NESTING
 
-from strategies import bipolys, laurentpolys, unipolys
+import parse_oracle as oracle
+from strategies import bipolys, laurentbipolys, laurentpolys, unipolys
 
 
 class TestGrammar:
@@ -134,6 +138,39 @@ class TestErrors:
             parse_unipoly("x + 1)")
         assert e.value.position == 5
 
+    def test_nesting_bound(self):
+        """MAX_NESTING parentheses or unary minus signs parse; one more is a
+        ParseError at the one that opens the extra level."""
+        n = MAX_NESTING
+        assert parse_unipoly("(" * n + "x" + ")" * n) == UniPoly.x()
+        assert parse_unipoly("-" * n + "x") == UniPoly.x() * (-1) ** n
+        half = n // 2
+        assert parse_unipoly("-(" * half + "x" + ")" * half) == UniPoly.x() * (-1) ** half
+        for bad, at in (("(" * (n + 1) + "x" + ")" * (n + 1), n),
+                        ("-" * (n + 1) + "x", n),
+                        (" " + "(" * (n - 1) + "x - --" + ")" * (n - 1), n + 5)):
+            with pytest.raises(ParseError, match="^expression nested too deeply") as e:
+                parse_unipoly(bad)
+            assert e.value.position == at
+
+
+class TestDigits:
+    """A digit is what int reads: a decimal digit of any script."""
+
+    def test_superscript_digit_is_a_parse_error(self):
+        for text, message, at in (("x^²", "expected a number", 2),
+                                  ("²*x", "unexpected '²'", 0),
+                                  ("x^(1/²)", "expected a number", 5)):
+            with pytest.raises(ParseError) as e:
+                parse_unipoly(text)
+            assert str(e.value) == f"{message} (at position {at})"
+            assert e.value.position == at
+
+    def test_decimal_digits_of_any_script_parse(self):
+        assert parse_unipoly("٣*x") == UniPoly([0, 3])
+        assert parse_unipoly("x^٣ + 1٠/٤") == UniPoly([Fraction(5, 2), 0, 0, 1])
+        assert parse_bipoly("２*y") == 2 * BiPoly.y()  # a fullwidth 2
+
 
 class TestRoundTrips:
     @given(unipolys())
@@ -147,3 +184,108 @@ class TestRoundTrips:
     @given(laurentpolys())
     def test_laurent_round_trip(self, p):
         assert parse_laurent(p.to_text(), p.t) == p
+
+
+# -- the oracle: the parser on ring operations --------------------------------
+
+PARSERS = (
+    [("parse_bipoly", ()), ("parse_unipoly", ())]
+    + [("parse_laurent", (t,)) for t in (1, 2, 3, 6)]
+    + [("parse_laurent_bipoly", (t,)) for t in (1, 2, 3)]
+)
+
+# The texts of the fixed cases above, each an error in some ring
+FIXED_TEXTS = ("2*x + @", "2x", "x y", "1/0", "x + y", "x^(-1)", "", "(x + 1", "x +", "^2",
+               "x^^2", "x^(1/)", "x + 1)", "x^(1/2)", "y^(1/2)", "(x + 1)^(1/2)",
+               "x^(-5/3)", "x^2 - x^(-1)", "x*y^2 - x^(-1)", "x^\u00b2", "\u00b2*x",
+               "\u0663*x", " 2*x ^ 2+1 ", "-3/4*x", "(x + y)*(x - y)", "x^(1/\u00b2)")
+
+# Each number ends in a space, so that no two run together into one long
+# exponent: (x + y)^1212 would take both parsers minutes to expand
+TOKENS = ("x", "y", "0 ", "1 ", "2 ", "12 ", "3/4 ", "1/0 ", "+", "-", "*", "/", "^", "(", ")",
+          " ", "\t", "@", "\u00b2", "\u0663 ", "x^(1/2)", "x^(-2/3)", "x^-1 ", "(-1/2)")
+
+
+# The structured texts are (text, weight) pairs: the weight bounds the degree
+# of every value the text builds, and texts of weight above MAX_WEIGHT are
+# dropped, so that no tower of powers takes the parsers minutes to expand.
+MAX_WEIGHT = 24
+
+
+def _power_of_x():
+    """x^(p/q), x^p and x^-p: valid in a ring of root index t only if q | t."""
+    return st.one_of(
+        st.builds("x^({}/{})".format, st.integers(-6, 6), st.integers(0, 6)),
+        st.builds("x^({})".format, st.integers(-3, 3)),
+        st.builds("x^-{}".format, st.integers(0, 3))).map(lambda text: (text, 6))
+
+
+def _atoms():
+    return st.one_of(st.sampled_from((("x", 1), ("y", 1), ("0", 1), ("1", 1), ("2", 1),
+                                      ("5/3", 1), ("0/4", 1), ("x^2", 2), ("y^3", 3))),
+                     _power_of_x())
+
+
+def _spaced(parts):
+    """The parts joined with stray whitespace, or none, between them."""
+    return st.lists(st.sampled_from(("", "", " ", "  ", "\t")), min_size=len(parts),
+                    max_size=len(parts)).map(lambda ws: "".join(w + p for w, p in zip(ws, parts)))
+
+
+def _binary(inner, ops):
+    return st.tuples(inner, st.sampled_from(ops), inner).flatmap(
+        lambda p: _spaced([p[0][0], p[1], p[2][0]]).map(lambda text: (text, p[0][1] + p[2][1])))
+
+
+def _grown(inner):
+    """Sums, products, unary-minus chains and powers of parenthesised parts."""
+    return st.one_of(
+        _binary(inner, ("+", "-")),
+        _binary(inner, ("*",)),
+        st.tuples(st.integers(1, 4), inner).map(lambda p: ("-" * p[0] + p[1][0], p[1][1])),
+        st.tuples(inner, st.integers(0, 3)).map(
+            lambda p: (f"({p[0][0]})^{p[1]}", p[0][1] * max(p[1], 1))),
+        st.tuples(inner, st.sampled_from(("-1", "(1/2)", "(-2/2)"))).map(
+            lambda p: (f"({p[0][0]})^{p[1]}", p[0][1])),
+        inner.map(lambda p: (f"({p[0]})", p[1])))
+
+
+def texts():
+    return st.one_of(
+        unipolys().map(lambda p: p.to_text()),
+        bipolys().map(lambda p: p.to_text()),
+        st.sampled_from((1, 2, 3)).flatmap(laurentpolys).map(lambda p: p.to_text()),
+        laurentbipolys(2, 2, 3).map(lambda p: p.to_text()),
+        st.lists(st.sampled_from(TOKENS), max_size=12).map("".join),
+        st.recursive(_atoms(), _grown, max_leaves=12).filter(
+            lambda p: p[1] <= MAX_WEIGHT).map(lambda p: p[0]),
+        st.sampled_from(FIXED_TEXTS))
+
+
+def _outcome(parse, text, args):
+    """The value, or the exception's type, text and position."""
+    try:
+        return parse(text, *args)
+    except Exception as e:  # the oracle must raise the same
+        return type(e), str(e), getattr(e, "position", None)
+
+
+class TestMatchesOracle:
+    @settings(max_examples=600)
+    @given(texts(), st.sampled_from(PARSERS))
+    @example("x^(1/2) + y", ("parse_laurent_bipoly", (2,)))
+    @example("-(x + y)^2 - -x^(-1/3)*3/4", ("parse_laurent_bipoly", (3,)))
+    @example("(x^(1/2))^2", ("parse_laurent", (2,)))
+    def test_same_value_or_same_error(self, text, parser):
+        name, args = parser
+        got = _outcome(getattr(nc_parsing, name), text, args)
+        want = _outcome(getattr(oracle, name), text, args)
+        assert got == want and type(got) is type(want), (text, name, args)
+
+    def test_fixed_cases(self):
+        """Every fixed text in every ring, errors included."""
+        for text in FIXED_TEXTS:
+            for name, args in PARSERS:
+                got = _outcome(getattr(nc_parsing, name), text, args)
+                want = _outcome(getattr(oracle, name), text, args)
+                assert got == want and type(got) is type(want), (text, name, args)

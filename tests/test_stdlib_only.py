@@ -30,6 +30,15 @@ def test_imports_are_stdlib_or_relative(path):
     assert outside == [], f"{path.name} imports {outside}"
 
 
+def test_no_dataclasses():
+    """The records are named tuples and the derivation a slotted class, so
+    no module pays for creating dataclasses at import."""
+    users = [path.name for path in SOURCES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Import) and any(a.name == "dataclasses" for a in node.names)
+             or isinstance(node, ast.ImportFrom) and node.module == "dataclasses"]
+    assert users == []
+
+
 DYNAMIC = {"exec", "eval", "compile"}
 
 
