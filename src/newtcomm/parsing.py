@@ -34,7 +34,7 @@ from fractions import Fraction
 from math import lcm
 
 from .errors import ParseError, RingMismatch
-from .poly import _EMPTY, BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, ring_name
+from .poly import _EMPTY, BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, _root_index, ring_name
 
 MAX_NESTING = 100  # open parentheses plus pending unary minus signs
 
@@ -61,20 +61,21 @@ class _Ring:
         return LaurentPoly.x_power(self.t, q).shift
 
     def make(self, monos: list):
-        """sum of n/d * y^i * z^e over the monomials (n, d, i, e), d > 0."""
+        """sum of n/d * y^i * z^e over the monomials (n, d, i, e), d > 0.
+        The rows span the nonzero terms only, so 0*x^N or x^N - x^N costs
+        nothing however large N is."""
         den = lcm(*[d for _, d, _, _ in monos])
-        rows: dict[int, dict[int, int]] = {}
+        terms: dict[tuple[int, int], int] = {}
         for n, d, i, e in monos:
-            row = rows.setdefault(i, {})
-            row[e] = row.get(e, 0) + n * (den // d)
-        out = []
-        for i in range(max(rows) + 1):
-            row = rows.get(i)
-            if row is None:
-                out.append(_EMPTY)
-            else:
-                lo = min(row)
-                out.append((lo, [row.get(e, 0) for e in range(lo, max(row) + 1)]))
+            terms[i, e] = terms.get((i, e), 0) + n * (den // d)
+        rows: dict[int, dict[int, int]] = {}
+        for (i, e), c in terms.items():
+            if c:
+                rows.setdefault(i, {})[e] = c
+        out = [_EMPTY] * (max(rows, default=-1) + 1)
+        for i, row in rows.items():
+            lo = min(row)
+            out[i] = (lo, [row.get(e, 0) for e in range(lo, max(row) + 1)])
         return self.cls._make(self.root, out, den)
 
 
@@ -247,10 +248,11 @@ def parse_unipoly(text: str) -> UniPoly:
 
 
 def parse_laurent(text: str, t: int) -> LaurentPoly:
-    """Parse an element of Q[x^(1/t), x^(-1/t)]."""
-    return _run(text, _Ring(t, with_y=False)).ycoeff(0)
+    """Parse an element of Q[x^(1/t), x^(-1/t)]; t must be a positive int,
+    checked before the text is read."""
+    return _run(text, _Ring(_root_index(t), with_y=False)).ycoeff(0)
 
 
 def parse_laurent_bipoly(text: str, t: int) -> LaurentBiPoly:
-    """Parse an element of Q[x^(1/t), x^(-1/t), y]."""
-    return _run(text, _Ring(t, with_y=True))
+    """Parse an element of Q[x^(1/t), x^(-1/t), y]; t as in parse_laurent."""
+    return _run(text, _Ring(_root_index(t), with_y=True))

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from newtcomm import (
     BiPoly,
+    InvalidInput,
+    LaurentBiPoly,
     LaurentPoly,
     ParseError,
     RingMismatch,
@@ -92,6 +94,16 @@ class TestLaurentGrammar:
         assert w.ycoeff(2) == LaurentPoly.term(1, 1)
         assert w.ycoeff(0) == LaurentPoly.term(1, -1, -1)
 
+    @pytest.mark.parametrize("t", [0, -1, True, 2.0, "2", None])
+    def test_bad_root_index_refused(self, t):
+        """A root index that is not a positive int is refused before the
+        text is read, whatever the text holds."""
+        for parse in (parse_laurent, parse_laurent_bipoly):
+            for text in ("x + 1", "1", "y", ")"):
+                with pytest.raises(InvalidInput,
+                                   match="^root index t must be a positive integer$"):
+                    parse(text, t)
+
 
 class TestErrors:
     def test_position_reported(self):
@@ -152,6 +164,24 @@ class TestErrors:
             with pytest.raises(ParseError, match="^expression nested too deeply") as e:
                 parse_unipoly(bad)
             assert e.value.position == at
+
+
+class TestZeroTerms:
+    """Terms that are zero or cancel add nothing to the value, however high
+    their degree."""
+
+    N = 10**8
+
+    def test_zero_terms_are_dropped(self):
+        n = self.N
+        for text in (f"0*x^{n} + 1", f"x^{n} - x^{n} + 1", f"1 + 0*x^{n}*y^{n}",
+                     f"(0*x^{n} + 1)*(x^{n} - x^{n} + 1)"):
+            assert parse_unipoly(text.replace("*y^", "*x^")) == 1
+            assert parse_bipoly(text) == 1
+            assert parse_laurent(text.replace("*y^", "*x^"), 3) == LaurentPoly.const(3, 1)
+            assert parse_laurent_bipoly(text, 2) == LaurentBiPoly.const(2, 1)
+        assert parse_bipoly(f"0*y^{n} + x") == BiPoly.x()
+        assert parse_laurent_bipoly(f"y - 0*y^{n}*x^(-{n})", 1) == LaurentBiPoly.y(1)
 
 
 class TestDigits:
