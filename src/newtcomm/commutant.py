@@ -73,7 +73,10 @@ pieces of nullity 1 are exactly those at a = 0 and even m, where the top forms
 H_0^k d_0 of the energy basis lie: the bounds then meet, so C_M(delta_f) is
 spanned by energy_basis(f, M), which is its canonical basis.  That tuple is
 itself in reduced echelon form because H(0, y) = y^2 (hamiltonian
-integrates f with constant term 0).
+integrates f with constant term 0).  The verdict needs only the length of
+that tuple, (M+1)//2, so certify_rank_one does not build it: the
+certificate's commutant property spells the basis out anew on each read,
+so a caller reads it once.
 
 The bounds hold half by half, so a passing certificate also gives each
 half of the level system at y-degree M with no solve.  A piece (m, a) has
@@ -307,40 +310,43 @@ def _graded_reason(X: int, M: int, lower: int) -> str | None:
 
 
 class RankOneCertificate(NamedTuple):
-    """commutant holds the energy multiples, a basis of the whole commutant
-    when passed; reason names the first weight piece, or the bound, that fails."""
+    """The verdict on the weight pieces; reason names the first piece, or the
+    bound, that fails.  The energy multiples, a basis of the whole commutant
+    when passed, are not stored: each read of commutant builds
+    energy_basis(f, M) anew, so read it once."""
 
     f: UniPoly
     M: int
-    commutant: CommutantBasis
-    decompositions: tuple[HDecomposition, ...]
     expected_dimension: int
     passed: bool
     reason: str | None
 
     @property
     def dimension(self) -> int:
-        return self.commutant.dimension
+        """len(energy_basis(f, M)), for every M >= 0."""
+        return (self.M + 1) // 2
+
+    @property
+    def commutant(self) -> CommutantBasis:
+        return CommutantBasis(self.f, self.M, energy_basis(self.f, self.M))
+
+    @property
+    def decompositions(self) -> tuple[HDecomposition, ...]:
+        """q = H^k for each basis element H^k delta_f, k descending."""
+        return tuple(HDecomposition((Fraction(0),) * k + (Fraction(1),))
+                     for k in reversed(range(self.dimension)))
 
 
 def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
     """Certify that every commuting derivation up to y-degree M is an
     energy-polynomial multiple of the base derivation (needs deg f >= 2),
-    from the weight pieces of its leading form (module docstring)."""
+    from the weight pieces of its leading form (module docstring), without
+    building the basis."""
     f = as_unipoly(f)
     if f.degree < 2:
         raise HypothesisViolation("certification requires deg f >= 2")
     if not is_int(M) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
-    canon = energy_basis(f, M)
-    reason = _graded_reason(f.degree, M, len(canon))
-    return RankOneCertificate(
-        f=f,
-        M=M,
-        commutant=CommutantBasis(f, M, canon),
-        decompositions=tuple(HDecomposition((Fraction(0),) * (len(canon) - 1 - i) + (Fraction(1),))
-                             for i in range(len(canon))),
-        expected_dimension=(M - 1) // 2 + 1,
-        passed=reason is None,
-        reason=reason,
-    )
+    reason = _graded_reason(f.degree, M, (M + 1) // 2)
+    return RankOneCertificate(f=f, M=M, expected_dimension=(M - 1) // 2 + 1,
+                              passed=reason is None, reason=reason)

@@ -175,6 +175,8 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     With deg f >= 2 and a passing certificate at m_max, the I half is that
     energy basis and the II half is empty (the certificate lemma in the
     commutant module docstring, half by half): no solve, no ParitySystem.
+    Otherwise each half is one solve_halves at m_max, again with no
+    ParitySystem.
     """
     f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
@@ -185,8 +187,7 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     if f.degree >= 2 and _graded_reason(f.degree, m_max, len(energy)) is None:
         tops = {1: energy, 0: ()}
     else:
-        tops = {_C_PARITY[kind]: solve_system(build_system(kind, m_max, f)).basis
-                for kind in (KINDS[:2] if m_max % 2 else KINDS[2:])}
+        tops = {par: tuple(solve_halves(f, m_max, (par,))) for par in (1, 0)}
     spaces = {par: _read_off(par, top, m_max) for par, top in tops.items()}
     checks = [_check_one(kind, m, spaces[_C_PARITY[kind]](m), energy) for kind in KINDS
               for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]

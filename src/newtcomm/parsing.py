@@ -9,7 +9,9 @@ Grammar (whitespace insensitive)::
     atom     := NUMBER ['/' NUMBER] | 'x' | 'y' | '(' expr ')'
     exponent := NUMBER | '-' NUMBER | '(' ['-'] NUMBER ['/' NUMBER] ')'
 
-NUMBER is a run of decimal digits (``str.isdecimal``, what ``int`` reads);
+NUMBER is a run of decimal digits (``str.isdecimal``, what ``int`` reads),
+and a ParseError at its position if it has more digits than ``int`` reads
+(the interpreter's limit, ``sys.get_int_max_str_digits``);
 NUMBER '/' NUMBER is a rational literal (there is no division operator).
 Integer exponents apply to any subexpression; negative or fractional
 exponents are only meaningful on the bare variable x in a Laurent ring,
@@ -197,19 +199,27 @@ class _Parser:
                 v = (-v[0], *v[1:]) if type(v) is tuple else -v
         return v
 
+    def number(self, at: int) -> int:
+        """The value of the NUMBER token at; one with more digits than int
+        reads (the interpreter's limit) is a ParseError there."""
+        try:
+            return int(self.toks[at])
+        except ValueError:
+            raise self.error(f"number too long: {len(self.toks[at])} digits", at) from None
+
     def rational(self, at: int) -> tuple[int, int]:
         """(numerator, denominator) of the literal whose first token is at."""
-        toks = self.toks
+        toks, num = self.toks, self.number(at)
         if toks[at + 1] != "/":
             self.i = at + 1
-            return int(toks[at]), 1
+            return num, 1
         if not toks[at + 2].isdecimal():
             raise self.error("expected a number", at + 2)
-        den = int(toks[at + 2])
+        den = self.number(at + 2)
         if not den:
             raise self.error("zero denominator", at + 2, last=True)
         self.i = at + 3
-        return int(toks[at]), den
+        return num, den
 
     def exponent(self) -> int | Fraction:
         """The exponent after '^': an int, or a Fraction if not integral."""
@@ -222,7 +232,7 @@ class _Parser:
             raise self.error("expected a number", at)
         if not paren:
             self.i = at + 1
-            return sign * int(toks[at])
+            return sign * self.number(at)
         num, den = self.rational(at)
         self.close()
         q = Fraction(sign * num, den)

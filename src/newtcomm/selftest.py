@@ -49,10 +49,11 @@ def run_criterion_1(seed: int = 0) -> CriterionResult:
     failures, uncertified, total = [], [], 0
     for f in ACCEPTANCE_FORCES:
         basis = commutant.solve_commutant(f, 31).basis
-        cert = commutant.certify_rank_one(f, 31)  # holds energy_basis(f, 31)
+        cert = commutant.certify_rank_one(f, 31)
+        energy = cert.commutant.basis  # each read builds energy_basis(f, 31)
         for M in range(1, 32, 2):
             total += 1
-            if (got := commutant._prefix(basis, M)) != cert.commutant.basis[-((M + 1) // 2):]:
+            if (got := commutant._prefix(basis, M)) != energy[-((M + 1) // 2):]:
                 failures.append(f"f={f}, M={M}: dimension {len(got)}, not the energy basis")
         if not cert.passed:
             uncertified.append(f"f={f}, M=31: certificate fails: {cert.reason}")

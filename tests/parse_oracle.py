@@ -75,7 +75,10 @@ class _Parser:
             self.pos += 1
         if self.pos == start:
             raise ParseError("expected a number", start)
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:  # more digits than int reads
+            raise ParseError(f"number too long: {self.pos - start} digits", start) from None
 
     def read_rational(self) -> Fraction:
         num = self.read_int()

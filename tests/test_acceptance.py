@@ -58,6 +58,16 @@ class TestAcceptanceCriteria:
         assert calls == [(name, f, 31) for f in selftest.ACCEPTANCE_FORCES
                          for name in ("solve_commutant", "certify_rank_one")]
 
+    def test_criterion_1_builds_each_energy_basis_once(self, monkeypatch):
+        """Each read of the certificate's commutant builds the energy basis:
+        criterion 1 reads it once per force, not once per M."""
+        calls = []
+        real = commutant.energy_basis
+        monkeypatch.setattr(commutant, "energy_basis",
+                            lambda f, M: calls.append(str(f)) or real(f, M))
+        assert selftest.run_criterion_1().passed
+        assert len(calls) == len(set(calls)) <= len(selftest.ACCEPTANCE_FORCES), calls
+
     def test_criterion_2_negative_controls(self):
         _check(selftest.run_criterion_2(), 30)
 
@@ -193,6 +203,17 @@ class TestMutationControl:
         monkeypatch.setattr(parity, "energy_basis", lambda f, M: real(f, M)[:-1])
         result = selftest.run_criterion_3()
         assert not result.passed
+
+    def test_dropped_energy_multiple_flips_criterion_1(self, monkeypatch):
+        """An energy basis that loses delta_f must flip criterion 1 through
+        its comparison with the integrator, while every certificate, which
+        builds no basis, still passes."""
+        real = commutant.energy_basis
+        monkeypatch.setattr(commutant, "energy_basis", lambda f, M: real(f, M)[:-1])
+        result = selftest.run_criterion_1()
+        assert not result.passed
+        assert "not the energy basis" in result.detail, result.detail
+        assert all(commutant.certify_rank_one(f, 31).passed for f in selftest.ACCEPTANCE_FORCES)
 
     def test_non_transversal_companion_is_caught(self, monkeypatch):
         """A companion delta = d commutes with d but is parallel to it: it

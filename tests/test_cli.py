@@ -79,6 +79,12 @@ class TestExitCodes:
         code, out, err = run(capsys, "certify", "--f", "x^\u00b2", "--max-deg-y", "3")
         assert (code, out, err) == (2, "", "error: expected a number (at position 2)\n")
 
+    def test_overlong_number_is_a_positioned_error(self, capsys):
+        """More digits than int reads is a parse error, not the interpreter's
+        ValueError text."""
+        code, out, err = run(capsys, "certify", "--f", "1" * 5000 + "*x^2", "--max-deg-y", "3")
+        assert (code, out, err) == (2, "", "error: number too long: 5000 digits (at position 0)\n")
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

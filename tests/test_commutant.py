@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from newtcomm import (
+    CommutantBasis,
     HDecomposition,
     HypothesisViolation,
     InvalidInput,
@@ -30,7 +31,7 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
-from newtcomm import commutant, obstruction, poly
+from newtcomm import commutant, obstruction, poly, selftest
 from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, _C_PARITY, _read_off, build_system, coefficient, solve_system
@@ -256,6 +257,19 @@ class TestDecomposeInH:
                 decompose_in_H(f, LaurentDerivation(t, gx, gy))
 
 
+def _failed_criterion_1() -> str:
+    """The detail of selftest criterion 1, which each mutation of the pieces
+    below must fail through its certificate."""
+    result = selftest.run_criterion_1()
+    assert not result.passed
+    return result.detail
+
+
+GRADED_FORCES = ("-3*x^2 + x - 1/2", "2/5*x^3 - x^2 + 7", "x^4 - 3*x^3 + x",
+                 "-x^5 + 1/3*x^4 - 2", "7/2*x^6 + x - 1", "x^7 - 2*x^5 + 3/4*x^2",
+                 "-1/9*x^8 + x^3 - x", DEGREE_9_F)
+
+
 class TestCertifyRankOne:
     def test_passes_for_acceptance_forces(self):
         for f_text in FORCES:
@@ -266,18 +280,34 @@ class TestCertifyRankOne:
                 assert cert.expected_dimension == (M - 1) // 2 + 1
                 assert cert.commutant.dimension == cert.expected_dimension
 
-    @pytest.mark.parametrize("f_text", [
-        "-3*x^2 + x - 1/2", "2/5*x^3 - x^2 + 7", "x^4 - 3*x^3 + x", "-x^5 + 1/3*x^4 - 2",
-        "7/2*x^6 + x - 1", "x^7 - 2*x^5 + 3/4*x^2", "-1/9*x^8 + x^3 - x", DEGREE_9_F])
+    @pytest.mark.parametrize("f_text", GRADED_FORCES)
     def test_basis_is_the_integrators_basis(self, f_text):
         """The graded certificate returns solve_commutant's basis, for forces
-        of degree 2..9 with lower terms, M <= 21 (read off one solve)."""
+        of degree 2..9 with lower terms, M <= 21 (read off one solve), and
+        its dimension counts that basis."""
         f = parse_unipoly(f_text)
         top = solve_commutant(f, 21).basis
         for M in range(22):
             cert = certify_rank_one(f, M)
             assert cert.passed, (M, cert.reason)
-            assert cert.commutant.basis == _prefix(top, M), M
+            basis = cert.commutant.basis
+            assert basis == _prefix(top, M) == energy_basis(f, M), M
+            assert cert.dimension == len(basis) == cert.expected_dimension, M
+
+    @pytest.mark.parametrize("f_text", GRADED_FORCES)
+    def test_verdict_builds_no_basis(self, monkeypatch, f_text):
+        """certify_rank_one decides from the pieces alone: with energy_basis
+        made to raise, passed, reason and dimension are those the basis gives."""
+        f = parse_unipoly(f_text)
+        dimensions = [len(energy_basis(f, M)) for M in range(22)]
+
+        def refused(f, M):
+            raise AssertionError("certify_rank_one built the energy basis")
+
+        monkeypatch.setattr(commutant, "energy_basis", refused)
+        for M in range(22):
+            cert = certify_rank_one(f, M)
+            assert (cert.passed, cert.reason, cert.dimension) == (True, None, dimensions[M]), M
 
     @pytest.mark.parametrize("X", [1, 2, 3, 5, 9])
     def test_piece_nullities_sum_to_the_commutant_dimension(self, X):
@@ -312,6 +342,7 @@ class TestCertifyRankOne:
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
         assert cert.reason == "piece (m, a) = (4, 0) at X = 2 has a zero super entry"
+        assert "certificate fails: " in _failed_criterion_1()
 
     def test_skipped_offset_0_pieces_are_caught(self, monkeypatch):
         """Mutation control: without the a = 0 pieces, where the energy
@@ -322,6 +353,7 @@ class TestCertifyRankOne:
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
         assert cert.reason == "the weight pieces at X = 2 bound the dimension by 0, not 3"
+        assert "certificate fails: " in _failed_criterion_1()
 
     def test_pieces_at_X_1_are_caught(self, monkeypatch):
         """Mutation control: the pieces read at X = 1, as if deg f were 1:
@@ -331,6 +363,7 @@ class TestCertifyRankOne:
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
         assert cert.reason == "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0"
+        assert "certificate fails: " in _failed_criterion_1()
 
     def test_energy_basis_is_descending_powers(self, monkeypatch):
         """(H^s delta_f, ..., delta_f), s = floor((M-1)/2), written from the
@@ -361,11 +394,28 @@ class TestCertifyRankOne:
             certify_rank_one(parse_unipoly("x^2"), M)
 
     def test_decompositions_reconstruct(self):
-        f = parse_unipoly("x^5 + 2*x^2 - 1")
-        cert = certify_rank_one(f, 5)
-        for g, dec in zip(cert.commutant.basis, cert.decompositions):
-            assert dec is not None
-            assert dec.reconstruct(f) == g
+        """One unit decomposition per basis element, and each rebuilds its
+        element."""
+        for f in map(parse_unipoly, ("x^5 + 2*x^2 - 1", "-1/9*x^8 + x^3 - x")):
+            for M in range(10):
+                cert = certify_rank_one(f, M)
+                basis, decs = cert.commutant.basis, cert.decompositions
+                assert len(decs) == len(basis) == cert.dimension, (f, M)
+                for g, dec in zip(basis, decs):
+                    assert dec.reconstruct(f) == g, (f, M)
+
+    def test_replace_moves_the_derived_fields(self):
+        """dimension, commutant and decompositions follow the stored fields
+        of a _replace; they are not fields themselves."""
+        f, g = parse_unipoly("x^2"), parse_unipoly("x^3 - x")
+        cert = certify_rank_one(f, 5)._replace(f=g, M=7, passed=False, reason="moved")
+        assert cert == (g, 7, 3, False, "moved")
+        assert cert.dimension == 4
+        assert cert.commutant == CommutantBasis(g, 7, energy_basis(g, 7))
+        assert cert.decompositions == certify_rank_one(g, 7).decompositions
+        for name in ("commutant", "decompositions", "dimension"):
+            with pytest.raises(ValueError, match="unexpected field names"):
+                cert._replace(**{name: None})
 
 
 ENERGY_FORCES = DEGENERATE_FORCES + FORCES + (

@@ -289,8 +289,7 @@ class TestEqualityAcrossClasses:
 RECORDS = [
     (commutant.CommutantBasis, ("f", "M", "basis")),
     (commutant.HDecomposition, ("q_coeffs",)),
-    (commutant.RankOneCertificate, ("f", "M", "commutant", "decompositions",
-                                    "expected_dimension", "passed", "reason")),
+    (commutant.RankOneCertificate, ("f", "M", "expected_dimension", "passed", "reason")),
     (family.LaurentFamily, ("k", "t", "a", "alpha", "beta")),
     (flows.LinearizationResult, ("delta", "case_label", "change_of_coords")),
     (flows.FlowCheckReport, ("max_defect", "trajectory_error", "steps", "tolerance")),

@@ -256,12 +256,26 @@ def test_lemma_suite_solves_each_half_once_without_certificate(monkeypatch, m_ma
     if fail_certificate:
         monkeypatch.setattr(parity, "_graded_reason", lambda X, M, lower: "forced failure")
     calls = []
-    solve = parity.solve_system
-    monkeypatch.setattr(parity, "solve_system",
-                        lambda sys: calls.append((sys.kind, sys.m)) or solve(sys))
+    solve = parity.solve_halves
+    monkeypatch.setattr(parity, "solve_halves",
+                        lambda f, m, pars: calls.append((pars, m)) or solve(f, m, pars))
     assert check_lemma_suite(f, m_max, allow_low_degree=True) == want
-    assert sorted(calls) == ([("IIo", m_max), ("Io", m_max)] if m_max % 2
-                             else [("IIe", m_max), ("Ie", m_max)])
+    assert sorted(calls) == [((0,), m_max), ((1,), m_max)]
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 9, 16])
+@pytest.mark.parametrize("f_text", ["x", "0"])
+def test_low_degree_suite_builds_no_system(monkeypatch, f_text, m_max):
+    """deg f < 2 under allow_low_degree: the halves come from the integrator
+    with no equation texts built, and the report equals the per-system oracle."""
+    f = parse_unipoly(f_text)
+    want = lemma_oracle.lemma_suite(f, m_max)
+    built = []
+    build = parity.build_system
+    monkeypatch.setattr(parity, "build_system",
+                        lambda kind, m, f: built.append(kind) or build(kind, m, f))
+    assert check_lemma_suite(f, m_max, allow_low_degree=True) == want
+    assert built == []
 
 
 @settings(deadline=None)

@@ -202,6 +202,33 @@ class TestDigits:
         assert parse_bipoly("２*y") == 2 * BiPoly.y()  # a fullwidth 2
 
 
+class TestLongNumbers:
+    """A number with more digits than int reads (4300, the interpreter's
+    default limit) is a ParseError at its token, in every ring."""
+
+    PARSERS = (parse_unipoly, parse_bipoly, lambda text: parse_laurent(text, 3),
+               lambda text: parse_laurent_bipoly(text, 3))
+
+    @pytest.mark.parametrize("text, at", [
+        ("1" * 5000 + "*x^2", 0),
+        ("x + 1/" + "7" * 5000, 6),
+        ("x^" + "9" * 5000, 2),
+        ("x^(" + "6" * 5000 + "/3) + 1", 3),
+    ], ids=["literal", "denominator", "exponent", "parenthesised-exponent"])
+    def test_is_a_positioned_parse_error(self, text, at):
+        for parse in self.PARSERS:
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == f"number too long: 5000 digits (at position {at})"
+            assert e.value.position == at
+
+    def test_4300_digits_still_parse(self):
+        n = int("1" * 4300)
+        assert parse_unipoly("1" * 4300 + "*x") == UniPoly([0, n])
+        assert parse_bipoly("1/" + "1" * 4300 + "*y") == Fraction(1, n) * BiPoly.y()
+        assert parse_laurent("x^(" + "1" * 4300 + "/3)", 3) == LaurentPoly.term(3, n)
+
+
 class TestRoundTrips:
     @given(unipolys())
     def test_unipoly_round_trip(self, p):
@@ -228,7 +255,9 @@ PARSERS = (
 FIXED_TEXTS = ("2*x + @", "2x", "x y", "1/0", "x + y", "x^(-1)", "", "(x + 1", "x +", "^2",
                "x^^2", "x^(1/)", "x + 1)", "x^(1/2)", "y^(1/2)", "(x + 1)^(1/2)",
                "x^(-5/3)", "x^2 - x^(-1)", "x*y^2 - x^(-1)", "x^\u00b2", "\u00b2*x",
-               "\u0663*x", " 2*x ^ 2+1 ", "-3/4*x", "(x + y)*(x - y)", "x^(1/\u00b2)")
+               "\u0663*x", " 2*x ^ 2+1 ", "-3/4*x", "(x + y)*(x - y)", "x^(1/\u00b2)",
+               *(text.replace("N", "1" * 5000) for text in (  # more digits than int reads
+                   "N*x", "x + 1/N", "x^N", "x^(1/N)", "x^(-N)", "N/", "N/0")))
 
 # Each number ends in a space, so that no two run together into one long
 # exponent: (x + y)^1212 would take both parsers minutes to expand
