@@ -362,12 +362,16 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)  # an answer may pass it; the parser keeps MAX_DIGITS
     try:
         payload, human, code = args.func(args)
     except (NewtcommError, ValueError) as exc:  # a failed check exits 1, bad input 2
         failed = isinstance(exc, (NotAMultiple, SingularDelta, DegenerateRecurrence))
         print(f"{'fail' if failed else 'error'}: {exc}", file=sys.stderr)
         return 1 if failed else 2
+    finally:
+        sys.set_int_max_str_digits(limit)
     print(json.dumps(payload, indent=2, sort_keys=True) if args.json else "\n".join(human))
     return code
 

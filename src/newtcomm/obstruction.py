@@ -12,6 +12,10 @@ condition; at integer X >= 1 a piece whose offset is not 0 or 1 modulo
 X + 1 has only the zero solution.  [d, gamma] = 0 is a square tridiagonal
 system in b_0, c_0, b_1, c_1, ... (``ansatz_rows``), solved at one slope by
 forward substitution (``substitute``) for the certificate and ``family``.
+Number its rows x_0, y_1, x_1, ... from i = 0 (x_0 dropped at a = 0): row i
+has sub entry m + 1 - i, diagonal -1 (i even) or -X (i odd) and super entry
+a + floor(i/2) + ceil(i/2) X.  ``substitute`` computes them from i;
+``ansatz_rows`` lists the same matrix, and a test ties the two.
 At a = 1 and odd m its determinant, a continuant, is -P_m: its roots are the
 slopes with a symmetry.  P_m keeps its content and its Z[X] form on integer
 lists, for root finding (on UniPoly operators it took 3-11 times as long).
@@ -46,6 +50,13 @@ class ObstructionPoly(NamedTuple):
     P: UniPoly
 
 
+def _check_piece(m: int, a: int) -> None:
+    if not is_int(a) or a not in (0, 1):
+        raise InvalidInput("the x-offset a must be 0 or 1")
+    if not is_int(m) or m < 2 - a:
+        raise InvalidInput(f"m must be an integer >= {2 - a} at a = {a}")
+
+
 def ansatz_rows(m: int, a: int = 1) -> list[tuple[tuple[int, int], ...]]:
     """Rows (sub, diagonal, super) of [d, gamma] = 0 for the ansatz of y-degree m and
     x-offset a in {0, 1}, on the unknowns u = b_0, c_0, b_1, c_1, ..., m + 1 of them
@@ -55,10 +66,7 @@ def ansatz_rows(m: int, a: int = 1) -> list[tuple[tuple[int, int], ...]]:
 
         x_l:      (m+1-2l) c_{l-1} - b_l + (a+(1+X)l) c_l = 0,
         y_{l+1}:  (m-2l) b_l - X c_l + (a+l+(l+1)X) b_{l+1} = 0."""
-    if not is_int(a) or a not in (0, 1):
-        raise InvalidInput("the x-offset a must be 0 or 1")
-    if not is_int(m) or m < 2 - a:
-        raise InvalidInput(f"m must be an integer >= {2 - a} at a = {a}")
+    _check_piece(m, a)
     rows = [row for l in range(m // 2 + 1) for row in  # x_l, y_{l+1}
             (((m + 1 - 2 * l, 0), (-1, 0), (a + l, l)), ((m - 2 * l, 0), (0, -1), (a + l, l + 1)))]
     return rows[1 - a:m + 1]
@@ -66,14 +74,18 @@ def ansatz_rows(m: int, a: int = 1) -> list[tuple[tuple[int, int], ...]]:
 
 def substitute(m: int, a: int, p: int, t: int = 1) -> tuple[list[int], list[int]] | None:
     """(v, super entries) of ansatz_rows(m, a) at X = p/t, entries times t: v_0 = 1,
-    v_{i+1} = -(sub_i super_{i-1} v_{i-1} + diag_i v_i) = (-t)^(i+1) D_i(p/t) (D as in
-    build_obstruction); None if a super entry but the last is 0.  Then u_i = v_i /
-    (super_0 ... super_{i-1}) solves every row but the last, which holds iff v[-1] = 0."""
-    v, sups, u, w, q = [1], [], 1, 0, 1  # v_i, v_{i-1}, super_{i-1} (1 before row 0)
-    for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m, a):
+    v_{k+1} = -(sub_k super_{k-1} v_{k-1} + diag_k v_k) = (-t)^(k+1) D_k(p/t) over its rows
+    k = 0, 1, ... (D as in build_obstruction); None if a super entry but the last is 0.
+    Then u_k = v_k / (super_0 ... super_{k-1}) solves every row but the last, which holds
+    iff v[-1] = 0.  Row k, numbered i = k + 1 - a (module docstring), is computed, not read:
+    sub m + 1 - i, diag -1 (i even) or -X (i odd), super a + floor(i/2) + ceil(i/2) X."""
+    _check_piece(m, a)
+    v, sups, u, w, q = [1], [], 1, 0, 1  # v_k, v_{k-1}, super_{k-1} (1 before row 0)
+    for i in range(1 - a, m + 1):
         if not q:
             return None
-        u, w, q = -((s0 * t + s1 * p) * q * w + (d0 * t + d1 * p) * u), u, q0 * t + q1 * p
+        u, w, q = ((p if i & 1 else t) * u - (m + 1 - i) * t * q * w, u,
+                   (a + i // 2) * t + (i + 1) // 2 * p)
         v.append(u)
         sups.append(q)
     return v, sups

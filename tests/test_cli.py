@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -84,6 +85,26 @@ class TestExitCodes:
         ValueError text."""
         code, out, err = run(capsys, "certify", "--f", "1" * 5000 + "*x^2", "--max-deg-y", "3")
         assert (code, out, err) == (2, "", "error: number too long: 5000 digits (at position 0)\n")
+
+    def test_answer_past_the_digit_limit_prints(self, capsys):
+        """An answer whose coefficients pass the interpreter's 4300 digits is
+        printed (the squares of a 2200-digit lc(f) in H delta_f), and the limit
+        is back afterwards."""
+        f = "1" * 2200 + "*x^2"
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "commutant", "--f", f, "--max-deg-y", "3")
+        assert (code, err) == (0, "") and "dimension = 2" in out
+        code, out, err = run(capsys, "commutant", "--f", f, "--max-deg-y", "3", "--json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["dimension"] == 2 and payload["f"] == f
+        assert max(map(len, re.findall(r"\d+", out))) > 4300
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_degree_past_the_budget_is_two(self, capsys):
+        code, out, err = run(capsys, "certify", "--f", "(x + 1)^1001", "--max-deg-y", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: degree 1001 passes the degree budget 1000 (at position 8)\n"
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

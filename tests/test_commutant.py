@@ -31,7 +31,7 @@ from newtcomm import (
     rational_roots,
     solve_commutant,
 )
-from newtcomm import commutant, obstruction, poly, selftest
+from newtcomm import commutant, poly, selftest
 from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
 from newtcomm.parity import KINDS, _C_PARITY, _read_off, build_system, coefficient, solve_system
@@ -332,13 +332,12 @@ class TestCertifyRankOne:
     def test_zero_super_entry_is_caught(self, monkeypatch):
         """Mutation control: a zero super entry breaks the forward substitution
         that bounds a piece's nullity by 1, so the certificate refuses it."""
-        rows = obstruction.ansatz_rows
+        real = commutant.substitute
 
-        def zeroed(m, a=1):
-            out = rows(m, a)
-            return [(out[0][0], out[0][1], (0, 0))] + out[1:] if (m, a) == (4, 0) else out
+        def zeroed(m, a, p, t=1):
+            return None if (m, a) == (4, 0) else real(m, a, p, t)
 
-        monkeypatch.setattr(obstruction, "ansatz_rows", zeroed)
+        monkeypatch.setattr(commutant, "substitute", zeroed)
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
         assert cert.reason == "piece (m, a) = (4, 0) at X = 2 has a zero super entry"

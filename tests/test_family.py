@@ -192,12 +192,16 @@ class TestWitnesses:
         its closing row zeroed, the substitution builds a field at X, and that
         field does not commute with (y, x^X); at the root -3 it is still the
         oracle's witness."""
-        from newtcomm import family, obstruction
+        from newtcomm import family
         with pytest.raises(DegenerateRecurrence, match="not a root"):
             family._witness(m, X, Fraction(1), LaurentBiPoly)
-        real = obstruction.ansatz_rows
-        monkeypatch.setattr(obstruction, "ansatz_rows",
-                            lambda m, a=1: real(m, a)[:-1] + [((0, 0),) * 3])
+        real = family.substitute
+
+        def closed(m, a, p, t=1):  # the closing row zeroed: its value and super entry are 0
+            v, sups = real(m, a, p, t)
+            return v[:-1] + [0], sups[:-1] + [0]
+
+        monkeypatch.setattr(family, "substitute", closed)
         assert (family._witness(m, Fraction(-3), Fraction(1), LaurentBiPoly)
                 == family_oracle.pm_witness(m, 1))
         t = X.denominator

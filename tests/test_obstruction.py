@@ -215,6 +215,30 @@ class TestAnsatzSystem:
             assert v[-1] == -t ** (m + 1) * P(X), (m, X)
             assert len(v) == m + 2 and len(sups) == m + 1, (m, X)
 
+    # Every slope that zeroes a super entry a + floor(i/2) + ceil(i/2) X:
+    # -(j+1)/j and -1 at a = 1, -j/(j+1), -1 and 0 at a = 0; and others around them
+    SLOPES = sorted({Fraction(p, t) for p in range(-7, 8) for t in (1, 2, 3, 5)}
+                    | {Fraction(-(j + 1), j) for j in range(1, 21)}
+                    | {Fraction(-j, j + 1) for j in range(1, 21)})
+
+    @pytest.mark.parametrize("m", range(1, 42))
+    def test_substitution_is_the_loop_over_the_rows(self, m):
+        """substitute computes each entry from its row index; the oracle reads
+        the entries off ansatz_rows.  Same values, and None at the same slopes."""
+        nones = 0
+        for a in (1, 0) if m >= 2 else (1,):
+            for X in self.SLOPES:
+                got = obstruction.substitute(m, a, X.numerator, X.denominator)
+                assert got == obstruction_oracle.substitute_over_rows(
+                    m, a, X.numerator, X.denominator), (m, a, X)
+                nones += got is None
+        assert nones or m == 1, m  # at m = 1 the only super entry read is a = 1
+
+    def test_zero_super_entry_gives_none(self):
+        """Super entry of x_1 at a = 1 is 2 + X, of y_1 at a = 0 is X; neither is the last."""
+        assert obstruction.substitute(4, 1, -2) is None
+        assert obstruction.substitute(3, 0, 0) is None
+
     @pytest.mark.parametrize("k", range(1, 21))
     def test_null_vector_at_minus_rho_is_beta(self, k):
         """At m = 2k+1 and X = -rho, the null space is spanned by

@@ -1,6 +1,7 @@
 """Parsing of polynomial expressions, including fractional-exponent inputs."""
 
 import re
+import sys
 from fractions import Fraction
 
 import pytest
@@ -21,7 +22,7 @@ from newtcomm import (
     parse_unipoly,
 )
 from newtcomm import parsing as nc_parsing
-from newtcomm.parsing import MAX_NESTING
+from newtcomm.parsing import MAX_DEGREE, MAX_DIGITS, MAX_NESTING
 
 import parse_oracle as oracle
 from strategies import bipolys, laurentbipolys, laurentpolys, unipolys
@@ -184,6 +185,49 @@ class TestZeroTerms:
         assert parse_laurent_bipoly(f"y - 0*y^{n}*x^(-{n})", 1) == LaurentBiPoly.y(1)
 
 
+class TestDegreeBudget:
+    """A nonzero term of y-degree past MAX_DEGREE, and a power of a parenthesised
+    expression past it in y or in x-width (highest power minus lowest), are
+    ParseErrors at the exponent."""
+
+    def test_budget_value(self):
+        assert (MAX_DEGREE, MAX_DIGITS) == (1000, 4300)
+
+    @pytest.mark.parametrize("text, at, degree", [
+        ("y^1001", 2, "1001"),
+        ("x + 2*y^2000000", 8, "2000000"),
+        ("y^600*x*y^401", 10, "1001"),
+        ("(x + 1)^1001", 8, "1001"),
+        ("(x^500 + 1)^3", 12, "1500"),
+        ("(x*y + 1)^(1001)", 10, "1001"),
+        ("-(y)^1001", 5, "1001"),
+    ])
+    def test_past_the_budget(self, text, at, degree):
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == (f"degree {degree} passes the degree budget 1000 "
+                                    f"(at position {at})")
+            assert e.value.position == at
+
+    def test_fractional_degree_in_a_laurent_ring(self):
+        with pytest.raises(ParseError, match=r"^degree 3001/3 passes the degree budget 1000 "
+                                             r"\(at position 14\)$"):
+            parse_laurent("(x^(1/3) + 1)^3001", 3)
+
+    def test_at_the_budget(self):
+        assert parse_bipoly("y^1000") == BiPoly.y() ** 1000
+        assert parse_bipoly("y^600*x*y^400") == BiPoly.x() * BiPoly.y() ** 1000
+        assert parse_unipoly("(x^500 + 1)^2") == UniPoly.x() ** 1000 + 2 * UniPoly.x() ** 500 + 1
+        assert parse_laurent("(x^(-1/2) + x^(1/2))^2", 2) == parse_laurent("x^(-1) + 2 + x", 2)
+
+    def test_a_monomial_in_x_or_a_zero_term_is_one_term(self):
+        """x^N is stored as one term, and a zero term adds nothing, at any degree."""
+        assert parse_unipoly("x^100000000") == UniPoly.x_pow(10**8)
+        assert parse_unipoly("(x)^100000000") == UniPoly.x_pow(10**8)
+        assert parse_bipoly("0*y^100000000 + (x - x)^2000") == 0
+
+
 class TestDigits:
     """A digit is what int reads: a decimal digit of any script."""
 
@@ -221,6 +265,18 @@ class TestLongNumbers:
                 parse(text)
             assert str(e.value) == f"number too long: 5000 digits (at position {at})"
             assert e.value.position == at
+
+    def test_the_bound_holds_with_the_interpreter_limit_lifted(self):
+        """MAX_DIGITS is the parser's own: the CLI lifts the interpreter's limit
+        to print long answers, and a literal past 4300 digits is still refused."""
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            with pytest.raises(ParseError, match=r"^number too long: 4301 digits"):
+                parse_unipoly("1" * 4301 + "*x")
+            assert parse_unipoly("1" * 4300 + "*x") == UniPoly([0, int("1" * 4300)])
+        finally:
+            sys.set_int_max_str_digits(limit)
 
     def test_4300_digits_still_parse(self):
         n = int("1" * 4300)
