@@ -19,8 +19,9 @@ list the unknowns and the forced ones; coefficient reads a name off a
 derivation.  The I-half carries all solutions when deg f >= 2.  One read-off
 of a half's basis (_read_off: each element's y-degree, each unknown's least
 y-degree with a nonempty row) gives its solution space at every smaller m.
-solve_system integrates; check_lemma_suite reads both halves off the rank-one
-certificate when it passes (the I half is the energy basis, the II half empty).
+solve_system integrates.  Under a passing rank-one certificate each check of
+check_lemma_suite is a consequence of it, built with no basis; the m = 20
+solves of selftest's criterion 3 are the independent part.
 """
 
 from __future__ import annotations
@@ -145,21 +146,29 @@ class LemmaSuiteReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _check_one(kind: str, m: int, space: SolutionSpace, energy: tuple) -> LemmaCheck:
+def _check_one(kind: str, m: int, dimension: int, forced: frozenset, multiples: bool) -> LemmaCheck:
+    """multiples, read for Io only: the basis is the energy basis at m."""
     if kind == "Io":
         expected = (m + 1) // 2
-        ok = space.dimension == expected
-        detail = f"dimension {space.dimension}, expected {expected}"
+        ok = dimension == expected
+        detail = f"dimension {dimension}, expected {expected}"
         if ok:
-            ok = space.basis == energy[-expected:]
+            ok = multiples
             detail += ("; all solutions are energy-polynomial multiples" if ok
                        else "; solutions differ from the energy basis H^k*delta_f")
     else:
         target = f"d_{m}" if kind in ("Ie", "IIo") else f"c_{m}"
-        ok = target in space.forced
-        detail = f"{target} {'' if ok else 'NOT '}forced to zero; dimension {space.dimension}"
+        ok = target in forced
+        detail = f"{target} {'' if ok else 'NOT '}forced to zero; dimension {dimension}"
     return LemmaCheck(name=f"{kind}_{m}", kind=kind, m=m, passed=ok,
-                      dimension=space.dimension, forced=space.forced, detail=detail)
+                      dimension=dimension, forced=forced, detail=detail)
+
+
+def _certified(kind: str, m: int) -> tuple[int, frozenset, bool]:
+    """(dimension, forced, multiples) at m under a passing certificate."""
+    if kind.startswith("II"):  # the empty half
+        return 0, frozenset(_unknowns(0, m)), True
+    return (m + 1) // 2, frozenset({f"d_{m}"} if m % 2 == 0 else ()), True
 
 
 def check_lemma_suite(f: UniPoly, m_max: int, *,
@@ -169,26 +178,32 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     For odd m: (Io)_m has dimension (m+1)/2 with every solution an energy
     multiple, and d_m is forced in (IIo)_m (m >= 3).  For even m: d_m is
     forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2;
-    allow_low_degree runs the suite anyway as a negative control.  Each half
-    is found once, at m_max, and read off at every m (_read_off); the Io
-    checks compare with the matching tails of one energy_basis(f, m_max).
-    With deg f >= 2 and a passing certificate at m_max, the I half is that
-    energy basis and the II half is empty (the certificate lemma in the
-    commutant module docstring, half by half): no solve, no ParitySystem.
-    Otherwise each half is one solve_halves at m_max, again with no
-    ParitySystem.
+    allow_low_degree runs the suite anyway as a negative control.
+    With deg f >= 2 and a passing certificate at m_max, the I half at m is
+    (H^k delta_f : 2k+1 <= m) and the II half is empty (commutant module
+    docstring), so each check follows from (kind, m) alone (_certified), with
+    no basis, solve or read-off.  Exactly: in H^k delta_f, act_x row 2j+1 is
+    C(k,j) D^j g^(k-j) and act_y row 2j is C(k,j) D^j F g^(k-j) for j <= k,
+    none zero as f != 0 makes g and F nonzero; so c_{2j+1} and d_{2j} first
+    appear at y-degree 2j+1, Io_m forces nothing and Ie_m forces d_m alone.
+    Otherwise each half is one solve_halves at m_max, read off at every m
+    (_read_off), and Io compares with the tails of energy_basis(f, m_max).
     """
     f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
         raise HypothesisViolation("lemma suite requires deg f >= 2")
     if not is_int(m_max) or m_max < 2:
         raise InvalidInput("m_max must be an integer >= 2")
-    energy = energy_basis(f, m_max)
-    if f.degree >= 2 and _graded_reason(f.degree, m_max, len(energy)) is None:
-        tops = {1: energy, 0: ()}
+    if f.degree >= 2 and _graded_reason(f.degree, m_max, (m_max + 1) // 2) is None:
+        facts = _certified
     else:
-        tops = {par: tuple(solve_halves(f, m_max, (par,))) for par in (1, 0)}
-    spaces = {par: _read_off(par, top, m_max) for par, top in tops.items()}
-    checks = [_check_one(kind, m, spaces[_C_PARITY[kind]](m), energy) for kind in KINDS
+        energy = energy_basis(f, m_max)
+        spaces = {par: _read_off(par, tuple(solve_halves(f, m_max, (par,))), m_max)
+                  for par in (1, 0)}
+
+        def facts(kind, m):
+            s = spaces[_C_PARITY[kind]](m)
+            return s.dimension, s.forced, kind != "Io" or s.basis == energy[-((m + 1) // 2):]
+    checks = [_check_one(kind, m, *facts(kind, m)) for kind in KINDS
               for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

@@ -28,10 +28,14 @@ their powers.  Parentheses and unary minus signs nest at most MAX_NESTING
 deep.  Past MAX_DEGREE, the y-degree of a nonzero term, and the y-degree or
 x-width (highest power minus lowest) of a power of a parenthesised
 expression, are ParseErrors at the exponent; x^N alone is one term at any
-N.  At the bound (x + 1)^1000 takes 0.1 s and (x*y + 1)^1000 0.2 s and
-14 MiB (2-core host); a power in both x and y costs about the fourth power
-of its degree ((x + y + 1)^200: 4 s).  One ring adapter, ``_Ring``, supplies
-the class, the z-exponent of x and the fractional powers of x of each ring.
+N.  A sum that makes a nonzero y-row wider in x than MAX_DEGREE is one at
+the sum's first token (a product may widen a row), and a power of a
+coefficient past MAX_DIGITS digits one at the exponent, bounded from bit
+lengths before the power is computed.  At the bound (x + 1)^1000 takes
+0.1 s and (x*y + 1)^1000 0.2 s and 14 MiB (2-core host); a power in both x
+and y costs about the fourth power of its degree ((x + y + 1)^200: 4 s).
+One ring adapter, ``_Ring``, supplies the class, the z-exponent of x and the
+fractional powers of x of each ring.
 """
 
 from __future__ import annotations
@@ -45,8 +49,10 @@ from .poly import (_EMPTY, BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, _root_in
                    ring_name)
 
 MAX_NESTING = 100  # open parentheses plus pending unary minus signs
-MAX_DIGITS = 4300  # per number: the interpreter's default limit on int(str)
+MAX_DIGITS = 4300  # per number and per power of a coefficient: the default int(str) limit
 MAX_DEGREE = 1000  # in y, and in x from the lowest power to the highest
+_LIMIT = 10 ** MAX_DIGITS  # the least integer of MAX_DIGITS + 1 digits
+_LIMIT_BITS = _LIMIT.bit_length()  # 2^_LIMIT_BITS > _LIMIT
 
 # A run of decimal digits, or any one other character that is not whitespace
 _TOKEN = re.compile(r"\d+|\S")
@@ -70,10 +76,11 @@ class _Ring:
             raise RingMismatch(f"exponent {q} needs a Laurent ring, not {self.name}")
         return LaurentPoly.x_power(self.t, q).shift
 
-    def make(self, monos: list):
+    def make(self, monos: list, wide=None):
         """sum of n/d * y^i * z^e over the monomials (n, d, i, e), d > 0.
         The rows span the nonzero terms only, so 0*x^N or x^N - x^N costs
-        nothing however large N is."""
+        nothing however large N is; a row wider in x than MAX_DEGREE raises
+        wide(its z-width) before it is laid out."""
         den = lcm(*[d for _, d, _, _ in monos])
         terms: dict[tuple[int, int], int] = {}
         for n, d, i, e in monos:
@@ -84,8 +91,10 @@ class _Ring:
                 rows.setdefault(i, {})[e] = c
         out = [_EMPTY] * (max(rows, default=-1) + 1)
         for i, row in rows.items():
-            lo = min(row)
-            out[i] = (lo, [row.get(e, 0) for e in range(lo, max(row) + 1)])
+            lo, hi = min(row), max(row)
+            if hi - lo > MAX_DEGREE * self.root:
+                raise wide(hi - lo)
+            out[i] = (lo, [row.get(e, 0) for e in range(lo, hi + 1)])
         return self.cls._make(self.root, out, den)
 
 
@@ -120,6 +129,23 @@ class _Parser:
         if degree > MAX_DEGREE:
             raise self.error(f"degree {degree} passes the degree budget {MAX_DEGREE}", self.exp_at)
 
+    def wide(self, width: int, at: int) -> ParseError:
+        """The error for a sum, from token at, with a y-row of that z-width."""
+        width = Fraction(width, self.ring.root)
+        return self.error(f"x-width {width} passes the degree budget {MAX_DEGREE}", at)
+
+    def add(self, a, b, at: int):
+        """a + b, for ring values in the sum from token at: a ParseError there
+        if a y-row of a + b would be wider in x than MAX_DEGREE and than it is
+        in a and in b, so that a sum adds no width past the budget."""
+        cap = MAX_DEGREE * self.ring.root
+        for (sa, na), (sb, nb) in zip(a._rows, b._rows):
+            if na and nb:
+                width = max(sa + len(na), sb + len(nb)) - 1 - min(sa, sb)
+                if width > max(cap, len(na) - 1, len(nb) - 1):
+                    raise self.wide(width, at)
+        return a + b
+
     def close(self) -> None:
         if self.toks[self.i] != ")":
             raise self.error(f"expected ')', found {self.found(self.i)}", self.i)
@@ -136,13 +162,13 @@ class _Parser:
     def expr(self):
         """The sum of the terms as one ring value: the monomials through one
         make, the other terms by ring +."""
-        monos, rest, toks, sign = [], None, self.toks, 1
+        monos, rest, toks, sign, start = [], None, self.toks, 1, self.i
         while True:
             v = self.term(sign)
             if type(v) is tuple:
                 monos.append(v)
             else:
-                rest = v if rest is None else rest + v
+                rest = v if rest is None else self.add(rest, v, start)
             tok = toks[self.i]
             if tok != "+" and tok != "-":
                 break
@@ -150,8 +176,8 @@ class _Parser:
             self.i += 1
         if not monos:
             return rest
-        value = self.ring.make(monos)
-        return value if rest is None else value + rest
+        value = self.ring.make(monos, lambda width: self.wide(width, start))
+        return value if rest is None else self.add(value, rest, start)
 
     def term(self, n: int):
         """The product of the factors times n: a monomial, or a ring value if
@@ -205,7 +231,14 @@ class _Parser:
                 if type(v) is not tuple and (span := _span(v._rows)):
                     width = Fraction(span[1] - 1 - span[0], self.ring.root)  # x, low to high
                     self.budget(k * max(len(v._rows) - 1, width))
-                v = (v[0] ** k, v[1] ** k, v[2] * k, v[3] * k) if type(v) is tuple else v ** k
+                    if len(v._rows) == 1 and not width:  # one term n/d * z^e: a monomial
+                        v = (v._rows[0][1][0], v._d, 0, span[0])
+                if type(v) is not tuple:
+                    v = v ** k
+                elif v[0] == 1 == v[1]:  # a power of x or y: no coefficient to bound
+                    v = (1, 1, v[2] * k, v[3] * k)
+                else:
+                    v = self.power(v, k)
             elif tok == "x":
                 v = (1, 1, 0, self.ring.x_exponent(k))
             else:
@@ -215,6 +248,19 @@ class _Parser:
             if minus % 2:
                 v = (-v[0], *v[1:]) if type(v) is tuple else -v
         return v
+
+    def power(self, v: tuple, k: int) -> tuple:
+        """The monomial v = (n, d, i, e) to the power k >= 0, a ParseError at
+        the exponent if n^k or d^k would pass MAX_DIGITS digits.  With c the
+        larger of |n| and d, of b bits, c^k is at least 2^((b-1)k), so a power
+        past the budget by that bound is not computed, and any other has fewer
+        than twice the budget's bits."""
+        n, d, i, e = v
+        c = max(abs(n), d)
+        if (c.bit_length() - 1) * k >= _LIMIT_BITS or c ** k >= _LIMIT:
+            raise self.error(f"power of a coefficient passes the digit budget {MAX_DIGITS}",
+                             self.exp_at)
+        return n ** k, d ** k, i * k, e * k
 
     def number(self, at: int) -> int:
         """The value of the NUMBER token at; one of more than MAX_DIGITS digits

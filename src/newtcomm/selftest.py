@@ -114,9 +114,9 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
 def run_criterion_3(seed: int = 0) -> CriterionResult:
     """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 20.
 
-    The suite reads its halves off the rank-one certificate; per force, one
-    solve of each half at m = 20 must give the same halves (the energy basis
-    and nothing), so the two methods check each other."""
+    The suite's checks are consequences of the rank-one certificate, built
+    from (kind, m) alone; the independent part is one solve of each half at
+    m = 20 per force, which must give the energy basis and nothing."""
     t0 = time.perf_counter()
     forces = tuple(map(parse_unipoly, ("x^2", "x^3")))
     checks = [(f, c) for f in forces for c in parity.check_lemma_suite(f, 20).checks]

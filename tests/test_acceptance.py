@@ -198,11 +198,14 @@ class TestMutationControl:
 
     def test_dropped_energy_multiple_is_caught(self, monkeypatch):
         """An energy basis that loses delta_f, its last element, must flip
-        criterion 3, whose suite reads the I half off the energy basis."""
-        real = parity.energy_basis
-        monkeypatch.setattr(parity, "energy_basis", lambda f, M: real(f, M)[:-1])
+        criterion 3 through its m = 20 solves, which it compares with the
+        energy basis; the suite itself builds no basis under a certificate."""
+        real = commutant.energy_basis
+        monkeypatch.setattr(commutant, "energy_basis", lambda f, M: real(f, M)[:-1])
         result = selftest.run_criterion_3()
         assert not result.passed
+        assert ("f=x^2, Ie_20: the solve (dimension 10) differs from the certificate "
+                "(dimension 9)") in result.detail, result.detail
 
     def test_dropped_energy_multiple_flips_criterion_1(self, monkeypatch):
         """An energy basis that loses delta_f must flip criterion 1 through

@@ -1,5 +1,7 @@
 """The four parity-restricted triangular systems and the lemma suite."""
 
+import inspect
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -209,6 +211,44 @@ def test_lemma_suite_reads_certified_halves_without_solving(monkeypatch, m_max):
     assert check_lemma_suite(f, m_max) == lemma_oracle.lemma_suite(f, m_max)
     assert calls == []
     assert built == []
+
+
+@pytest.mark.parametrize("m_max", [2, 3, 12, 24])
+@pytest.mark.parametrize("f_text", CERTIFIED_FORCES)
+def test_certified_suite_builds_no_basis(monkeypatch, f_text, m_max):
+    """Under a passing certificate every check comes from (kind, m) alone:
+    with energy_basis, solve_halves and _read_off raising, the report still
+    equals the per-system oracle."""
+    f = parse_unipoly(f_text)
+    want = lemma_oracle.lemma_suite(f, m_max)
+
+    def refuse(*args):
+        raise AssertionError("the certified suite reads no basis")
+
+    for name in ("energy_basis", "solve_halves", "_read_off"):
+        monkeypatch.setattr(parity, name, refuse)
+    assert check_lemma_suite(f, m_max) == want
+
+
+def _mutant(old: str, new: str):
+    """parity._certified with the source text old replaced by new."""
+    src = inspect.getsource(parity._certified)
+    assert src.count(old) == 1
+    namespace = dict(vars(parity))
+    exec(src.replace(old, new), namespace)
+    return namespace["_certified"]
+
+
+@pytest.mark.parametrize("old, new", [
+    ('{f"d_{m}"}', '{f"c_{m}"}'),  # Ie forces c_m in place of d_m
+    ("(m + 1) // 2, frozenset(", "m // 2, frozenset("),  # Io of dimension m//2
+])
+def test_certified_checks_mutation_control(monkeypatch, old, new):
+    """Mutation controls: a wrong forced set or dimension in the certified
+    checks makes the suite differ from the per-system oracle."""
+    f = parse_unipoly("x^3 - x")
+    monkeypatch.setattr(parity, "_certified", _mutant(old, new))
+    assert check_lemma_suite(f, 6) != lemma_oracle.lemma_suite(f, 6)
 
 
 def test_read_off_keeps_the_least_y_degree():

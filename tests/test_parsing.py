@@ -228,6 +228,54 @@ class TestDegreeBudget:
         assert parse_bipoly("0*y^100000000 + (x - x)^2000") == 0
 
 
+class TestSumWidth:
+    """A sum that makes a nonzero y-row wider in x than MAX_DEGREE (highest
+    power minus lowest) is a ParseError at the sum's first token, before the
+    row is laid out; a product may widen a row, and zero terms add nothing."""
+
+    @pytest.mark.parametrize("text, at, width", [
+        ("x^1001 + 1", 0, "1001"),
+        ("x^10000000 + 1", 0, "10000000"),
+        ("1 - 2*x^1000000000000", 0, "1000000000000"),
+        ("2*(x^5 + x^2000)", 3, "1995"),
+        ("y*x^3000 + y + x", 0, "3000"),
+        ("(x^10000000) + 1", 0, "10000000"),
+        ("x^10000000 + (1)", 0, "10000000"),
+        ("(x^10000000)*(1 + y) + 1", 0, "10000000"),
+        ("(y*x^10000000) + y", 0, "10000000"),
+        ("x*((x^3000)*(1 + y) - y)", 3, "3000"),
+    ])
+    def test_past_the_budget(self, text, at, width):
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == (f"x-width {width} passes the degree budget 1000 "
+                                    f"(at position {at})")
+            assert e.value.position == at
+
+    def test_fractional_width_in_a_laurent_ring(self):
+        with pytest.raises(ParseError, match=r"^x-width 2001/2 passes the degree budget 1000 "
+                                             r"\(at position 0\)$"):
+            parse_laurent("x^(1/2) + x^1001", 2)
+        with pytest.raises(ParseError, match=r"^x-width 1001 passes"):
+            parse_laurent("x^(-500) + x^501", 1)
+
+    def test_at_the_budget(self):
+        x = UniPoly.x()
+        assert parse_unipoly("x^1000 + 1") == x ** 1000 + 1
+        assert parse_unipoly("x^1000 + (1)") == x ** 1000 + 1
+        assert parse_unipoly("(x^3000 + x^2000) - 1*(x^2000)") == x ** 3000
+        assert parse_bipoly("y*x^10000000 + x") == BiPoly.y() * BiPoly.x() ** 10**7 + BiPoly.x()
+        assert parse_laurent("x^(-500) + x^500", 1) == (parse_laurent("x^(-500)", 1)
+                                                        + parse_laurent("x^500", 1))
+
+    def test_a_product_may_widen_a_row(self):
+        square = parse_unipoly("(x^600 + 1)*(x^600 + 1)")
+        assert square == (UniPoly.x() ** 600 + 1) ** 2
+        assert parse_unipoly("(x^600 + 1)*(x^600 + 1) + 1") == square + 1
+        assert parse_unipoly("(x^600 + 1)*(x^600 + 1) - (x^600 + 1)*(x^600 + 1)") == 0
+
+
 class TestDigits:
     """A digit is what int reads: a decimal digit of any script."""
 
@@ -283,6 +331,36 @@ class TestLongNumbers:
         assert parse_unipoly("1" * 4300 + "*x") == UniPoly([0, n])
         assert parse_bipoly("1/" + "1" * 4300 + "*y") == Fraction(1, n) * BiPoly.y()
         assert parse_laurent("x^(" + "1" * 4300 + "/3)", 3) == LaurentPoly.term(3, n)
+
+
+class TestPowerDigits:
+    """A power of a coefficient past MAX_DIGITS digits is a ParseError at the
+    exponent, decided from bit lengths first, so that a huge exponent is not
+    computed; a power of 1, as in x^N, is free at any N."""
+
+    PARSERS = TestLongNumbers.PARSERS
+
+    @pytest.mark.parametrize("text, at", [
+        ("10^4300", 3), ("3^9013", 2), ("2^14285", 2), ("7^5089*x", 2), ("x + 1/10^4300", 9),
+        ("3^10000000", 2), ("3^" + "9" * 60, 2), ("(3)^10000000", 4), ("(2*x)^100000", 6),
+        ("((2/3))^10000", 8), ("-(3)^9013 + x", 5),
+    ])
+    def test_past_the_budget(self, text, at):
+        for parse in self.PARSERS:
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == (f"power of a coefficient passes the digit budget 4300 "
+                                    f"(at position {at})")
+            assert e.value.position == at
+
+    def test_at_the_budget(self):
+        """Each of these has exactly 4300 digits."""
+        for c, k in ((10, 4299), (3, 9012), (2, 14284), (7, 5088)):
+            assert parse_unipoly(f"{c}^{k}") == UniPoly.const(c ** k)
+            assert parse_unipoly(f"({c}*x)^{k}") == UniPoly.const(c ** k) * UniPoly.x() ** k
+            assert parse_bipoly(f"1/{c}^{k}*y") == Fraction(1, c ** k) * BiPoly.y()
+        assert parse_unipoly("(-1)^" + "9" * 60 + " + 1^" + "7" * 4300) == 0
+        assert parse_unipoly("(2/3)^2 + 0^100000000") == Fraction(4, 9)
 
 
 class TestRoundTrips:
