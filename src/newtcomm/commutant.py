@@ -60,8 +60,8 @@ commutes, and the H^k delta_f lead at distinct unknowns.  For the upper
 bound, c scales out: y -> sqrt(c) y carries d_0 to a multiple of (y, x^n),
 and a nullity does not change under a field extension.  So dim C_M(d_0) is
 the sum of the nullities of the weight pieces of (y, x^X) at X = n, the
-ansatz systems obstruction.ansatz_rows(m, a) of y-degree at most M: a = 1
-with 1 <= m <= M (y-degree m) and a = 0 with 2 <= m <= M + 1 (y-degree
+ansatz systems of obstruction (rows x_l, y_l there) of y-degree at most M:
+a = 1 with 1 <= m <= M (y-degree m) and a = 0 with 2 <= m <= M + 1 (y-degree
 m - 1).  A piece whose x-offset is not 0 or 1 modulo n + 1 has only the
 zero solution (see obstruction), and so has a = 0 at m = 1, where
 gamma = (const, 0).  At X >= 1 every super entry but the last row's is

@@ -8,10 +8,11 @@ For each k >= 1 the pair lives on K[x^(1/(2k-1)), x^(-1/(2k-1)), y]:
 
 The pair commutes exactly, and alpha annihilates r = y^2 + (2k-1)x^(-2/(2k-1)).
 
-Every witness is the null vector of ``obstruction.ansatz_rows(m)`` at a
-root X of P_m, its top unknown a_top, read into the ansatz of y-degree m
-(``_witness``): beta at m = 2k+1 and X = -rho, ``pm_witness(m, k)`` at
-X = -rho for odd m >= 2k+1, ``pm_witness_linear(m)`` at X = 1 in Q[x, y].
+Every witness is the null vector of the weight piece at a = 1 (its rows in
+the ``obstruction`` docstring) at a root X of P_m, its top unknown a_top,
+read into the ansatz of y-degree m (``_witness``): beta at m = 2k+1 and
+X = -rho, ``pm_witness(m, k)`` at X = -rho for odd m >= 2k+1, and
+``pm_witness_linear(m)`` at X = 1 in Q[x, y].
 ``obstruction.substitute`` finds it, row i fixing u_{i+1}.  At X = -rho_k
 the super entries are (2k-1-2l)/(2k-1) in the x rows and -2(l+1)/(2k-1) in
 the y rows; at X = 1 they are 1+2l and 2(l+1).  None is 0, so u_0 fixes

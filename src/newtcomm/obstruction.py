@@ -10,12 +10,17 @@ x-power would be x^(-1).  With weights 2 for x and X + 1 for y, d is
 homogeneous, and each such ansatz is one weight piece of the commutation
 condition; at integer X >= 1 a piece whose offset is not 0 or 1 modulo
 X + 1 has only the zero solution.  [d, gamma] = 0 is a square tridiagonal
-system in b_0, c_0, b_1, c_1, ... (``ansatz_rows``), solved at one slope by
-forward substitution (``substitute``) for the certificate and ``family``.
-Number its rows x_0, y_1, x_1, ... from i = 0 (x_0 dropped at a = 0): row i
-has sub entry m + 1 - i, diagonal -1 (i even) or -X (i odd) and super entry
-a + floor(i/2) + ceil(i/2) X.  ``substitute`` computes them from i;
-``ansatz_rows`` lists the same matrix, and a test ties the two.
+system in b_0, c_0, b_1, c_1, ..., solved at one slope by forward
+substitution (``substitute``) for the certificate and ``family``.  Number
+its rows x_0, y_1, x_1, ... from i = 0 (x_0, which reads 0 = 0 at a = 0, is
+dropped there):
+
+    x_l:      (m+1-2l) c_{l-1} - b_l + (a+(1+X)l) c_l = 0,
+    y_{l+1}:  (m-2l) b_l - X c_l + (a+l+(l+1)X) b_{l+1} = 0,
+
+so row i has sub entry m + 1 - i, diagonal -1 (i even) or -X (i odd) and
+super entry a + floor(i/2) + ceil(i/2) X.  Both ``substitute`` and
+``build_obstruction`` compute each entry from i by this one rule.
 At a = 1 and odd m its determinant, a continuant, is -P_m: its roots are the
 slopes with a symmetry.  P_m keeps its content and its Z[X] form on integer
 lists, for root finding (on UniPoly operators it took 3-11 times as long).
@@ -50,36 +55,18 @@ class ObstructionPoly(NamedTuple):
     P: UniPoly
 
 
-def _check_piece(m: int, a: int) -> None:
+def substitute(m: int, a: int, p: int, t: int = 1) -> tuple[list[int], list[int]] | None:
+    """(v, super entries) of the piece of y-degree m and x-offset a in {0, 1} at
+    X = p/t, entries times t: v_0 = 1, v_{k+1} = -(sub_k super_{k-1} v_{k-1} + diag_k v_k)
+    = (-t)^(k+1) D_k(p/t) over its rows k = 0, 1, ... (D as in build_obstruction); None if
+    a super entry but the last is 0.  Then u_k = v_k / (super_0 ... super_{k-1}), on the
+    unknowns u = b_0, c_0, b_1, c_1, ... (b_0 dropped at a = 0), solves every row but the
+    last, which holds iff v[-1] = 0.  Row k is row i = k + 1 - a of the module docstring,
+    its entries computed from i."""
     if not is_int(a) or a not in (0, 1):
         raise InvalidInput("the x-offset a must be 0 or 1")
     if not is_int(m) or m < 2 - a:
         raise InvalidInput(f"m must be an integer >= {2 - a} at a = {a}")
-
-
-def ansatz_rows(m: int, a: int = 1) -> list[tuple[tuple[int, int], ...]]:
-    """Rows (sub, diagonal, super) of [d, gamma] = 0 for the ansatz of y-degree m and
-    x-offset a in {0, 1}, on the unknowns u = b_0, c_0, b_1, c_1, ..., m + 1 of them
-    (b_0 dropped at a = 0): row i is sub u_{i-1} + diagonal u_i + super u_{i+1} = 0,
-    and an entry (e0, e1) is e0 + e1 X.  The rows run x_0, y_1, x_1, y_2, ...; x_0,
-    which reads 0 = 0 at a = 0, is dropped there:
-
-        x_l:      (m+1-2l) c_{l-1} - b_l + (a+(1+X)l) c_l = 0,
-        y_{l+1}:  (m-2l) b_l - X c_l + (a+l+(l+1)X) b_{l+1} = 0."""
-    _check_piece(m, a)
-    rows = [row for l in range(m // 2 + 1) for row in  # x_l, y_{l+1}
-            (((m + 1 - 2 * l, 0), (-1, 0), (a + l, l)), ((m - 2 * l, 0), (0, -1), (a + l, l + 1)))]
-    return rows[1 - a:m + 1]
-
-
-def substitute(m: int, a: int, p: int, t: int = 1) -> tuple[list[int], list[int]] | None:
-    """(v, super entries) of ansatz_rows(m, a) at X = p/t, entries times t: v_0 = 1,
-    v_{k+1} = -(sub_k super_{k-1} v_{k-1} + diag_k v_k) = (-t)^(k+1) D_k(p/t) over its rows
-    k = 0, 1, ... (D as in build_obstruction); None if a super entry but the last is 0.
-    Then u_k = v_k / (super_0 ... super_{k-1}) solves every row but the last, which holds
-    iff v[-1] = 0.  Row k, numbered i = k + 1 - a (module docstring), is computed, not read:
-    sub m + 1 - i, diag -1 (i even) or -X (i odd), super a + floor(i/2) + ceil(i/2) X."""
-    _check_piece(m, a)
     v, sups, u, w, q = [1], [], 1, 0, 1  # v_k, v_{k-1}, super_{k-1} (1 before row 0)
     for i in range(1 - a, m + 1):
         if not q:
@@ -92,29 +79,22 @@ def substitute(m: int, a: int, p: int, t: int = 1) -> tuple[list[int], list[int]
 
 
 def build_obstruction(m: int) -> ObstructionPoly:
-    """P_m = -D_m (odd m >= 3) for the continuant D_i = diagonal_i D_{i-1} - sub_i
-    super_{i-1} D_{i-2} of ansatz_rows(m), D_{-1} = 1; run from -1, it is P_m."""
+    """P_m = -D_m (odd m >= 3) for the continuant D_i = diag_i D_{i-1} - sub_i super_{i-1}
+    D_{i-2} of the piece at a = 1, D_{-2} = 0 and D_{-1} = 1, run on N_i = -D_i:
+    N_i = -X^(i mod 2) N_{i-1} - (m + 1 - i) (1 + floor((i-1)/2) + ceil((i-1)/2) X) N_{i-2}.
+    N_i has degree ceil(i/2), so the three lists below are of one length."""
     if not is_int(m) or m < 3 or m % 2 == 0:
         raise InvalidInput("m must be an odd integer >= 3")
-    D2, D1, p0, p1 = [], [-1], 0, 0  # -D_{i-2}, -D_{i-1}, super_{i-1} = p0 + p1 X
-    for (s0, s1), (d0, d1), (q0, q1) in ansatz_rows(m):
-        D2, D1, p0, p1 = D1, _combine((d0, 0, D1), (d1, 1, D1), (-s0 * p0, 0, D2),
-                                      (-s0 * p1 - s1 * p0, 1, D2), (-s1 * p1, 2, D2)), q0, q1
-    return ObstructionPoly(m=m, P=UniPoly._make(1, [(0, D1)]))
+    N2, N1 = [], [-1]  # N_{i-2}, N_{i-1}
+    for i in range(m + 1):
+        s, a, b = i - m - 1, (i - 1) // 2 + 1, i // 2  # -sub_i; super_{i-1} = a + b X
+        N2, N1 = N1, [s * (a * c + b * d) - e
+                      for c, d, e in zip(N2 + [0], [0] + N2, [0] + N1 if i & 1 else N1)]
+    return ObstructionPoly(m=m, P=UniPoly._make(1, [(0, N1)]))
 
 
 # Integer polynomials below are coefficient lists, constant term first,
 # with a nonzero last entry (the zero polynomial is []).
-
-def _combine(*terms: tuple[int, int, list[int]]) -> list[int]:
-    """sum c * x^s * a over the terms (c, s, a) with c != 0, untrimmed."""
-    out = [0] * max(s + len(a) for c, s, a in terms if c)
-    for c, s, a in terms:
-        if c:
-            for i, v in enumerate(a, s):
-                out[i] += c * v
-    return out
-
 
 def _primitive(a: list[int]) -> list[int]:
     """a divided by its content, with a positive leading coefficient."""

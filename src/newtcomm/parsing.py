@@ -29,11 +29,13 @@ deep.  Past MAX_DEGREE, the y-degree of a nonzero term, and the y-degree or
 x-width (highest power minus lowest) of a power of a parenthesised
 expression, are ParseErrors at the exponent; x^N alone is one term at any
 N.  A sum that makes a nonzero y-row wider in x than MAX_DEGREE is one at
-the sum's first token (a product may widen a row), and a power of a
-coefficient past MAX_DIGITS digits one at the exponent, bounded from bit
-lengths before the power is computed.  At the bound (x + 1)^1000 takes
-0.1 s and (x*y + 1)^1000 0.2 s and 14 MiB (2-core host); a power in both x
-and y costs about the fourth power of its degree ((x + y + 1)^200: 4 s).
+the sum's first token (a product may widen a row).  A power c^k past
+MAX_DIGITS digits is one at the exponent, for c a coefficient or, for a
+parenthesised value, the larger of its denominator and the sum of its
+absolute numerators; it is bounded from bit lengths before the power is
+computed.  At the bound (x + 1)^1000 takes 0.1 s and (x*y + 1)^1000 0.2 s
+and 14 MiB (2-core host); a power in both x and y costs about the fourth
+power of its degree ((x + y + 1)^200: 4 s).
 One ring adapter, ``_Ring``, supplies the class, the z-exponent of x and the
 fractional powers of x of each ring.
 """
@@ -234,11 +236,13 @@ class _Parser:
                     if len(v._rows) == 1 and not width:  # one term n/d * z^e: a monomial
                         v = (v._rows[0][1][0], v._d, 0, span[0])
                 if type(v) is not tuple:
+                    self.digits(max(sum(abs(c) for _, ns in v._rows for c in ns), v._d), k)
                     v = v ** k
                 elif v[0] == 1 == v[1]:  # a power of x or y: no coefficient to bound
                     v = (1, 1, v[2] * k, v[3] * k)
                 else:
-                    v = self.power(v, k)
+                    self.digits(max(abs(v[0]), v[1]), k)
+                    v = (v[0] ** k, v[1] ** k, v[2] * k, v[3] * k)
             elif tok == "x":
                 v = (1, 1, 0, self.ring.x_exponent(k))
             else:
@@ -249,18 +253,16 @@ class _Parser:
                 v = (-v[0], *v[1:]) if type(v) is tuple else -v
         return v
 
-    def power(self, v: tuple, k: int) -> tuple:
-        """The monomial v = (n, d, i, e) to the power k >= 0, a ParseError at
-        the exponent if n^k or d^k would pass MAX_DIGITS digits.  With c the
-        larger of |n| and d, of b bits, c^k is at least 2^((b-1)k), so a power
-        past the budget by that bound is not computed, and any other has fewer
-        than twice the budget's bits."""
-        n, d, i, e = v
-        c = max(abs(n), d)
+    def digits(self, c: int, k: int) -> None:
+        """A ParseError at the exponent if c^k would pass MAX_DIGITS digits, for
+        c the larger of a value's denominator and the sum of its absolute
+        numerators (|n| of a monomial n/d): c^k bounds every numerator and the
+        denominator of the value to the power k >= 0.  With c of b bits, c^k is
+        at least 2^((b-1)k), so a power past the budget by that bound is not
+        computed, and any other has fewer than twice the budget's bits."""
         if (c.bit_length() - 1) * k >= _LIMIT_BITS or c ** k >= _LIMIT:
             raise self.error(f"power of a coefficient passes the digit budget {MAX_DIGITS}",
                              self.exp_at)
-        return n ** k, d ** k, i * k, e * k
 
     def number(self, at: int) -> int:
         """The value of the NUMBER token at; one of more than MAX_DIGITS digits

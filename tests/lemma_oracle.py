@@ -6,8 +6,8 @@ reads every smaller system off them as a prefix.  This oracle
 builds and solves each (kind, m) system separately, with one
 ``solve_system`` per check and one ``energy_basis(f, m)`` per Io check, and
 formats the checks the same way, so the tests compare the two reports by
-``==``.  ``space_at`` is the per-m scan that the suite ran before its
-one read-off per half: the oracle for ``newtcomm.parity._read_off``.
+``==``.  ``space_at`` tests each unknown against each kept element on its
+own: the oracle for ``newtcomm.parity._space_at``.
 """
 
 from __future__ import annotations

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -105,6 +106,17 @@ class TestExitCodes:
         code, out, err = run(capsys, "certify", "--f", "(x + 1)^1001", "--max-deg-y", "3")
         assert (code, out) == (2, "")
         assert err == "error: degree 1001 passes the degree budget 1000 (at position 8)\n"
+
+    def test_power_of_a_parenthesised_value_past_the_digit_budget_is_two(self, capsys):
+        """(<400 nines>*x + 1)^200 is refused from bit lengths, at once: its
+        power took 15.6 s before the check."""
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "certify", "--f", "(" + "9" * 400 + "*x + 1)^200",
+                             "--max-deg-y", "3")
+        assert time.perf_counter() - t0 < 0.1
+        assert (code, out) == (2, "")
+        assert err == ("error: power of a coefficient passes the digit budget 4300 "
+                       "(at position 409)\n")
 
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2

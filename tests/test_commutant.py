@@ -34,7 +34,7 @@ from newtcomm import (
 from newtcomm import commutant, poly, selftest
 from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
-from newtcomm.parity import KINDS, _C_PARITY, _read_off, build_system, coefficient, solve_system
+from newtcomm.parity import KINDS, _C_PARITY, _space_at, build_system, coefficient, solve_system
 
 import energy_oracle
 import recurrence_oracle
@@ -184,9 +184,10 @@ def _assert_prefixes(f: UniPoly, M: int) -> None:
     for Mp in range(M + 1):
         assert _prefix(top, Mp) == solve_commutant(f, Mp).basis, Mp
     for kind in KINDS if M >= 2 else ():
-        space_at = _read_off(_C_PARITY[kind], solve_system(build_system(kind, M, f)).basis, M)
+        basis = solve_system(build_system(kind, M, f)).basis
         for Mp in range(2, M + 1):
-            assert space_at(Mp) == solve_system(build_system(kind, Mp, f)), (kind, Mp)
+            assert _space_at(_C_PARITY[kind], basis, Mp) == solve_system(
+                build_system(kind, Mp, f)), (kind, Mp)
 
 
 @settings(deadline=None)

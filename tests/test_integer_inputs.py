@@ -17,7 +17,7 @@ from newtcomm import (
     solve_commutant,
 )
 from newtcomm.commutant import energy_basis
-from newtcomm.obstruction import ansatz_rows, substitute
+from newtcomm.obstruction import substitute
 
 X2 = parse_unipoly("x^2")
 
@@ -28,9 +28,8 @@ CALLS = {
     "energy_basis_false": (lambda: energy_basis(X2, False), "max y-degree M must be an integer"),
     "certify_rank_one": (lambda: certify_rank_one(X2, True),
                          "max y-degree M must be a non-negative integer"),
-    "ansatz_rows_m": (lambda: ansatz_rows(True, 1), "m must be an integer >= 1 at a = 1"),
-    "ansatz_rows_a": (lambda: ansatz_rows(3, True), "the x-offset a must be 0 or 1"),
     "substitute": (lambda: substitute(True, 1, 2), "m must be an integer >= 1 at a = 1"),
+    "substitute_a": (lambda: substitute(3, True, 2), "the x-offset a must be 0 or 1"),
     "build_family": (lambda: build_family(True), "k must be an integer >= 1"),
     "first_integral": (lambda: first_integral(True), "k must be an integer >= 1"),
     "pm_witness": (lambda: pm_witness(5, True), r"k must satisfy 1 <= k <= \(m-1\)/2"),

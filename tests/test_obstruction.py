@@ -1,5 +1,7 @@
 """Obstruction polynomials P_m and exact rational root finding."""
 
+import inspect
+import math
 import time
 from fractions import Fraction
 
@@ -41,6 +43,15 @@ FROZEN_P = {
 FROZEN_P_AT_MINUS_1 = {3: -8, 5: 48, 7: -384, 9: 3840, 11: -46080}
 
 
+def _mutant(old: str, new: str):
+    """obstruction.build_obstruction with the source text old replaced by new."""
+    src = inspect.getsource(obstruction.build_obstruction)
+    assert src.count(old) == 1
+    namespace = dict(vars(obstruction))
+    exec(src.replace(old, new), namespace)
+    return namespace["build_obstruction"]
+
+
 class TestBuildObstruction:
     def test_frozen_polynomials(self):
         for m, text in FROZEN_P.items():
@@ -65,10 +76,29 @@ class TestBuildObstruction:
             assert build_obstruction(m).P == obstruction_oracle.build_obstruction(m).P, m
 
     def test_pm_is_the_continuant_of_its_commutation_system(self):
-        """P_m, the continuant of ansatz_rows(m), is the T-chain's P_m for
+        """P_m, the continuant of the piece's rows, is the T-chain's P_m for
         odd m <= 201: the hand elimination the package used before."""
         for m in range(3, 202, 2):
             assert build_obstruction(m).P == obstruction_oracle.build_obstruction(m).P, m
+
+    def test_leading_coefficient_closed_form(self):
+        """lc(P_{2k+1}) = (-1)^(k+1) (k+1)! (2k-1)!! for k <= 100."""
+        for k in range(1, 101):
+            double_factorial = math.prod(range(1, 2 * k, 2))
+            want = (-1) ** (k + 1) * math.factorial(k + 1) * double_factorial
+            assert build_obstruction(2 * k + 1).P.lc() == want, k
+
+    @pytest.mark.parametrize("old, new", [
+        ("(i - 1) // 2 + 1, i // 2", "(i - 1) // 2, i // 2"),  # super entry without its 1
+        ("(i - 1) // 2 + 1, i // 2", "(i - 1) // 2 + 1, (i - 1) // 2"),  # ceil read as floor
+        ("i - m - 1, (i - 1)", "i - m, (i - 1)"),  # sub entry m - i
+    ])
+    def test_row_rule_mutation_control(self, old, new):
+        """Mutation controls: a wrong entry in the row rule changes P_m at
+        every odd m <= 61, and the T-chain oracle sees it."""
+        mutant = _mutant(old, new)
+        for m in range(3, 62, 2):
+            assert mutant(m).P != obstruction_oracle.build_obstruction(m).P, m
 
     def test_roots_at_m201_within_budget(self):
         t0 = time.perf_counter()
@@ -142,8 +172,8 @@ def _ansatz_matrix_from_bracket(m: int, X: Fraction, a: int = 1) -> list[list[Fr
 
 
 def _ansatz_matrix(m: int, X: Fraction, a: int = 1) -> list[list[Fraction]]:
-    """obstruction.ansatz_rows(m, a) at slope X, as a dense matrix of Fractions."""
-    rows = obstruction.ansatz_rows(m, a)
+    """obstruction_oracle.ansatz_rows(m, a) at slope X, as a dense matrix of Fractions."""
+    rows = obstruction_oracle.ansatz_rows(m, a)
     n = len(rows)
     matrix = [[Fraction(0)] * n for _ in range(n)]
     for i, row in enumerate(rows):
@@ -162,7 +192,7 @@ def _nullity(matrix: list[list[Fraction]]) -> int:
 
 
 class TestAnsatzSystem:
-    """ansatz_rows is the commutation condition [d, gamma] = 0, as the
+    """The oracle's ansatz_rows is the commutation condition [d, gamma] = 0, as the
     derivation kernel computes it, at both x-offsets, and at a = 1 and odd m
     its null spaces are the slopes of expected_root_set and the beta of
     build_family."""
@@ -182,22 +212,25 @@ class TestAnsatzSystem:
     def test_dropped_offset_term_is_caught(self, m, monkeypatch):
         """Mutation control: the a-term of y_1's super entry dropped (a + 0 + X
         read as X) changes the rows at a = 1 only, and the bracket sees it."""
-        rows = obstruction.ansatz_rows
+        rows = obstruction_oracle.ansatz_rows
 
         def dropped(m, a=1):
             out = rows(m, a)
             s, d, (q0, q1) = out[a]  # y_1, after x_0 at a = 1
             return out[:a] + [(s, d, (q0 - a, q1))] + out[a + 1:]
 
-        monkeypatch.setattr(obstruction, "ansatz_rows", dropped)
+        monkeypatch.setattr(obstruction_oracle, "ansatz_rows", dropped)
         X = Fraction(2)
         assert _ansatz_matrix_from_bracket(m, X, 1) != _ansatz_matrix(m, X, 1)
         assert _ansatz_matrix_from_bracket(m, X, 0) == _ansatz_matrix(m, X, 0)
 
     def test_bad_offset_or_degree(self):
-        for m, a in ((0, 1), (1, 0), (-2, 0), (3, 2), (3, -1), (2.0, 1), (3, "1")):
-            with pytest.raises(InvalidInput):
-                obstruction.ansatz_rows(m, a)
+        for m, a in ((0, 1), (1, 0), (-2, 0), (2.0, 1)):
+            with pytest.raises(InvalidInput, match=f"^m must be an integer >= {2 - a} at a = {a}$"):
+                obstruction.substitute(m, a, 2)
+        for m, a in ((3, 2), (3, -1), (3, "1"), (3, 1.0)):
+            with pytest.raises(InvalidInput, match="^the x-offset a must be 0 or 1$"):
+                obstruction.substitute(m, a, 2)
 
     @pytest.mark.parametrize("m", range(3, 42, 2))
     def test_null_space_at_every_expected_root(self, m):
@@ -224,7 +257,7 @@ class TestAnsatzSystem:
     @pytest.mark.parametrize("m", range(1, 42))
     def test_substitution_is_the_loop_over_the_rows(self, m):
         """substitute computes each entry from its row index; the oracle reads
-        the entries off ansatz_rows.  Same values, and None at the same slopes."""
+        the entries off its ansatz_rows.  Same values, and None at the same slopes."""
         nones = 0
         for a in (1, 0) if m >= 2 else (1,):
             for X in self.SLOPES:

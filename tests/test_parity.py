@@ -217,7 +217,7 @@ def test_lemma_suite_reads_certified_halves_without_solving(monkeypatch, m_max):
 @pytest.mark.parametrize("f_text", CERTIFIED_FORCES)
 def test_certified_suite_builds_no_basis(monkeypatch, f_text, m_max):
     """Under a passing certificate every check comes from (kind, m) alone:
-    with energy_basis, solve_halves and _read_off raising, the report still
+    with energy_basis, solve_halves and _space_at raising, the report still
     equals the per-system oracle."""
     f = parse_unipoly(f_text)
     want = lemma_oracle.lemma_suite(f, m_max)
@@ -225,7 +225,7 @@ def test_certified_suite_builds_no_basis(monkeypatch, f_text, m_max):
     def refuse(*args):
         raise AssertionError("the certified suite reads no basis")
 
-    for name in ("energy_basis", "solve_halves", "_read_off"):
+    for name in ("energy_basis", "solve_halves", "_space_at"):
         monkeypatch.setattr(parity, name, refuse)
     assert check_lemma_suite(f, m_max) == want
 
@@ -252,21 +252,21 @@ def test_certified_checks_mutation_control(monkeypatch, old, new):
 
 
 def test_read_off_keeps_the_least_y_degree():
-    """Ie_2 of x^2 read off the top half at m_max = 3, (H delta_f, delta_f):
+    """Ie_2 of x^2 read off the solved top half at m_max = 3, (H delta_f, delta_f):
     c_1 and d_0 are nonempty in delta_f, of y-degree 1, so only d_2 is forced.
-    A read-off that kept the first y-degree it met, 3 from H delta_f, would
-    force them too."""
-    by_name = {c.name: c for c in check_lemma_suite(parse_unipoly("x^2"), 3).checks}
-    assert by_name["Ie_2"].forced == {"d_2"}
+    A read-off that also counted the rows of H delta_f, of y-degree 3, would
+    force nothing.  (check_lemma_suite takes the certified path here.)"""
+    half = tuple(solve_halves(parse_unipoly("x^2"), 3, (1,)))
+    assert parity._space_at(1, half, 2).forced == {"d_2"}
 
 
 def _assert_read_off_matches_scan(f, m_max, halves):
-    """Every m <= m_max of each half: the one read-off equals the per-m scan."""
+    """Every m <= m_max of each half: _space_at equals the per-unknown scan."""
     for kind in KINDS[:2] if m_max % 2 else KINDS[2:]:
         par, sys = parity._C_PARITY[kind], build_system(kind, m_max, f)
-        space_at = parity._read_off(par, halves[par], m_max)
         for m in range(m_max + 1):
-            assert space_at(m) == lemma_oracle.space_at(sys, halves[par], m), (kind, m)
+            assert parity._space_at(par, halves[par], m) == lemma_oracle.space_at(
+                sys, halves[par], m), (kind, m)
 
 
 @pytest.mark.parametrize("m_max", [20, 41])

@@ -333,10 +333,15 @@ class TestLongNumbers:
         assert parse_laurent("x^(" + "1" * 4300 + "/3)", 3) == LaurentPoly.term(3, n)
 
 
+NINES = "9" * 43  # 10^43 - 1: (10^43)^100 has 4301 digits
+
+
 class TestPowerDigits:
     """A power of a coefficient past MAX_DIGITS digits is a ParseError at the
     exponent, decided from bit lengths first, so that a huge exponent is not
-    computed; a power of 1, as in x^N, is free at any N."""
+    computed; a power of 1, as in x^N, is free at any N.  A power of a
+    parenthesised value is bounded the same way, with the sum of its absolute
+    numerators, which bounds every coefficient of the power, as the coefficient."""
 
     PARSERS = TestLongNumbers.PARSERS
 
@@ -344,6 +349,8 @@ class TestPowerDigits:
         ("10^4300", 3), ("3^9013", 2), ("2^14285", 2), ("7^5089*x", 2), ("x + 1/10^4300", 9),
         ("3^10000000", 2), ("3^" + "9" * 60, 2), ("(3)^10000000", 4), ("(2*x)^100000", 6),
         ("((2/3))^10000", 8), ("-(3)^9013 + x", 5),
+        ("(" + "9" * 400 + "*x + 1)^200", 409), ("(" + NINES + "*x + 1)^100", 52),
+        ("(1/" + NINES + "*x + 1)^100", 54), ("x + (" + NINES + "*x^2 + x)^100", 58),
     ])
     def test_past_the_budget(self, text, at):
         for parse in self.PARSERS:
@@ -361,6 +368,10 @@ class TestPowerDigits:
             assert parse_bipoly(f"1/{c}^{k}*y") == Fraction(1, c ** k) * BiPoly.y()
         assert parse_unipoly("(-1)^" + "9" * 60 + " + 1^" + "7" * 4300) == 0
         assert parse_unipoly("(2/3)^2 + 0^100000000") == Fraction(4, 9)
+        c = 10 ** 43 - 2  # (c + 1)^100 has 4300 digits
+        assert parse_unipoly(f"({c}*x + 1)^100") == UniPoly([1, c]) ** 100
+        assert parse_unipoly(f"(1/{c}*x + 1)^100") == UniPoly([1, Fraction(1, c)]) ** 100
+        assert parse_bipoly(f"({c}*y + {c}*y^2)^50") == (c * BiPoly.y() * (1 + BiPoly.y())) ** 50
 
 
 class TestRoundTrips:
