@@ -17,7 +17,7 @@ from newtcomm import (
     solve_commutant,
 )
 from newtcomm.commutant import energy_basis
-from newtcomm.obstruction import substitute
+from newtcomm.obstruction import build_obstruction, substitute
 
 X2 = parse_unipoly("x^2")
 
@@ -30,6 +30,7 @@ CALLS = {
                          "max y-degree M must be a non-negative integer"),
     "substitute": (lambda: substitute(True, 1, 2), "m must be an integer >= 1 at a = 1"),
     "substitute_a": (lambda: substitute(3, True, 2), "the x-offset a must be 0 or 1"),
+    "build_obstruction": (lambda: build_obstruction(True), "m must be an odd integer >= 3"),
     "build_family": (lambda: build_family(True), "k must be an integer >= 1"),
     "first_integral": (lambda: first_integral(True), "k must be an integer >= 1"),
     "pm_witness": (lambda: pm_witness(5, True), r"k must satisfy 1 <= k <= \(m-1\)/2"),
