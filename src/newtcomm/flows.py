@@ -74,26 +74,22 @@ def companion_for_linear(d: PlanarDerivation) -> LinearizationResult:
     x, y = BiPoly.x(), BiPoly.y()
 
     change: str | None = None
+    det = a * f - b * e
     if a == b == e == f == 0:
         label = "case0"
         delta = PlanarDerivation(BiPoly.const(-g), BiPoly.const(c))
-    elif c == g == 0 and b == e == 0 and a == f:
-        label = "case1"
-        delta = PlanarDerivation(y, x)
-    elif c == g == 0:
-        label = "case2"
-        delta = PlanarDerivation(x, y)
-    elif a * f - b * e != 0:
-        label = "case3"
-        det = a * f - b * e
-        x0 = (-c * f + b * g) / det
-        y0 = (-a * g + c * e) / det
-        u, v = x - BiPoly.const(x0), y - BiPoly.const(y0)
-        if b == e == 0 and a == f:
-            delta = PlanarDerivation(v, u)
+    elif c == g == 0 or det != 0:
+        # d vanishes at the origin, or else at its one zero (x0, y0).  About that
+        # point the Euler field (u, v) commutes with d; when d is a multiple of
+        # it, the swap field (v, u) does, and is transversal
+        scalar = b == e == 0 and a == f
+        if c == g == 0:
+            label, u, v = "case1" if scalar else "case2", x, y
         else:
-            delta = PlanarDerivation(u, v)
-        change = f"u = x - ({x0}), v = y - ({y0})"
+            label, x0, y0 = "case3", (-c * f + b * g) / det, (-a * g + c * e) / det
+            u, v = x - BiPoly.const(x0), y - BiPoly.const(y0)
+            change = f"u = x - ({x0}), v = y - ({y0})"
+        delta = PlanarDerivation(v, u) if scalar else PlanarDerivation(u, v)
     elif a == 0 and b == 0:
         label = "case4a"
         dx, dy = _solve_first_constant(c, e, f, g)

@@ -16,19 +16,18 @@ Each system has m+2 equations, labeled e_{m+1} down to e_0.  A solution is
 held as the PlanarDerivation it defines (c_i in act_x, d_i in act_y), so a
 solution space is a tuple of derivations.  Unknown names such as "c_3" only
 list the unknowns and the forced ones; coefficient reads a name off a
-derivation.  The I-half carries all solutions when deg f >= 2.  A half's
-basis at one m gives its solution space at every smaller m (_space_at: the
-elements of y-degree <= m, and the unknowns with no nonempty row in them).
+derivation.  The I-half carries all solutions when deg f >= 2.
 solve_system integrates.  Under a passing rank-one certificate each check of
 check_lemma_suite is a consequence of it, built with no basis; the m = 20
-solves of selftest's criterion 3 are the independent part.
+solves of selftest's criterion 3 are the independent part.  Without one, each
+check is one solve_system of its own (kind, m) system.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .commutant import _graded_reason, _prefix, energy_basis, solve_halves
+from .commutant import _graded_reason, energy_basis, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput, is_int
 from .poly import UniPoly, as_unipoly
@@ -104,19 +103,12 @@ class SolutionSpace(NamedTuple):
 def solve_system(sys: ParitySystem) -> SolutionSpace:
     """Every polynomial solution, by integrating e_{m+1} .. e_1 top-down and
     imposing e_0 on the integration constants; the basis is the canonical
-    echelon basis of the solution space."""
-    par = _C_PARITY[sys.kind]
-    return _space_at(par, tuple(solve_halves(sys.f, sys.m, (par,))), sys.m)
-
-
-def _space_at(c_par: int, basis: tuple[PlanarDerivation, ...], m: int) -> SolutionSpace:
-    """The SolutionSpace at m of the half with c-parity c_par, off its basis at
-    some m_max >= m: the elements of y-degree <= m (_prefix), and the unknowns of
-    index <= m with no nonempty row (c_i in act_x, d_i in act_y) in any of them."""
-    kept = _prefix(basis, m)
-    held = {f"{letter}_{i}" for g in kept for letter, comp in (("c", g.act_x), ("d", g.act_y))
+    echelon basis of the solution space, and an unknown is forced when no
+    element of it has a nonempty row (c_i in act_x, d_i in act_y) for it."""
+    basis = tuple(solve_halves(sys.f, sys.m, (_C_PARITY[sys.kind],)))
+    held = {f"{letter}_{i}" for g in basis for letter, comp in (("c", g.act_x), ("d", g.act_y))
             for i, (_, ns) in enumerate(comp._rows) if ns}
-    return SolutionSpace(kept, frozenset(_unknowns(c_par, m)).difference(held))
+    return SolutionSpace(basis, frozenset(sys.unknowns).difference(held))
 
 
 class LemmaCheck(NamedTuple):
@@ -179,8 +171,8 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     C(k,j) D^j g^(k-j) and act_y row 2j is C(k,j) D^j F g^(k-j) for j <= k,
     none zero as f != 0 makes g and F nonzero; so c_{2j+1} and d_{2j} first
     appear at y-degree 2j+1, Io_m forces nothing and Ie_m forces d_m alone.
-    Otherwise each half is one solve_halves at m_max, read at every m
-    (_space_at), and Io compares with the tails of energy_basis(f, m_max).
+    Otherwise each check is the lemma as stated: one solve_system of its own
+    (kind, m) system, with Io compared to energy_basis(f, m).
     """
     f = as_unipoly(f)
     if f.degree < 2 and not allow_low_degree:
@@ -190,12 +182,9 @@ def check_lemma_suite(f: UniPoly, m_max: int, *,
     if f.degree >= 2 and _graded_reason(f.degree, m_max, (m_max + 1) // 2) is None:
         facts = _certified
     else:
-        energy = energy_basis(f, m_max)
-        halves = {par: tuple(solve_halves(f, m_max, (par,))) for par in (1, 0)}
-
         def facts(kind, m):
-            s = _space_at(_C_PARITY[kind], halves[_C_PARITY[kind]], m)
-            return s.dimension, s.forced, kind != "Io" or s.basis == energy[-((m + 1) // 2):]
+            s = solve_system(build_system(kind, m, f))
+            return s.dimension, s.forced, kind != "Io" or s.basis == energy_basis(f, m)
     checks = [_check_one(kind, m, *facts(kind, m)) for kind in KINDS
               for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
     return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))

@@ -28,8 +28,11 @@ their powers.  Parentheses and unary minus signs nest at most MAX_NESTING
 deep.  Past MAX_DEGREE, the y-degree of a nonzero term, and the y-degree or
 x-width (highest power minus lowest) of a power of a parenthesised
 expression, are ParseErrors at the exponent; x^N alone is one term at any
-N.  A sum that makes a nonzero y-row wider in x than MAX_DEGREE is one at
-the sum's first token (a product may widen a row).  A power c^k past
+N.  A product of two ring values, or of a term's monomial and a ring value,
+whose y-degree or x-width (the sums of its factors') would pass MAX_DEGREE
+is one at the term's first token, before it is computed; a product with 0
+is free.  So no row is wider than MAX_DEGREE, and a sum that makes a nonzero
+y-row wider is one at the sum's first token.  A power c^k past
 MAX_DIGITS digits is one at the exponent, for c a coefficient or, for a
 parenthesised value, the larger of its denominator and the sum of its
 absolute numerators; it is bounded from bit lengths before the power is
@@ -127,9 +130,9 @@ class _Parser:
             raise self.error("expression nested too deeply", first + MAX_NESTING - self.depth)
         self.depth += levels
 
-    def budget(self, degree) -> None:
+    def budget(self, degree, at: int) -> None:
         if degree > MAX_DEGREE:
-            raise self.error(f"degree {degree} passes the degree budget {MAX_DEGREE}", self.exp_at)
+            raise self.error(f"degree {degree} passes the degree budget {MAX_DEGREE}", at)
 
     def wide(self, width: int, at: int) -> ParseError:
         """The error for a sum, from token at, with a y-row of that z-width."""
@@ -138,15 +141,24 @@ class _Parser:
 
     def add(self, a, b, at: int):
         """a + b, for ring values in the sum from token at: a ParseError there
-        if a y-row of a + b would be wider in x than MAX_DEGREE and than it is
-        in a and in b, so that a sum adds no width past the budget."""
+        if a y-row of a + b would be wider in x than MAX_DEGREE."""
         cap = MAX_DEGREE * self.ring.root
         for (sa, na), (sb, nb) in zip(a._rows, b._rows):
             if na and nb:
                 width = max(sa + len(na), sb + len(nb)) - 1 - min(sa, sb)
-                if width > max(cap, len(na) - 1, len(nb) - 1):
+                if width > cap:
                     raise self.wide(width, at)
         return a + b
+
+    def product(self, a, b, at: int):
+        """a * b, for ring values in the term from token at: a ParseError there
+        if its y-degree or x-width, the sums of those of a and b, would pass
+        MAX_DEGREE.  A product with 0 is free."""
+        sa, sb = _span(a._rows), _span(b._rows)
+        if sa and sb:
+            width = Fraction(sa[1] - 1 - sa[0] + sb[1] - 1 - sb[0], self.ring.root)
+            self.budget(max(len(a._rows) + len(b._rows) - 2, width), at)
+        return a * b
 
     def close(self) -> None:
         if self.toks[self.i] != ")":
@@ -185,21 +197,21 @@ class _Parser:
         """The product of the factors times n: a monomial, or a ring value if
         a factor is one."""
         d, i, e = 1, 0, 0
-        rest, toks = None, self.toks
+        rest, toks, start = None, self.toks, self.i
         while True:
             v = self.factor()
             if type(v) is tuple:
                 n, d, i, e = n * v[0], d * v[1], i + v[2], e + v[3]
                 if i > MAX_DEGREE and n:
-                    self.budget(i)
+                    self.budget(i, self.exp_at)
             else:
-                rest = v if rest is None else rest * v
+                rest = v if rest is None else self.product(rest, v, start)
             if toks[self.i] != "*":
                 break
             self.i += 1
         if rest is None:
             return n, d, i, e
-        return rest * self.ring.make([(n, d, i, e)])
+        return self.product(rest, self.ring.make([(n, d, i, e)]), start)
 
     def factor(self):
         """Unary minus signs, then an atom with its exponent."""
@@ -232,7 +244,7 @@ class _Parser:
             if type(k) is int and k >= 0:
                 if type(v) is not tuple and (span := _span(v._rows)):
                     width = Fraction(span[1] - 1 - span[0], self.ring.root)  # x, low to high
-                    self.budget(k * max(len(v._rows) - 1, width))
+                    self.budget(k * max(len(v._rows) - 1, width), self.exp_at)
                     if len(v._rows) == 1 and not width:  # one term n/d * z^e: a monomial
                         v = (v._rows[0][1][0], v._d, 0, span[0])
                 if type(v) is not tuple:

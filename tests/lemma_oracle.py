@@ -1,13 +1,16 @@
 """Reference lemma suite: every (kind, m) system solved on its own.
 
-``newtcomm.parity.check_lemma_suite`` reads both halves at m_max off the
-rank-one certificate when it passes (else solves each half once) and
-reads every smaller system off them as a prefix.  This oracle
-builds and solves each (kind, m) system separately, with one
-``solve_system`` per check and one ``energy_basis(f, m)`` per Io check, and
-formats the checks the same way, so the tests compare the two reports by
-``==``.  ``space_at`` tests each unknown against each kept element on its
-own: the oracle for ``newtcomm.parity._space_at``.
+``newtcomm.parity.check_lemma_suite`` reads each check off the rank-one
+certificate when it passes, and otherwise makes one ``solve_system`` per
+check.  This oracle builds and solves each (kind, m) system separately,
+with one ``solve_system`` per check and one ``energy_basis(f, m)`` per Io
+check, and formats the checks the same way, so the tests compare the two
+reports by ``==``; on the path with no certificate the two take the same
+route, and its independent checks are the tests of ``solve_system`` against
+``matching_oracle`` and ``recurrence_oracle``.  ``space_at`` reads a half's
+solution space at a smaller m off its basis, testing each unknown against
+each kept element on its own: the oracle for the forced set of
+``solve_system`` and for the certified facts read at every m.
 """
 
 from __future__ import annotations

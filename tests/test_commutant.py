@@ -34,9 +34,10 @@ from newtcomm import (
 from newtcomm import commutant, poly, selftest
 from newtcomm.commutant import _graded_nullities, _integrate_half, _prefix, energy_basis
 from newtcomm.linsolve import rref
-from newtcomm.parity import KINDS, _C_PARITY, _space_at, build_system, coefficient, solve_system
+from newtcomm.parity import KINDS, build_system, coefficient, solve_system
 
 import energy_oracle
+import lemma_oracle
 import recurrence_oracle
 from matching_oracle import column_layout, default_xcap, matching_commutant, matching_system
 from strategies import rationals, unipolys
@@ -179,14 +180,16 @@ def test_commutant_is_the_union_of_the_halves(f_text):
 
 def _assert_prefixes(f: UniPoly, M: int) -> None:
     """Every smaller y-degree read off one solve at M equals its own solve:
-    the commutant basis for M' <= M, each parity system for 2 <= M' <= M."""
+    the commutant basis for M' <= M, each parity system for 2 <= M' <= M
+    (read by lemma_oracle.space_at)."""
     top = solve_commutant(f, M).basis
     for Mp in range(M + 1):
         assert _prefix(top, Mp) == solve_commutant(f, Mp).basis, Mp
     for kind in KINDS if M >= 2 else ():
-        basis = solve_system(build_system(kind, M, f)).basis
+        system = build_system(kind, M, f)
+        basis = solve_system(system).basis
         for Mp in range(2, M + 1):
-            assert _space_at(_C_PARITY[kind], basis, Mp) == solve_system(
+            assert lemma_oracle.space_at(system, basis, Mp) == solve_system(
                 build_system(kind, Mp, f)), (kind, Mp)
 
 

@@ -77,6 +77,22 @@ class TestCompanionForLinear:
             det = d.act_x * res.delta.act_y - d.act_y * res.delta.act_x
             assert not det.is_zero
 
+    @pytest.mark.parametrize("dx, dy, label, delta, change", [
+        ("3", "5", "case0", ("-5", "3"), None),
+        ("2*x", "2*y", "case1", ("y", "x"), None),
+        ("x + 2*y", "3*y", "case2", ("x", "y"), None),
+        ("x + 1", "2*y - 3", "case3", ("x + 1", "y - 3/2"), "u = x - (-1), v = y - (3/2)"),
+        ("x + 1", "y + 2", "case3", ("y + 2", "x + 1"), "u = x - (-1), v = y - (-2)"),
+        ("0", "2*x + 1", "case4a", ("2*x + 1", "2*y"), None),
+        ("x", "1", "case4b", ("0", "-1"), "swap x<->y"),
+        ("x + y + 1", "x + y", "case4b", ("-1", "1"), "z = 1*x - 1*y"),
+    ])
+    def test_each_label_pinned(self, dx, dy, label, delta, change):
+        """(label, delta, change) for one field of each label, both branches of
+        case4b, and a multiple of the Euler field about a shifted zero."""
+        res = companion_for_linear(D(dx, dy))
+        assert (res.case_label, res.delta, res.change_of_coords) == (label, D(*delta), change)
+
     def test_zero_rejected(self):
         with pytest.raises(InvalidInput):
             companion_for_linear(D("0", "0"))

@@ -187,11 +187,16 @@ class TestLemmaSuite:
         assert by_name["Io_3"].dimension == 2
 
 
-@pytest.mark.parametrize("m_max", [2, 3, 9, 16])
-@pytest.mark.parametrize("f_text", ["x^2", "x^3 - x", DEGREE_9_F, "0", "1", "x", "2*x + 1"])
+LOW_DEGREE_FORCES = ("0", "1", "x", "2*x + 1")
+
+
+@pytest.mark.parametrize("f_text, m_max", [
+    *((f_text, m_max) for f_text in ("x^2", "x^3 - x", DEGREE_9_F) for m_max in (2, 3, 9, 16)),
+    *((f_text, m_max) for f_text in LOW_DEGREE_FORCES for m_max in range(2, 17)),
+])
 def test_lemma_suite_matches_per_system_oracle(f_text, m_max):
-    """The suite, read off the certificate or off one solve per half, equals
-    the suite that solves every (kind, m) system on its own, report for report."""
+    """The suite, read off the certificate or built from one solve per check,
+    equals the per-system oracle, report for report."""
     f = parse_unipoly(f_text)
     got = check_lemma_suite(f, m_max, allow_low_degree=f.degree < 2)
     assert got == lemma_oracle.lemma_suite(f, m_max)
@@ -217,7 +222,7 @@ def test_lemma_suite_reads_certified_halves_without_solving(monkeypatch, m_max):
 @pytest.mark.parametrize("f_text", CERTIFIED_FORCES)
 def test_certified_suite_builds_no_basis(monkeypatch, f_text, m_max):
     """Under a passing certificate every check comes from (kind, m) alone:
-    with energy_basis, solve_halves and _space_at raising, the report still
+    with energy_basis, solve_halves and solve_system raising, the report still
     equals the per-system oracle."""
     f = parse_unipoly(f_text)
     want = lemma_oracle.lemma_suite(f, m_max)
@@ -225,7 +230,7 @@ def test_certified_suite_builds_no_basis(monkeypatch, f_text, m_max):
     def refuse(*args):
         raise AssertionError("the certified suite reads no basis")
 
-    for name in ("energy_basis", "solve_halves", "_space_at"):
+    for name in ("energy_basis", "solve_halves", "solve_system"):
         monkeypatch.setattr(parity, name, refuse)
     assert check_lemma_suite(f, m_max) == want
 
@@ -252,70 +257,75 @@ def test_certified_checks_mutation_control(monkeypatch, old, new):
 
 
 def test_read_off_keeps_the_least_y_degree():
-    """Ie_2 of x^2 read off the solved top half at m_max = 3, (H delta_f, delta_f):
-    c_1 and d_0 are nonempty in delta_f, of y-degree 1, so only d_2 is forced.
-    A read-off that also counted the rows of H delta_f, of y-degree 3, would
-    force nothing.  (check_lemma_suite takes the certified path here.)"""
-    half = tuple(solve_halves(parse_unipoly("x^2"), 3, (1,)))
-    assert parity._space_at(1, half, 2).forced == {"d_2"}
+    """Ie_2 of x^2: c_1 and d_0 are nonempty in delta_f, of y-degree 1, so
+    solve_system forces only d_2, as the scan of the half solved at m = 3,
+    (H delta_f, delta_f), read off at m = 2.  A read-off that also counted the
+    rows of H delta_f, of y-degree 3, would force nothing."""
+    f = parse_unipoly("x^2")
+    top = build_system("Io", 3, f)
+    space = solve_system(build_system("Ie", 2, f))
+    assert space.forced == {"d_2"}
+    assert space == lemma_oracle.space_at(top, solve_system(top).basis, 2)
 
 
-def _assert_read_off_matches_scan(f, m_max, halves):
-    """Every m <= m_max of each half: _space_at equals the per-unknown scan."""
-    for kind in KINDS[:2] if m_max % 2 else KINDS[2:]:
-        par, sys = parity._C_PARITY[kind], build_system(kind, m_max, f)
-        for m in range(m_max + 1):
-            assert parity._space_at(par, halves[par], m) == lemma_oracle.space_at(
-                sys, halves[par], m), (kind, m)
+def _kind(c_par: int, m: int) -> str:
+    return ("I" if c_par else "II") + ("o" if m % 2 else "e")
+
+
+def _assert_read_off_matches_scan(f, m_max, halves, space):
+    """Every 2 <= m <= m_max of each half: space(kind, m) equals the per-unknown
+    scan of the half at m_max, read off at m."""
+    for par, half in halves.items():
+        top = build_system(_kind(par, m_max), m_max, f)
+        for m in range(2, m_max + 1):
+            assert space(_kind(par, m), m) == lemma_oracle.space_at(top, half, m), (par, m)
 
 
 @pytest.mark.parametrize("m_max", [20, 41])
 @pytest.mark.parametrize("f_text", CERTIFIED_FORCES)
 def test_read_off_matches_scan_on_certified_halves(f_text, m_max):
+    """The facts _certified states at each m <= m_max are those of the
+    certified halves at m_max (the energy basis, and nothing), read off at m."""
     f = parse_unipoly(f_text)
     assert certify_rank_one(f, m_max).passed
-    _assert_read_off_matches_scan(f, m_max, {1: energy_basis(f, m_max), 0: ()})
+
+    def certified(kind, m):
+        dimension, forced, multiples = parity._certified(kind, m)
+        basis = energy_basis(f, m) if kind in ("Io", "Ie") else ()
+        assert multiples and dimension == len(basis), (kind, m)
+        return parity.SolutionSpace(basis, forced)
+
+    _assert_read_off_matches_scan(f, m_max, {1: energy_basis(f, m_max), 0: ()}, certified)
 
 
 @pytest.mark.parametrize("m_max", range(2, 14))
-@pytest.mark.parametrize("f_text", ["0", "1", "x", "2*x + 1"])
+@pytest.mark.parametrize("f_text", LOW_DEGREE_FORCES)
 def test_read_off_matches_scan_on_solved_halves(f_text, m_max):
+    """solve_system at each m <= m_max equals the scan of its half solved at
+    m_max, read off at m: the forced set, and the prefix of the basis."""
     f = parse_unipoly(f_text)
-    _assert_read_off_matches_scan(f, m_max, {par: tuple(solve_halves(f, m_max, (par,)))
-                                             for par in (0, 1)})
+    _assert_read_off_matches_scan(
+        f, m_max, {par: tuple(solve_halves(f, m_max, (par,))) for par in (0, 1)},
+        lambda kind, m: solve_system(build_system(kind, m, f)))
 
 
 @pytest.mark.parametrize("m_max", [2, 3, 12])
 @pytest.mark.parametrize("f_text, fail_certificate", [("x^3", True), ("x", False)])
 def test_lemma_suite_solves_each_half_once_without_certificate(monkeypatch, m_max, f_text,
                                                                fail_certificate):
-    """A failing certificate, or deg f < 2 under allow_low_degree: each half
-    is solved once, at m_max, and the report does not change."""
+    """A failing certificate, or deg f < 2 under allow_low_degree: each check
+    solves its half once, by one solve_system of its own (kind, m) system, and
+    the report does not change."""
     f = parse_unipoly(f_text)
     want = check_lemma_suite(f, m_max, allow_low_degree=True)
     if fail_certificate:
         monkeypatch.setattr(parity, "_graded_reason", lambda X, M, lower: "forced failure")
     calls = []
-    solve = parity.solve_halves
-    monkeypatch.setattr(parity, "solve_halves",
-                        lambda f, m, pars: calls.append((pars, m)) or solve(f, m, pars))
+    solve = parity.solve_system
+    monkeypatch.setattr(parity, "solve_system",
+                        lambda sys: calls.append((sys.kind, sys.m)) or solve(sys))
     assert check_lemma_suite(f, m_max, allow_low_degree=True) == want
-    assert sorted(calls) == [((0,), m_max), ((1,), m_max)]
-
-
-@pytest.mark.parametrize("m_max", [2, 3, 9, 16])
-@pytest.mark.parametrize("f_text", ["x", "0"])
-def test_low_degree_suite_builds_no_system(monkeypatch, f_text, m_max):
-    """deg f < 2 under allow_low_degree: the halves come from the integrator
-    with no equation texts built, and the report equals the per-system oracle."""
-    f = parse_unipoly(f_text)
-    want = lemma_oracle.lemma_suite(f, m_max)
-    built = []
-    build = parity.build_system
-    monkeypatch.setattr(parity, "build_system",
-                        lambda kind, m, f: built.append(kind) or build(kind, m, f))
-    assert check_lemma_suite(f, m_max, allow_low_degree=True) == want
-    assert built == []
+    assert calls == [(c.kind, c.m) for c in want.checks]
 
 
 @settings(deadline=None)

@@ -231,7 +231,7 @@ class TestDegreeBudget:
 class TestSumWidth:
     """A sum that makes a nonzero y-row wider in x than MAX_DEGREE (highest
     power minus lowest) is a ParseError at the sum's first token, before the
-    row is laid out; a product may widen a row, and zero terms add nothing."""
+    row is laid out; zero terms add nothing."""
 
     @pytest.mark.parametrize("text, at, width", [
         ("x^1001 + 1", 0, "1001"),
@@ -269,11 +269,59 @@ class TestSumWidth:
         assert parse_laurent("x^(-500) + x^500", 1) == (parse_laurent("x^(-500)", 1)
                                                         + parse_laurent("x^500", 1))
 
-    def test_a_product_may_widen_a_row(self):
-        square = parse_unipoly("(x^600 + 1)*(x^600 + 1)")
-        assert square == (UniPoly.x() ** 600 + 1) ** 2
-        assert parse_unipoly("(x^600 + 1)*(x^600 + 1) + 1") == square + 1
-        assert parse_unipoly("(x^600 + 1)*(x^600 + 1) - (x^600 + 1)*(x^600 + 1)") == 0
+    def test_a_product_may_not_widen_a_row_past_the_budget(self):
+        """As a power does not: (x^600 + 1)^2 and (x^600 + 1)*(x^600 + 1) are
+        both refused, so no row reaches a sum wider than MAX_DEGREE."""
+        for text, at in (("(x^600 + 1)*(x^600 + 1)", 0), ("(x^600 + 1)*(x^600 + 1) + 1", 0),
+                         ("1 - (x^600 + 1)*(x^600 + 1)", 4), ("(x^600 + 1)^2", 12)):
+            with pytest.raises(ParseError) as e:
+                parse_unipoly(text)
+            assert str(e.value) == f"degree 1200 passes the degree budget 1000 (at position {at})"
+
+
+class TestProductBudget:
+    """A product of ring values, or of a term's monomial and a ring value, whose
+    y-degree or x-width (the sums of its factors') passes MAX_DEGREE is a
+    ParseError at the term's first token, before it is computed."""
+
+    @pytest.mark.parametrize("text, at, degree", [
+        ("y^600*(y^500 + 1)", 0, "1100"),
+        ("(y^500 + 1)*y^600", 0, "1100"),
+        ("(y^500 + x)*(y^501 + 1)", 0, "1001"),
+        ("x + (y^500 + 1)*(y^501)", 4, "1001"),
+        ("(x^600 + 1)*(x^600 + 1)", 0, "1200"),
+        ("2*(x^500 + 1)*x*(x^501 + 1)", 0, "1001"),
+        ("(1 + -(x + 1)^1000*(x + 1)^1000)", 5, "2000"),
+        ("(x + 1)^1000*(x + 1)^1000*(x + 1)^1000*(x + 1)^1000", 0, "2000"),
+    ])
+    def test_past_the_budget(self, text, at, degree):
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == (f"degree {degree} passes the degree budget 1000 "
+                                    f"(at position {at})")
+            assert e.value.position == at
+
+    def test_fractional_degree_in_a_laurent_ring(self):
+        with pytest.raises(ParseError, match=r"^degree 2001/2 passes the degree budget 1000 "
+                                             r"\(at position 0\)$"):
+            parse_laurent("x*(x^(1/2) + 1)*(x^1000 + 1)", 2)
+        with pytest.raises(ParseError, match=r"^degree 1001 passes the degree budget 1000 "
+                                             r"\(at position 0\)$"):
+            parse_laurent_bipoly("(x^(-500) + x^500)*(x^(-1) + 1)", 3)
+
+    def test_at_the_budget(self):
+        x, y = BiPoly.x(), BiPoly.y()
+        assert parse_bipoly("y^600*(y^400 + 1)") == y ** 1000 + y ** 600
+        assert parse_bipoly("(x^500 + 1)*(x^500 - 1)") == x ** 1000 - 1
+        assert parse_bipoly("(y^500 + x)*(y^500 + x^999)") == (y ** 500 + x) * (y ** 500 + x ** 999)
+        assert parse_laurent("(x^(-1/2) + 1)*(x^(1/2) + x^999)", 2) == parse_laurent(
+            "1 + x^(1/2) + x^(1997/2) + x^999", 2)
+
+    def test_a_product_with_zero_is_free(self):
+        assert parse_bipoly("(x - x)*(y^600 + 1)*(y^600 + 1)") == 0
+        assert parse_bipoly("(y^600 + 1)*(0*x)*(x^2000 + y^999)") == 0
+        assert parse_unipoly("(x^5000)*(x^5000)") == UniPoly.x_pow(10000)
 
 
 class TestDigits:
