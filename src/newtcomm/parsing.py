@@ -22,25 +22,26 @@ The text is split into tokens once, by one regular expression; a token's
 position is worked out only when an error names it.  A term of plain
 factors (literals, x, y, their integer powers, and a fractional power of
 the bare x) is read as one monomial n/d * y^i * z^e, with no ring
-operation, and each sum collects its monomials into one value through one
-``_make``.  Ring +, * and ** act only on parenthesised sub-expressions and
-their powers.  Parentheses and unary minus signs nest at most MAX_NESTING
-deep.  Past MAX_DEGREE, the y-degree of a nonzero term, and the y-degree or
-x-width (highest power minus lowest) of a power of a parenthesised
-expression, are ParseErrors at the exponent; x^N alone is one term at any
-N.  A product of two ring values, or of a term's monomial and a ring value,
-whose y-degree or x-width (the sums of its factors') would pass MAX_DEGREE
-is one at the term's first token, before it is computed; a product with 0
-is free.  So no row is wider than MAX_DEGREE, and a sum that makes a nonzero
-y-row wider is one at the sum's first token.  A power c^k past
-MAX_DIGITS digits is one at the exponent, for c a coefficient or, for a
-parenthesised value, the larger of its denominator and the sum of its
-absolute numerators; it is bounded from bit lengths before the power is
-computed.  At the bound (x + 1)^1000 takes 0.1 s and (x*y + 1)^1000 0.2 s
-and 14 MiB (2-core host); a power in both x and y costs about the fourth
-power of its degree ((x + y + 1)^200: 4 s).
-One ring adapter, ``_Ring``, supplies the class, the z-exponent of x and the
-fractional powers of x of each ring.
+operation.  Every sum of two or more terms is one value, made at once from
+the monomials of its terms, those of a parenthesised part included; a sum
+of one parenthesised part is that part's value.  Ring * and ** act only on
+parenthesised sub-expressions and their powers.  Parentheses and unary
+minus signs nest at most MAX_NESTING deep.  Past MAX_DEGREE, the y-degree
+of a nonzero term, and the y-degree or x-width (highest power minus lowest)
+of a power of a parenthesised expression, are ParseErrors at the exponent;
+x^N alone is one term at any N.  A product of two ring values, or of a
+term's monomial and a ring value, whose y-degree or x-width (the sums of its
+factors') would pass MAX_DEGREE is one at the term's first token, before it
+is computed.  A product with 0 is free, and so is a term once its
+coefficient is 0: no later ring value is multiplied into it.  So no row is
+wider than MAX_DEGREE, and a sum with a nonzero y-row wider, after
+cancellation, is one at the sum's first token.  A power c^k past MAX_DIGITS
+digits is one at the exponent, for c a coefficient or, for a parenthesised
+value, the larger of its denominator and the sum of its absolute
+numerators; it is bounded from bit lengths before the power is computed.
+At the bound (x + 1)^1000 takes 0.1 s and (x*y + 1)^1000 0.2 s and 14 MiB
+(2-core host); a power in both x and y costs about the fourth power of its
+degree ((x + y + 1)^200: 4 s).
 """
 
 from __future__ import annotations
@@ -63,56 +64,20 @@ _LIMIT_BITS = _LIMIT.bit_length()  # 2^_LIMIT_BITS > _LIMIT
 _TOKEN = re.compile(r"\d+|\S")
 
 
-class _Ring:
-    """The ring an expression is read in: Q[x] or Q[x,y] (t = None), or a
-    Laurent ring with or without y.  Values are built in its y-extension;
-    the univariate parsers take the y^0 coefficient at the end."""
-
-    def __init__(self, t: int | None, with_y: bool):
-        self.t = t
-        self.with_y = with_y
-        self.name = ring_name(t, with_y)
-        self.cls = BiPoly if t is None else LaurentBiPoly
-        self.root = 1 if t is None else t  # x = z^root
-
-    def x_exponent(self, q) -> int:
-        """The z-exponent of x^q, for q negative or fractional."""
-        if self.t is None:
-            raise RingMismatch(f"exponent {q} needs a Laurent ring, not {self.name}")
-        return LaurentPoly.x_power(self.t, q).shift
-
-    def make(self, monos: list, wide=None):
-        """sum of n/d * y^i * z^e over the monomials (n, d, i, e), d > 0.
-        The rows span the nonzero terms only, so 0*x^N or x^N - x^N costs
-        nothing however large N is; a row wider in x than MAX_DEGREE raises
-        wide(its z-width) before it is laid out."""
-        den = lcm(*[d for _, d, _, _ in monos])
-        terms: dict[tuple[int, int], int] = {}
-        for n, d, i, e in monos:
-            terms[i, e] = terms.get((i, e), 0) + n * (den // d)
-        rows: dict[int, dict[int, int]] = {}
-        for (i, e), c in terms.items():
-            if c:
-                rows.setdefault(i, {})[e] = c
-        out = [_EMPTY] * (max(rows, default=-1) + 1)
-        for i, row in rows.items():
-            lo, hi = min(row), max(row)
-            if hi - lo > MAX_DEGREE * self.root:
-                raise wide(hi - lo)
-            out[i] = (lo, [row.get(e, 0) for e in range(lo, hi + 1)])
-        return self.cls._make(self.root, out, den)
-
-
 class _Parser:
-    """Recursive descent over the tokens of one text, with "" at the end.
-    A plain factor or term is a monomial tuple (n, d, i, e), any other a
-    ring value."""
+    """Recursive descent over the tokens of one text, with "" at the end, in
+    Q[x] or Q[x,y] (t = None) or a Laurent ring with or without y.  Values
+    are built in its y-extension; the univariate parsers take the y^0
+    coefficient at the end.  A plain factor or term is a monomial tuple
+    (n, d, i, e), any other a ring value."""
 
-    def __init__(self, text: str, ring: _Ring):
+    def __init__(self, text: str, t: int | None, with_y: bool):
         self.text = text
         self.toks = _TOKEN.findall(text) + [""]
         self.i = 0
-        self.ring = ring
+        self.t, self.with_y, self.name = t, with_y, ring_name(t, with_y)
+        self.cls = BiPoly if t is None else LaurentBiPoly
+        self.root = 1 if t is None else t  # x = z^root
         self.depth = self.exp_at = 0
 
     def error(self, message: str, i: int, last: bool = False) -> ParseError:
@@ -134,21 +99,27 @@ class _Parser:
         if degree > MAX_DEGREE:
             raise self.error(f"degree {degree} passes the degree budget {MAX_DEGREE}", at)
 
-    def wide(self, width: int, at: int) -> ParseError:
-        """The error for a sum, from token at, with a y-row of that z-width."""
-        width = Fraction(width, self.ring.root)
-        return self.error(f"x-width {width} passes the degree budget {MAX_DEGREE}", at)
-
-    def add(self, a, b, at: int):
-        """a + b, for ring values in the sum from token at: a ParseError there
-        if a y-row of a + b would be wider in x than MAX_DEGREE."""
-        cap = MAX_DEGREE * self.ring.root
-        for (sa, na), (sb, nb) in zip(a._rows, b._rows):
-            if na and nb:
-                width = max(sa + len(na), sb + len(nb)) - 1 - min(sa, sb)
-                if width > cap:
-                    raise self.wide(width, at)
-        return a + b
+    def make(self, monos: list, at: int):
+        """The sum of n/d * y^i * z^e over the monomials (n, d, i, e), d > 0,
+        of the sum from token at.  The rows span the nonzero terms only, so
+        0*x^N or x^N - x^N costs nothing however large N is; a row wider in x
+        than MAX_DEGREE is a ParseError at token at, before it is laid out."""
+        den = lcm(*[d for _, d, _, _ in monos])
+        terms: dict[tuple[int, int], int] = {}
+        for n, d, i, e in monos:
+            terms[i, e] = terms.get((i, e), 0) + n * (den // d)
+        rows: dict[int, dict[int, int]] = {}
+        for (i, e), c in terms.items():
+            if c:
+                rows.setdefault(i, {})[e] = c
+        out = [_EMPTY] * (max(rows, default=-1) + 1)
+        for i, row in rows.items():
+            lo, hi = min(row), max(row)
+            if hi - lo > MAX_DEGREE * self.root:
+                width = Fraction(hi - lo, self.root)
+                raise self.error(f"x-width {width} passes the degree budget {MAX_DEGREE}", at)
+            out[i] = (lo, [row.get(e, 0) for e in range(lo, hi + 1)])
+        return self.cls._make(self.root, out, den)
 
     def product(self, a, b, at: int):
         """a * b, for ring values in the term from token at: a ParseError there
@@ -156,7 +127,7 @@ class _Parser:
         MAX_DEGREE.  A product with 0 is free."""
         sa, sb = _span(a._rows), _span(b._rows)
         if sa and sb:
-            width = Fraction(sa[1] - 1 - sa[0] + sb[1] - 1 - sb[0], self.ring.root)
+            width = Fraction(sa[1] - 1 - sa[0] + sb[1] - 1 - sb[0], self.root)
             self.budget(max(len(a._rows) + len(b._rows) - 2, width), at)
         return a * b
 
@@ -174,28 +145,32 @@ class _Parser:
         return value
 
     def expr(self):
-        """The sum of the terms as one ring value: the monomials through one
-        make, the other terms by ring +."""
-        monos, rest, toks, sign, start = [], None, self.toks, 1, self.i
+        """The sum of the terms as one ring value, through one make of their
+        monomials, those of a ring-valued term included; a lone ring-valued
+        term is returned as it is."""
+        terms, toks, sign, start = [], self.toks, 1, self.i
         while True:
-            v = self.term(sign)
-            if type(v) is tuple:
-                monos.append(v)
-            else:
-                rest = v if rest is None else self.add(rest, v, start)
+            terms.append(self.term(sign))
             tok = toks[self.i]
             if tok != "+" and tok != "-":
                 break
             sign = 1 if tok == "+" else -1
             self.i += 1
-        if not monos:
-            return rest
-        value = self.ring.make(monos, lambda width: self.wide(width, start))
-        return value if rest is None else self.add(value, rest, start)
+        if len(terms) == 1 and type(terms[0]) is not tuple:
+            return terms[0]
+        monos = []
+        for v in terms:
+            if type(v) is tuple:
+                monos.append(v)
+            else:
+                monos += [(c, v._d, i, s + j) for i, (s, ns) in enumerate(v._rows)
+                          for j, c in enumerate(ns) if c]
+        return self.make(monos, start)
 
     def term(self, n: int):
         """The product of the factors times n: a monomial, or a ring value if
-        a factor is one."""
+        a factor is one.  Once the coefficient is 0, no later ring value is
+        multiplied and the term is the zero monomial."""
         d, i, e = 1, 0, 0
         rest, toks, start = None, self.toks, self.i
         while True:
@@ -204,14 +179,14 @@ class _Parser:
                 n, d, i, e = n * v[0], d * v[1], i + v[2], e + v[3]
                 if i > MAX_DEGREE and n:
                     self.budget(i, self.exp_at)
-            else:
+            elif n:
                 rest = v if rest is None else self.product(rest, v, start)
             if toks[self.i] != "*":
                 break
             self.i += 1
-        if rest is None:
+        if rest is None or not n:
             return n, d, i, e
-        return self.product(rest, self.ring.make([(n, d, i, e)]), start)
+        return self.product(rest, self.make([(n, d, i, e)], start), start)
 
     def factor(self):
         """Unary minus signs, then an atom with its exponent."""
@@ -224,10 +199,10 @@ class _Parser:
         tok = toks[at]
         self.i = at + 1
         if tok == "x":
-            v = (1, 1, 0, self.ring.root)
+            v = (1, 1, 0, self.root)
         elif tok == "y":
-            if not self.ring.with_y:
-                raise self.error(f"variable y not allowed in {self.ring.name}", at)
+            if not self.with_y:
+                raise self.error(f"variable y not allowed in {self.name}", at)
             v = (1, 1, 1, 0)
         elif tok.isdecimal():
             v = (*self.rational(at), 0, 0)
@@ -243,7 +218,7 @@ class _Parser:
             k = self.exponent()
             if type(k) is int and k >= 0:
                 if type(v) is not tuple and (span := _span(v._rows)):
-                    width = Fraction(span[1] - 1 - span[0], self.ring.root)  # x, low to high
+                    width = Fraction(span[1] - 1 - span[0], self.root)  # x, low to high
                     self.budget(k * max(len(v._rows) - 1, width), self.exp_at)
                     if len(v._rows) == 1 and not width:  # one term n/d * z^e: a monomial
                         v = (v._rows[0][1][0], v._d, 0, span[0])
@@ -256,7 +231,9 @@ class _Parser:
                     self.digits(max(abs(v[0]), v[1]), k)
                     v = (v[0] ** k, v[1] ** k, v[2] * k, v[3] * k)
             elif tok == "x":
-                v = (1, 1, 0, self.ring.x_exponent(k))
+                if self.t is None:
+                    raise RingMismatch(f"exponent {k} needs a Laurent ring, not {self.name}")
+                v = (1, 1, 0, LaurentPoly.x_power(self.t, k).shift)
             else:
                 raise RingMismatch(f"exponent {k} is only allowed on x in a Laurent ring")
         if minus:
@@ -315,8 +292,8 @@ class _Parser:
         return q.numerator if q.denominator == 1 else q
 
 
-def _run(text: str, ring: _Ring):
-    parser = _Parser(text, ring)
+def _run(text: str, t: int | None, with_y: bool):
+    parser = _Parser(text, t, with_y)
     try:
         return parser.parse()
     except RecursionError:
@@ -325,20 +302,20 @@ def _run(text: str, ring: _Ring):
 
 def parse_bipoly(text: str) -> BiPoly:
     """Parse an element of Q[x,y]."""
-    return _run(text, _Ring(None, with_y=True))
+    return _run(text, None, with_y=True)
 
 
 def parse_unipoly(text: str) -> UniPoly:
     """Parse an element of Q[x] (the variable y is rejected)."""
-    return _run(text, _Ring(None, with_y=False)).ycoeff(0)
+    return _run(text, None, with_y=False).ycoeff(0)
 
 
 def parse_laurent(text: str, t: int) -> LaurentPoly:
     """Parse an element of Q[x^(1/t), x^(-1/t)]; t must be a positive int,
     checked before the text is read."""
-    return _run(text, _Ring(_root_index(t), with_y=False)).ycoeff(0)
+    return _run(text, _root_index(t), with_y=False).ycoeff(0)
 
 
 def parse_laurent_bipoly(text: str, t: int) -> LaurentBiPoly:
     """Parse an element of Q[x^(1/t), x^(-1/t), y]; t as in parse_laurent."""
-    return _run(text, _Ring(_root_index(t), with_y=True))
+    return _run(text, _root_index(t), with_y=True)

@@ -269,6 +269,15 @@ class TestSumWidth:
         assert parse_laurent("x^(-500) + x^500", 1) == (parse_laurent("x^(-500)", 1)
                                                         + parse_laurent("x^500", 1))
 
+    @pytest.mark.parametrize("text, want", [
+        ("(x^2000) + (1) - (1)", "x^2000"),
+        ("(y*x^3000) + y - (y)", "x^3000*y"),
+    ])
+    def test_parenthesised_parts_are_checked_after_cancellation(self, text, want):
+        """As monomials are: every sum of two or more terms is one make."""
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            assert parse(text) == parse(want)
+
     def test_a_product_may_not_widen_a_row_past_the_budget(self):
         """As a power does not: (x^600 + 1)^2 and (x^600 + 1)*(x^600 + 1) are
         both refused, so no row reaches a sum wider than MAX_DEGREE."""
@@ -293,6 +302,8 @@ class TestProductBudget:
         ("2*(x^500 + 1)*x*(x^501 + 1)", 0, "1001"),
         ("(1 + -(x + 1)^1000*(x + 1)^1000)", 5, "2000"),
         ("(x + 1)^1000*(x + 1)^1000*(x + 1)^1000*(x + 1)^1000", 0, "2000"),
+        ("(y^600 + 1)*(y^600 + 1)*0", 0, "1200"),  # formed before the 0 is read
+        ("(y^600 + 1)*(y^600 + 1)*(x - x)", 0, "1200"),
     ])
     def test_past_the_budget(self, text, at, degree):
         for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
@@ -322,6 +333,12 @@ class TestProductBudget:
         assert parse_bipoly("(x - x)*(y^600 + 1)*(y^600 + 1)") == 0
         assert parse_bipoly("(y^600 + 1)*(0*x)*(x^2000 + y^999)") == 0
         assert parse_unipoly("(x^5000)*(x^5000)") == UniPoly.x_pow(10000)
+
+    @pytest.mark.parametrize("text", ["0*(y^600 + 1)*(y^600 + 1)",
+                                      "(y^600 + 1)*0*(y^600 + 1)"])
+    def test_a_zero_coefficient_makes_the_later_factors_free(self, text):
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            assert parse(text) == 0
 
 
 class TestDigits:
