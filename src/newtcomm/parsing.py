@@ -25,34 +25,30 @@ the bare x) is read as one monomial n/d * y^i * z^e, with no ring
 operation.  Every sum of two or more terms is one value, made at once from
 the monomials of its terms, those of a parenthesised part included; a sum
 of one parenthesised part is that part's value.  Ring * and ** act only on
-parenthesised sub-expressions and their powers.  Parentheses and unary
-minus signs nest at most MAX_NESTING deep.  Past MAX_DEGREE, the y-degree
-of a nonzero term, and the y-degree or x-width (highest power minus lowest)
-of a power of a parenthesised expression, are ParseErrors at the exponent;
-x^N alone is one term at any N.  A product of two ring values, or of a
-term's monomial and a ring value, whose y-degree or x-width (the sums of its
-factors') would pass MAX_DEGREE is one at the term's first token, before it
-is computed.  A product with 0 is free, and so is a term once its
-coefficient is 0: no later ring value is multiplied into it.  So no row is
-wider than MAX_DEGREE, and a sum with a nonzero y-row wider, after
-cancellation, is one at the sum's first token.  A power c^k past MAX_DIGITS
-digits is one at the exponent, for c a coefficient or, for a parenthesised
-value, the larger of its denominator and the sum of its absolute
-numerators; it is bounded from bit lengths before the power is computed.
-At the bound (x + 1)^1000 takes 0.1 s and (x*y + 1)^1000 0.2 s and 14 MiB
-(2-core host); a power in both x and y costs about the fourth power of its
-degree ((x + y + 1)^200: 4 s).
+parenthesised values: a term sizes each power of one as it is read, and
+builds its value at its end, once every check has passed.  Parentheses and
+unary minus signs nest at most MAX_NESTING deep.  Past MAX_DEGREE, the
+y-degree of a nonzero term and the y-degree or x-width (highest power minus
+lowest) of a power of a parenthesised value are ParseErrors at the exponent,
+and those of a product in a term, the sums of its factors', at the term's
+first token; so is the work of either past (MAX_DEGREE + 1)^2 coefficient
+products, bounded from term counts.  x^N alone is one term at any N.
+Once a term's coefficient is 0, or a factor is, the rest of the term is free
+but for a power's own checks.  No row is wider than MAX_DEGREE, and a sum
+with a nonzero y-row wider, after cancellation, is one at its first token.
+A power c^k past MAX_DIGITS digits is one at the exponent, for c a
+coefficient or, for a parenthesised value, the larger of its denominator and
+the sum of its absolute numerators, bounded from bit lengths first.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
+from math import comb, gcd, lcm
 
 from .errors import ParseError, RingMismatch
-from .poly import (_EMPTY, BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, _root_index, _span,
-                   ring_name)
+from .poly import _EMPTY, BiPoly, LaurentBiPoly, LaurentPoly, UniPoly, _root_index, ring_name
 
 MAX_NESTING = 100  # open parentheses plus pending unary minus signs
 MAX_DIGITS = 4300  # per number and per power of a coefficient: the default int(str) limit
@@ -69,7 +65,8 @@ class _Parser:
     Q[x] or Q[x,y] (t = None) or a Laurent ring with or without y.  Values
     are built in its y-extension; the univariate parsers take the y^0
     coefficient at the end.  A plain factor or term is a monomial tuple
-    (n, d, i, e), any other a ring value."""
+    (n, d, i, e); a parenthesised factor is (sign, base, k), for sign *
+    base^k, and any other term a ring value."""
 
     def __init__(self, text: str, t: int | None, with_y: bool):
         self.text = text
@@ -121,15 +118,25 @@ class _Parser:
             out[i] = (lo, [row.get(e, 0) for e in range(lo, hi + 1)])
         return self.cls._make(self.root, out, den)
 
-    def product(self, a, b, at: int):
-        """a * b, for ring values in the term from token at: a ParseError there
-        if its y-degree or x-width, the sums of those of a and b, would pass
-        MAX_DEGREE.  A product with 0 is free."""
-        sa, sb = _span(a._rows), _span(b._rows)
-        if sa and sb:
-            width = Fraction(sa[1] - 1 - sa[0] + sb[1] - 1 - sb[0], self.root)
-            self.budget(max(len(a._rows) + len(b._rows) - 2, width), at)
-        return a * b
+    def grow(self, size, base, k: int, at: int):
+        """The size (y-degree, z-width, most terms, z-step) of a value of that
+        size times base^k, for a nonzero ring value base and k >= 0: a ParseError
+        at token at past MAX_DEGREE, or past (MAX_DEGREE + 1)^2 coefficient
+        products in the product, base^k's last squaring or its last step on an
+        odd k (a factor of one term is a free shift).  base^j has at most
+        C(j + T - 1, T - 1) terms, T base's, and at most its grid's cells."""
+        rows, (h, w, n, g) = base._rows, size
+        exps = [s + j for s, ns in rows for j, c in enumerate(ns) if c]
+        t, lo, bh = len(exps), min(exps), len(rows) - 1
+        bw, bg = max(exps) - lo, gcd(*[e - lo for e in exps])
+        h, w, g = h + k * bh, w + k * bw, gcd(g, bg)
+        self.budget(max(h, Fraction(w, self.root)), at)
+        half, even, full = [min(comb(j + t - 1, j), (j * bh + 1) * (j * bw // max(bg, 1) + 1))
+                            for j in (k // 2, k // 2 * 2, k)]
+        work = max(a * b * (a > 1 < b) for a, b in ((n, full), (half, half), (even, k % 2 * t)))
+        if work > (MAX_DEGREE + 1) ** 2:
+            raise self.error(f"{work} products pass the work budget {(MAX_DEGREE + 1) ** 2}", at)
+        return h, w, min(n * full, (h + 1) * (w // max(g, 1) + 1)), g
 
     def close(self) -> None:
         if self.toks[self.i] != ")":
@@ -168,28 +175,38 @@ class _Parser:
         return self.make(monos, start)
 
     def term(self, n: int):
-        """The product of the factors times n: a monomial, or a ring value if
-        a factor is one.  Once the coefficient is 0, no later ring value is
-        multiplied and the term is the zero monomial."""
+        """The product of the factors times n, a monomial or, if a factor is a
+        ring power, a ring value built at the end, once grow has sized each
+        power as it was read.  Once the coefficient is 0, or a factor is, no
+        later ring factor is sized and the term is the zero monomial."""
         d, i, e = 1, 0, 0
-        rest, toks, start = None, self.toks, self.i
+        powers, size, toks, start = [], (0, 0, 1, 0), self.toks, self.i
         while True:
             v = self.factor()
-            if type(v) is tuple:
+            if len(v) == 4:
                 n, d, i, e = n * v[0], d * v[1], i + v[2], e + v[3]
                 if i > MAX_DEGREE and n:
                     self.budget(i, self.exp_at)
-            elif n:
-                rest = v if rest is None else self.product(rest, v, start)
+            else:
+                sign, base, k = v
+                n *= sign if base or not k else 0  # 0^k is 0 for k > 0, and x^0 is 1
+                if n and k:
+                    size = self.grow(size, base, k, start)
+                    powers.append((base, k))
             if toks[self.i] != "*":
                 break
             self.i += 1
-        if rest is None or not n:
+        if not powers or not n:
             return n, d, i, e
-        return self.product(rest, self.make([(n, d, i, e)], start), start)
+        value = self.make([(n, d, i, e)], start)
+        self.grow(size, value, 1, start)
+        for base, k in powers:
+            value = value * base ** k
+        return value
 
     def factor(self):
-        """Unary minus signs, then an atom with its exponent."""
+        """Unary minus signs, then an atom with its exponent: a monomial, or a
+        parenthesised value as (sign, base, k), its power not yet taken."""
         toks, at = self.toks, self.i
         while toks[at] == "-":
             at += 1
@@ -208,7 +225,7 @@ class _Parser:
             v = (*self.rational(at), 0, 0)
         elif tok == "(":
             self.nest(1, at)
-            v = self.expr()
+            v = (1, self.expr(), 1)
             self.close()
             self.depth -= 1
         else:
@@ -217,14 +234,11 @@ class _Parser:
             self.i = self.exp_at = self.i + 1
             k = self.exponent()
             if type(k) is int and k >= 0:
-                if type(v) is not tuple and (span := _span(v._rows)):
-                    width = Fraction(span[1] - 1 - span[0], self.root)  # x, low to high
-                    self.budget(k * max(len(v._rows) - 1, width), self.exp_at)
-                    if len(v._rows) == 1 and not width:  # one term n/d * z^e: a monomial
-                        v = (v._rows[0][1][0], v._d, 0, span[0])
-                if type(v) is not tuple:
-                    self.digits(max(sum(abs(c) for _, ns in v._rows for c in ns), v._d), k)
-                    v = v ** k
+                if len(v) == 3:  # (1, base, 1): its power is taken by term
+                    if v[1]:
+                        self.grow((0, 0, 1, 0), v[1], k, self.exp_at)
+                    self.digits(max(sum(abs(c) for _, ns in v[1]._rows for c in ns), v[1]._d), k)
+                    v = (1, v[1], k)
                 elif v[0] == 1 == v[1]:  # a power of x or y: no coefficient to bound
                     v = (1, 1, v[2] * k, v[3] * k)
                 else:
@@ -239,7 +253,7 @@ class _Parser:
         if minus:
             self.depth -= minus
             if minus % 2:
-                v = (-v[0], *v[1:]) if type(v) is tuple else -v
+                v = (-v[0], *v[1:])
         return v
 
     def digits(self, c: int, k: int) -> None:

@@ -118,6 +118,17 @@ class TestExitCodes:
         assert err == ("error: power of a coefficient passes the digit budget 4300 "
                        "(at position 409)\n")
 
+    def test_power_past_the_work_budget_is_two(self, capsys):
+        """(x + y + 1)^1000 passes the degree budget, and its power would run
+        for hours: it is refused from term counts, at once."""
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "h-decompose", "--f", "x^2",
+                             "--gamma-dx", "(x + y + 1)^1000", "--gamma-dy", "y")
+        assert time.perf_counter() - t0 < 0.1
+        assert (code, out) == (2, "")
+        assert err == ("error: 15813314001 products pass the work budget 1002001 "
+                       "(at position 12)\n")
+
     def test_unknown_subcommand_is_two(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
 

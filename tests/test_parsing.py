@@ -304,6 +304,7 @@ class TestProductBudget:
         ("(x + 1)^1000*(x + 1)^1000*(x + 1)^1000*(x + 1)^1000", 0, "2000"),
         ("(y^600 + 1)*(y^600 + 1)*0", 0, "1200"),  # formed before the 0 is read
         ("(y^600 + 1)*(y^600 + 1)*(x - x)", 0, "1200"),
+        ("y^2000*(x - x)", 2, "2000"),  # read before the zero factor
     ])
     def test_past_the_budget(self, text, at, degree):
         for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
@@ -335,10 +336,59 @@ class TestProductBudget:
         assert parse_unipoly("(x^5000)*(x^5000)") == UniPoly.x_pow(10000)
 
     @pytest.mark.parametrize("text", ["0*(y^600 + 1)*(y^600 + 1)",
-                                      "(y^600 + 1)*0*(y^600 + 1)"])
+                                      "(y^600 + 1)*0*(y^600 + 1)",
+                                      "(0)*y^2000", "(x - x)*y^2000"])  # a zero factor too
     def test_a_zero_coefficient_makes_the_later_factors_free(self, text):
         for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
             assert parse(text) == 0
+
+    @pytest.mark.parametrize("text, at", [
+        ("(1 + -(x + 1)^1000*(x + 1)^1000)", 5),
+        ("(x + 1)^1000*(x + 1)^1000*(x + 1)^1000*(x + 1)^1000", 0),
+    ])
+    def test_a_product_past_the_budget_builds_no_power(self, text, at, monkeypatch):
+        """Each factor is sized as it is read, and the term's values are built
+        only once every check has passed."""
+        powers = []
+        for cls in (BiPoly, LaurentBiPoly):
+            def counted(self, k, power=cls.__pow__):
+                powers.append(k)
+                return power(self, k)
+            monkeypatch.setattr(cls, "__pow__", counted)
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == f"degree 2000 passes the degree budget 1000 (at position {at})"
+        assert powers == []
+
+    @pytest.mark.parametrize("text, at, work", [
+        ("(x + y + 1)^100", 12, 1326 ** 2),  # (x + y + 1)^50 has C(52, 2) terms
+        ("(x + y + 1)^200", 12, 5151 ** 2),
+        ("(x + y + 1)^1000", 12, 125751 ** 2),
+        ("((x + 1)*(y + 1))^1000", 18, 251001 ** 2),  # its 500th power: 501^2 cells
+        ("(x + y + 1)^44*(x + y + 1)^44", 0, 1035 ** 2),  # the product
+    ])
+    def test_past_the_work_budget(self, text, at, work):
+        """Past (MAX_DEGREE + 1)^2 coefficient products, bounded from term
+        counts, a power is a ParseError at its exponent, and a product at the
+        term's first token, before it is computed."""
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == (f"{work} products pass the work budget 1002001 "
+                                    f"(at position {at})")
+            assert e.value.position == at
+
+    @pytest.mark.parametrize("text, t", [
+        ("(x*y + 1)^1000", None), ("(x*y + 1)^1000", 2), ("(x + 1)^1000*(y + 1)^1000", None),
+    ])
+    def test_at_the_work_budget(self, text, t):
+        """The value the ring operators build; (x + 1)^1000*(y + 1)^1000 is
+        1001 * 1001 products, the budget."""
+        if t is None:
+            assert parse_bipoly(text) == oracle.parse_bipoly(text)
+        else:
+            assert parse_laurent_bipoly(text, t) == oracle.parse_laurent_bipoly(text, t)
 
 
 class TestDigits:
