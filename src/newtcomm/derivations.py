@@ -5,7 +5,8 @@ extends to the whole ring by additivity and the Leibniz rule.  ``apply``
 realizes that extension as dp/dx * act_x + dp/dy * act_y, ``bracket`` is
 the commutator through its values on the generators, and ``det`` is
 act_x * e(y) - act_y * e(x).  Each value they return is one sum of
-products (``poly._dot``), normalised once.  One class serves every ring:
+products (``poly._dot``), normalised once; a sum that cancels is returned
+as zero without normalising.  One class serves every ring:
 a derivation's ring is the one ring of act_x and act_y, so == and hash
 compare ring and values.  ``LaurentDerivation`` is a constructor that also
 checks the declared root index.  A derivation is an immutable slotted

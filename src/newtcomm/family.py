@@ -22,22 +22,22 @@ commutes with the same field, lies in that ansatz and has the same top
 coefficient, so it is that null vector; no power of r is formed.
 
 Values are written in the kernel's storage form (``poly``): each y-row of
-a witness is one term, all over one denominator.  The bracket
-[alpha, beta] is checked on every build of the family.
+a witness is one term, all over one denominator, scaled on integers.  The
+bracket [alpha, beta] is checked on every build of the family.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from math import isfinite
+from math import gcd, isfinite, lcm
 from operator import mul
 from typing import NamedTuple
 
 from .derivations import LaurentDerivation, PlanarDerivation
 from .errors import DegenerateRecurrence, InvalidInput, is_int
 from .obstruction import substitute
-from .poly import _EMPTY, BiPoly, LaurentBiPoly, _clear, _exact
+from .poly import _EMPTY, BiPoly, LaurentBiPoly, _exact
 
 
 class LaurentFamily(NamedTuple):
@@ -76,7 +76,9 @@ def _witness(m: int, X: Fraction, a_top: Fraction, cls) -> PlanarDerivation:
     """The symmetry of (y, x^X) in the ansatz of y-degree m with u_0 = a_top, over cls
     with t = den(X): u_i = a_top v_i / (super_0 ... super_{i-1}) of substitute, or
     DegenerateRecurrence.  u_i is one term of y-row m - i, of gamma(x) at odd i and
-    of gamma(y) at even i, at z^(t (i mod 2) + (t+p) floor(i/2))."""
+    of gamma(y) at even i, at z^(t (i mod 2) + (t+p) floor(i/2)).  Each u_i is reduced
+    by one gcd, over the lcm of those denominators, as Fraction and _clear give it;
+    den // d moves the sign of a negative d (a product of super entries at X = -rho)."""
     p, t = X.numerator, X.denominator
     if (solved := substitute(m, 1, p, t)) is None:
         raise DegenerateRecurrence(f"the ansatz of y-degree {m} has a zero super entry at X = {X}")
@@ -84,8 +86,13 @@ def _witness(m: int, X: Fraction, a_top: Fraction, cls) -> PlanarDerivation:
     if v.pop():
         raise DegenerateRecurrence(f"X = {X} is not a root: the ansatz of y-degree {m} "
                                    "does not close")
-    nums, den = _clear([a_top * Fraction(vi, pi)
-                        for vi, pi in zip(v, accumulate(sups, mul, initial=1))])
+    a, b, lowest = a_top.numerator, a_top.denominator, []
+    for vi, pi in zip(v, accumulate(sups, mul, initial=1)):
+        n, d = a * vi, b * pi
+        g = gcd(n, d)
+        lowest.append((n // g, d // g))
+    den = lcm(*[d for _, d in lowest])
+    nums = [n * (den // d) for n, d in lowest]
     gx, gy = [_EMPTY] * m, [_EMPTY] * (m + 1)
     for i, n in enumerate(nums):
         (gx if i % 2 else gy)[m - i] = (t * (i % 2) + (t + p) * (i // 2), [n])

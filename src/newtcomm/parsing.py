@@ -32,7 +32,11 @@ y-degree of a nonzero term and the y-degree or x-width (highest power minus
 lowest) of a power of a parenthesised value are ParseErrors at the exponent,
 and those of a product in a term, the sums of its factors', at the term's
 first token; so is the work of either past (MAX_DEGREE + 1)^2 coefficient
-products, bounded from term counts.  x^N alone is one term at any N.
+products, bounded from term counts.  No y-row of a parenthesised value is
+wider than MAX_DEGREE, so a product that only shifts such rows, by a factor
+of one term or of a lone parenthesised value at power 1, is not refused for
+its x-width: (x^2000*y + 1) parses as x^2000*y + 1 does.  x^N alone is one
+term at any N.
 Once a term's coefficient is 0, or a factor is, the rest of the term is free
 but for a power's own checks.  No row is wider than MAX_DEGREE, and a sum
 with a nonzero y-row wider, after cancellation, is one at its first token.
@@ -124,13 +128,16 @@ class _Parser:
         at token at past MAX_DEGREE, or past (MAX_DEGREE + 1)^2 coefficient
         products in the product, base^k's last squaring or its last step on an
         odd k (a factor of one term is a free shift).  base^j has at most
-        C(j + T - 1, T - 1) terms, T base's, and at most its grid's cells."""
+        C(j + T - 1, T - 1) terms, T base's, and at most its grid's cells.
+        The z-width is unchecked where one factor, of one term, only shifts
+        the other's y-rows, each within MAX_DEGREE already."""
         rows, (h, w, n, g) = base._rows, size
         exps = [s + j for s, ns in rows for j, c in enumerate(ns) if c]
         t, lo, bh = len(exps), min(exps), len(rows) - 1
         bw, bg = max(exps) - lo, gcd(*[e - lo for e in exps])
         h, w, g = h + k * bh, w + k * bw, gcd(g, bg)
-        self.budget(max(h, Fraction(w, self.root)), at)
+        shift = t == 1 or n == 1 == k
+        self.budget(h if shift else max(h, Fraction(w, self.root)), at)
         half, even, full = [min(comb(j + t - 1, j), (j * bh + 1) * (j * bw // max(bg, 1) + 1))
                             for j in (k // 2, k // 2 * 2, k)]
         work = max(a * b * (a > 1 < b) for a, b in ((n, full), (half, half), (even, k % 2 * t)))

@@ -262,7 +262,8 @@ def _mul(self, other):
 def _dot(like, products):
     """sum of sign * (a / da) * (b / db) over the products (sign, a, da, b, db),
     y-rows a and b with zero numerators allowed, in like's ring: one integer
-    grid over the lcm of the da * db, normalised once."""
+    grid over the lcm of the da * db, normalised once; a sum that cancels is
+    returned as zero without normalising, its grid read by one any."""
     live = [(sign, a, da * db, b, sa[0], sa[0] + sb[0], sa[1] + sb[1], len(a) + len(b))
             for sign, a, da, b, db in products if (sa := _span(a)) and (sb := _span(b))]
     if not live:
@@ -274,6 +275,8 @@ def _dot(like, products):
     for sign, a, d, b, la, _, _, _ in live:  # b keyed from lo - la: a * b lands at z - lo
         k, ga = sign * (den // d), _grid(a, la, width)
         _convolve(ga if k == 1 else [(i, k * n) for i, n in ga], _grid(b, lo - la, width), acc)
+    if not any(acc):
+        return like._make(like.t, [], 1)
     return like._make(like.t, [(lo, acc[i:i + width]) for i in range(0, len(acc), width)], den)
 
 

@@ -179,6 +179,50 @@ class TestNewton:
         assert d.bracket(d.scale(h * h + 3)).is_zero
 
 
+class TestASumThatCancels:
+    """A sum of products that cancels (poly._dot) is returned as its ring's
+    zero in the normal form an all-zero grid has: no rows, denominator 1, the
+    ring's t; == and hash-equal to that zero, printed 0."""
+
+    @staticmethod
+    def assert_ring_zero(p, zero):
+        assert type(p) is type(zero) and p.t == zero.t
+        assert p._rows == () and p._d == 1
+        assert p == zero and hash(p) == hash(zero) and str(p) == "0"
+        assert_normal_form(p)
+
+    @pytest.mark.parametrize("k, t", [(2, 3), (5, 9)])
+    def test_a_commuting_laurent_pair(self, k, t):
+        fam = family.build_family(k, Fraction(-9, 8))
+        assert fam.t == t
+        bracket = fam.alpha.bracket(fam.beta)
+        for v in (bracket.act_x, bracket.act_y):
+            self.assert_ring_zero(v, LaurentBiPoly.const(t, 0))
+
+    def test_a_commuting_polynomial_pair(self):
+        f = parse_unipoly("x^3 - x")
+        d = newton_derivation(f)
+        bracket = d.bracket(d.scale(hamiltonian(f) * 3 + 2))
+        for v in (bracket.act_x, bracket.act_y):
+            self.assert_ring_zero(v, BiPoly.zero())
+
+    def test_delta_f_kills_the_energy_and_its_square(self):
+        f = parse_unipoly("6*x^2 + 5/3")
+        h = hamiltonian(f)
+        for p in (h, h * h):
+            self.assert_ring_zero(newton_derivation(f).apply(p), BiPoly.zero())
+
+    def test_a_sum_whose_first_cells_are_zero_is_kept(self):
+        """NEWTON_D(x^5*y) = 5*x^4*y^2 + x^8 - x^6: its grid starts at y^0 z^4,
+        a zero cell, so only a test of every cell tells it from zero."""
+        p = parse_bipoly("x^5*y")
+        got = NEWTON_D.apply(p)
+        want = p.dx() * NEWTON_D.act_x + p.dy() * NEWTON_D.act_y
+        assert got == want == parse_bipoly("5*x^4*y^2 + x^8 - x^6")
+        assert got._rows == want._rows and got._d == want._d
+        assert_normal_form(got)
+
+
 class TestLaurentDerivation:
     def test_t_mismatch(self):
         t3 = LaurentBiPoly.y(3)

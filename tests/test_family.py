@@ -277,6 +277,23 @@ class TestAgainstPerTermOracle:
                 assert_same_derivation(pm_witness(m, k, a_top),
                                        family_oracle.pm_witness(m, k, a_top))
 
+    @pytest.mark.parametrize("a_top", [Fraction(-45, 14), "1001/1024", -3])
+    @pytest.mark.parametrize("m", [3, 5, 9, 15, 21])
+    def test_witnesses_with_an_a_top_that_cancels(self, m, a_top):
+        """Each u_i = a_top v_i / (super_0 ... super_{i-1}) in lowest terms,
+        for a_top with the factors 2, 3, 5, 7, 11 and 13 of the super entries
+        (2k-1-2l and -2(l+1), times 2k-1), whose products alternate in sign."""
+        for k in range(1, (m - 1) // 2 + 1):
+            assert_same_derivation(pm_witness(m, k, a_top), family_oracle.pm_witness(m, k, a_top))
+
+    def test_a_large_witness(self):
+        assert_same_derivation(pm_witness(201, 50, Fraction(-45, 14)),
+                               family_oracle.pm_witness(201, 50, Fraction(-45, 14)))
+
+    def test_a_large_linear_witness(self):
+        _, d2, r = family_oracle.linear_pair()
+        assert_same_derivation(pm_witness_linear(201), d2.scale(r ** 100))
+
     @pytest.mark.parametrize("m", range(3, 32, 2))
     def test_linear_witness_is_the_repeated_product(self, m):
         _, d2, r = family_oracle.linear_pair()

@@ -330,6 +330,27 @@ class TestProductBudget:
         assert parse_laurent("(x^(-1/2) + 1)*(x^(1/2) + x^999)", 2) == parse_laurent(
             "1 + x^(1/2) + x^(1997/2) + x^999", 2)
 
+    @pytest.mark.parametrize("text, want", [
+        ("x^2000*y + 1", "x^2000*y + 1"),
+        ("(x^2000*y + 1)", "x^2000*y + 1"),
+        ("(x^2000*y + 1) + 1", "x^2000*y + 1 + 1"),
+        ("(x^2000*y + 1)^1", "x^2000*y + 1"),
+        ("2*x*(x^2000*y + 1)*(3)", "6*x^2001*y + 6*x"),
+    ])
+    def test_a_shift_of_a_parenthesised_value_keeps_its_rows(self, text, want):
+        """Every y-row of a parenthesised value is within the budget, and a
+        factor of one term only shifts them, so the x-width of the whole value
+        (2000 here, from y^0 to y^1) is no product's width."""
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            got, ref = parse(text), parse(want)
+            assert got == ref and got._rows == ref._rows and got._d == ref._d
+
+    def test_a_product_of_two_values_is_sized_on_its_whole_width(self):
+        for parse in (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2)):
+            with pytest.raises(ParseError) as e:
+                parse("(x^2000*y + 1)*(y + 1)")
+            assert str(e.value) == "degree 2000 passes the degree budget 1000 (at position 0)"
+
     def test_a_product_with_zero_is_free(self):
         assert parse_bipoly("(x - x)*(y^600 + 1)*(y^600 + 1)") == 0
         assert parse_bipoly("(y^600 + 1)*(0*x)*(x^2000 + y^999)") == 0
