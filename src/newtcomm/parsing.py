@@ -40,9 +40,11 @@ term at any N.
 Once a term's coefficient is 0, or a factor is, the rest of the term is free
 but for a power's own checks.  No row is wider than MAX_DEGREE, and a sum
 with a nonzero y-row wider, after cancellation, is one at its first token.
-A power c^k past MAX_DIGITS digits is one at the exponent, for c a
-coefficient or, for a parenthesised value, the larger of its denominator and
-the sum of its absolute numerators, bounded from bit lengths first.
+Digits follow the same rule: past MAX_DIGITS digits, a power c^k is one at
+the exponent, for c a coefficient or, for a parenthesised value, the larger of
+its denominator and the sum of its absolute numerators, and a product is one
+at its term's first token, by the product of its factors' bounds; each bound
+is screened by bit lengths before it is computed.
 """
 
 from __future__ import annotations
@@ -123,16 +125,19 @@ class _Parser:
         return self.cls._make(self.root, out, den)
 
     def grow(self, size, base, k: int, at: int):
-        """The size (y-degree, z-width, most terms, z-step) of a value of that
-        size times base^k, for a nonzero ring value base and k >= 0: a ParseError
-        at token at past MAX_DEGREE, or past (MAX_DEGREE + 1)^2 coefficient
-        products in the product, base^k's last squaring or its last step on an
-        odd k (a factor of one term is a free shift).  base^j has at most
-        C(j + T - 1, T - 1) terms, T base's, and at most its grid's cells.
-        The z-width is unchecked where one factor, of one term, only shifts
-        the other's y-rows, each within MAX_DEGREE already."""
-        rows, (h, w, n, g) = base._rows, size
-        exps = [s + j for s, ns in rows for j, c in enumerate(ns) if c]
+        """The size (y-degree, z-width, most terms, z-step, bound c) of a value
+        of that size times base^k, for a nonzero ring value base and k >= 0: a
+        ParseError at token at past MAX_DEGREE, past (MAX_DEGREE + 1)^2
+        coefficient products in the product, base^k's last squaring or its last
+        step on an odd k (a factor of one term is a free shift), or past
+        MAX_DIGITS digits in c, which bounds every numerator and the denominator
+        (see digits).  base^j has at most C(j + T - 1, T - 1) terms, T base's,
+        and at most its grid's cells.  The z-width is unchecked where one
+        factor, of one term, only shifts the other's y-rows, each within
+        MAX_DEGREE already."""
+        rows, (h, w, n, g, c) = base._rows, size
+        exps = [s + j for s, ns in rows for j, a in enumerate(ns) if a]
+        cb = max(sum(sum(map(abs, ns)) for _, ns in rows), base._d)
         t, lo, bh = len(exps), min(exps), len(rows) - 1
         bw, bg = max(exps) - lo, gcd(*[e - lo for e in exps])
         h, w, g = h + k * bh, w + k * bw, gcd(g, bg)
@@ -143,7 +148,7 @@ class _Parser:
         work = max(a * b * (a > 1 < b) for a, b in ((n, full), (half, half), (even, k % 2 * t)))
         if work > (MAX_DEGREE + 1) ** 2:
             raise self.error(f"{work} products pass the work budget {(MAX_DEGREE + 1) ** 2}", at)
-        return h, w, min(n * full, (h + 1) * (w // max(g, 1) + 1)), g
+        return h, w, min(n * full, (h + 1) * (w // max(g, 1) + 1)), g, self.digits(cb, k, at, c)
 
     def close(self) -> None:
         if self.toks[self.i] != ")":
@@ -187,13 +192,15 @@ class _Parser:
         power as it was read.  Once the coefficient is 0, or a factor is, no
         later ring factor is sized and the term is the zero monomial."""
         d, i, e = 1, 0, 0
-        powers, size, toks, start = [], (0, 0, 1, 0), self.toks, self.i
+        powers, size, toks, start = [], (0, 0, 1, 0, 1), self.toks, self.i
         while True:
             v = self.factor()
             if len(v) == 4:
                 n, d, i, e = n * v[0], d * v[1], i + v[2], e + v[3]
                 if i > MAX_DEGREE and n:
                     self.budget(i, self.exp_at)
+                if (d >= _LIMIT or abs(n) >= _LIMIT) and n:
+                    self.digits(max(abs(n), d), 1, start)
             else:
                 sign, base, k = v
                 n *= sign if base or not k else 0  # 0^k is 0 for k > 0, and x^0 is 1
@@ -243,13 +250,12 @@ class _Parser:
             if type(k) is int and k >= 0:
                 if len(v) == 3:  # (1, base, 1): its power is taken by term
                     if v[1]:
-                        self.grow((0, 0, 1, 0), v[1], k, self.exp_at)
-                    self.digits(max(sum(abs(c) for _, ns in v[1]._rows for c in ns), v[1]._d), k)
+                        self.grow((0, 0, 1, 0, 1), v[1], k, self.exp_at)
                     v = (1, v[1], k)
                 elif v[0] == 1 == v[1]:  # a power of x or y: no coefficient to bound
                     v = (1, 1, v[2] * k, v[3] * k)
                 else:
-                    self.digits(max(abs(v[0]), v[1]), k)
+                    self.digits(max(abs(v[0]), v[1]), k, self.exp_at)
                     v = (v[0] ** k, v[1] ** k, v[2] * k, v[3] * k)
             elif tok == "x":
                 if self.t is None:
@@ -263,16 +269,19 @@ class _Parser:
                 v = (-v[0], *v[1:])
         return v
 
-    def digits(self, c: int, k: int) -> None:
-        """A ParseError at the exponent if c^k would pass MAX_DIGITS digits, for
-        c the larger of a value's denominator and the sum of its absolute
-        numerators (|n| of a monomial n/d): c^k bounds every numerator and the
-        denominator of the value to the power k >= 0.  With c of b bits, c^k is
-        at least 2^((b-1)k), so a power past the budget by that bound is not
+    def digits(self, c: int, k: int, at: int, m: int = 1) -> int:
+        """m * c^k, or a ParseError at token at if it would pass MAX_DIGITS
+        digits, for c the larger of a value's denominator and the sum of its
+        absolute numerators (|n| of a monomial n/d) and m such a bound of
+        another value: m * c^k bounds every numerator and the denominator of
+        that value times this one to the power k >= 0.  With c of b bits, c^k
+        is at least 2^((b-1)k), so a bound past the budget by that is not
         computed, and any other has fewer than twice the budget's bits."""
-        if (c.bit_length() - 1) * k >= _LIMIT_BITS or c ** k >= _LIMIT:
-            raise self.error(f"power of a coefficient passes the digit budget {MAX_DIGITS}",
-                             self.exp_at)
+        if (m.bit_length() - 1) + (c.bit_length() - 1) * k < _LIMIT_BITS:
+            m *= c ** k
+            if m < _LIMIT:
+                return m
+        raise self.error(f"power of a coefficient passes the digit budget {MAX_DIGITS}", at)
 
     def number(self, at: int) -> int:
         """The value of the NUMBER token at; one of more than MAX_DIGITS digits

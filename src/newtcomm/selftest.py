@@ -1,12 +1,13 @@
 """The seven executable acceptance checks, shared by the CLI and the test suite.
 
-Each criterion function returns a CriterionResult and never raises on a
-mathematical failure — failures are reported, not thrown — so the CLI can
-print a complete scoreboard.  Checks are deterministic given the seed.
+Each criterion function returns a CriterionResult and never raises: a
+failure, a raise inside a check included, is reported, not thrown, so the CLI
+can print a complete scoreboard.  Checks are deterministic given the seed.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import time
 from fractions import Fraction
@@ -25,27 +26,35 @@ class CriterionResult(NamedTuple):
     seconds: float
 
 
-def _timed(name: str, passed: bool, detail: str, t0: float) -> CriterionResult:
-    return CriterionResult(name=name, passed=passed, detail=detail,
-                           seconds=round(time.perf_counter() - t0, 3))
-
-
-def _verdict(name: str, failures: list[str], detail: str, t0: float) -> CriterionResult:
-    """Pass iff there are no failures; the first one is appended to detail."""
-    if failures:
-        detail += "; first failure: " + failures[0]
-    return _timed(name, not failures, detail, t0)
+def _criterion(name: str):
+    """Make a check, run(seed) -> (failures, detail), a timed criterion that
+    passes iff there are no failures; the first one is appended to detail.
+    A raise in the check is its failure, as 'Type: message'."""
+    def wrap(check):
+        @functools.wraps(check)
+        def run(seed: int = 0) -> CriterionResult:
+            t0 = time.perf_counter()
+            try:
+                failures, detail = check(seed)
+            except Exception as exc:  # any raise is a failure here
+                failures, detail = [f"{type(exc).__name__}: {exc}"], "the check raised"
+            if failures:
+                detail += "; first failure: " + failures[0]
+            return CriterionResult(name=name, passed=not failures, detail=detail,
+                                   seconds=round(time.perf_counter() - t0, 3))
+        return run
+    return wrap
 
 
 ACCEPTANCE_FORCES: tuple[UniPoly, ...] = tuple(
     map(parse_unipoly, ("6*x^2 + 5", "x^2", "x^3 - x", "x^5 + 2*x^2 - 1")))
 
 
-def run_criterion_1(seed: int = 0) -> CriterionResult:
+@_criterion("1-rank-one-certificate")
+def run_criterion_1(seed: int = 0) -> tuple[list[str], str]:
     """Commutant dimension floor((M-1)/2)+1 with every element a K[H]-multiple,
     odd M <= 31: per force, one solve at 31, read to each M (_prefix), must
     equal the energy basis, and the graded certificate at 31 must pass."""
-    t0 = time.perf_counter()
     failures, uncertified, total = [], [], 0
     for f in ACCEPTANCE_FORCES:
         basis = commutant.solve_commutant(f, 31).basis
@@ -59,7 +68,7 @@ def run_criterion_1(seed: int = 0) -> CriterionResult:
             uncertified.append(f"f={f}, M=31: certificate fails: {cert.reason}")
     detail = (f"{total - len(failures)}/{total} (f, M) pairs have dimension "
               f"floor((M-1)/2)+1 with all basis elements energy multiples")
-    return _verdict("1-rank-one-certificate", failures + uncertified, detail, t0)
+    return failures + uncertified, detail
 
 
 GRID_SIZE = 200
@@ -76,9 +85,9 @@ def companion_grid(seed: int) -> list[tuple[int, ...]]:
     return sorted(seen)
 
 
-def run_criterion_2(seed: int = 0) -> CriterionResult:
+@_criterion("2-negative-control")
+def run_criterion_2(seed: int = 0) -> tuple[list[str], str]:
     """f = x sharpness plus exact companions across the affine grid."""
-    t0 = time.perf_counter()
     problems = []
     x = UniPoly.x()
     canon = commutant.energy_basis(x, 1)
@@ -108,16 +117,16 @@ def run_criterion_2(seed: int = 0) -> CriterionResult:
     detail = (f"f=x commutant has {extraneous} non-multiple element(s); "
               f"{len(grid) - bad}/{len(grid)} grid companions commute exactly "
               f"and are transversal")
-    return _verdict("2-negative-control", problems, detail, t0)
+    return problems, detail
 
 
-def run_criterion_3(seed: int = 0) -> CriterionResult:
+@_criterion("3-parity-lemmas")
+def run_criterion_3(seed: int = 0) -> tuple[list[str], str]:
     """Parity-system dimensions and forced coefficients for f = x^2, x^3, m <= 20.
 
     The suite's checks are consequences of the rank-one certificate, built
     from (kind, m) alone; the independent part is one solve of each half at
     m = 20 per force, which must give the energy basis and nothing."""
-    t0 = time.perf_counter()
     forces = tuple(map(parse_unipoly, ("x^2", "x^3")))
     checks = [(f, c) for f in forces for c in parity.check_lemma_suite(f, 20).checks]
     failures = [f"f={f}, {c.name}: {c.detail}" for f, c in checks if not c.passed]
@@ -128,12 +137,12 @@ def run_criterion_3(seed: int = 0) -> CriterionResult:
             if got != want:
                 failures.append(f"f={f}, {kind}_20: the solve (dimension {len(got)}) "
                                 f"differs from the certificate (dimension {len(want)})")
-    return _verdict("3-parity-lemmas", failures, detail, t0)
+    return failures, detail
 
 
-def run_criterion_4(seed: int = 0) -> CriterionResult:
+@_criterion("4-obstruction-roots")
+def run_criterion_4(seed: int = 0) -> tuple[list[str], str]:
     """Obstruction polynomials: degree bound, P(-1) != 0, exact root sets."""
-    t0 = time.perf_counter()
     failures = []
     for m in range(3, 62, 2):
         ob = obstruction.build_obstruction(m)
@@ -150,13 +159,13 @@ def run_criterion_4(seed: int = 0) -> CriterionResult:
     elif obstruction.rational_roots(spot) != {Fraction(1), Fraction(-3)}:
         failures.append("P_3 spot roots mismatch")
     detail = "P_m for odd m <= 61: degree, P(-1) != 0, exact root sets, P_3 spot value"
-    return _verdict("4-obstruction-roots", failures, detail, t0)
+    return failures, detail
 
 
-def run_criterion_5(seed: int = 0) -> CriterionResult:
+@_criterion("5-laurent-family")
+def run_criterion_5(seed: int = 0) -> tuple[list[str], str]:
     """Laurent families (k <= 10) commute, annihilate r, satisfy ratios;
     witness shapes for odd m <= 21."""
-    t0 = time.perf_counter()
     failures = []
     checks = 0
     alphas = {}  # alpha does not depend on a_top
@@ -181,12 +190,12 @@ def run_criterion_5(seed: int = 0) -> CriterionResult:
             if w.act_y.y_degree != m or w.act_y.ycoeff(m).is_zero:
                 failures.append(f"m={m}, k={k}: d_m missing")
     detail = f"{checks - len(failures)}/{checks} family/witness checks passed"
-    return _verdict("5-laurent-family", failures, detail, t0)
+    return failures, detail
 
 
-def run_criterion_6(seed: int = 0) -> CriterionResult:
+@_criterion("6-classical-formula")
+def run_criterion_6(seed: int = 0) -> tuple[list[str], str]:
     """Closed-form regression and rectification defect for the example flow."""
-    t0 = time.perf_counter()
     failures = []
     d, delta, ev = flows.example_fixture()
     report = flows.rectification_defect(d, delta, 0, 1, 1.0, 10_000, reference=ev)
@@ -197,7 +206,7 @@ def run_criterion_6(seed: int = 0) -> CriterionResult:
         failures.append(f"max defect {defect:.3e} > 1e-6")
     detail = (f"trajectory error {err:.3e}, rectification defect "
               f"{defect:.3e} (tolerance 1e-6, 10^4 steps)")
-    return _verdict("6-classical-formula", failures, detail, t0)
+    return failures, detail
 
 
 def _random_unipoly(rng: random.Random, max_deg: int) -> UniPoly:
@@ -215,10 +224,10 @@ def _random_derivation(rng: random.Random) -> PlanarDerivation:
     return PlanarDerivation(_random_bipoly(rng), _random_bipoly(rng))
 
 
-def run_criterion_7(seed: int = 0) -> CriterionResult:
+@_criterion("7-calculus-kernel")
+def run_criterion_7(seed: int = 0) -> tuple[list[str], str]:
     """Randomized ring axioms: Leibniz, Jacobi, the commutator identity of
     the bracket, integrate-then-differentiate."""
-    t0 = time.perf_counter()
     rng = random.Random(seed)
     failures = []
     for i in range(200):
@@ -243,11 +252,9 @@ def run_criterion_7(seed: int = 0) -> CriterionResult:
             failures.append(f"energy case {i}: delta_f(H) != 0")
         if not delta_f.divergence().is_zero:
             failures.append(f"energy case {i}: divergence != 0")
-    detail = ("200 Leibniz/Jacobi/commutator/integration cases and 50 "
-              "energy-conservation cases, all exact")
-    if failures:
-        detail = f"{len(failures)} failures; first: " + failures[0]
-    return _timed("7-calculus-kernel", not failures, detail, t0)
+    tally = f"{len(failures)} failures" if failures else "all exact"
+    return failures, ("200 Leibniz/Jacobi/commutator/integration cases and 50 "
+                      f"energy-conservation cases, {tally}")
 
 
 CRITERIA = (run_criterion_1, run_criterion_2, run_criterion_3, run_criterion_4,

@@ -25,6 +25,8 @@ from newtcomm import (
     solve_commutant,
 )
 from newtcomm import commutant, family, flows, obstruction, parity, selftest
+from newtcomm.cli import main
+from newtcomm.errors import SingularDelta
 
 from conftest import ACCEPTANCE_LINES
 
@@ -236,6 +238,29 @@ class TestMutationControl:
         result = selftest.run_criterion_5()
         assert not result.passed
         assert "alpha(r) != 0" in result.detail, result.detail
+
+    def test_a_raise_is_a_failure_of_its_criterion(self, monkeypatch, capsys):
+        """A substitute that returns None makes criterion 5 raise
+        DegenerateRecurrence: it fails with that name, and the other six
+        criteria still run and print."""
+        monkeypatch.setattr(family, "substitute", lambda *args: None)
+        result = selftest.run_criterion_5()
+        assert not result.passed
+        assert "; first failure: DegenerateRecurrence: " in result.detail, result.detail
+        results = selftest.run_all()
+        assert len(results) == 7 and sum(r.passed for r in results) == 6
+        assert main(["selftest"]) == 1
+        assert len(capsys.readouterr().out.splitlines()) == 8
+
+    def test_a_singular_delta_is_a_failure_of_criterion_6(self, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularDelta("Delta vanishes along the integration path")
+
+        monkeypatch.setattr(flows, "rectification_defect", singular)
+        result = selftest.run_criterion_6()
+        assert not result.passed
+        assert result.detail.endswith("; first failure: SingularDelta: Delta vanishes "
+                                      "along the integration path"), result.detail
 
     def test_bracket_sign_flip_is_caught(self, monkeypatch):
         """-[D, E] satisfies Jacobi as [D, E] does; the commutator check of

@@ -118,6 +118,14 @@ class TestExitCodes:
         assert err == ("error: power of a coefficient passes the digit budget 4300 "
                        "(at position 409)\n")
 
+    def test_product_past_the_digit_budget_is_two(self, capsys):
+        """Each power of 9^4000*9^4000 passes the digit budget; their product,
+        of 7634 digits, does not, and is refused at its term's first token."""
+        code, out, err = run(capsys, "certify", "--f", "9^4000*9^4000*x^2", "--max-deg-y", "3")
+        assert (code, out) == (2, "")
+        assert err == ("error: power of a coefficient passes the digit budget 4300 "
+                       "(at position 0)\n")
+
     def test_power_past_the_work_budget_is_two(self, capsys):
         """(x + y + 1)^1000 passes the degree budget, and its power would run
         for hours: it is refused from term counts, at once."""

@@ -2,6 +2,7 @@
 
 import re
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -508,6 +509,51 @@ class TestPowerDigits:
         assert parse_unipoly(f"({c}*x + 1)^100") == UniPoly([1, c]) ** 100
         assert parse_unipoly(f"(1/{c}*x + 1)^100") == UniPoly([1, Fraction(1, c)]) ** 100
         assert parse_bipoly(f"({c}*y + {c}*y^2)^50") == (c * BiPoly.y() * (1 + BiPoly.y())) ** 50
+
+
+class TestProductDigits:
+    """The digits of a product follow the rule of its degree and work: the
+    product of its plain coefficients' max(|n|, d) and of cb^k over its
+    parenthesised powers, cb as in TestPowerDigits, bounds every numerator
+    and the denominator of a term, and past MAX_DIGITS digits the term is a
+    ParseError at its first token, before its value is built."""
+
+    PARSERS = (parse_bipoly, lambda text: parse_laurent_bipoly(text, 2))
+    ORACLES = (oracle.parse_bipoly, lambda text: oracle.parse_laurent_bipoly(text, 2))
+
+    @pytest.mark.parametrize("text, at", [
+        ("9^4000*9^4000*x", 0), ("x + 9^4000*9^4000", 4),
+        (f"({NINES[1:]}*x + 1)^100*({NINES[1:]}*x + 1)^100", 0),  # (10^42)^200
+        ("9" * 2200 + "*" + "9" * 2200 + "*y", 0),
+        (f"({NINES[1:]}*x + 1)^100*10^100", 0),  # (10^42)^100 * 10^100, 4301 digits
+    ], ids=["powers", "in-a-sum", "parenthesised-powers", "literals", "mixed"])
+    def test_past_the_budget(self, text, at):
+        for parse in self.PARSERS:
+            with pytest.raises(ParseError) as e:
+                parse(text)
+            assert str(e.value) == (f"power of a coefficient passes the digit budget 4300 "
+                                    f"(at position {at})")
+            assert e.value.position == at
+
+    @pytest.mark.parametrize("text", [
+        "10^2150*10^2149*x",  # 4300 digits
+        f"({NINES[22:]}*x + 1)^100*({NINES[22:]}*x + 1)^100",  # (10^21)^200
+        f"({NINES[1:]}*x + 1)^100*10^99",  # 4300 digits
+    ], ids=["powers", "parenthesised-powers", "mixed"])
+    def test_within_the_budget_is_the_ring_product(self, text):
+        for parse, ring in zip(self.PARSERS, self.ORACLES):
+            assert parse(text) == ring(text)
+
+    @pytest.mark.parametrize("text", [
+        "*".join([f"({NINES[1:]}*x + 1)^100"] * 4),  # 5.9 s and 3.4 MB by the CLI before
+        "*".join(["9^4000"] * 300),  # 48 s by the CLI before
+    ], ids=["4-parenthesised-powers", "300-powers"])
+    def test_a_long_product_is_refused_at_once(self, text):
+        t0 = time.perf_counter()
+        with pytest.raises(ParseError) as e:
+            parse_unipoly(text)
+        assert time.perf_counter() - t0 < 0.5
+        assert e.value.position == 0
 
 
 class TestRoundTrips:
