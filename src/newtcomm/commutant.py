@@ -76,7 +76,9 @@ itself in reduced echelon form because H(0, y) = y^2 (hamiltonian
 integrates f with constant term 0).  The verdict needs only the length of
 that tuple, (M+1)//2, so certify_rank_one does not build it: the
 certificate's commutant property spells the basis out anew on each read,
-so a caller reads it once.
+so a caller reads it once.  The certificate stores its verdict in one field,
+reason, None when it passes; passed is read from it and the dimensions
+from M.
 
 The bounds hold half by half, so a passing certificate also gives each
 half of the level system at y-degree M with no solve.  A piece (m, a) has
@@ -89,7 +91,8 @@ the dimension of a half is at most the sum of its pieces' nullities.  Every
 H^k delta_f lies in the first half, as delta_f = (y, f) does and H is even
 in y.  So when the certificate passes, all pieces of nullity 1 are in the
 first half, which is spanned by energy_basis(f, M), and the second half is
-zero; parity.check_lemma_suite reads its halves off that way.
+zero; parity.check_lemma_suite reads every lemma check off certify_rank_one
+that way, and refuses an f whose certificate fails.
 
 This is not a second solver of the level system: it decides the graded
 system of d_0, and the lemma links that system to the one of delta_f.
@@ -236,9 +239,12 @@ def decompose_in_H(f: UniPoly, gamma: PlanarDerivation) -> HDecomposition:
         raise RingMismatch(f"gamma lies in {_ring_name(gamma.act_x)}, not in Q[x, y]")
     dec = HDecomposition(tuple(c.coeff(0) for c in gamma.act_x.ycoeffs[1::2]))
     rebuilt = dec.reconstruct(f)
-    if rebuilt != gamma:
-        v, value = ("x", gamma.act_x) if rebuilt.act_x != gamma.act_x else ("y", gamma.act_y)
-        raise NotAMultiple(f"gamma({v}) = {value} is not that of any q(H) * delta_f, "
+    if rebuilt != gamma:  # name where, not the whole value: it may have a million terms
+        v, a, b = (("x", rebuilt.act_x, gamma.act_x) if rebuilt.act_x != gamma.act_x
+                   else ("y", rebuilt.act_y, gamma.act_y))
+        i = next(i for i in range(max(len(a._rows), len(b._rows))) if a.ycoeff(i) != b.ycoeff(i))
+        raise NotAMultiple(f"gamma({v}) is not that of any q(H) * delta_f: its y^{i} "
+                           f"coefficient is the first that differs from the rebuild, "
                            f"H = {hamiltonian(f)}")
     return dec
 
@@ -296,35 +302,41 @@ def _graded_nullities(X: int, M: int) -> dict[tuple[int, int], int | None]:
             for a in (1, 0) for m in range(2 - a, M + 2 - a)}
 
 
-def _graded_reason(X: int, M: int, lower: int) -> str | None:
+def _graded_reason(X: int, M: int) -> str | None:
     """None if the pieces of nullity 1 are exactly those at a = 0 and even m,
-    and their count meets the lower bound; else the first piece that fails."""
+    and their count meets the lower bound (M+1)//2; else the first piece, or
+    the bound, that fails."""
     nullity = _graded_nullities(X, M)
     for (m, a), k in nullity.items():
         if k != (want := int(a == 0 and m % 2 == 0)):
             return f"piece (m, a) = ({m}, {a}) at X = {X} has " + (
                 "a zero super entry" if k is None else f"nullity {k}, not {want}")
-    if (bound := sum(nullity.values())) != lower:
+    if (bound := sum(nullity.values())) != (lower := (M + 1) // 2):
         return f"the weight pieces at X = {X} bound the dimension by {bound}, not {lower}"
     return None
 
 
 class RankOneCertificate(NamedTuple):
-    """The verdict on the weight pieces; reason names the first piece, or the
-    bound, that fails.  The energy multiples, a basis of the whole commutant
-    when passed, are not stored: each read of commutant builds
-    energy_basis(f, M) anew, so read it once."""
+    """The verdict on the weight pieces: reason names the first piece, or the
+    bound, that fails, and is None when the certificate passes.  The energy
+    multiples, a basis of the whole commutant when passed, are not stored:
+    each read of commutant builds energy_basis(f, M) anew, so read it once."""
 
     f: UniPoly
     M: int
-    expected_dimension: int
-    passed: bool
     reason: str | None
+
+    passed = property(lambda self: self.reason is None)
 
     @property
     def dimension(self) -> int:
         """len(energy_basis(f, M)), for every M >= 0."""
         return (self.M + 1) // 2
+
+    @property
+    def expected_dimension(self) -> int:
+        """The theorem's floor((M-1)/2) + 1."""
+        return (self.M - 1) // 2 + 1
 
     @property
     def commutant(self) -> CommutantBasis:
@@ -347,6 +359,4 @@ def certify_rank_one(f: UniPoly, M: int) -> RankOneCertificate:
         raise HypothesisViolation("certification requires deg f >= 2")
     if not is_int(M) or M < 0:
         raise InvalidInput("max y-degree M must be a non-negative integer")
-    reason = _graded_reason(f.degree, M, (M + 1) // 2)
-    return RankOneCertificate(f=f, M=M, expected_dimension=(M - 1) // 2 + 1,
-                              passed=reason is None, reason=reason)
+    return RankOneCertificate(f=f, M=M, reason=_graded_reason(f.degree, M))

@@ -17,17 +17,17 @@ held as the PlanarDerivation it defines (c_i in act_x, d_i in act_y), so a
 solution space is a tuple of derivations.  Unknown names such as "c_3" only
 list the unknowns and the forced ones; coefficient reads a name off a
 derivation.  The I-half carries all solutions when deg f >= 2.
-solve_system integrates.  Under a passing rank-one certificate each check of
-check_lemma_suite is a consequence of it, built with no basis; the m = 20
-solves of selftest's criterion 3 are the independent part.  Without one, each
-check is one solve_system of its own (kind, m) system.
+solve_system integrates.  check_lemma_suite reads every check off the
+rank-one certificate, with no basis or solve, and refuses an f the
+certificate does not cover; the independent checks are the m = 20 solves of
+selftest's criterion 3 and the per-system oracle of the tests.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .commutant import _graded_reason, energy_basis, solve_halves
+from .commutant import certify_rank_one, solve_halves
 from .derivations import PlanarDerivation
 from .errors import HypothesisViolation, InvalidInput, is_int
 from .poly import UniPoly, as_unipoly
@@ -131,16 +131,18 @@ class LemmaSuiteReport(NamedTuple):
         return all(c.passed for c in self.checks)
 
 
-def _check_one(kind: str, m: int, dimension: int, forced: frozenset, multiples: bool) -> LemmaCheck:
-    """multiples, read for Io only: the basis is the energy basis at m."""
+def _certified(kind: str, m: int) -> LemmaCheck:
+    """The check (kind, m) under a passing certificate: the I half at m is the
+    energy basis and the II half is empty (check_lemma_suite)."""
+    if kind.startswith("II"):  # the empty half
+        dimension, forced = 0, frozenset(_unknowns(0, m))
+    else:
+        dimension, forced = (m + 1) // 2, frozenset({f"d_{m}"} if m % 2 == 0 else ())
     if kind == "Io":
         expected = (m + 1) // 2
         ok = dimension == expected
-        detail = f"dimension {dimension}, expected {expected}"
-        if ok:
-            ok = multiples
-            detail += ("; all solutions are energy-polynomial multiples" if ok
-                       else "; solutions differ from the energy basis H^k*delta_f")
+        detail = f"dimension {dimension}, expected {expected}" + (
+            "; all solutions are energy-polynomial multiples" if ok else "")
     else:
         target = f"d_{m}" if kind in ("Ie", "IIo") else f"c_{m}"
         ok = target in forced
@@ -149,42 +151,31 @@ def _check_one(kind: str, m: int, dimension: int, forced: frozenset, multiples: 
                       dimension=dimension, forced=forced, detail=detail)
 
 
-def _certified(kind: str, m: int) -> tuple[int, frozenset, bool]:
-    """(dimension, forced, multiples) at m under a passing certificate."""
-    if kind.startswith("II"):  # the empty half
-        return 0, frozenset(_unknowns(0, m)), True
-    return (m + 1) // 2, frozenset({f"d_{m}"} if m % 2 == 0 else ()), True
-
-
-def check_lemma_suite(f: UniPoly, m_max: int, *,
-                      allow_low_degree: bool = False) -> LemmaSuiteReport:
+def check_lemma_suite(f: UniPoly, m_max: int) -> LemmaSuiteReport:
     """Run every dimension/forced-zero check for m up to m_max.
 
     For odd m: (Io)_m has dimension (m+1)/2 with every solution an energy
     multiple, and d_m is forced in (IIo)_m (m >= 3).  For even m: d_m is
-    forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2;
-    allow_low_degree runs the suite anyway as a negative control.
-    With deg f >= 2 and a passing certificate at m_max, the I half at m is
-    (H^k delta_f : 2k+1 <= m) and the II half is empty (commutant module
-    docstring), so each check follows from (kind, m) alone (_certified), with
-    no basis, solve or read-off.  Exactly: in H^k delta_f, act_x row 2j+1 is
-    C(k,j) D^j g^(k-j) and act_y row 2j is C(k,j) D^j F g^(k-j) for j <= k,
-    none zero as f != 0 makes g and F nonzero; so c_{2j+1} and d_{2j} first
-    appear at y-degree 2j+1, Io_m forces nothing and Ie_m forces d_m alone.
-    Otherwise each check is the lemma as stated: one solve_system of its own
-    (kind, m) system, with Io compared to energy_basis(f, m).
+    forced in (Ie)_m and c_m in (IIe)_m.  These facts need deg f >= 2, and
+    the checks are read off certify_rank_one(f, m_max): when it passes, the
+    I half at m is (H^k delta_f : 2k+1 <= m) and the II half is empty
+    (commutant module docstring), so each check follows from (kind, m) alone
+    (_certified), with no basis or solve.  Exactly: in H^k delta_f, act_x
+    row 2j+1 is C(k,j) D^j g^(k-j) and act_y row 2j is C(k,j) D^j F g^(k-j)
+    for j <= k, none zero as f != 0 makes g and F nonzero; so c_{2j+1} and
+    d_{2j} first appear at y-degree 2j+1, Io_m forces nothing and Ie_m
+    forces d_m alone.  A failing certificate, which the theorem rules out at
+    deg f >= 2, raises HypothesisViolation naming its reason.
     """
     f = as_unipoly(f)
-    if f.degree < 2 and not allow_low_degree:
+    if f.degree < 2:
         raise HypothesisViolation("lemma suite requires deg f >= 2")
     if not is_int(m_max) or m_max < 2:
         raise InvalidInput("m_max must be an integer >= 2")
-    if f.degree >= 2 and _graded_reason(f.degree, m_max, (m_max + 1) // 2) is None:
-        facts = _certified
-    else:
-        def facts(kind, m):
-            s = solve_system(build_system(kind, m, f))
-            return s.dimension, s.forced, kind != "Io" or s.basis == energy_basis(f, m)
-    checks = [_check_one(kind, m, *facts(kind, m)) for kind in KINDS
-              for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")]
-    return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(checks))
+    cert = certify_rank_one(f, m_max)
+    if not cert.passed:
+        raise HypothesisViolation(f"the rank-one certificate fails at y-degree {m_max}: "
+                                  f"{cert.reason}")
+    return LemmaSuiteReport(f=f, m_max=m_max, checks=tuple(
+        _certified(kind, m) for kind in KINDS
+        for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o")))

@@ -483,11 +483,6 @@ class UniPoly(_Dense):
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def x_pow(cls, e: int, coeff=1) -> "UniPoly":
-        c = _exact(coeff)
-        return cls._of_xy([(_exponent(e, "x"), [c.numerator])], c.denominator)
-
-    @classmethod
     def from_dict(cls, d: dict) -> "UniPoly":
         d = {_exponent(e, "x"): _exact(c) for e, c in d.items()}
         nums, den = _clear([d.get(e, 0) for e in range(max(d, default=-1) + 1)])

@@ -1,13 +1,13 @@
 """Reference lemma suite: every (kind, m) system solved on its own.
 
 ``newtcomm.parity.check_lemma_suite`` reads each check off the rank-one
-certificate when it passes, and otherwise makes one ``solve_system`` per
-check.  This oracle builds and solves each (kind, m) system separately,
-with one ``solve_system`` per check and one ``energy_basis(f, m)`` per Io
-check, and formats the checks the same way, so the tests compare the two
-reports by ``==``; on the path with no certificate the two take the same
-route, and its independent checks are the tests of ``solve_system`` against
-``matching_oracle`` and ``recurrence_oracle``.  ``space_at`` reads a half's
+certificate and solves nothing.  This oracle builds and solves each (kind,
+m) system separately, with one ``solve_system`` per check and one
+``energy_basis(f, m)`` per Io check, and formats the checks the same way,
+so the tests compare the two reports by ``==``.  It takes any f: for
+deg f < 2, which the suite refuses, its report shows the lemma as stated
+failing.  ``solve_system`` itself is checked against ``matching_oracle``
+and ``recurrence_oracle``.  ``space_at`` reads a half's
 solution space at a smaller m off its basis, testing each unknown against
 each kept element on its own: the oracle for the forced set of
 ``solve_system`` and for the certified facts read at every m.
@@ -65,7 +65,8 @@ def check_one(kind: str, m: int, f: UniPoly) -> LemmaCheck:
 
 
 def lemma_suite(f: UniPoly, m_max: int) -> LemmaSuiteReport:
-    """The report check_lemma_suite(f, m_max, allow_low_degree=True) gives."""
+    """The report check_lemma_suite(f, m_max) gives when deg f >= 2, built
+    from one solve per check; for deg f < 2 the lemma as stated."""
     f = as_unipoly(f)
     checks = tuple(check_one(kind, m, f) for kind in KINDS
                    for m in range(2, m_max + 1) if (m % 2 == 1) == kind.endswith("o"))

@@ -170,13 +170,25 @@ class TestMutationControl:
         """A certificate that fails flips criterion 1 even where the solve
         agrees with the energy basis."""
         reason = commutant._graded_reason
-        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M, lower: reason(1, M, lower))
+        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M: reason(1, M))
         result = selftest.run_criterion_1()
         assert not result.passed
         assert result.detail.startswith("64/64 (f, M) pairs")
         first = result.detail.split("; first failure: ")[1]
         assert first == (f"f={selftest.ACCEPTANCE_FORCES[0]}, M=31: certificate fails: "
                          "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0")
+
+    def test_failing_certificate_fails_criterion_3(self, monkeypatch):
+        """The lemma suite is read off the certificate, so a certificate that
+        fails flips criterion 3 too, naming the piece, with no solve."""
+        reason = commutant._graded_reason
+        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M: reason(1, M))
+        monkeypatch.setattr(parity, "solve_system", lambda sys: pytest.fail("a system was solved"))
+        result = selftest.run_criterion_3()
+        assert not result.passed
+        assert result.detail == (
+            "the check raised; first failure: HypothesisViolation: the rank-one certificate "
+            "fails at y-degree 20: piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0")
 
     def test_nan_defect_is_caught(self, monkeypatch):
         """A quadrature that returns NaN must flip criterion 6, not pass it."""

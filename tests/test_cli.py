@@ -879,7 +879,7 @@ def _pieces_at_X_1(monkeypatch):
     """Make the certificate read the weight pieces at X = 1, as if deg f were
     1, so that the piece (m, a) = (1, 1) closes and the certificate fails."""
     reason = commutant._graded_reason
-    monkeypatch.setattr(commutant, "_graded_reason", lambda X, M, lower: reason(1, M, lower))
+    monkeypatch.setattr(commutant, "_graded_reason", lambda X, M: reason(1, M))
 
 
 class TestFailingCertificate:
@@ -906,6 +906,16 @@ class TestFailingCertificate:
         assert payload["q"] == ["H^2", "H", "1"]
         assert payload["passed"] is False
         assert payload["reason"] == "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0"
+
+    def test_lemmas_is_two(self, capsys, monkeypatch):
+        """The lemma suite is read off the certificate: a failing one is an
+        error naming it, not a report."""
+        _pieces_at_X_1(monkeypatch)
+        for flags in ((), ("--json",)):
+            code, out, err = run(capsys, "lemmas", "--f", "x^2", "--m-max", "5", *flags)
+            assert (code, out) == (2, "")
+            assert err == ("error: the rank-one certificate fails at y-degree 5: "
+                           "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0\n")
 
 
 def test_selftest_smoke(capsys):

@@ -244,11 +244,26 @@ class TestDecomposeInH:
             decompose_in_H(f, newton_derivation(f).scale(parse_bipoly("y")))
 
     def test_message_names_the_failing_component_and_H(self):
+        """The message names the component and its first y-power that differs
+        from the rebuild q(H) * delta_f, not the whole value."""
         f = parse_unipoly("x^2")
-        for dx, dy, v in (("x", "y", "x"), ("y", "x^2 + 1", "y"), ("x*y + y", "x^2", "x")):
-            with pytest.raises(NotAMultiple, match=r"^gamma\(%s\) = " % v) as info:
+        for dx, dy, v, i in (("x", "y", "x", 0), ("y", "x^2 + 1", "y", 0),
+                             ("x*y + y", "x^2", "x", 1), ("y^3 - x^3*y", "x^2*y^2 - x^5", "x", 1),
+                             ("y", "x^2 + y^4", "y", 4)):
+            with pytest.raises(NotAMultiple) as info:
                 decompose_in_H(f, PlanarDerivation(parse_bipoly(dx), parse_bipoly(dy)))
-            assert str(info.value).endswith("H = y^2 - 2/3*x^3")
+            assert str(info.value) == (
+                f"gamma({v}) is not that of any q(H) * delta_f: its y^{i} coefficient is the "
+                "first that differs from the rebuild, H = y^2 - 2/3*x^3"), (dx, dy)
+
+    def test_message_of_a_large_non_multiple_is_short(self):
+        """A non-multiple with many terms is named in a line, not spelled out."""
+        f = parse_unipoly("x^2")
+        gamma = PlanarDerivation(parse_bipoly("(x + 1)^60*(y + 1)^60"), parse_bipoly("y"))
+        with pytest.raises(NotAMultiple) as info:
+            decompose_in_H(f, gamma)
+        assert str(info.value).startswith("gamma(x) is not that of any q(H) * delta_f: its y^0 ")
+        assert len(str(info.value)) < 200
 
     @pytest.mark.parametrize("t", [1, 3])
     def test_gamma_outside_qxy_raises_ring_mismatch(self, t):
@@ -362,7 +377,7 @@ class TestCertifyRankOne:
         """Mutation control: the pieces read at X = 1, as if deg f were 1:
         1 is a root of P_m, so the odd-m, a = 1 pieces close."""
         reason = commutant._graded_reason
-        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M, lower: reason(1, M, lower))
+        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M: reason(1, M))
         cert = certify_rank_one(parse_unipoly("x^2"), 5)
         assert cert.passed is False
         assert cert.reason == "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0"
@@ -408,15 +423,16 @@ class TestCertifyRankOne:
                     assert dec.reconstruct(f) == g, (f, M)
 
     def test_replace_moves_the_derived_fields(self):
-        """dimension, commutant and decompositions follow the stored fields
-        of a _replace; they are not fields themselves."""
+        """passed, dimension, expected_dimension, commutant and decompositions
+        follow the stored fields of a _replace; they are not fields themselves."""
         f, g = parse_unipoly("x^2"), parse_unipoly("x^3 - x")
-        cert = certify_rank_one(f, 5)._replace(f=g, M=7, passed=False, reason="moved")
-        assert cert == (g, 7, 3, False, "moved")
-        assert cert.dimension == 4
+        cert = certify_rank_one(f, 5)._replace(f=g, M=7, reason="moved")
+        assert cert == (g, 7, "moved")
+        assert cert.passed is False and cert._replace(reason=None).passed is True
+        assert cert.dimension == cert.expected_dimension == 4
         assert cert.commutant == CommutantBasis(g, 7, energy_basis(g, 7))
         assert cert.decompositions == certify_rank_one(g, 7).decompositions
-        for name in ("commutant", "decompositions", "dimension"):
+        for name in ("commutant", "decompositions", "dimension", "expected_dimension", "passed"):
             with pytest.raises(ValueError, match="unexpected field names"):
                 cert._replace(**{name: None})
 

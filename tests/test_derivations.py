@@ -141,6 +141,17 @@ class TestPlanarDerivation:
         assert (s - d.scale(h)).is_zero
         assert (d + (-d)).is_zero
 
+    def test_apply_and_scale_take_ring_elements_only(self):
+        for op, value in ((NEWTON_D.apply, "x"), (NEWTON_D.scale, object())):
+            with pytest.raises(RingMismatch, match=f"^{type(value).__name__} is not an element "
+                                                   "of the derivation's ring$"):
+                op(value)
+
+    def test_no_sum_with_a_scalar(self):
+        for op in (lambda d: d + 1, lambda d: d - 1, lambda d: 1 + d):
+            with pytest.raises(TypeError):
+                op(NEWTON_D)
+
     def test_to_json_dict(self):
         d = newton_derivation(parse_unipoly("x^2"))
         assert d.to_json_dict() == {"ring": {"t": 1}, "dx": "y", "dy": "x^2"}
@@ -333,7 +344,7 @@ class TestEqualityAcrossClasses:
 RECORDS = [
     (commutant.CommutantBasis, ("f", "M", "basis")),
     (commutant.HDecomposition, ("q_coeffs",)),
-    (commutant.RankOneCertificate, ("f", "M", "expected_dimension", "passed", "reason")),
+    (commutant.RankOneCertificate, ("f", "M", "reason")),
     (family.LaurentFamily, ("k", "t", "a", "alpha", "beta")),
     (flows.LinearizationResult, ("delta", "case_label", "change_of_coords")),
     (flows.FlowCheckReport, ("max_defect", "trajectory_error", "steps", "tolerance")),

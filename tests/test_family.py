@@ -86,6 +86,14 @@ class TestBuildFamily:
             fam = build_family(k)
             assert fam.alpha.apply(first_integral(k)).is_zero
 
+    def test_ratio_identity_fails_on_a_doubled_entry(self):
+        """Each a_i enters one ratio identity, so doubling any entry breaks it."""
+        fam = build_family(2)
+        for i in range(len(fam.a)):
+            a = list(fam.a)
+            a[i] *= 2
+            assert not fam._replace(a=tuple(a)).ratio_identity_holds(), i
+
     def test_ratio_identity(self):
         for k in (1, 2, 3, 4, 5):
             assert build_family(k).ratio_identity_holds()

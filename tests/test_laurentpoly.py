@@ -133,10 +133,9 @@ class TestLaurentBiPoly:
         (LaurentBiPoly, lambda: LaurentBiPoly.from_uni(LaurentPoly.term(2, 1))),
         (LaurentBiPoly, lambda: LaurentBiPoly.monomial(1, 1)),
         (LaurentPoly, LaurentPoly.one), (LaurentPoly, LaurentPoly.x),
-        (LaurentPoly, lambda: LaurentPoly.x_pow(2)),
         (LaurentPoly, lambda: LaurentPoly.from_dict({1: 2})),
     ], ids=["zero", "one", "x", "from_uni", "from_uni-laurent", "monomial",
-            "uni-one", "uni-x", "uni-x_pow", "uni-from_dict"])
+            "uni-one", "uni-x", "uni-from_dict"])
     def test_inherited_constructors_raise(self, cls, build):
         """The constructors that take no root index build only Q[x] or
         Q[x,y] values, so every Laurent class refuses them, with one text,

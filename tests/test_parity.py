@@ -16,7 +16,7 @@ from newtcomm import (
     solve_commutant,
     solve_system,
 )
-from newtcomm import certify_rank_one, parity
+from newtcomm import certify_rank_one, commutant, parity
 from newtcomm.commutant import energy_basis, solve_halves
 from newtcomm.parity import KINDS
 
@@ -174,11 +174,10 @@ class TestLemmaSuite:
         with pytest.raises(HypothesisViolation):
             check_lemma_suite(parse_unipoly("x"), 4)
 
-    def test_linear_f_fails_when_allowed(self):
-        report = check_lemma_suite(parse_unipoly("x"), 4, allow_low_degree=True)
-        assert not report.passed
-        bad = [c for c in report.checks if not c.passed]
-        assert any(c.kind == "IIo" and c.m == 3 for c in bad)
+    @pytest.mark.parametrize("m_max", [1, 0, -3, True, 2.0, "4"])
+    def test_m_max_must_be_an_integer_of_at_least_2(self, m_max):
+        with pytest.raises(InvalidInput, match="^m_max must be an integer >= 2$"):
+            check_lemma_suite(parse_unipoly("x^2"), m_max)
 
     def test_io_dimension_recorded(self):
         report = check_lemma_suite(parse_unipoly("x^2"), 5)
@@ -195,11 +194,18 @@ LOW_DEGREE_FORCES = ("0", "1", "x", "2*x + 1")
     *((f_text, m_max) for f_text in LOW_DEGREE_FORCES for m_max in range(2, 17)),
 ])
 def test_lemma_suite_matches_per_system_oracle(f_text, m_max):
-    """The suite, read off the certificate or built from one solve per check,
-    equals the per-system oracle, report for report."""
+    """For deg f >= 2 the suite, read off the certificate, equals the
+    per-system oracle, report for report.  For deg f < 2 the suite refuses
+    f, and the oracle shows why: the lemma as stated fails at every
+    m_max >= 3, and at m_max = 2 too for a constant f."""
     f = parse_unipoly(f_text)
-    got = check_lemma_suite(f, m_max, allow_low_degree=f.degree < 2)
-    assert got == lemma_oracle.lemma_suite(f, m_max)
+    want = lemma_oracle.lemma_suite(f, m_max)
+    if f.degree >= 2:
+        assert check_lemma_suite(f, m_max) == want
+    else:
+        with pytest.raises(HypothesisViolation, match="^lemma suite requires deg f >= 2$"):
+            check_lemma_suite(f, m_max)
+        assert want.passed is (f.degree == 1 and m_max == 2)
 
 
 @pytest.mark.parametrize("m_max", [2, 3, 12])
@@ -226,13 +232,21 @@ def test_certified_suite_builds_no_basis(monkeypatch, f_text, m_max):
     equals the per-system oracle."""
     f = parse_unipoly(f_text)
     want = lemma_oracle.lemma_suite(f, m_max)
-
-    def refuse(*args):
-        raise AssertionError("the certified suite reads no basis")
-
-    for name in ("energy_basis", "solve_halves", "solve_system"):
-        monkeypatch.setattr(parity, name, refuse)
+    _refuse_every_solver(monkeypatch)
     assert check_lemma_suite(f, m_max) == want
+
+
+def _refuse_every_solver(monkeypatch):
+    """Make energy_basis, solve_halves and solve_system raise AssertionError
+    wherever parity or commutant could call them."""
+    def refuse(name):
+        def call(*args):
+            raise AssertionError(f"the suite called {name}")
+        return call
+
+    for module, name in ((commutant, "energy_basis"), (commutant, "solve_halves"),
+                         (parity, "solve_halves"), (parity, "solve_system")):
+        monkeypatch.setattr(module, name, refuse(name))
 
 
 def _mutant(old: str, new: str):
@@ -290,10 +304,10 @@ def test_read_off_matches_scan_on_certified_halves(f_text, m_max):
     assert certify_rank_one(f, m_max).passed
 
     def certified(kind, m):
-        dimension, forced, multiples = parity._certified(kind, m)
+        check = parity._certified(kind, m)
         basis = energy_basis(f, m) if kind in ("Io", "Ie") else ()
-        assert multiples and dimension == len(basis), (kind, m)
-        return parity.SolutionSpace(basis, forced)
+        assert check.passed and check.dimension == len(basis), (kind, m)
+        return parity.SolutionSpace(basis, check.forced)
 
     _assert_read_off_matches_scan(f, m_max, {1: energy_basis(f, m_max), 0: ()}, certified)
 
@@ -311,21 +325,21 @@ def test_read_off_matches_scan_on_solved_halves(f_text, m_max):
 
 @pytest.mark.parametrize("m_max", [2, 3, 12])
 @pytest.mark.parametrize("f_text, fail_certificate", [("x^3", True), ("x", False)])
-def test_lemma_suite_solves_each_half_once_without_certificate(monkeypatch, m_max, f_text,
-                                                               fail_certificate):
-    """A failing certificate, or deg f < 2 under allow_low_degree: each check
-    solves its half once, by one solve_system of its own (kind, m) system, and
-    the report does not change."""
+def test_lemma_suite_raises_without_certificate(monkeypatch, m_max, f_text, fail_certificate):
+    """A failing certificate, or deg f < 2, which no certificate covers: the
+    suite raises HypothesisViolation naming why, and solves nothing."""
     f = parse_unipoly(f_text)
-    want = check_lemma_suite(f, m_max, allow_low_degree=True)
     if fail_certificate:
-        monkeypatch.setattr(parity, "_graded_reason", lambda X, M, lower: "forced failure")
-    calls = []
-    solve = parity.solve_system
-    monkeypatch.setattr(parity, "solve_system",
-                        lambda sys: calls.append((sys.kind, sys.m)) or solve(sys))
-    assert check_lemma_suite(f, m_max, allow_low_degree=True) == want
-    assert calls == [(c.kind, c.m) for c in want.checks]
+        reason = commutant._graded_reason
+        monkeypatch.setattr(commutant, "_graded_reason", lambda X, M: reason(1, M))
+        message = (f"the rank-one certificate fails at y-degree {m_max}: "
+                   "piece (m, a) = (1, 1) at X = 1 has nullity 1, not 0")
+    else:
+        message = "lemma suite requires deg f >= 2"
+    _refuse_every_solver(monkeypatch)
+    with pytest.raises(HypothesisViolation) as info:
+        check_lemma_suite(f, m_max)
+    assert str(info.value) == message
 
 
 @settings(deadline=None)
